@@ -558,7 +558,7 @@ def certificate_from_json(data: object) -> Certificate:
         if key not in data:
             raise CertificateFormatError(f"certificate document missing key {key!r}")
     p, r = data["p"], data["r"]
-    if not isinstance(p, int) or not isinstance(r, int) or isinstance(p, bool):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, r)):
         raise CertificateFormatError("p and r must be integers")
     raw_blocks = data["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:

@@ -1,64 +1,23 @@
-"""Hot numerical kernels, each built twice.
+"""Brute-force word-sum trace: the sum of Tr(W) over all length-p words with r B's.
 
-Every kernel has a nopython numba build and a vectorized pure-numpy
-build.  The module-level names ``hurwitz_trace`` and ``jacobi_eigh``
-point at the numba build when numba imports cleanly and the
-``HURWITZ_SOS_PURE_NUMPY`` environment variable is unset or falsy;
-setting the variable (or running without numba) selects the numpy
-build.  Both builds stay importable regardless, so they can be compared
-directly; see ``benchmarks/bench_kernels.py``.
+Callers validate their inputs; :func:`hurwitz_sos.numeric.trace_hurwitz_numeric`
+is the checked entry point.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import numpy as np
 
-PURE_NUMPY_ENV = "HURWITZ_SOS_PURE_NUMPY"
-
-__all__ = [
-    "HAVE_NUMBA",
-    "USING_NUMBA",
-    "PURE_NUMPY_ENV",
-    "hurwitz_trace",
-    "hurwitz_trace_numba",
-    "hurwitz_trace_numpy",
-    "jacobi_eigh",
-    "jacobi_eigh_numba",
-    "jacobi_eigh_numpy",
-]
+# No compiled build exists; perfbench still records this flag in its run metadata.
+USING_NUMBA = False
 
 
-def _env_flag(name: str) -> bool:
-    value = os.environ.get(name, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-
-def _as_complex_matrix(M) -> np.ndarray:
-    M = np.ascontiguousarray(M, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
-# ------------------------------------------------------------------
-# word-sum trace: sum of Tr(W) over all length-p words with r B's
-# ------------------------------------------------------------------
-
-def hurwitz_trace_numpy(A, B, p: int, r: int) -> complex:
-    """Brute-force word-sum trace using numpy matrix products."""
-    A = _as_complex_matrix(A)
-    B = _as_complex_matrix(B)
+def hurwitz_trace(A, B, p: int, r: int) -> complex:
+    """Sum of Tr(W) over the C(p, r) words, one numpy product chain per word."""
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
     total = 0.0 + 0.0j
     for positions in combinations(range(p), r):
         chosen = set(positions)
@@ -67,209 +26,3 @@ def hurwitz_trace_numpy(A, B, p: int, r: int) -> complex:
             M = M @ (B if i in chosen else A)
         total += np.trace(M)
     return complex(total)
-
-
-def _hurwitz_trace_loops(A, B, p, r):  # pragma: no cover - runs compiled
-    n = A.shape[0]
-    total = 0.0 + 0.0j
-    c = np.empty(r, dtype=np.int64)
-    for i in range(r):
-        c[i] = i
-    M = np.empty((n, n), dtype=np.complex128)
-    T = np.empty((n, n), dtype=np.complex128)
-    while True:
-        ci = 0
-        first_b = r > 0 and c[0] == 0
-        if first_b:
-            ci = 1
-        for a in range(n):
-            for b in range(n):
-                M[a, b] = B[a, b] if first_b else A[a, b]
-        for pos in range(1, p):
-            if ci < r and c[ci] == pos:
-                ci += 1
-                X = B
-            else:
-                X = A
-            for a in range(n):
-                for b in range(n):
-                    acc = 0.0 + 0.0j
-                    for k in range(n):
-                        acc += M[a, k] * X[k, b]
-                    T[a, b] = acc
-            M, T = T, M
-        for a in range(n):
-            total += M[a, a]
-        i = r - 1
-        while i >= 0 and c[i] == i + p - r:
-            i -= 1
-        if i < 0:
-            break
-        c[i] += 1
-        for j in range(i + 1, r):
-            c[j] = c[j - 1] + 1
-    return total
-
-
-# ------------------------------------------------------------------
-# cyclic Jacobi eigensolver for complex Hermitian matrices
-# ------------------------------------------------------------------
-
-def _jacobi_sweeps_numpy(A, V, tol, max_sweeps):
-    n = A.shape[0]
-    fro = float(np.sqrt((np.abs(A) ** 2).sum()))
-    thresh = tol * fro
-
-    def off_norm(M):
-        d = np.abs(M) ** 2
-        np.fill_diagonal(d, 0.0)
-        return float(np.sqrt(d.sum()))
-
-    off = off_norm(A)
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = A[p, q]
-                ab = abs(beta)
-                if ab == 0.0:
-                    continue
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * ab)
-                # smaller-magnitude root of t^2 - 2 tau t - 1 = 0
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (t * c / ab) * beta.conjugate()
-                sc = s.conjugate()
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp + s * colq
-                A[:, q] = c * colq - sc * colp
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp + sc * rowq
-                A[q, :] = c * rowq - s * rowp
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp + s * vq
-                V[:, q] = c * vq - sc * vp
-        sweeps += 1
-        off = off_norm(A)
-    return off, thresh, sweeps
-
-
-def _jacobi_sweeps_loops(A, V, tol, max_sweeps):  # pragma: no cover - compiled
-    n = A.shape[0]
-    fro2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            x = A[i, j]
-            fro2 += x.real * x.real + x.imag * x.imag
-    thresh = tol * np.sqrt(fro2)
-    off2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                x = A[i, j]
-                off2 += x.real * x.real + x.imag * x.imag
-    off = np.sqrt(off2)
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = A[p, q]
-                ab = np.sqrt(beta.real * beta.real + beta.imag * beta.imag)
-                if ab == 0.0:
-                    continue
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * ab)
-                # smaller-magnitude root of t^2 - 2 tau t - 1 = 0
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (t * c / ab) * np.conj(beta)
-                sc = np.conj(s)
-                for i in range(n):
-                    xp = A[i, p]
-                    xq = A[i, q]
-                    A[i, p] = c * xp + s * xq
-                    A[i, q] = c * xq - sc * xp
-                for i in range(n):
-                    xp = A[p, i]
-                    xq = A[q, i]
-                    A[p, i] = c * xp + sc * xq
-                    A[q, i] = c * xq - s * xp
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real + 0.0j
-                A[q, q] = A[q, q].real + 0.0j
-                for i in range(n):
-                    vp = V[i, p]
-                    vq = V[i, q]
-                    V[i, p] = c * vp + s * vq
-                    V[i, q] = c * vq - sc * vp
-        sweeps += 1
-        off2 = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    x = A[i, j]
-                    off2 += x.real * x.real + x.imag * x.imag
-        off = np.sqrt(off2)
-    return off, thresh, sweeps
-
-
-def jacobi_eigh_numpy(H, tol: float = 1e-12, max_sweeps: int = 30):
-    """Cyclic Jacobi diagonalization, numpy build.
-
-    Returns ``(w, V, off, thresh, sweeps)`` with unsorted eigenvalue
-    estimates ``w`` (the final diagonal), accumulated unitary ``V``,
-    final off-diagonal Frobenius norm ``off``, and the convergence
-    threshold ``thresh = tol * ||H||_F`` it was compared against.
-    """
-    A = _as_complex_matrix(H).copy()
-    V = np.eye(A.shape[0], dtype=np.complex128)
-    off, thresh, sweeps = _jacobi_sweeps_numpy(A, V, float(tol), int(max_sweeps))
-    return np.real(np.diag(A)).copy(), V, off, thresh, sweeps
-
-
-if HAVE_NUMBA:
-    _hurwitz_trace_jit = njit(cache=True)(_hurwitz_trace_loops)
-    _jacobi_sweeps_jit = njit(cache=True)(_jacobi_sweeps_loops)
-
-    def hurwitz_trace_numba(A, B, p: int, r: int) -> complex:
-        """Brute-force word-sum trace, numba build."""
-        A = _as_complex_matrix(A)
-        B = _as_complex_matrix(B)
-        return complex(_hurwitz_trace_jit(A, B, p, r))
-
-    def jacobi_eigh_numba(H, tol: float = 1e-12, max_sweeps: int = 30):
-        """Cyclic Jacobi diagonalization, numba build.  Same contract as the numpy build."""
-        A = _as_complex_matrix(H).copy()
-        V = np.eye(A.shape[0], dtype=np.complex128)
-        off, thresh, sweeps = _jacobi_sweeps_jit(A, V, float(tol), int(max_sweeps))
-        return np.real(np.diag(A)).copy(), V, off, thresh, sweeps
-
-else:  # pragma: no cover - exercised via the env flag instead
-    def _no_numba(*_args, **_kwargs):
-        raise RuntimeError("numba is not installed; use the *_numpy kernels")
-
-    hurwitz_trace_numba = _no_numba
-    jacobi_eigh_numba = _no_numba
-
-
-USING_NUMBA = HAVE_NUMBA and not _env_flag(PURE_NUMPY_ENV)
-
-if USING_NUMBA:
-    hurwitz_trace = hurwitz_trace_numba
-    jacobi_eigh = jacobi_eigh_numba
-else:
-    hurwitz_trace = hurwitz_trace_numpy
-    jacobi_eigh = jacobi_eigh_numpy

@@ -1,18 +1,22 @@
-"""Self-contained numerics: seeded RNG, Hermitian eigensolver, evaluators.
+"""Numerics: seeded RNG, Hermitian eigensolver, evaluators.
 
-This module deliberately avoids LAPACK-backed factorizations and numpy's
-Generator objects.  Randomness is a counter-based SplitMix64 stream (so
-trials are reproducible from an integer seed across platforms) and the
-eigensolver is the cyclic Jacobi kernel from :mod:`hurwitz_sos.kernels`.
-The brute-force word-sum evaluator here is the independent oracle that
-exact certificates are cross-checked against.
+Randomness is a counter-based SplitMix64 stream rather than numpy's
+Generator objects, so trials are reproducible from an integer seed
+across platforms.  The eigensolver is LAPACK ``eigh`` through numpy.
+That is safe because floats never decide a result on their own: they
+cross-check certificates and steer the search, every search result is
+re-verified in exact rational arithmetic before it is returned, and the
+random inputs stay seeded by SplitMix64, so a different LAPACK changes
+rounding, not which matrices are tried.  The brute-force word-sum
+evaluator here is the independent oracle that exact certificates are
+cross-checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .words import check_word
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach its off-diagonal residual target."""
+    """The eigensolver failed to converge."""
 
 
 class NotPsdError(ValueError):
@@ -120,50 +124,54 @@ class EigResult:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    off_norm: float
-    sweeps: int
 
 
-def _checked_hermitian(H, name: str = "matrix") -> np.ndarray:
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {H.shape}")
-    H = H.astype(np.complex128, copy=False)
-    if not np.isfinite(H).all():
+def _checked_square(M, name: str = "matrix") -> np.ndarray:
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    M = M.astype(np.complex128, copy=False)
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return H
+    return M
 
 
-def hermitian_eig(H, tol: float = 1e-12, max_sweeps: int = 30) -> EigResult:
-    """Full eigensystem of a Hermitian matrix via cyclic Jacobi sweeps.
+def _checked_pair(A, B):
+    """A and B as complex128 arrays: finite, square and of equal shape."""
+    A = _checked_square(A, "A")
+    B = _checked_square(B, "B")
+    if A.shape != B.shape:
+        raise ValueError(
+            f"A and B must have equal shape, got {A.shape} and {B.shape}"
+        )
+    return A, B
 
-    The input is symmetrized as (H + H*)/2 before iterating; an input
-    that is far from Hermitian is rejected.  Raises ConvergenceError if
-    the off-diagonal norm has not dropped below tol * ||H||_F within
-    ``max_sweeps`` sweeps.
+
+def hermitian_eig(H) -> EigResult:
+    """Full eigensystem of a Hermitian matrix via LAPACK ``eigh``.
+
+    The input is symmetrized as (H + H*)/2 first; an input that is far
+    from Hermitian is rejected.  Raises ConvergenceError if LAPACK does
+    not converge.
     """
-    H = _checked_hermitian(H)
+    H = _checked_square(H)
     fro = float(np.linalg.norm(H))
     if float(np.linalg.norm(H - H.conj().T)) > 1e-8 * (1.0 + fro):
         raise ValueError("matrix is not Hermitian")
-    Hs = (H + H.conj().T) / 2.0
-    w, V, off, thresh, sweeps = kernels.jacobi_eigh(Hs, tol, max_sweeps)
-    if off > thresh:
-        raise ConvergenceError(
-            f"Jacobi iteration stalled: off-diagonal {off:.3e} > {thresh:.3e} "
-            f"after {sweeps} sweeps"
-        )
-    order = np.argsort(w, kind="stable")
-    return EigResult(w[order], np.ascontiguousarray(V[:, order]), off, sweeps)
+    try:
+        w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    return EigResult(w, V)
 
 
-def psd_sqrt(A, tol: float = 1e-12, neg_tol: float = 1e-9) -> np.ndarray:
+def psd_sqrt(A, neg_tol: float = 1e-9) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Eigenvalues below zero by more than ``neg_tol * (1 + ||A||_F)`` are
     an error; smaller dips are treated as roundoff and clamped to zero.
     """
-    eig = hermitian_eig(A, tol=tol)
+    eig = hermitian_eig(A)
     scale = 1.0 + float(np.linalg.norm(np.asarray(A)))
     if eig.eigenvalues[0] < -neg_tol * scale:
         raise NotPsdError(
@@ -181,10 +189,7 @@ def psd_sqrt(A, tol: float = 1e-12, neg_tol: float = 1e-9) -> np.ndarray:
 def word_matrix(A, B, word: str) -> np.ndarray:
     """Product of the matrices spelled by ``word`` (A and B full letters)."""
     check_word(word)
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A and B must be square matrices of equal shape")
+    A, B = _checked_pair(A, B)
     M = A if word[0] == "A" else B
     for ch in word[1:]:
         M = M @ (A if ch == "A" else B)
@@ -206,10 +211,7 @@ def trace_hurwitz_numeric(A, B, p: int, r: int) -> float:
         raise ValueError(f"p must be a positive int, got {p!r}")
     if not isinstance(r, int) or not 0 <= r <= p:
         raise ValueError(f"r must lie in [0, {p}], got {r!r}")
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A and B must be square matrices of equal shape")
+    A, B = _checked_pair(A, B)
     total = kernels.hurwitz_trace(A, B, p, r)
     if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
         raise ArithmeticError(
@@ -246,10 +248,7 @@ def eval_certificate_numeric(cert: Certificate, A, B) -> float:
     sum-of-squares reading of the certificate, not the exact expansion,
     which is what makes it a meaningful cross-check.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A and B must be square matrices of equal shape")
+    A, B = _checked_pair(A, B)
     half: Dict[str, np.ndarray] = {"a": psd_sqrt(A), "b": psd_sqrt(B)}
     total = 0.0
     for block_index, (block, gram) in enumerate(cert.blocks):

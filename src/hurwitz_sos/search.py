@@ -241,23 +241,17 @@ def _build_groups(
     return groups
 
 
-def _project_affine(mats: List[np.ndarray], groups: List[_Group]) -> float:
-    """Shift each entry group to its prescribed sum, then re-Hermitize.
-
-    Returns the largest group residual before the shift.
-    """
-    worst = 0.0
+def _project_affine(mats: List[np.ndarray], groups: List[_Group]) -> None:
+    """Shift each entry group to its prescribed sum, then re-Hermitize."""
     for entries, tgt, _exact in groups:
         s = 0.0 + 0.0j
         for bi, j, k in entries:
             s += mats[bi][j, k]
-        worst = max(worst, abs(s - tgt))
         delta = (tgt - s) / len(entries)
         for bi, j, k in entries:
             mats[bi][j, k] += delta
     for bi in range(len(mats)):
         mats[bi] = (mats[bi] + mats[bi].conj().T) / 2.0
-    return worst
 
 
 def _project_psd(mats: List[np.ndarray], floor: float) -> None:

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from hurwitz_sos.certificate import (
     GramMatrix,
@@ -21,7 +20,6 @@ from hurwitz_sos.certificate import (
     swap_certificate,
     verify_certificate,
 )
-from hurwitz_sos.kernels import hurwitz_trace, jacobi_eigh
 from hurwitz_sos.numeric import (
     derive_seed,
     hermitian_eig,
@@ -44,14 +42,6 @@ from hurwitz_sos.words import CyclicClass, hurwitz_expand, swap_letters
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile/caching warm-up so budgets measure the algorithms, not the JIT
-    A = random_psd(2, seed=1)
-    hurwitz_trace(A, A, 3, 1)
-    jacobi_eigh(random_hermitian(3, seed=1))
 
 
 def _report(num, desc, budget, fn):

@@ -485,6 +485,7 @@ def test_certificate_json_complex_entries(tmp_path):
         lambda d: d["blocks"][0]["gram"][0].__setitem__(0, {"re": [1, 1]}),
         lambda d: d["blocks"][0]["gram"][0].__setitem__(0, 7),
         lambda d: d["blocks"][0]["basis"].__setitem__(0, "AXB"),
+        lambda d: d.__setitem__("r", True),
     ],
 )
 def test_certificate_json_malformed(mutate):

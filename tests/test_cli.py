@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hurwitz_sos.certificate import (
@@ -120,6 +121,11 @@ def test_verify_malformed_file(tmp_path, capsys):
     path = tmp_path / "trunc.json"
     path.write_text('{"p": 7,')
     assert main(["verify", "--cert", str(path)]) == EXIT_USAGE
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["r"] = True
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--cert", str(path)]) == EXIT_USAGE
+    assert "p and r must be integers" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ search
@@ -292,6 +298,17 @@ def test_validate_rejects_broken_certificate(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--cert", str(path)]) == EXIT_FAIL
     assert "failed exact verification" in capsys.readouterr().err
+
+
+def test_validate_eigensolver_failure_exits_fail(monkeypatch, capsys):
+    def fail(_H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = main(["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"])
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 def test_validate_bad_dims(capsys):

@@ -1,20 +1,10 @@
-import os
-import subprocess
-import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from hurwitz_sos import kernels
-from hurwitz_sos.kernels import (
-    HAVE_NUMBA,
-    PURE_NUMPY_ENV,
-    USING_NUMBA,
-    hurwitz_trace_numpy,
-    jacobi_eigh_numpy,
-)
-from hurwitz_sos.numeric import random_hermitian, random_psd
+from hurwitz_sos.kernels import hurwitz_trace
+from hurwitz_sos.numeric import random_psd
 
 
 def oracle_trace(A, B, p, r):
@@ -33,7 +23,7 @@ def oracle_trace(A, B, p, r):
 def test_numpy_kernel_matches_oracle(p, r, n):
     A = random_psd(n, seed=p)
     B = random_psd(n, seed=r + 100)
-    got = hurwitz_trace_numpy(A, B, p, r)
+    got = hurwitz_trace(A, B, p, r)
     want = oracle_trace(A, B, p, r)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -43,91 +33,8 @@ def test_numpy_kernel_edge_counts():
     B = random_psd(2, seed=2)
     # r=0 and r=p are single words
     assert np.isclose(
-        hurwitz_trace_numpy(A, B, 3, 0), np.trace(A @ A @ A)
+        hurwitz_trace(A, B, 3, 0), np.trace(A @ A @ A)
     )
     assert np.isclose(
-        hurwitz_trace_numpy(A, B, 3, 3), np.trace(B @ B @ B)
+        hurwitz_trace(A, B, 3, 3), np.trace(B @ B @ B)
     )
-
-
-def test_jacobi_numpy_converges():
-    for n in (1, 2, 5, 12):
-        H = random_hermitian(n, seed=n)
-        w, V, off, thresh, sweeps = jacobi_eigh_numpy(H.copy())
-        assert off <= thresh
-        scale = 1.0 + np.linalg.norm(H)
-        assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - H) <= 1e-10 * scale
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_numba_kernel_matches_numpy_trace():
-    from hurwitz_sos.kernels import hurwitz_trace_numba
-
-    for p, r, n in [(5, 2, 3), (7, 3, 4), (6, 0, 2), (6, 6, 2)]:
-        A = random_psd(n, seed=n + p)
-        B = random_psd(n, seed=n + r + 7)
-        a = hurwitz_trace_numba(A, B, p, r)
-        b = hurwitz_trace_numpy(A, B, p, r)
-        assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_numba_kernel_matches_numpy_jacobi():
-    from hurwitz_sos.kernels import jacobi_eigh_numba
-
-    for n in (1, 3, 8):
-        H = random_hermitian(n, seed=30 + n)
-        wa, Va, offa, _ta, _sa = jacobi_eigh_numba(H.copy())
-        wb, Vb, offb, _tb, _sb = jacobi_eigh_numpy(H.copy())
-        scale = 1.0 + np.linalg.norm(H)
-        assert np.allclose(np.sort(wa), np.sort(wb), atol=1e-9 * scale)
-        assert np.linalg.norm(Va @ np.diag(wa) @ Va.conj().T - H) <= 1e-10 * scale
-        assert np.linalg.norm(Vb @ np.diag(wb) @ Vb.conj().T - H) <= 1e-10 * scale
-
-
-def test_module_exposes_selected_build():
-    assert hasattr(kernels, "hurwitz_trace")
-    assert hasattr(kernels, "jacobi_eigh")
-    if USING_NUMBA:
-        assert kernels.hurwitz_trace is kernels.hurwitz_trace_numba
-        assert kernels.jacobi_eigh is kernels.jacobi_eigh_numba
-    else:
-        assert kernels.hurwitz_trace is kernels.hurwitz_trace_numpy
-        assert kernels.jacobi_eigh is kernels.jacobi_eigh_numpy
-
-
-def _probe_build(extra_env):
-    env = dict(os.environ)
-    env.pop(PURE_NUMPY_ENV, None)
-    env.update(extra_env)
-    code = (
-        "from hurwitz_sos import kernels\n"
-        "import numpy as np\n"
-        "from hurwitz_sos.numeric import random_psd\n"
-        "A = random_psd(3, seed=1); B = random_psd(3, seed=2)\n"
-        "t = kernels.hurwitz_trace(A, B, 7, 3)\n"
-        "print(kernels.USING_NUMBA, repr(complex(t)))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    flag, value = out.stdout.split(None, 1)
-    return flag == "True", complex(eval(value))
-
-
-def test_env_flag_selects_pure_numpy_build():
-    using, value_numpy = _probe_build({PURE_NUMPY_ENV: "1"})
-    assert not using
-    if HAVE_NUMBA:
-        using, value_numba = _probe_build({})
-        assert using
-        assert abs(value_numpy - value_numba) <= 1e-9 * (1.0 + abs(value_numba))
-
-
-def test_env_flag_zero_means_default():
-    using, _ = _probe_build({PURE_NUMPY_ENV: "0"})
-    assert using == HAVE_NUMBA
