@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: expand, verify, search, validate, bmv-check.  Exit codes:
-0 success, 1 a verification or trial failed or the eigensolver did not
-converge, 2 usage or malformed input, 3 exact infeasibility proven,
-4 search exhausted without an answer.  All runs are deterministic
-given flags plus seed; the seed falls back to the HURWITZ_SOS_SEED
-environment variable, then 0.
+0 success, 1 a verification or trial failed, the eigensolver did not
+converge or a numeric result was not finite, 2 usage or malformed
+input, 3 exact infeasibility proven, 4 search exhausted without an
+answer.  All runs are deterministic given flags plus seed; the seed
+falls back to the HURWITZ_SOS_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except _UsageError as exc:

@@ -7,9 +7,11 @@ That is safe because floats never decide a result on their own: they
 cross-check certificates and steer the search, every search result is
 re-verified in exact rational arithmetic before it is returned, and the
 random inputs stay seeded by SplitMix64, so a different LAPACK changes
-rounding, not which matrices are tried.  The brute-force word-sum
-evaluator here is the independent oracle that exact certificates are
-cross-checked against.
+rounding, not which matrices are tried.  The word-sum trace here
+(the coefficient recurrence of ``kernels.hurwitz_trace``) is the
+oracle that exact certificates are cross-checked against; it shares no
+code with the sum-of-squares evaluator, and the tests check it against
+a product over every word and against exact cyclic-class expansions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .certificate import Certificate, GramMatrix
-from .words import check_word
+from .words import check_degrees, check_word
 
 
 class ConvergenceError(RuntimeError):
@@ -183,7 +185,7 @@ def psd_sqrt(A, neg_tol: float = 1e-9) -> np.ndarray:
 
 
 # ------------------------------------------------------------------
-# brute-force evaluators
+# evaluators
 # ------------------------------------------------------------------
 
 def word_matrix(A, B, word: str) -> np.ndarray:
@@ -202,17 +204,23 @@ def trace_word_product(A, B, word: str) -> complex:
 
 
 def trace_hurwitz_numeric(A, B, p: int, r: int) -> float:
-    """Sum of Tr(W) over all length-p words with r B's, by brute force.
+    """Sum of Tr(W) over all length-p words with r B's.
 
-    For Hermitian inputs the result is real; a significant imaginary
-    part indicates bad input and raises ArithmeticError.
+    Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
+    in :mod:`hurwitz_sos.kernels`.  For Hermitian inputs the result is
+    real; a significant imaginary part indicates bad input and raises
+    ArithmeticError, as does a total that overflowed to inf or NaN.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be a positive int, got {p!r}")
-    if not isinstance(r, int) or not 0 <= r <= p:
-        raise ValueError(f"r must lie in [0, {p}], got {r!r}")
+    check_degrees(p, r)
     A, B = _checked_pair(A, B)
-    total = kernels.hurwitz_trace(A, B, p, r)
+    # overflow is reported below as an ArithmeticError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = kernels.hurwitz_trace(A, B, p, r)
+    if not np.isfinite(total):
+        raise ArithmeticError(
+            f"word-sum trace for (p={p}, r={r}) is not finite ({total}); "
+            "it exceeds double precision"
+        )
     if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
         raise ArithmeticError(
             f"word-sum trace has imaginary part {total.imag:.3e}; "

@@ -1,10 +1,10 @@
-"""Seeded cross-validation of exact certificates against brute force.
+"""Seeded cross-validation of exact certificates against word-sum traces.
 
 Two runners.  The certificate runner draws random PSD pairs, evaluates a
 verified certificate as an explicit sum of squares, and compares against
-the brute-force word-sum trace.  The coefficient runner samples PSD
-pairs and checks that every word-sum trace for r = 0..p is nonnegative
-up to roundoff.  Both emit one record per trial so failures are
+the word-sum trace ``numeric.trace_hurwitz_numeric``.  The coefficient
+runner samples PSD pairs and checks that every word-sum trace for
+r = 0..p is nonnegative up to roundoff.  Both emit one record per trial so failures are
 reproducible from the recorded seed alone.
 """
 
@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .certificate import Certificate
+from .words import check_degrees
 from .numeric import (
     bmv_coefficients,
     derive_seed,
@@ -255,8 +256,7 @@ def bmv_check_trials(
     total, not per dimension.  Each row records the seed that generated
     its PSD pair, so any failure can be replayed exactly.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be a positive int, got {p!r}")
+    check_degrees(p, 0)
     config = config or TrialConfig(dims=(2, 3, 4))
     rows = []
     for t in range(config.trials):

@@ -33,6 +33,14 @@ def check_word(word: str) -> str:
     return word
 
 
+def check_degrees(p: int, r: int) -> None:
+    """Validate a word length p >= 1 and a B count r in [0, p]; a bool is rejected."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError(f"p must be a positive int, got {p!r}")
+    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= p:
+        raise ValueError(f"r must lie in [0, {p}], got {r!r}")
+
+
 def rotations(word: str) -> Iterator[str]:
     """All cyclic rotations of a word, starting offsets 0..len-1."""
     check_word(word)
@@ -205,10 +213,7 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     Enumerates the C(p, r) placements of the B letters directly, so the
     total multiplicity is exactly C(p, r) by construction.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be a positive int, got {p!r}")
-    if not isinstance(r, int) or not 0 <= r <= p:
-        raise ValueError(f"r must lie in [0, {p}], got {r!r}")
+    check_degrees(p, r)
     counts: Counter[str] = Counter()
     for positions in combinations(range(p), r):
         letters = ["A"] * p

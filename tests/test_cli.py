@@ -342,6 +342,16 @@ def test_bmv_check_bad_p(capsys):
     assert main(["bmv-check", "-p", "0", "--trials", "1"]) == EXIT_USAGE
 
 
+def test_bmv_check_overflow_exits_fail(capsys):
+    # at p = 400 the word-sum traces overflow double precision
+    code = main(["bmv-check", "-p", "400", "--trials", "1", "--dims", "3"])
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert "counterexample candidate" not in captured.err
+
+
 # ------------------------------------------------------------------ parser
 
 def test_unknown_subcommand():

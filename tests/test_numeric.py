@@ -242,6 +242,23 @@ def test_trace_hurwitz_rejects_bad_input():
         trace_hurwitz_numeric(np.eye(2), np.eye(2), 3, 4)
 
 
+def test_trace_hurwitz_rejects_boolean_degrees():
+    I = np.eye(2)
+    with pytest.raises(ValueError, match="p must be"):
+        trace_hurwitz_numeric(I, I, True, 0)
+    with pytest.raises(ValueError, match="r must"):
+        trace_hurwitz_numeric(I, I, 3, True)
+    with pytest.raises(ValueError, match="p must be"):
+        trace_hurwitz_numeric(I, I, True, False)
+
+
+def test_trace_hurwitz_overflow_raises():
+    # Tr((1e200 I)^3) = 3e600 overflows double precision
+    I = np.eye(2)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        trace_hurwitz_numeric(1e200 * I, I, 3, 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_pairs_reject_non_finite_entries(bad):
     M = np.array([[bad, 0.0], [0.0, 1.0]])

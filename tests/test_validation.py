@@ -112,6 +112,11 @@ def test_bmv_trials_positive():
     json.dumps(report.rows[0].to_json())
 
 
+def test_bmv_trials_reject_boolean_p():
+    with pytest.raises(ValueError, match="p must be"):
+        bmv_check_trials(True, TrialConfig(dims=(2,), trials=1))
+
+
 def test_bmv_trials_deterministic():
     a = bmv_check_trials(6, TrialConfig(seed=3, dims=(2,), trials=4))
     b = bmv_check_trials(6, TrialConfig(seed=3, dims=(2,), trials=4))

@@ -171,6 +171,13 @@ def test_hurwitz_expand_edges():
         hurwitz_expand(3, -1)
 
 
+def test_hurwitz_expand_rejects_booleans():
+    with pytest.raises(ValueError, match="p must be"):
+        hurwitz_expand(True, 0)
+    with pytest.raises(ValueError, match="r must"):
+        hurwitz_expand(3, True)
+
+
 @pytest.mark.parametrize("p", range(1, 10))
 def test_hurwitz_expand_invariants(p):
     for r in range(p + 1):
