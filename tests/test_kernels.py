@@ -38,7 +38,7 @@ def oracle_trace(A, B, p, r):
         (10, 5, 3),  # the largest p of the bmv-scan benchmark
     ],
 )
-def test_hurwitz_trace_matches_product_oracle(p, r, n):
+def test_numpy_kernel_matches_oracle(p, r, n):
     A = random_psd(n, seed=p)
     B = random_psd(n, seed=r + 100)
     got = hurwitz_trace(A, B, p, r)
@@ -56,7 +56,7 @@ def test_hurwitz_trace_non_hermitian_pair():
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
-def test_hurwitz_trace_single_word_degrees():
+def test_numpy_kernel_edge_counts():
     A = random_psd(2, seed=1)
     B = random_psd(2, seed=2)
     # r=0 and r=p are single words
