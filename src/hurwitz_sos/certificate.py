@@ -16,12 +16,14 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rational import ZERO, GaussianRational
 from .words import (
     CyclicClass,
     TracePolynomial,
+    check_degrees,
     check_word,
     hurwitz_expand,
     reverse_word,
@@ -266,37 +268,65 @@ def _normalize_witness(vec: List[GaussianRational]) -> Tuple[GaussianRational, .
     return tuple(vec)
 
 
-def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
-    """Exact PSD test by pivoted elimination over the Gaussian rationals.
+def _exact_quotient(x: int, divisor: int) -> int:
+    """x / divisor, which must be an integer; ArithmeticError otherwise."""
+    quotient, remainder = divmod(x, divisor)
+    if remainder:
+        raise ArithmeticError(f"fraction-free step: {divisor} does not divide {x}")
+    return quotient
 
-    Maintains, for every remaining row i, a vector u_i expressing the
-    current Schur complement entry S[i][j] as u_i* G u_j.  Pivots on the
-    largest remaining diagonal entry.  A negative diagonal entry gives
-    the witness u_i directly; a zero diagonal block with a nonzero
-    off-diagonal entry s = S[i][j] gives the witness u_j - s u_i, whose
-    form value is exactly -2 |s|^2.
+
+def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
+    """Exact PSD test by pivoted, fraction-free elimination over the Gaussian integers.
+
+    The Gram matrix is scaled by L, the lcm of its entry denominators,
+    to an integer matrix T = L G (held as separate real and imaginary
+    parts); a positive scale changes neither the answer, the pivot
+    order nor the witness.  Pivoting on the largest remaining diagonal
+    entry d (first index on a tie), each step replaces the remaining
+    entries by T'[i][j] = (d T[i][j] - T[i][q] T[q][j]) / delta, with
+    delta the previous pivot (1 at first): Bareiss' fraction-free form
+    of the Schur complement.  By Sylvester's identity every T' entry is
+    a bordered minor of T, so each division is exact; it is done with
+    ``divmod`` and a nonzero remainder raises ArithmeticError rather
+    than rounding.  The same update of v_i = delta u_i tracks, for every
+    remaining row i, a vector u_i with Schur complement entry
+    S[i][j] = T[i][j] / (delta L) = u_i* G u_j.
+
+    Only the end result goes back to rationals: pivot k is
+    minor_k / (minor_(k-1) L).  A negative diagonal entry gives the
+    witness u_i; a zero diagonal with a nonzero off-diagonal entry
+    s = S[i][j] gives u_j - s u_i, whose form value is exactly -2 |s|^2.
     """
     n = gram.dimension
-    S: List[List[GaussianRational]] = [
-        [gram.at(j, k) for k in range(n)] for j in range(n)
-    ]
-    u: List[List[GaussianRational]] = [
-        [GaussianRational.of(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
+    scale = lcm(
+        *(x.denominator for row in gram.entries for z in row for x in (z.re, z.im))
+    )
+    Tre = [[int(z.re * scale) for z in row] for row in gram.entries]
+    Tim = [[int(z.im * scale) for z in row] for row in gram.entries]
+    # v_i = delta u_i as (vre[i], vim[i]); nonzero only at pivoted indices and i
+    vre = [[1 if i == t else 0 for t in range(n)] for i in range(n)]
+    vim = [[0] * n for _ in range(n)]
+    delta = 1
     remaining = list(range(n))
+    done: List[int] = []
     pivots: List[Fraction] = []
+
+    def u(i: int) -> List[GaussianRational]:
+        return [GaussianRational(Fraction(x, delta), Fraction(y, delta))
+                for x, y in zip(vre[i], vim[i])]
 
     while remaining:
         for i in remaining:
-            if S[i][i].re < 0:
-                return PsdCheckResult(False, _normalize_witness(u[i]), tuple(pivots))
-        q = max(remaining, key=lambda i: S[i][i].re)
-        d = S[q][q].re
+            if Tre[i][i] < 0:
+                return PsdCheckResult(False, _normalize_witness(u(i)), tuple(pivots))
+        q = max(remaining, key=lambda i: Tre[i][i])
+        d = Tre[q][q]
         if d == 0:
             culprit = None
             for i in remaining:
                 for j in remaining:
-                    if i < j and not S[i][j].is_zero:
+                    if i < j and (Tre[i][j] or Tim[i][j]):
                         culprit = (i, j)
                         break
                 if culprit:
@@ -305,24 +335,32 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
                 pivots.extend(Fraction(0) for _ in remaining)
                 break
             i, j = culprit
-            s = S[i][j]
-            witness = [uj - s * ui for ui, uj in zip(u[i], u[j])]
+            s = GaussianRational(
+                Fraction(Tre[i][j], delta * scale), Fraction(Tim[i][j], delta * scale)
+            )
+            witness = [uj - s * ui for ui, uj in zip(u(i), u(j))]
             return PsdCheckResult(False, _normalize_witness(witness), tuple(pivots))
-        pivots.append(d)
+        pivots.append(Fraction(d, delta * scale))
         remaining.remove(q)
-        dG = GaussianRational.of(Fraction(d))
-        for i in remaining:
-            coeff = S[q][i] / dG
-            if coeff.is_zero:
-                continue
-            for t in range(n):
-                u[i][t] = u[i][t] - coeff * u[q][t]
-        for i in remaining:
-            left = S[i][q]
-            if left.is_zero:
-                continue
-            for j in remaining:
-                S[i][j] = S[i][j] - left * S[q][j] / dG
+        done.append(q)
+        rq, iq = Tre[q], Tim[q]
+        vrq, viq = vre[q], vim[q]
+        for pos, i in enumerate(remaining):
+            # T[q][i] = a + b i; row i gets T[i][q] = conj(T[q][i])
+            a, b = rq[i], iq[i]
+            vri, vii = vre[i], vim[i]
+            for t in done + [i]:
+                x, y = vrq[t], viq[t]
+                vri[t] = _exact_quotient(d * vri[t] - (a * x - b * y), delta)
+                vii[t] = _exact_quotient(d * vii[t] - (a * y + b * x), delta)
+            ri, ii = Tre[i], Tim[i]
+            for j in remaining[pos:]:
+                c, e = rq[j], iq[j]
+                re = _exact_quotient(d * ri[j] - (a * c + b * e), delta)
+                im = _exact_quotient(d * ii[j] - (a * e - b * c), delta)
+                ri[j], ii[j] = re, im
+                Tre[j][i], Tim[j][i] = re, -im
+        delta = d
 
     return PsdCheckResult(True, None, tuple(pivots))
 
@@ -339,12 +377,10 @@ class Certificate:
     blocks: Tuple[BlockPair, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 1:
-            raise CertificateStructureError(f"p must be a positive int, got {self.p!r}")
-        if not isinstance(self.r, int) or not 0 <= self.r <= self.p:
-            raise CertificateStructureError(
-                f"r must lie in [0, {self.p}], got {self.r!r}"
-            )
+        try:
+            check_degrees(self.p, self.r)
+        except ValueError as exc:
+            raise CertificateStructureError(str(exc)) from exc
         blocks = tuple((block, gram) for block, gram in self.blocks)
         if not blocks:
             raise CertificateStructureError("certificate must contain at least one block")
@@ -394,7 +430,11 @@ class VerifyReport:
 
     ``residual`` is expansion minus target (zero polynomial iff matched).
     When some Gram matrix is not PSD, ``witness_block`` is its index and
-    ``witness`` the exact witness vector for it.
+    ``witness`` the exact witness vector for it.  ``min_pivots`` has one
+    entry per block checked, in block order up to and including a
+    failing one: the smallest pivot ``psd_check_exact`` reached on that
+    block, or None if it reached none.  A zero says the Gram matrix
+    lies on the PSD boundary.
     """
 
     matched: bool
@@ -402,6 +442,7 @@ class VerifyReport:
     residual: TracePolynomial
     witness: Optional[Tuple[GaussianRational, ...]]
     witness_block: Optional[int]
+    min_pivots: Tuple[Optional[Fraction], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -418,8 +459,10 @@ def verify_against(cert: Certificate, target: TracePolynomial) -> VerifyReport:
     psd = True
     witness: Optional[Tuple[GaussianRational, ...]] = None
     witness_block: Optional[int] = None
+    min_pivots: List[Optional[Fraction]] = []
     for idx, (_block, gram) in enumerate(cert.blocks):
         result = psd_check_exact(gram)
+        min_pivots.append(min(result.pivots, default=None))
         if not result.psd:
             psd = False
             witness = result.witness
@@ -431,6 +474,7 @@ def verify_against(cert: Certificate, target: TracePolynomial) -> VerifyReport:
         residual=residual,
         witness=witness,
         witness_block=witness_block,
+        min_pivots=tuple(min_pivots),
     )
 
 
@@ -658,4 +702,7 @@ def verify_report_to_json(report: VerifyReport) -> Dict[str, object]:
     else:
         doc["witness_block"] = None
         doc["witness"] = None
+    doc["min_pivots"] = [
+        None if x is None else _fraction_to_pair(x) for x in report.min_pivots
+    ]
     return doc

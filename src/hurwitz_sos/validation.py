@@ -27,6 +27,10 @@ from .numeric import (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Shared knobs for the trial runners.
@@ -42,13 +46,11 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError("trials must be a positive integer")
         if not self.tol_rel > 0:
             raise ValueError("tol_rel must be positive")
-        if not self.dims or any(
-            not isinstance(n, int) or n < 1 for n in self.dims
-        ):
+        if not self.dims or any(not _is_int(n) or n < 1 for n in self.dims):
             raise ValueError("dims must be positive integers")
 
 

@@ -9,10 +9,8 @@ the package trades in.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from .rational import GaussianRational, ZERO
@@ -119,7 +117,7 @@ class TracePolynomial:
         degree: int,
         terms: Optional[Mapping[ClassLike, CoefficientLike]] = None,
     ) -> None:
-        if not isinstance(degree, int) or degree < 1:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise ValueError(f"degree must be a positive int, got {degree!r}")
         self._degree = degree
         data: Dict[CyclicClass, GaussianRational] = {}
@@ -130,7 +128,9 @@ class TracePolynomial:
                     raise ValueError(
                         f"class {cls} has length {cls.length}, expected {degree}"
                     )
-                coeff = data.get(cls, ZERO) + GaussianRational.of(value)
+                coeff = GaussianRational.of(value)
+                if cls in data:
+                    coeff = data[cls] + coeff
                 if coeff.is_zero:
                     data.pop(cls, None)
                 else:
@@ -207,20 +207,62 @@ class TracePolynomial:
         return f"TracePolynomial({self._degree}, {{{body}}})"
 
 
+def _run_length_necklaces(r: int, m: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Sequences g of r nonnegative ints summing to m, each greatest among its rotations.
+
+    Yields ``(g, period)`` with ``period`` the primitive period of g.
+    This is the FKM necklace generator (Fredricksen, Kessler and Maiorana)
+    with the order of the integers reversed and the fixed sum pruned
+    into the bounds of each position.  It walks the prefix tree with an
+    explicit position counter instead of recursion, so its depth is not
+    tied to the interpreter's recursion limit.  Sequences come out in
+    decreasing lexicographic order.
+    """
+    a = [m] * (r + 1)  # a[0] = m is a sentinel bounding a[1] from above
+    per = [1] * (r + 1)  # per[t]: length of the longest Lyndon prefix of a[1..t]
+    left = [m] * (r + 2)  # left[t]: sum still to place in positions t..r
+    low = [0] * (r + 1)  # low[t]: smallest a[t] that leaves left[t+1] placeable
+    low[1] = -(-m // r)  # a[1] is the largest entry, so at least m / r
+    a[1] = m + 1  # one above the first value tried at position 1
+    t = 1
+    while t >= 1:
+        value = a[t] - 1
+        if value < low[t]:
+            t -= 1
+            continue
+        a[t] = value
+        per[t] = per[t - 1] if value == a[t - per[t - 1]] else t
+        left[t + 1] = left[t] - value
+        if t == r:
+            if r % per[t] == 0:
+                yield tuple(a[1:]), per[t]
+            continue
+        t += 1
+        a[t] = min(a[t - per[t - 1]], left[t]) + 1
+        low[t] = max(0, left[t] - (r - t) * a[1])
+
+
 def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     """Sum of all length-p words with exactly r B letters, grouped by cyclic class.
 
-    Enumerates the C(p, r) placements of the B letters directly, so the
-    total multiplicity is exactly C(p, r) by construction.
+    Enumerates the classes, not the C(p, r) words.  A word with r >= 1
+    B's is A^g1 B A^g2 B ... A^gr B up to rotation, and since A < B a
+    longer leading run of A's makes a smaller word, so the least
+    rotation is the one whose run lengths (g1, ..., gr) are greatest
+    among their rotations: one fixed-sum necklace of run lengths per
+    class (the run-length form that Sawada's fixed-content generator
+    also works in).  A class holds as many words as it has distinct
+    rotations, its primitive period p * q / r for a run-length period
+    q; so ``ABABAB`` in (6, 3) has multiplicity 2.  The multiplicities
+    add up to C(p, r).
     """
     check_degrees(p, r)
-    counts: Counter[str] = Counter()
-    for positions in combinations(range(p), r):
-        letters = ["A"] * p
-        for i in positions:
-            letters[i] = "B"
-        counts[least_rotation("".join(letters))] += 1
-    return TracePolynomial(p, dict(counts))
+    if r == 0:
+        return TracePolynomial(p, {"A" * p: 1})
+    terms: Dict[str, int] = {}
+    for runs, period in _run_length_necklaces(r, p - r):
+        terms["".join("A" * g + "B" for g in runs)] = p * period // r
+    return TracePolynomial(p, terms)
 
 
 def swap_letters(poly: TracePolynomial) -> TracePolynomial:

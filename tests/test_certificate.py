@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,9 @@ from hurwitz_sos.certificate import (
     CertificateFormatError,
     CertificateStructureError,
     GramMatrix,
+    PsdCheckResult,
     SandwichBlock,
+    _exact_quotient,
     ansatz_from_json,
     bundled_certificate,
     bundled_path,
@@ -28,6 +31,7 @@ from hurwitz_sos.certificate import (
     swap_certificate,
     verify_against,
     verify_certificate,
+    verify_report_to_json,
 )
 from hurwitz_sos.rational import GaussianRational, grat
 from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand, swap_letters
@@ -75,6 +79,53 @@ def oracle_principal_minors_psd(gram):
             if value.re < 0:
                 return False
     return True
+
+
+def oracle_psd_check(gram):
+    # the elimination over Gaussian rationals that psd_check_exact replaced
+    def normalize(vec):
+        for x in vec:
+            if x.is_zero:
+                continue
+            if x.re < 0 or (x.re == 0 and x.im < 0):
+                return tuple(-y for y in vec)
+            break
+        return tuple(vec)
+
+    n = gram.dimension
+    S = [[gram.at(j, k) for k in range(n)] for j in range(n)]
+    u = [[grat(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    remaining = list(range(n))
+    pivots = []
+    while remaining:
+        for i in remaining:
+            if S[i][i].re < 0:
+                return PsdCheckResult(False, normalize(u[i]), tuple(pivots))
+        q = max(remaining, key=lambda i: S[i][i].re)
+        d = S[q][q].re
+        if d == 0:
+            culprit = next(
+                ((i, j) for i in remaining for j in remaining
+                 if i < j and not S[i][j].is_zero),
+                None,
+            )
+            if culprit is None:
+                pivots.extend(Fraction(0) for _ in remaining)
+                break
+            i, j = culprit
+            s = S[i][j]
+            witness = [uj - s * ui for ui, uj in zip(u[i], u[j])]
+            return PsdCheckResult(False, normalize(witness), tuple(pivots))
+        pivots.append(d)
+        remaining.remove(q)
+        for i in remaining:
+            coeff = S[q][i] / d
+            u[i] = [ui - coeff * uq for ui, uq in zip(u[i], u[q])]
+        for i in remaining:
+            left = S[i][q]
+            for j in remaining:
+                S[i][j] = S[i][j] - left * S[q][j] / d
+    return PsdCheckResult(True, None, tuple(pivots))
 
 
 # ------------------------------------------------------------------ blocks
@@ -317,6 +368,75 @@ def test_true_grams_are_psd(vectors):
     assert psd_check_exact(gram_from_vectors(vectors)).psd
 
 
+@st.composite
+def oracle_grams(draw):
+    # general Hermitian, V V* of rank <= n, or V V* minus a planted c w w*
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["hermitian", "low_rank", "planted"]))
+    if kind == "hermitian":
+        rows = [[None] * n for _ in range(n)]
+        for j in range(n):
+            rows[j][j] = GaussianRational(draw(small_fracs))
+            for k in range(j + 1, n):
+                rows[j][k] = draw(small_entries)
+                rows[k][j] = rows[j][k].conjugate()
+        return GramMatrix.from_rows(rows)
+    rank = draw(st.integers(min_value=1, max_value=n))
+    gram = gram_from_vectors(
+        [tuple(draw(small_entries) for _ in range(n)) for _ in range(rank)]
+    )
+    if kind == "planted":
+        w = tuple(draw(st.integers(min_value=-2, max_value=2)) for _ in range(n))
+        c = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+        gram = gram + gram_from_vectors([w]).scaled(-c)
+    return gram
+
+
+@given(oracle_grams())
+def test_psd_check_matches_rational_oracle(gram):
+    assert psd_check_exact(gram) == oracle_psd_check(gram)
+
+
+def test_psd_check_dimension_20_matches_rational_oracle():
+    # V V* / 3 with 16 complex integer vectors: PSD, rank 16, four zero pivots
+    rng = random.Random(20)
+    vectors = [
+        tuple(grat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(20))
+        for _ in range(16)
+    ]
+    gram = gram_from_vectors(vectors).scaled(Fraction(1, 3))
+    result = psd_check_exact(gram)
+    assert result == oracle_psd_check(gram)
+    assert result.psd and len(result.pivots) == 20
+    assert sum(1 for x in result.pivots if x == 0) == 4
+
+
+def test_psd_check_zero_diagonal_after_a_pivot():
+    # the Schur complement after pivot 0 is [[0, s], [conj s, 0]], s = 1/3 + i/6;
+    # the lcm of the denominators is 6 and the first integer pivot is 9
+    G = GramMatrix.from_rows(
+        [
+            [Fraction(3, 2), Fraction(1, 2), grat(0, Fraction(-1, 2))],
+            [Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)],
+            [grat(0, Fraction(1, 2)), Fraction(1, 3), Fraction(1, 6)],
+        ]
+    )
+    result = psd_check_exact(G)
+    assert result == oracle_psd_check(G)
+    assert not result.psd
+    assert result.pivots == (Fraction(3, 2),)
+    s = grat(Fraction(1, 3), Fraction(1, 6))
+    assert quadratic_form(G, result.witness) == grat(-2 * s.norm2())
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(7, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(-7, 3)
+
+
 # ------------------------------------------------------------------ expansion
 
 def test_expand_gram_matches_target():
@@ -371,6 +491,14 @@ def test_certificate_structural_errors():
         Certificate(7, 2, ((BLOCK_73, GRAM_73),))
 
 
+def test_certificate_rejects_boolean_degrees():
+    block = SandwichBlock(prefix=None, suffix=None, basis=("A",))
+    with pytest.raises(CertificateStructureError, match="p must be"):
+        Certificate(True, 1, ((block, GramMatrix.scaled_identity(1, 1)),))
+    with pytest.raises(CertificateStructureError, match="r must"):
+        Certificate(2, True, ((block, GramMatrix.scaled_identity(1, 1)),))
+
+
 def test_verify_bundled_shape():
     cert = Certificate(7, 3, ((BLOCK_73, GRAM_73),))
     report = verify_certificate(cert)
@@ -410,6 +538,30 @@ def test_verify_catches_non_psd():
     assert not report.psd and report.witness_block == 0
     value = quadratic_form(bad, report.witness)
     assert value.re < 0
+    # the negative diagonal is seen before any pivot
+    assert report.min_pivots == (None,)
+
+
+def test_verify_min_pivots_per_block_checked():
+    report = verify_certificate(bundled_certificate("p7r3.json"))
+    assert report.ok
+    assert report.min_pivots == (Fraction(0),)
+    assert verify_report_to_json(report)["min_pivots"] == [[0, 1]]
+    # block 1 fails after two pivots of 7; block 2 is not checked
+    bad = GramMatrix.from_rows([[7, 0, 0], [0, 7, 7], [0, 7, 1]])
+    cert = Certificate(
+        7,
+        3,
+        (
+            (BLOCK_73, GramMatrix.scaled_identity(3, Fraction(7, 2))),
+            (BLOCK_73, bad),
+            (BLOCK_73, GRAM_73),
+        ),
+    )
+    report = verify_certificate(cert)
+    assert not report.psd and report.witness_block == 1
+    assert report.min_pivots == (Fraction(7, 2), Fraction(7))
+    assert verify_report_to_json(report)["min_pivots"] == [[7, 2], [7, 1]]
 
 
 def test_verify_against_zero_target():

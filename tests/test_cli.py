@@ -64,6 +64,11 @@ def test_expand_json(capsys):
     assert doc == {"AAABBB": 6, "AABABB": 6, "AABBAB": 6, "ABABAB": 2}
 
 
+def test_expand_long_word(capsys):
+    assert main(["expand", "-p", "1200", "-r", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "A" * 1199 + "B 1200\n"
+
+
 def test_expand_bad_args(capsys):
     assert main(["expand", "-p", "3", "-r", "9"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -88,6 +93,7 @@ def test_verify_json_doc(capsys):
     assert doc["ok"] is True
     assert doc["p"] == 7 and doc["r"] == 2
     assert doc["residual"] == {}
+    assert doc["min_pivots"] == [[7, 1]]
 
 
 def test_verify_residual_failure(tmp_path, capsys):

@@ -27,6 +27,13 @@ def test_trial_config_validation():
         TrialConfig(tol_rel=-1.0)
 
 
+def test_trial_config_rejects_booleans():
+    with pytest.raises(ValueError, match="dims"):
+        TrialConfig(dims=(True,))
+    with pytest.raises(ValueError, match="trials"):
+        TrialConfig(trials=True)
+
+
 def test_identity_word_sum():
     assert identity_word_sum(7, 3, 4) == math.comb(7, 3) * 4
     assert identity_word_sum(6, 0, 2) == 2

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -121,6 +121,11 @@ def test_trace_polynomial_validation():
         TracePolynomial(2, {"AB": 1}) + TracePolynomial(3)
 
 
+def test_trace_polynomial_rejects_boolean_degree():
+    with pytest.raises(ValueError, match="degree must be"):
+        TracePolynomial(True, {"A": 1})
+
+
 def test_trace_polynomial_arithmetic():
     a = TracePolynomial(2, {"AB": 2, "AA": 1})
     b = TracePolynomial(2, {"AB": -2, "BB": 5})
@@ -196,18 +201,30 @@ def test_hurwitz_expand_invariants(p):
 
 def test_hurwitz_expand_against_direct_enumeration():
     # independent oracle: walk every word of length p and bucket it
-    for p, r in [(5, 2), (6, 3), (7, 4)]:
-        buckets = {}
+    for p in range(1, 13):
+        buckets = [{} for _ in range(p + 1)]
         for letters in product("AB", repeat=p):
             word = "".join(letters)
-            if word.count("B") != r:
-                continue
+            bucket = buckets[word.count("B")]
             key = oracle_least_rotation(word)
-            buckets[key] = buckets.get(key, 0) + 1
-        poly = hurwitz_expand(p, r)
-        assert {str(c): v for c, v in poly.items()} == {
-            k: grat(v) for k, v in buckets.items()
-        }
+            bucket[key] = bucket.get(key, 0) + 1
+        for r in range(p + 1):
+            poly = hurwitz_expand(p, r)
+            assert {str(c): v for c, v in poly.items()} == {
+                k: grat(v) for k, v in buckets[r].items()
+            }, (p, r)
+
+
+def test_hurwitz_expand_long_word_is_not_recursive():
+    # one class per rotation orbit: A^1199 B has 1200 distinct rotations
+    poly = hurwitz_expand(1200, 1)
+    assert {str(c): v for c, v in poly.items()} == {"A" * 1199 + "B": grat(1200)}
+
+
+def test_hurwitz_expand_p20r10_at_scale():
+    poly = hurwitz_expand(20, 10)
+    assert len(poly) == 9252 == oracle_class_count(20, 10)
+    assert poly.total() == grat(comb(20, 10))
 
 
 def test_swap_letters_frozen():
