@@ -26,6 +26,7 @@ from .words import (
     check_degrees,
     check_word,
     hurwitz_expand,
+    is_int,
     reverse_word,
     swap_word,
 )
@@ -519,7 +520,7 @@ def _pair_to_fraction(obj: object, what: str) -> Fraction:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
+        or not all(is_int(v) for v in obj)
     ):
         raise CertificateFormatError(f"{what}: expected [numerator, denominator]")
     if obj[1] == 0:
@@ -602,7 +603,7 @@ def certificate_from_json(data: object) -> Certificate:
         if key not in data:
             raise CertificateFormatError(f"certificate document missing key {key!r}")
     p, r = data["p"], data["r"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, r)):
+    if not (is_int(p) and is_int(r)):
         raise CertificateFormatError("p and r must be integers")
     raw_blocks = data["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
@@ -653,7 +654,7 @@ def ansatz_from_json(
     hints = []
     for key in ("p", "r"):
         value = data.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        if value is not None and not is_int(value):
             raise CertificateFormatError(f"{key} must be an integer when present")
         hints.append(value)
     return hints[0], hints[1], blocks

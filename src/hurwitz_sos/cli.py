@@ -29,6 +29,7 @@ from .certificate import (
 from .numeric import ConvergenceError
 from .search import (
     SearchOptions,
+    SearchOutcome,
     SearchStatus,
     UnreachableTargetError,
     feasibility_search,
@@ -129,6 +130,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         outcome = feasibility_search(p, r, blocks, options)
     except UnreachableTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        if args.format == "json":
+            doc = outcome_to_json(SearchOutcome(SearchStatus.INFEASIBLE, 0))
+            doc["missing"] = [str(cls) for cls in exc.missing]
+            _emit(doc, [], args.format)
         return EXIT_INFEASIBLE
     doc = outcome_to_json(outcome)
     lines = [f"status: {outcome.status.value}", f"iterations: {outcome.iterations}"]

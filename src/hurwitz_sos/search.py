@@ -1,17 +1,19 @@
 """Gram-matrix feasibility search over a fixed sandwich ansatz.
 
 The linear side is exact and simple: every ordered basis pair of every
-block contributes to exactly one cyclic class, so matching a target
-polynomial prescribes the sum of each group of Gram entries.  When every
-group has a single member the whole Gram matrix is forced and both
+block contributes to exactly one cyclic class, and one table of class
+ids (``ConstraintMap``) records which.  Matching a target polynomial
+prescribes the sum of the Gram entries of each class.  When every class
+has a single member the whole Gram matrix is forced and both
 feasibility and infeasibility are decided exactly.  Otherwise the
-search alternates projections between the affine slice (groupwise sum
+search alternates projections between the affine slice (class-sum
 constraints) and the PSD cone in floating point, with a decreasing
-eigenvalue floor so it prefers interior points, then rounds candidates
-to small-denominator rationals, restores the sum constraints exactly,
-and accepts only candidates that pass full exact verification.
-Infeasible underdetermined systems therefore come back as unknown, not
-as a proof.
+eigenvalue floor so it prefers interior points.  Every ``ROUND_EVERY``
+iterations it rounds the point to small-denominator rationals, restores
+the class sums exactly, and keeps a candidate only if every block
+passes the exact PSD check and the assembled certificate then passes
+full exact verification.  Infeasible underdetermined systems therefore
+come back as unknown, not as a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +38,12 @@ from .certificate import (
 )
 from .numeric import derive_seed, gaussian_stream, hermitian_eig
 from .rational import ZERO, GaussianRational
-from .words import CyclicClass, TracePolynomial, hurwitz_expand
+from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
+
+# Residual at which a projection phase counts as converged.
+TOL = 1e-12
+# Iterations between rounding rounds.
+ROUND_EVERY = 50
 
 
 class UnreachableTargetError(ValueError):
@@ -53,22 +60,26 @@ class UnderdeterminedAnsatzError(ValueError):
     applied to an underdetermined one."""
 
 
-PairIndex = Tuple[int, int, int]  # (block, j, k)
-
-
 @dataclass(frozen=True)
 class ConstraintMap:
-    """Where each ordered basis pair of each block lands, and the reverse index."""
+    """The cyclic class of every ordered basis pair, as ids into one table.
+
+    ``classes`` holds the classes the ansatz reaches, sorted.
+    ``index[b]`` is a read-only ``(d, d)`` int array for block b whose
+    entry ``[j, k]`` is the position in ``classes`` of the class that
+    pair (j, k) feeds, so that class is ``classes[index[b][j, k]]``.
+    """
 
     p: int
     r: int
     blocks: Tuple[SandwichBlock, ...]
-    pair_classes: Tuple[Tuple[Tuple[CyclicClass, ...], ...], ...]
-    contributors: Mapping[CyclicClass, Tuple[PairIndex, ...]]
+    classes: Tuple[CyclicClass, ...]
+    index: Tuple[np.ndarray, ...]
 
     @property
     def determined(self) -> bool:
-        return all(len(v) == 1 for v in self.contributors.values())
+        """Whether every class is fed by exactly one pair."""
+        return len(self.classes) == sum(ids.size for ids in self.index)
 
 
 def build_constraint_map(
@@ -79,31 +90,26 @@ def build_constraint_map(
         raise AnsatzMismatchError("ansatz must contain at least one block")
     for idx, block in enumerate(blocks):
         block.check_shape(p, r, name=f"block {idx}")
-    contributors: Dict[CyclicClass, List[PairIndex]] = {}
-    pair_classes = []
-    for bi, block in enumerate(blocks):
-        rows = []
-        for j in range(block.dimension):
-            row = []
-            for k in range(block.dimension):
-                cls = reduce_pair(block, j, k)
-                row.append(cls)
-                contributors.setdefault(cls, []).append((bi, j, k))
-            rows.append(tuple(row))
-        pair_classes.append(tuple(rows))
-    return ConstraintMap(
-        p=p,
-        r=r,
-        blocks=blocks,
-        pair_classes=tuple(pair_classes),
-        contributors={cls: tuple(v) for cls, v in contributors.items()},
-    )
+    pair_classes = [
+        [[reduce_pair(block, j, k) for k in range(block.dimension)]
+         for j in range(block.dimension)]
+        for block in blocks
+    ]
+    classes = tuple(sorted({cls for rows in pair_classes for row in rows for cls in row}))
+    position = {cls: i for i, cls in enumerate(classes)}
+    index = []
+    for rows in pair_classes:
+        ids = np.array([[position[cls] for cls in row] for row in rows], dtype=np.intp)
+        ids.setflags(write=False)
+        index.append(ids)
+    return ConstraintMap(p=p, r=r, blocks=blocks, classes=classes, index=tuple(index))
 
 
 def _check_reachable(cmap: ConstraintMap, target: TracePolynomial) -> None:
-    missing = [cls for cls, _ in target.items() if cls not in cmap.contributors]
+    reachable = set(cmap.classes)
+    missing = sorted(cls for cls, _ in target.items() if cls not in reachable)
     if missing:
-        names = ", ".join(str(c) for c in sorted(missing))
+        names = ", ".join(str(c) for c in missing)
         raise UnreachableTargetError(
             f"ansatz produces no contribution to target classes: {names}", missing
         )
@@ -126,11 +132,9 @@ def determined_gram(
     if not cmap.determined:
         return None
     grams: List[GramMatrix] = []
-    for bi, block in enumerate(cmap.blocks):
-        d = block.dimension
+    for bi, ids in enumerate(cmap.index):
         rows = [
-            [target.coefficient(cmap.pair_classes[bi][j][k]) for k in range(d)]
-            for j in range(d)
+            [target.coefficient(cmap.classes[i]) for i in row] for row in ids.tolist()
         ]
         try:
             grams.append(GramMatrix.from_rows(rows))
@@ -151,19 +155,16 @@ class SearchStatus(enum.Enum):
 class SearchOptions:
     seed: int = 0
     max_iters: int = 5000
-    tol: float = 1e-12
     denom_bound: int = 10_000
-    round_every: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("seed", "max_iters", "denom_bound"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.denom_bound < 1:
             raise ValueError("denom_bound must be positive")
-        if self.round_every < 1:
-            raise ValueError("round_every must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,28 +229,35 @@ def _decide_forced(
 # alternating projections over the underdetermined case
 # ------------------------------------------------------------------
 
-_Group = Tuple[Tuple[PairIndex, ...], complex, GaussianRational]
+def _flat_ids(cmap: ConstraintMap) -> np.ndarray:
+    """Class id of every pair, blocks concatenated in (block, j, k) order."""
+    return np.concatenate([ids.ravel() for ids in cmap.index])
 
 
-def _build_groups(
-    cmap: ConstraintMap, target: TracePolynomial
-) -> List[_Group]:
-    groups: List[_Group] = []
-    for cls, entries in sorted(cmap.contributors.items()):
-        exact = target.coefficient(cls)
-        groups.append((entries, complex(exact), exact))
-    return groups
+def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
+    """Complex sum of each class's Gram entries.
+
+    ``np.bincount`` adds the entries of a class in input order, which is
+    (block, j, k) order, separately for the real and imaginary parts, so
+    every sum equals the sequential per-entry sum bit for bit.
+    """
+    flat = np.concatenate([M.ravel() for M in mats])
+    sums = np.bincount(ids, flat.real).astype(np.complex128)
+    sums.imag = np.bincount(ids, flat.imag)
+    return sums
 
 
-def _project_affine(mats: List[np.ndarray], groups: List[_Group]) -> None:
-    """Shift each entry group to its prescribed sum, then re-Hermitize."""
-    for entries, tgt, _exact in groups:
-        s = 0.0 + 0.0j
-        for bi, j, k in entries:
-            s += mats[bi][j, k]
-        delta = (tgt - s) / len(entries)
-        for bi, j, k in entries:
-            mats[bi][j, k] += delta
+def _project_affine(
+    mats: List[np.ndarray],
+    cmap: ConstraintMap,
+    ids: np.ndarray,
+    goal: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Shift each class's entries evenly to the prescribed sum, then re-Hermitize."""
+    shift = (goal - _group_sums(mats, ids)) / counts
+    for M, index in zip(mats, cmap.index):
+        M += shift[index]
     for bi in range(len(mats)):
         mats[bi] = (mats[bi] + mats[bi].conj().T) / 2.0
 
@@ -270,68 +278,57 @@ def _denominator_ladder(bound: int) -> List[int]:
 
 
 def _round_candidate(
-    mats: List[np.ndarray],
+    mats: Sequence[np.ndarray],
     cmap: ConstraintMap,
-    groups: List[_Group],
     target: TracePolynomial,
     bound: int,
 ) -> Optional[Certificate]:
-    """Round floats to denominator <= bound, restore sums exactly, verify."""
-    exact: List[List[List[GaussianRational]]] = []
-    for bi, block in enumerate(cmap.blocks):
-        d = block.dimension
-        rows = []
-        for j in range(d):
-            row = []
-            for k in range(d):
-                z = mats[bi][j, k]
-                row.append(
-                    GaussianRational(
-                        Fraction(float(z.real)).limit_denominator(bound),
-                        Fraction(float(z.imag)).limit_denominator(bound),
-                    )
+    """Round floats to denominator <= bound, restore class sums exactly, verify.
+
+    The restored, Hermitized blocks match the target by construction, so
+    each is first put through the exact PSD check alone; only when all
+    pass is the certificate assembled and fully verified.
+    """
+    exact = [
+        [
+            [
+                GaussianRational(
+                    Fraction(z.real).limit_denominator(bound),
+                    Fraction(z.imag).limit_denominator(bound),
                 )
-            rows.append(row)
-        exact.append(rows)
-    for entries, _tgt, tgt_exact in groups:
-        s = ZERO
-        for bi, j, k in entries:
-            s = s + exact[bi][j][k]
-        delta = tgt_exact - s
-        if not delta.is_zero:
-            share = delta / len(entries)
-            for bi, j, k in entries:
-                exact[bi][j][k] = exact[bi][j][k] + share
-    for bi, block in enumerate(cmap.blocks):
-        d = block.dimension
-        for j in range(d):
-            for k in range(j, d):
-                mean = (exact[bi][j][k] + exact[bi][k][j].conjugate()) / 2
-                exact[bi][j][k] = mean
-                exact[bi][k][j] = mean.conjugate()
-    try:
-        grams = [GramMatrix.from_rows(rows) for rows in exact]
-        cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
-    except ValueError:
+                for z in row
+            ]
+            for row in M.tolist()
+        ]
+        for M in mats
+    ]
+    index = [ids.tolist() for ids in cmap.index]
+    sums = [ZERO] * len(cmap.classes)
+    for rows, ids in zip(exact, index):
+        for row, row_ids in zip(rows, ids):
+            for x, c in zip(row, row_ids):
+                sums[c] = sums[c] + x
+    counts = np.bincount(_flat_ids(cmap)).tolist()
+    shares = [
+        (target.coefficient(cls) - s) / n
+        for cls, s, n in zip(cmap.classes, sums, counts)
+    ]
+    for rows, ids in zip(exact, index):
+        for row, row_ids in zip(rows, ids):
+            for k, c in enumerate(row_ids):
+                if not shares[c].is_zero:
+                    row[k] = row[k] + shares[c]
+    for rows in exact:
+        for j in range(len(rows)):
+            for k in range(j, len(rows)):
+                mean = (rows[j][k] + rows[k][j].conjugate()) / 2
+                rows[j][k] = mean
+                rows[k][j] = mean.conjugate()
+    grams = [GramMatrix.from_rows(rows) for rows in exact]
+    if not all(psd_check_exact(gram).psd for gram in grams):
         return None
-    report = verify_against(cert, target)
-    if report.ok:
-        return cert
-    return None
-
-
-def _try_rounding(
-    mats: List[np.ndarray],
-    cmap: ConstraintMap,
-    groups: List[_Group],
-    target: TracePolynomial,
-    denom_bound: int,
-) -> Optional[Certificate]:
-    for bound in _denominator_ladder(denom_bound):
-        cert = _round_candidate(mats, cmap, groups, target, bound)
-        if cert is not None:
-            return cert
-    return None
+    cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
+    return cert if verify_against(cert, target).ok else None
 
 
 def feasibility_search(
@@ -355,12 +352,14 @@ def feasibility_search(
     if forced is not None:
         return _decide_forced(cmap, target, forced)
 
-    groups = _build_groups(cmap, target)
-    scale = max([1.0] + [abs(tgt) for _e, tgt, _x in groups])
-    dims = [block.dimension for block in cmap.blocks]
+    ids = _flat_ids(cmap)
+    counts = np.bincount(ids)
+    goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
+    scale = max([1.0] + np.abs(goal).tolist())
 
     mats: List[np.ndarray] = []
-    for bi, d in enumerate(dims):
+    for bi, block in enumerate(cmap.blocks):
+        d = block.dimension
         g = gaussian_stream(derive_seed(opts.seed, 1000 + bi), d * d)
         X = g.reshape(d, d) * scale
         mats.append(((X + X.T) / 2.0).astype(np.complex128))
@@ -378,24 +377,20 @@ def feasibility_search(
     iterations = 0
     for floor, budget in phases:
         for _ in range(budget):
-            _project_affine(mats, groups)
+            _project_affine(mats, cmap, ids, goal, counts)
             _project_psd(mats, floor)
             iterations += 1
-            residual = 0.0
-            for entries, tgt, _exact in groups:
-                s = 0.0 + 0.0j
-                for bi, j, k in entries:
-                    s += mats[bi][j, k]
-                residual = max(residual, abs(s - tgt))
-            converged = residual <= opts.tol
-            if converged or iterations % opts.round_every == 0:
-                cert = _try_rounding(mats, cmap, groups, target, opts.denom_bound)
-                if cert is not None:
-                    return SearchOutcome(
-                        status=SearchStatus.CERTIFICATE,
-                        iterations=iterations,
-                        certificate=cert,
-                    )
+            residual = np.abs(_group_sums(mats, ids) - goal).max()
+            converged = residual <= TOL
+            if converged or iterations % ROUND_EVERY == 0:
+                for bound in _denominator_ladder(opts.denom_bound):
+                    cert = _round_candidate(mats, cmap, target, bound)
+                    if cert is not None:
+                        return SearchOutcome(
+                            status=SearchStatus.CERTIFICATE,
+                            iterations=iterations,
+                            certificate=cert,
+                        )
                 if converged:
                     # fixed point of this phase; a finer floor may still work
                     break

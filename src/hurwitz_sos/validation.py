@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .certificate import Certificate
-from .words import check_degrees
+from .words import check_degrees, is_int
 from .numeric import (
     bmv_coefficients,
     derive_seed,
@@ -25,10 +25,6 @@ from .numeric import (
     random_psd,
     trace_hurwitz_numeric,
 )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,11 +42,11 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not _is_int(self.trials) or self.trials < 1:
+        if not is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
         if not self.tol_rel > 0:
             raise ValueError("tol_rel must be positive")
-        if not self.dims or any(not _is_int(n) or n < 1 for n in self.dims):
+        if not self.dims or any(not is_int(n) or n < 1 for n in self.dims):
             raise ValueError("dims must be positive integers")
 
 

@@ -31,11 +31,16 @@ def check_word(word: str) -> str:
     return word
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_degrees(p: int, r: int) -> None:
     """Validate a word length p >= 1 and a B count r in [0, p]; a bool is rejected."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError(f"p must be a positive int, got {p!r}")
-    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= p:
+    if not is_int(r) or not 0 <= r <= p:
         raise ValueError(f"r must lie in [0, {p}], got {r!r}")
 
 
@@ -117,7 +122,7 @@ class TracePolynomial:
         degree: int,
         terms: Optional[Mapping[ClassLike, CoefficientLike]] = None,
     ) -> None:
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        if not is_int(degree) or degree < 1:
             raise ValueError(f"degree must be a positive int, got {degree!r}")
         self._degree = degree
         data: Dict[CyclicClass, GaussianRational] = {}

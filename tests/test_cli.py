@@ -209,7 +209,30 @@ def test_search_unreachable_is_infeasible(tmp_path, capsys):
     path = tmp_path / "thin.json"
     path.write_text(json.dumps(ansatz))
     assert main(["search", "--ansatz", str(path)]) == EXIT_INFEASIBLE
-    assert "infeasible" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    assert captured.out == ""
+
+
+def test_search_unreachable_json(tmp_path, capsys):
+    ansatz = {
+        "p": 7,
+        "r": 3,
+        "blocks": [{"prefix": "b", "suffix": None, "basis": ["AAB"]}],
+    }
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(ansatz))
+    code = main(["search", "--ansatz", str(path), "--format", "json"])
+    assert code == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    assert json.loads(captured.out) == {
+        "status": "infeasible",
+        "iterations": 0,
+        "certificate": None,
+        "witness": None,
+        "missing": ["AAAABBB", "AAABABB", "AAABBAB", "AABABAB"],
+    }
 
 
 def test_search_flag_conflicts(three_word_ansatz, capsys):

@@ -1,22 +1,31 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hurwitz_sos.certificate import (
+    Certificate,
     GramMatrix,
     SandwichBlock,
     gram_from_vectors,
     quadratic_form,
+    reduce_pair,
+    verify_against,
     verify_certificate,
 )
-from hurwitz_sos.rational import grat
+from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
     ConstraintMap,
     SearchOptions,
     SearchStatus,
     UnderdeterminedAnsatzError,
     UnreachableTargetError,
+    _denominator_ladder,
+    _flat_ids,
+    _group_sums,
+    _round_candidate,
     build_constraint_map,
     determined_gram,
     feasibility_search,
@@ -27,6 +36,17 @@ from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
+CORE_4 = ("BAAA", "ABAA", "AABA", "AAAB")
+BLOCKS_93 = (SandwichBlock("b", None, CORE_4), SandwichBlock(None, "b", CORE_4))
+ANSATZES = [
+    pytest.param(7, 3, (BLOCK_73,), id="p7r3"),
+    pytest.param(9, 3, BLOCKS_93, id="p9r3"),
+]
+
+
+def class_counts(cmap):
+    """Number of pairs feeding each class, keyed by the class string."""
+    return Counter(str(cmap.classes[i]) for ids in cmap.index for i in ids.ravel())
 
 
 # ------------------------------------------------------------------ constraint map
@@ -36,17 +56,15 @@ def test_constraint_map_three_word_block():
     assert cmap.p == 7 and cmap.r == 3
     # frozen pair-class table for the three-word block
     table = [
-        [str(cmap.pair_classes[0][j][k]) for k in range(3)] for j in range(3)
+        [str(cmap.classes[cmap.index[0][j, k]]) for k in range(3)] for j in range(3)
     ]
     assert table == [
         ["AABAABB", "AABABAB", "AABAABB"],
         ["AABABAB", "AABABAB", "AAABBAB"],
         ["AABAABB", "AAABABB", "AAAABBB"],
     ]
-    counts = {
-        str(cls): len(entries) for cls, entries in cmap.contributors.items()
-    }
-    assert counts == {
+    assert cmap.classes == tuple(sorted(cmap.classes))
+    assert class_counts(cmap) == {
         "AAAABBB": 1,
         "AAABABB": 1,
         "AAABBAB": 1,
@@ -59,14 +77,13 @@ def test_constraint_map_three_word_block():
 def test_constraint_map_covers_every_target_class():
     cmap = build_constraint_map(7, 3, (BLOCK_73,))
     target = hurwitz_expand(7, 3)
-    assert set(cmap.contributors) == set(target.support())
+    assert set(cmap.classes) == set(target.support())
 
 
 def test_constraint_map_p6_determined():
     cmap = build_constraint_map(6, 3, (P6_BLOCK,))
     assert cmap.determined
-    counts = {str(c): len(e) for c, e in cmap.contributors.items()}
-    assert counts == {"AAABBB": 1, "AABABB": 1, "AABBAB": 1, "ABABAB": 1}
+    assert class_counts(cmap) == {"AAABBB": 1, "AABABB": 1, "AABBAB": 1, "ABABAB": 1}
 
 
 def test_constraint_map_shape_mismatch():
@@ -88,6 +105,121 @@ def test_unreachable_target_classes():
     assert "AAAABBB" in missing
     with pytest.raises(UnreachableTargetError):
         feasibility_search(7, 3, (block,))
+
+
+# ------------------------------------------------------------------ search internals
+
+def random_mats(rng, blocks, spread=True):
+    """Random complex matrices per block, entries spanning many magnitudes."""
+    mats = []
+    for block in blocks:
+        d = block.dimension
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if spread:
+            z = z * 10.0 ** rng.integers(-8, 9, size=(d, d))
+        mats.append(z)
+    return mats
+
+
+@pytest.mark.parametrize("p, r, blocks", ANSATZES)
+def test_group_sums_match_per_entry_sums(p, r, blocks):
+    cmap = build_constraint_map(p, r, blocks)
+    ids = _flat_ids(cmap)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        mats = random_mats(rng, blocks)
+        expected = [0.0 + 0.0j] * len(cmap.classes)
+        for bi, block in enumerate(cmap.blocks):
+            for j in range(block.dimension):
+                for k in range(block.dimension):
+                    cls = reduce_pair(block, j, k)
+                    c = cmap.classes.index(cls)
+                    expected[c] += complex(mats[bi][j, k])
+        sums = _group_sums(mats, ids)
+        assert sums.dtype == np.complex128 and len(sums) == len(cmap.classes)
+        for got, want in zip(sums.tolist(), expected):
+            assert got.real.hex() == want.real.hex()
+            assert got.imag.hex() == want.imag.hex()
+
+
+def round_candidate_oracle(mats, cmap, target, bound):
+    """Round, restore each class sum exactly, Hermitize, accept iff verified.
+
+    Classes come from ``reduce_pair`` directly, and the certificate is
+    built and fully verified whatever its blocks look like.
+    """
+    exact = [
+        [
+            [
+                GaussianRational(
+                    Fraction(float(z.real)).limit_denominator(bound),
+                    Fraction(float(z.imag)).limit_denominator(bound),
+                )
+                for z in row
+            ]
+            for row in M
+        ]
+        for M in mats
+    ]
+    groups = {}
+    for bi, block in enumerate(cmap.blocks):
+        for j in range(block.dimension):
+            for k in range(block.dimension):
+                groups.setdefault(reduce_pair(block, j, k), []).append((bi, j, k))
+    for cls, entries in groups.items():
+        total = ZERO
+        for bi, j, k in entries:
+            total = total + exact[bi][j][k]
+        share = (target.coefficient(cls) - total) / len(entries)
+        for bi, j, k in entries:
+            exact[bi][j][k] = exact[bi][j][k] + share
+    for rows in exact:
+        for j in range(len(rows)):
+            for k in range(j, len(rows)):
+                mean = (rows[j][k] + rows[k][j].conjugate()) / 2
+                rows[j][k] = mean
+                rows[k][j] = mean.conjugate()
+    grams = [GramMatrix.from_rows(rows) for rows in exact]
+    cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
+    return cert if verify_against(cert, target).ok else None
+
+
+def candidate_points(rng, blocks, centre):
+    """Float points around ``centre`` (one float matrix per block) at many
+    noise levels, plus random PSD points of the same scale."""
+    points = []
+    for noise in (0.0, 1e-9, 1e-4, 1e-2, 0.3, 3.0):
+        points.append(
+            [C + noise * z for C, z in zip(centre, random_mats(rng, blocks, spread=False))]
+        )
+    for _ in range(3):
+        points.append([z @ z.conj().T for z in random_mats(rng, blocks, spread=False)])
+    return points
+
+
+@pytest.mark.parametrize("p, r, blocks", ANSATZES)
+def test_round_candidate_matches_verify_rule(p, r, blocks):
+    cmap = build_constraint_map(p, r, blocks)
+    target = hurwitz_expand(p, r)
+    if p == 7:
+        # around a certificate the search finds, so some rungs accept
+        found = feasibility_search(p, r, blocks, SearchOptions(seed=0)).certificate
+        centre = [
+            np.array([[complex(x) for x in row] for row in gram.entries])
+            for _block, gram in found.blocks
+        ]
+    else:
+        centre = [np.eye(block.dimension) * 5.0 for block in blocks]
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for mats in candidate_points(rng, blocks, centre):
+        for bound in _denominator_ladder(10_000)[::3] + [10_000]:
+            got = _round_candidate(mats, cmap, target, bound)
+            want = round_candidate_oracle(mats, cmap, target, bound)
+            assert got == want
+            verdicts.append(got is not None)
+    if p == 7:
+        assert any(verdicts) and not all(verdicts)
 
 
 # ------------------------------------------------------------------ determined path
@@ -168,11 +300,15 @@ def test_search_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(max_iters=0)
     with pytest.raises(ValueError):
-        SearchOptions(tol=-1.0)
-    with pytest.raises(ValueError):
         SearchOptions(denom_bound=0)
-    with pytest.raises(ValueError):
-        SearchOptions(round_every=0)
+
+
+@pytest.mark.parametrize("field", ["seed", "max_iters", "denom_bound"])
+def test_search_options_reject_non_integers(field):
+    for value in (2.5, 10.0, True, "7", None):
+        with pytest.raises(ValueError, match=field):
+            SearchOptions(**{field: value})
+    assert getattr(SearchOptions(**{field: 3}), field) == 3
 
 
 def test_search_determined_fast_path():

@@ -13,6 +13,7 @@ from hurwitz_sos.words import (
     canonical_rotation,
     check_word,
     hurwitz_expand,
+    is_int,
     least_rotation,
     reverse_class,
     reverse_word,
@@ -39,6 +40,12 @@ def oracle_class_count(p: int, r: int) -> int:
     )
     assert total % p == 0
     return total // p
+
+
+def test_is_int_excludes_bool():
+    assert is_int(0) and is_int(-3) and is_int(10**30)
+    for value in (True, False, 1.0, "1", None, Fraction(1)):
+        assert not is_int(value)
 
 
 def test_check_word_validation():
