@@ -136,7 +136,13 @@ def cmd_search(args: argparse.Namespace) -> int:
             _emit(doc, [], args.format)
         return EXIT_INFEASIBLE
     doc = outcome_to_json(outcome)
-    lines = [f"status: {outcome.status.value}", f"iterations: {outcome.iterations}"]
+    lines = [
+        f"status: {outcome.status.value}",
+        f"iterations: {outcome.iterations}",
+        f"rounding: {outcome.rungs_skipped} rungs skipped by the margin, "
+        f"{outcome.rungs_float_rejected} rejected by the float twin, "
+        f"{outcome.rungs_exact} checked exactly",
+    ]
     if outcome.status is SearchStatus.CERTIFICATE:
         cert = outcome.certificate
         for idx, (block, gram) in enumerate(cert.blocks):

@@ -9,16 +9,50 @@ feasibility and infeasibility are decided exactly.  Otherwise the
 search alternates projections between the affine slice (class-sum
 constraints) and the PSD cone in floating point, with a decreasing
 eigenvalue floor so it prefers interior points.  Every ``ROUND_EVERY``
-iterations it rounds the point to small-denominator rationals, restores
-the class sums exactly, and keeps a candidate only if every block
-passes the exact PSD check and the assembled certificate then passes
-full exact verification.  Infeasible underdetermined systems therefore
-come back as unknown, not as a proof.
+iterations, on convergence and after the last projection, it rounds the
+point to small-denominator rationals at each rung q of a denominator
+ladder, restores the class sums exactly, and keeps a candidate only if
+every block passes the exact PSD check and the assembled certificate
+then passes full exact verification.  Infeasible underdetermined
+systems therefore come back as unknown, not as a proof.
+
+Two float filters drop rungs whose exact candidate provably fails the
+exact PSD check, so they never change which rung is accepted:
+
+* **Weyl margin, once per rounding round.**  Let F_b be block b of the
+  float point with its class sums restored in float, λ_b its smallest
+  eigenvalue and d_b its dimension.  At denominator q every component
+  of every entry moves by at most 1/(2q) in rounding and by at most as
+  much again in the exact restoration (a class's share is the mean of
+  its rounding errors), so each entry of the exact candidate G_q lies
+  within √2/q of F_b, and Hermitizing averages entries so keeps that.
+  Hence ‖G_q − F_b‖₂ ≤ ‖G_q − F_b‖_F ≤ d_b·√2/q, and by Weyl's
+  inequality λ_min(G_q) ≤ λ_b + d_b·√2/q.  When λ_b < −slack, every
+  rung q > d_b·√2/(−λ_b − slack) has λ_min(G_q) < 0.  Those rungs are a
+  suffix of the ladder: a larger q moves the point less, so the
+  negative eigenvalue survives.  When every λ_b ≥ −slack no rung is
+  skipped.
+* **Float twin, once per remaining rung.**  The rounded pairs (n, d)
+  are also read as floats n/d, restored and Hermitized in float, and
+  the rung is rejected when some block's smallest eigenvalue is below
+  −slack.  The twin differs from the exact candidate only by the
+  rounding of each n/d to a float and by float restoration error,
+  O(count·eps·scale), and LAPACK's backward error is O(d·eps·‖T‖); all
+  are far below the slack, so a twin eigenvalue below −slack means the
+  exact candidate has a negative eigenvalue too.
+
+The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with Σ|T| the sum of the
+moduli of every entry of the float point being tested.  A rung that
+passes both filters is rounded exactly from the same integer pairs and
+checked exactly; ``verify_against`` stays the last word on every
+returned certificate.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +78,8 @@ from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 TOL = 1e-12
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
+# Relative slack of both float rounding filters (see the module docstring).
+FILTER_SLACK = 1e-9
 
 
 class UnreachableTargetError(ValueError):
@@ -173,7 +209,10 @@ class SearchOutcome:
 
     Exactly one of the payloads is populated: a verified Certificate for
     CERTIFICATE, a (witness vector, block index, form value) triple for
-    INFEASIBLE, nothing for UNKNOWN.
+    INFEASIBLE, nothing for UNKNOWN.  The three ``rungs_*`` counts say
+    what happened to each denominator rung the search visited: skipped
+    by the Weyl margin, rejected by the float twin, or rounded and
+    checked exactly.  They add up to the number of rungs visited.
     """
 
     status: SearchStatus
@@ -182,6 +221,9 @@ class SearchOutcome:
     witness: Optional[Tuple[GaussianRational, ...]] = None
     witness_block: Optional[int] = None
     witness_form: Optional[GaussianRational] = None
+    rungs_skipped: int = 0
+    rungs_float_rejected: int = 0
+    rungs_exact: int = 0
 
 
 def prove_infeasible_determined(
@@ -277,44 +319,131 @@ def _denominator_ladder(bound: int) -> List[int]:
     return ladder
 
 
+def _nearest(x: float, bound: int) -> Tuple[int, int]:
+    """``Fraction(x).limit_denominator(bound)`` as a (numerator, denominator) pair.
+
+    The same continued-fraction walk, run on ``x.as_integer_ratio()`` in
+    plain integers, with the same tie rule: of the last convergent and
+    the best semiconvergent, the convergent wins a tie.  The pair is
+    coprime and its denominator positive.
+    """
+    n, d = x.as_integer_ratio()
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |ps/qs - n/d|, cross-multiplied
+    if abs(p1 * d - n * q1) * qs <= abs(ps * d - n * qs) * q1:
+        return p1, q1
+    return ps, qs
+
+
+def _slack(mats: Sequence[np.ndarray]) -> float:
+    """Eigenvalue slack of the float filters at the float point ``mats``."""
+    return FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in mats))
+
+
+def _margin_cutoff(
+    mats: Sequence[np.ndarray],
+    cmap: ConstraintMap,
+    ids: np.ndarray,
+    goal: np.ndarray,
+    counts: np.ndarray,
+) -> float:
+    """Largest denominator at which the rounded candidate can still be PSD.
+
+    The class sums of ``mats`` are restored in float; a block whose
+    smallest eigenvalue λ is below −slack bounds every rung by
+    d·√2/(−λ − slack), the Weyl bound of the module docstring.  The
+    result is ``math.inf`` when no block is that far below zero.
+    """
+    restored = [M.copy() for M in mats]
+    _project_affine(restored, cmap, ids, goal, counts)
+    slack = _slack(restored)
+    cutoff = math.inf
+    for M in restored:
+        gap = -hermitian_eig(M).eigenvalues[0] - slack
+        if gap > 0:
+            cutoff = min(cutoff, M.shape[0] * math.sqrt(2.0) / gap)
+    return cutoff
+
+
+def _twin_passes(
+    twin: List[np.ndarray],
+    cmap: ConstraintMap,
+    ids: np.ndarray,
+    goal: np.ndarray,
+    counts: np.ndarray,
+) -> bool:
+    """Whether the float twin of a rounded candidate is PSD up to the slack.
+
+    ``twin`` holds the rounded entries as floats; its class sums are
+    restored in place, as the exact path restores the candidate's.
+    """
+    _project_affine(twin, cmap, ids, goal, counts)
+    slack = _slack(twin)
+    return all(hermitian_eig(M).eigenvalues[0] >= -slack for M in twin)
+
+
 def _round_candidate(
     mats: Sequence[np.ndarray],
     cmap: ConstraintMap,
     target: TracePolynomial,
     bound: int,
+    ids: np.ndarray,
+    goal: np.ndarray,
+    counts: np.ndarray,
+    tally: Counter,
 ) -> Optional[Certificate]:
     """Round floats to denominator <= bound, restore class sums exactly, verify.
 
-    The restored, Hermitized blocks match the target by construction, so
-    each is first put through the exact PSD check alone; only when all
+    Every real and imaginary part is rounded to an integer pair by
+    ``_nearest``.  The float twin of the candidate is checked first; a
+    rung it rejects cannot pass the exact PSD check (see the module
+    docstring) and is tallied under ``rungs_float_rejected``.  Any other
+    rung is tallied under ``rungs_exact``: the same pairs become Gaussian
+    rationals, the class sums are restored exactly and the blocks
+    Hermitized, so they match the target by construction.  Each block
+    is then put through the exact PSD check alone, and only when all
     pass is the certificate assembled and fully verified.
     """
-    exact = [
-        [
-            [
-                GaussianRational(
-                    Fraction(z.real).limit_denominator(bound),
-                    Fraction(z.imag).limit_denominator(bound),
-                )
-                for z in row
-            ]
-            for row in M.tolist()
-        ]
+    pairs = [
+        [[(_nearest(z.real, bound), _nearest(z.imag, bound)) for z in row] for row in M.tolist()]
         for M in mats
     ]
-    index = [ids.tolist() for ids in cmap.index]
+    twin = [
+        np.array([[complex(nr / dr, ni / di) for (nr, dr), (ni, di) in row] for row in rows])
+        for rows in pairs
+    ]
+    if not _twin_passes(twin, cmap, ids, goal, counts):
+        tally["rungs_float_rejected"] += 1
+        return None
+    tally["rungs_exact"] += 1
+    exact = [
+        [[GaussianRational(Fraction(*x), Fraction(*y)) for x, y in row] for row in rows]
+        for rows in pairs
+    ]
+    index = [block_ids.tolist() for block_ids in cmap.index]
     sums = [ZERO] * len(cmap.classes)
-    for rows, ids in zip(exact, index):
-        for row, row_ids in zip(rows, ids):
+    for rows, block_ids in zip(exact, index):
+        for row, row_ids in zip(rows, block_ids):
             for x, c in zip(row, row_ids):
                 sums[c] = sums[c] + x
-    counts = np.bincount(_flat_ids(cmap)).tolist()
     shares = [
         (target.coefficient(cls) - s) / n
-        for cls, s, n in zip(cmap.classes, sums, counts)
+        for cls, s, n in zip(cmap.classes, sums, counts.tolist())
     ]
-    for rows, ids in zip(exact, index):
-        for row, row_ids in zip(rows, ids):
+    for rows, block_ids in zip(exact, index):
+        for row, row_ids in zip(rows, block_ids):
             for k, c in enumerate(row_ids):
                 if not shares[c].is_zero:
                     row[k] = row[k] + shares[c]
@@ -329,6 +458,31 @@ def _round_candidate(
         return None
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
+
+
+def _round_iterate(
+    mats: Sequence[np.ndarray],
+    cmap: ConstraintMap,
+    target: TracePolynomial,
+    ladder: Sequence[int],
+    ids: np.ndarray,
+    goal: np.ndarray,
+    counts: np.ndarray,
+    tally: Counter,
+) -> Optional[Certificate]:
+    """First certificate on the denominator ladder, smallest rung first.
+
+    The rungs above the Weyl cutoff are a suffix of the ladder; they are
+    tallied under ``rungs_skipped`` once every rung below has failed.
+    """
+    cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
+    allowed = [bound for bound in ladder if bound <= cutoff]
+    for bound in allowed:
+        cert = _round_candidate(mats, cmap, target, bound, ids, goal, counts, tally)
+        if cert is not None:
+            return cert
+    tally["rungs_skipped"] += len(ladder) - len(allowed)
+    return None
 
 
 def feasibility_search(
@@ -356,6 +510,7 @@ def feasibility_search(
     counts = np.bincount(ids)
     goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
     scale = max([1.0] + np.abs(goal).tolist())
+    ladder = _denominator_ladder(opts.denom_bound)
 
     mats: List[np.ndarray] = []
     for bi, block in enumerate(cmap.blocks):
@@ -374,29 +529,32 @@ def feasibility_search(
     used = sum(budget for _f, budget in phases)
     phases.append((0.0, opts.max_iters - used))
 
+    tally: Counter = Counter()
     iterations = 0
-    for floor, budget in phases:
-        for _ in range(budget):
+    for phase, (floor, budget) in enumerate(phases):
+        for step in range(budget):
             _project_affine(mats, cmap, ids, goal, counts)
             _project_psd(mats, floor)
             iterations += 1
             residual = np.abs(_group_sums(mats, ids) - goal).max()
             converged = residual <= TOL
-            if converged or iterations % ROUND_EVERY == 0:
-                for bound in _denominator_ladder(opts.denom_bound):
-                    cert = _round_candidate(mats, cmap, target, bound)
-                    if cert is not None:
-                        return SearchOutcome(
-                            status=SearchStatus.CERTIFICATE,
-                            iterations=iterations,
-                            certificate=cert,
-                        )
+            # the last projection of the search is rounded whatever its count
+            last = phase == len(phases) - 1 and step == budget - 1
+            if converged or last or iterations % ROUND_EVERY == 0:
+                cert = _round_iterate(mats, cmap, target, ladder, ids, goal, counts, tally)
+                if cert is not None:
+                    return SearchOutcome(
+                        status=SearchStatus.CERTIFICATE,
+                        iterations=iterations,
+                        certificate=cert,
+                        **tally,
+                    )
                 if converged:
                     # fixed point of this phase; a finer floor may still work
                     break
         if iterations >= opts.max_iters:
             break
-    return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=iterations)
+    return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=iterations, **tally)
 
 
 def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:
@@ -416,4 +574,9 @@ def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:
             "vector": [rational_quad(x) for x in outcome.witness],
             "form": rational_quad(outcome.witness_form),
         }
+    doc["rounding"] = {
+        "skipped": outcome.rungs_skipped,
+        "float_rejected": outcome.rungs_float_rejected,
+        "exact": outcome.rungs_exact,
+    }
     return doc

@@ -197,7 +197,11 @@ def test_search_unknown(tmp_path, capsys):
     path.write_text(json.dumps(ansatz))
     code = main(["search", "--ansatz", str(path), "--max-iter", "6"])
     assert code == EXIT_UNKNOWN
-    assert "status: unknown" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status: unknown" in out
+    # the last iterate is rounded over the whole 17-rung ladder
+    (line,) = [l for l in out.splitlines() if l.startswith("rounding: ")]
+    assert sum(int(word) for word in line.split() if word.isdigit()) == 17
 
 
 def test_search_unreachable_is_infeasible(tmp_path, capsys):
@@ -231,6 +235,7 @@ def test_search_unreachable_json(tmp_path, capsys):
         "iterations": 0,
         "certificate": None,
         "witness": None,
+        "rounding": {"skipped": 0, "float_rejected": 0, "exact": 0},
         "missing": ["AAAABBB", "AAABABB", "AAABBAB", "AABABAB"],
     }
 

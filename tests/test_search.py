@@ -1,10 +1,15 @@
+import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurwitz_sos import bundled_certificate, search
 from hurwitz_sos.certificate import (
     Certificate,
     GramMatrix,
@@ -17,6 +22,7 @@ from hurwitz_sos.certificate import (
 )
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
+    FILTER_SLACK,
     ConstraintMap,
     SearchOptions,
     SearchStatus,
@@ -25,7 +31,13 @@ from hurwitz_sos.search import (
     _denominator_ladder,
     _flat_ids,
     _group_sums,
+    _margin_cutoff,
+    _nearest,
+    _project_affine,
+    _project_psd,
     _round_candidate,
+    _round_iterate,
+    _twin_passes,
     build_constraint_map,
     determined_gram,
     feasibility_search,
@@ -38,6 +50,18 @@ BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
 CORE_4 = ("BAAA", "ABAA", "AABA", "AAAB")
 BLOCKS_93 = (SandwichBlock("b", None, CORE_4), SandwichBlock(None, "b", CORE_4))
+
+
+def words_with(length, b_count):
+    """All words of ``length`` letters with ``b_count`` B's."""
+    return tuple(
+        "".join("B" if i in pos else "A" for i in range(length))
+        for pos in itertools.combinations(range(length), b_count)
+    )
+
+
+BLOCKS_84 = (SandwichBlock(None, None, words_with(4, 2)),)
+BLOCKS_102 = (SandwichBlock(None, None, words_with(5, 1)),)
 ANSATZES = [
     pytest.param(7, 3, (BLOCK_73,), id="p7r3"),
     pytest.param(9, 3, BLOCKS_93, id="p9r3"),
@@ -197,10 +221,42 @@ def candidate_points(rng, blocks, centre):
     return points
 
 
-@pytest.mark.parametrize("p, r, blocks", ANSATZES)
+def search_constants(cmap, target):
+    """The flat class ids, class goals and class sizes the search passes around."""
+    ids = _flat_ids(cmap)
+    goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
+    return ids, goal, np.bincount(ids)
+
+
+def projected_points(cmap, target, rounds, seed):
+    """Search iterates from a random symmetric start at the target's scale:
+    the point after each count in ``rounds`` of affine and PSD projections
+    at the first phase floor."""
+    ids, goal, counts = search_constants(cmap, target)
+    scale = max([1.0] + np.abs(goal).tolist())
+    rng = np.random.default_rng(seed)
+    mats = []
+    for block in cmap.blocks:
+        X = rng.standard_normal((block.dimension, block.dimension)) * scale
+        mats.append(((X + X.T) / 2.0).astype(np.complex128))
+    points = []
+    for done in range(1, max(rounds) + 1):
+        _project_affine(mats, cmap, ids, goal, counts)
+        _project_psd(mats, 0.05 * scale)
+        if done in rounds:
+            points.append([M.copy() for M in mats])
+    return points
+
+
+@pytest.mark.parametrize(
+    "p, r, blocks",
+    ANSATZES + [pytest.param(8, 4, BLOCKS_84, id="p8r4")],
+)
 def test_round_candidate_matches_verify_rule(p, r, blocks):
+    """Both filters only ever drop rungs the unfiltered rule rejects."""
     cmap = build_constraint_map(p, r, blocks)
     target = hurwitz_expand(p, r)
+    ids, goal, counts = search_constants(cmap, target)
     if p == 7:
         # around a certificate the search finds, so some rungs accept
         found = feasibility_search(p, r, blocks, SearchOptions(seed=0)).certificate
@@ -211,15 +267,182 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     else:
         centre = [np.eye(block.dimension) * 5.0 for block in blocks]
     rng = np.random.default_rng(2024)
+    points = candidate_points(rng, blocks, centre)
+    points += projected_points(cmap, target, rounds=(2, 5, 12), seed=p)
     verdicts = []
-    for mats in candidate_points(rng, blocks, centre):
+    tally = Counter()
+    margin_skips = 0
+    for mats in points:
+        cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
         for bound in _denominator_ladder(10_000)[::3] + [10_000]:
-            got = _round_candidate(mats, cmap, target, bound)
+            got = _round_candidate(mats, cmap, target, bound, ids, goal, counts, tally)
             want = round_candidate_oracle(mats, cmap, target, bound)
             assert got == want
+            if bound > cutoff:
+                assert want is None
+                margin_skips += 1
             verdicts.append(got is not None)
+    assert tally["rungs_exact"] + tally["rungs_float_rejected"] == len(verdicts)
     if p == 7:
         assert any(verdicts) and not all(verdicts)
+    else:
+        # the filters fire on these points, so the comparison above is not vacuous
+        assert margin_skips > 0 and tally["rungs_float_rejected"] > 0
+
+
+# ------------------------------------------------------------------ rounding filters
+
+dyadics = st.builds(
+    lambda m, e: m / 2**e, st.integers(-(2**24), 2**24), st.integers(0, 14)
+)
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.integers(-(10**9), 10**9).map(float),
+    st.integers(-(10**6), 10**6).map(lambda k: k + 0.5),
+    dyadics,
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(reals, st.integers(1, 20_000))
+def test_nearest_is_limit_denominator(x, bound):
+    n, d = _nearest(x, bound)
+    assert type(n) is int and type(d) is int and d > 0
+    assert Fraction(n, d) == Fraction(x).limit_denominator(bound)
+    assert math.gcd(n, d) == 1
+
+
+def test_nearest_ties_and_edges():
+    for x, bound in [
+        (0.5, 1), (-0.5, 1), (2.5, 1), (-2.5, 1), (0.75, 2), (0.0, 1),
+        (-0.0, 7), (5e-324, 20_000), (1.7976931348623157e308, 3),
+        (0.1, 10), (1 / 3, 20_000),
+    ]:
+        assert Fraction(*_nearest(x, bound)) == Fraction(x).limit_denominator(bound)
+
+
+def weyl_margin_setup():
+    """The bundled p7r3 certificate as a float point with its ansatz."""
+    cert = bundled_certificate("p7r3.json")
+    (block, gram), = cert.blocks
+    cmap = build_constraint_map(7, 3, (block,))
+    target = hurwitz_expand(7, 3)
+    G = np.array([[complex(x) for x in row] for row in gram.entries])
+    return cert, cmap, target, G
+
+
+def test_margin_skips_a_suffix_and_keeps_the_certificate():
+    """p7r3 sits on the PSD boundary: a class-sum-preserving perturbation
+    makes its float smallest eigenvalue negative, yet small rungs still
+    round it back exactly, so only the large rungs may be skipped."""
+    cert, cmap, target, G = weyl_margin_setup()
+    assert verify_certificate(cert).min_pivots == (0,)
+    ids, goal, counts = search_constants(cmap, target)
+    # (1, 1) and its class mates (0, 1), (1, 0) keep their sum
+    E = np.zeros((3, 3), dtype=complex)
+    E[1, 1], E[0, 1], E[1, 0] = -0.01, 0.005, 0.005
+    assert cmap.index[0][1, 1] == cmap.index[0][0, 1] == cmap.index[0][1, 0]
+    mats = [G + E]
+    assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
+    ladder = _denominator_ladder(10_000)
+    cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
+    assert ladder[0] <= cutoff < ladder[-1]
+    unfiltered = next(
+        found
+        for found in (round_candidate_oracle(mats, cmap, target, q) for q in ladder)
+        if found is not None
+    )
+    tally = Counter()
+    filtered = _round_iterate(mats, cmap, target, ladder, ids, goal, counts, tally)
+    assert filtered == unfiltered == cert
+    # every rung above the cutoff really fails
+    for q in ladder:
+        if q > cutoff:
+            assert round_candidate_oracle(mats, cmap, target, q) is None
+
+
+@pytest.mark.parametrize("bound", [1, 64, 4096])
+def test_margin_keeps_every_rung_the_weyl_bound_allows(bound):
+    """The margin keeps rung q whenever a PSD matrix lies within √2/q of the
+    restored point in every entry, even with float error up to half the
+    slack on top: the worst case of the bound, with unit-modulus complex
+    entries along a null vector."""
+    _cert, cmap, target, G = weyl_margin_setup()
+    ids, _goal, counts = search_constants(cmap, target)
+    w = np.exp(1j * np.array([0.3, 1.9, -2.4]))
+    P = 7.0 * (np.eye(3) - np.outer(w, w.conj()) / 3.0)  # PSD, null vector w
+    slack = FILTER_SLACK * (1.0 + np.abs(P).sum())
+    stretch = 1.0 + slack * bound / (2.0 * 3.0 * math.sqrt(2.0))
+    F = P - stretch * (math.sqrt(2.0) / bound) * np.outer(w, w.conj())
+    goal = _group_sums([F], ids)
+    assert _margin_cutoff([F], cmap, ids, goal, counts) >= bound
+    # and a point any further out loses the rung
+    F_out = P - 1.01 * (math.sqrt(2.0) / bound) * np.outer(w, w.conj())
+    goal = _group_sums([F_out], ids)
+    assert _margin_cutoff([F_out], cmap, ids, goal, counts) < bound
+
+
+def test_twin_slack_absorbs_float_error_only():
+    """A boundary point off by float-sized error passes the twin, one
+    clearly outside the cone does not."""
+    _cert, cmap, target, G = weyl_margin_setup()
+    ids, _goal, counts = search_constants(cmap, target)
+    v = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # null vector of G
+    for shift, passes in ((1e-13, True), (1e-6, False)):
+        twin = [G - shift * np.outer(v, v)]
+        assert _twin_passes(twin, cmap, ids, _group_sums(twin, ids), counts) is passes
+
+
+# ------------------------------------------------------------------ filtered search
+
+def unfiltered(monkeypatch):
+    """Let every rung through both float filters."""
+    monkeypatch.setattr(search, "_margin_cutoff", lambda *args: math.inf)
+    monkeypatch.setattr(search, "_twin_passes", lambda *args: True)
+
+
+SEARCH_CASES = [
+    pytest.param(7, 3, (BLOCK_73,), 5000, (0, 3), id="p7r3"),
+    pytest.param(10, 2, BLOCKS_102, 5000, (0, 3), id="p10r2"),
+    pytest.param(8, 4, BLOCKS_84, 100, (0, 5), id="p8r4"),
+    pytest.param(9, 3, BLOCKS_93, 100, (0, 2), id="p9r3"),
+]
+
+
+@pytest.mark.parametrize("p, r, blocks, max_iters, seeds", SEARCH_CASES)
+def test_filters_leave_the_outcome_unchanged(monkeypatch, p, r, blocks, max_iters, seeds):
+    for seed in seeds:
+        opts = SearchOptions(seed=seed, max_iters=max_iters)
+        filtered = feasibility_search(p, r, blocks, opts)
+        with monkeypatch.context() as patch:
+            unfiltered(patch)
+            plain = feasibility_search(p, r, blocks, opts)
+        assert filtered.status == plain.status
+        assert filtered.iterations == plain.iterations
+        assert filtered.certificate == plain.certificate
+        assert filtered.witness == plain.witness
+        # every rung visited is counted once, under exactly one heading
+        assert plain.rungs_skipped == plain.rungs_float_rejected == 0
+        visited = (
+            filtered.rungs_skipped + filtered.rungs_float_rejected + filtered.rungs_exact
+        )
+        assert visited == plain.rungs_exact > 0
+        if filtered.status is SearchStatus.UNKNOWN:
+            assert filtered.rungs_skipped + filtered.rungs_float_rejected > 0
+
+
+def test_last_iterate_is_rounded():
+    """With a budget that is not a multiple of ROUND_EVERY the point the
+    search stops at is still rounded; here it rounds to a certificate."""
+    outcome = feasibility_search(10, 2, BLOCKS_102, SearchOptions(seed=1, max_iters=49))
+    assert outcome.status is SearchStatus.CERTIFICATE
+    assert outcome.iterations == 49
+    assert verify_certificate(outcome.certificate).ok
+    # one rounding round, over the whole ladder at most
+    visited = outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
+    assert 0 < visited <= len(_denominator_ladder(10_000))
 
 
 # ------------------------------------------------------------------ determined path
@@ -361,6 +584,9 @@ def test_search_unknown_on_budget_exhaustion():
     assert outcome.status is SearchStatus.UNKNOWN
     assert outcome.certificate is None
     assert outcome.iterations == 8
+    # only the last iterate is rounded, over the whole ladder
+    visited = outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
+    assert visited == len(_denominator_ladder(10_000))
 
 
 def test_search_deterministic():
@@ -403,4 +629,6 @@ def test_outcome_json_unknown():
     doc = outcome_to_json(feasibility_search(6, 3, blocks, SearchOptions(max_iters=3)))
     assert doc["status"] == "unknown"
     assert doc["certificate"] is None and doc["witness"] is None
+    assert set(doc["rounding"]) == {"skipped", "float_rejected", "exact"}
+    assert sum(doc["rounding"].values()) == len(_denominator_ladder(10_000))
     json.dumps(doc)
