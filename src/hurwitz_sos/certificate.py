@@ -622,13 +622,16 @@ def certificate_from_json(data: object) -> Certificate:
         raise CertificateFormatError(str(exc)) from exc
 
 
-def load_certificate(path: str) -> Certificate:
+def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise CertificateFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return certificate_from_json(data)
+
+
+def load_certificate(path: str) -> Certificate:
+    return certificate_from_json(_load_json(path))
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
@@ -663,12 +666,7 @@ def ansatz_from_json(
 def load_ansatz(
     path: str,
 ) -> Tuple[Optional[int], Optional[int], Tuple[SandwichBlock, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CertificateFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return ansatz_from_json(data)
+    return ansatz_from_json(_load_json(path))
 
 
 def bundled_path(name: str) -> str:

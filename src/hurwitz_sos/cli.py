@@ -17,9 +17,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from .certificate import (
-    AnsatzMismatchError,
-    CertificateFormatError,
-    CertificateStructureError,
     load_ansatz,
     load_certificate,
     save_certificate,
@@ -331,20 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        CertificateFormatError,
-        CertificateStructureError,
-        AnsatzMismatchError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    # the certificate and ansatz errors are ValueErrors
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,10 @@ from .certificate import Certificate, GramMatrix
 from .words import check_degrees, check_word
 
 
+# Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
+PSD_NEG_TOL = 1e-9
+
+
 class ConvergenceError(RuntimeError):
     """The eigensolver failed to converge."""
 
@@ -132,6 +136,8 @@ def _checked_square(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if M.size == 0:
+        raise ValueError(f"{name} must be nonempty, got shape {M.shape}")
     M = M.astype(np.complex128, copy=False)
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -167,15 +173,15 @@ def hermitian_eig(H) -> EigResult:
     return EigResult(w, V)
 
 
-def psd_sqrt(A, neg_tol: float = 1e-9) -> np.ndarray:
+def psd_sqrt(A) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues below zero by more than ``neg_tol * (1 + ||A||_F)`` are
-    an error; smaller dips are treated as roundoff and clamped to zero.
+    Eigenvalues below zero by more than ``PSD_NEG_TOL * (1 + ||A||_F)``
+    are an error; smaller dips are treated as roundoff and clamped to zero.
     """
     eig = hermitian_eig(A)
     scale = 1.0 + float(np.linalg.norm(np.asarray(A)))
-    if eig.eigenvalues[0] < -neg_tol * scale:
+    if eig.eigenvalues[0] < -PSD_NEG_TOL * scale:
         raise NotPsdError(
             f"matrix has negative eigenvalue {eig.eigenvalues[0]:.6e}"
         )

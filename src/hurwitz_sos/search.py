@@ -64,6 +64,7 @@ from .certificate import (
     Certificate,
     GramMatrix,
     SandwichBlock,
+    certificate_to_json,
     psd_check_exact,
     quadratic_form,
     rational_quad,
@@ -101,9 +102,12 @@ class ConstraintMap:
     """The cyclic class of every ordered basis pair, as ids into one table.
 
     ``classes`` holds the classes the ansatz reaches, sorted.
-    ``index[b]`` is a read-only ``(d, d)`` int array for block b whose
-    entry ``[j, k]`` is the position in ``classes`` of the class that
-    pair (j, k) feeds, so that class is ``classes[index[b][j, k]]``.
+    ``index[b]`` is a ``(d, d)`` int array for block b whose entry
+    ``[j, k]`` is the position in ``classes`` of the class that pair
+    (j, k) feeds, so that class is ``classes[index[b][j, k]]``.  ``ids``
+    is every pair's class id, blocks concatenated in (block, j, k) order,
+    and ``counts[c]`` is the number of pairs that feed class c, so
+    ``counts == np.bincount(ids)``.  All these arrays are read-only.
     """
 
     p: int
@@ -111,11 +115,13 @@ class ConstraintMap:
     blocks: Tuple[SandwichBlock, ...]
     classes: Tuple[CyclicClass, ...]
     index: Tuple[np.ndarray, ...]
+    ids: np.ndarray
+    counts: np.ndarray
 
     @property
     def determined(self) -> bool:
         """Whether every class is fed by exactly one pair."""
-        return len(self.classes) == sum(ids.size for ids in self.index)
+        return len(self.classes) == self.ids.size
 
 
 def build_constraint_map(
@@ -133,12 +139,17 @@ def build_constraint_map(
     ]
     classes = tuple(sorted({cls for rows in pair_classes for row in rows for cls in row}))
     position = {cls: i for i, cls in enumerate(classes)}
-    index = []
-    for rows in pair_classes:
-        ids = np.array([[position[cls] for cls in row] for row in rows], dtype=np.intp)
-        ids.setflags(write=False)
-        index.append(ids)
-    return ConstraintMap(p=p, r=r, blocks=blocks, classes=classes, index=tuple(index))
+    index = tuple(
+        np.array([[position[cls] for cls in row] for row in rows], dtype=np.intp)
+        for rows in pair_classes
+    )
+    ids = np.concatenate([block_ids.ravel() for block_ids in index])
+    counts = np.bincount(ids)
+    for table in index + (ids, counts):
+        table.setflags(write=False)
+    return ConstraintMap(
+        p=p, r=r, blocks=blocks, classes=classes, index=index, ids=ids, counts=counts
+    )
 
 
 def _check_reachable(cmap: ConstraintMap, target: TracePolynomial) -> None:
@@ -271,11 +282,6 @@ def _decide_forced(
 # alternating projections over the underdetermined case
 # ------------------------------------------------------------------
 
-def _flat_ids(cmap: ConstraintMap) -> np.ndarray:
-    """Class id of every pair, blocks concatenated in (block, j, k) order."""
-    return np.concatenate([ids.ravel() for ids in cmap.index])
-
-
 def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
     """Complex sum of each class's Gram entries.
 
@@ -290,14 +296,10 @@ def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
 
 
 def _project_affine(
-    mats: List[np.ndarray],
-    cmap: ConstraintMap,
-    ids: np.ndarray,
-    goal: np.ndarray,
-    counts: np.ndarray,
+    mats: List[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
 ) -> None:
     """Shift each class's entries evenly to the prescribed sum, then re-Hermitize."""
-    shift = (goal - _group_sums(mats, ids)) / counts
+    shift = (goal - _group_sums(mats, cmap.ids)) / cmap.counts
     for M, index in zip(mats, cmap.index):
         M += shift[index]
     for bi in range(len(mats)):
@@ -353,11 +355,7 @@ def _slack(mats: Sequence[np.ndarray]) -> float:
 
 
 def _margin_cutoff(
-    mats: Sequence[np.ndarray],
-    cmap: ConstraintMap,
-    ids: np.ndarray,
-    goal: np.ndarray,
-    counts: np.ndarray,
+    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
 ) -> float:
     """Largest denominator at which the rounded candidate can still be PSD.
 
@@ -367,7 +365,7 @@ def _margin_cutoff(
     result is ``math.inf`` when no block is that far below zero.
     """
     restored = [M.copy() for M in mats]
-    _project_affine(restored, cmap, ids, goal, counts)
+    _project_affine(restored, cmap, goal)
     slack = _slack(restored)
     cutoff = math.inf
     for M in restored:
@@ -377,19 +375,13 @@ def _margin_cutoff(
     return cutoff
 
 
-def _twin_passes(
-    twin: List[np.ndarray],
-    cmap: ConstraintMap,
-    ids: np.ndarray,
-    goal: np.ndarray,
-    counts: np.ndarray,
-) -> bool:
+def _twin_passes(twin: List[np.ndarray], cmap: ConstraintMap, goal: np.ndarray) -> bool:
     """Whether the float twin of a rounded candidate is PSD up to the slack.
 
     ``twin`` holds the rounded entries as floats; its class sums are
     restored in place, as the exact path restores the candidate's.
     """
-    _project_affine(twin, cmap, ids, goal, counts)
+    _project_affine(twin, cmap, goal)
     slack = _slack(twin)
     return all(hermitian_eig(M).eigenvalues[0] >= -slack for M in twin)
 
@@ -399,9 +391,7 @@ def _round_candidate(
     cmap: ConstraintMap,
     target: TracePolynomial,
     bound: int,
-    ids: np.ndarray,
     goal: np.ndarray,
-    counts: np.ndarray,
     tally: Counter,
 ) -> Optional[Certificate]:
     """Round floats to denominator <= bound, restore class sums exactly, verify.
@@ -424,36 +414,34 @@ def _round_candidate(
         np.array([[complex(nr / dr, ni / di) for (nr, dr), (ni, di) in row] for row in rows])
         for rows in pairs
     ]
-    if not _twin_passes(twin, cmap, ids, goal, counts):
+    if not _twin_passes(twin, cmap, goal):
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
-    exact = [
-        [[GaussianRational(Fraction(*x), Fraction(*y)) for x, y in row] for row in rows]
-        for rows in pairs
+    # every entry in (block, j, k) order, the order of ``cmap.ids``
+    flat = [
+        GaussianRational(Fraction(*x), Fraction(*y))
+        for rows in pairs for row in rows for x, y in row
     ]
-    index = [block_ids.tolist() for block_ids in cmap.index]
+    ids = cmap.ids.tolist()
     sums = [ZERO] * len(cmap.classes)
-    for rows, block_ids in zip(exact, index):
-        for row, row_ids in zip(rows, block_ids):
-            for x, c in zip(row, row_ids):
-                sums[c] = sums[c] + x
+    for x, c in zip(flat, ids):
+        sums[c] = sums[c] + x
     shares = [
         (target.coefficient(cls) - s) / n
-        for cls, s, n in zip(cmap.classes, sums, counts.tolist())
+        for cls, s, n in zip(cmap.classes, sums, cmap.counts.tolist())
     ]
-    for rows, block_ids in zip(exact, index):
-        for row, row_ids in zip(rows, block_ids):
-            for k, c in enumerate(row_ids):
-                if not shares[c].is_zero:
-                    row[k] = row[k] + shares[c]
-    for rows in exact:
-        for j in range(len(rows)):
-            for k in range(j, len(rows)):
+    restored = (x if shares[c].is_zero else x + shares[c] for x, c in zip(flat, ids))
+    grams = []
+    for block in cmap.blocks:
+        d = block.dimension
+        rows = [[next(restored) for _k in range(d)] for _j in range(d)]
+        for j in range(d):
+            for k in range(j, d):
                 mean = (rows[j][k] + rows[k][j].conjugate()) / 2
                 rows[j][k] = mean
                 rows[k][j] = mean.conjugate()
-    grams = [GramMatrix.from_rows(rows) for rows in exact]
+        grams.append(GramMatrix.from_rows(rows))
     if not all(psd_check_exact(gram).psd for gram in grams):
         return None
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
@@ -465,9 +453,7 @@ def _round_iterate(
     cmap: ConstraintMap,
     target: TracePolynomial,
     ladder: Sequence[int],
-    ids: np.ndarray,
     goal: np.ndarray,
-    counts: np.ndarray,
     tally: Counter,
 ) -> Optional[Certificate]:
     """First certificate on the denominator ladder, smallest rung first.
@@ -475,10 +461,10 @@ def _round_iterate(
     The rungs above the Weyl cutoff are a suffix of the ladder; they are
     tallied under ``rungs_skipped`` once every rung below has failed.
     """
-    cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
+    cutoff = _margin_cutoff(mats, cmap, goal)
     allowed = [bound for bound in ladder if bound <= cutoff]
     for bound in allowed:
-        cert = _round_candidate(mats, cmap, target, bound, ids, goal, counts, tally)
+        cert = _round_candidate(mats, cmap, target, bound, goal, tally)
         if cert is not None:
             return cert
     tally["rungs_skipped"] += len(ladder) - len(allowed)
@@ -506,8 +492,6 @@ def feasibility_search(
     if forced is not None:
         return _decide_forced(cmap, target, forced)
 
-    ids = _flat_ids(cmap)
-    counts = np.bincount(ids)
     goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
     scale = max([1.0] + np.abs(goal).tolist())
     ladder = _denominator_ladder(opts.denom_bound)
@@ -533,15 +517,15 @@ def feasibility_search(
     iterations = 0
     for phase, (floor, budget) in enumerate(phases):
         for step in range(budget):
-            _project_affine(mats, cmap, ids, goal, counts)
+            _project_affine(mats, cmap, goal)
             _project_psd(mats, floor)
             iterations += 1
-            residual = np.abs(_group_sums(mats, ids) - goal).max()
+            residual = np.abs(_group_sums(mats, cmap.ids) - goal).max()
             converged = residual <= TOL
             # the last projection of the search is rounded whatever its count
             last = phase == len(phases) - 1 and step == budget - 1
             if converged or last or iterations % ROUND_EVERY == 0:
-                cert = _round_iterate(mats, cmap, target, ladder, ids, goal, counts, tally)
+                cert = _round_iterate(mats, cmap, target, ladder, goal, tally)
                 if cert is not None:
                     return SearchOutcome(
                         status=SearchStatus.CERTIFICATE,
@@ -558,8 +542,6 @@ def feasibility_search(
 
 
 def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:
-    from .certificate import certificate_to_json
-
     doc: Dict[str, object] = {
         "status": outcome.status.value,
         "iterations": outcome.iterations,

@@ -11,7 +11,7 @@ reproducible from the recorded seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,10 +42,13 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
+        if not is_int(self.seed):
+            raise ValueError("seed must be an integer")
         if not is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if not self.tol_rel > 0:
-            raise ValueError("tol_rel must be positive")
+        tol = self.tol_rel
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < inf:
+            raise ValueError("tol_rel must be a finite positive number")
         if not self.dims or any(not is_int(n) or n < 1 for n in self.dims):
             raise ValueError("dims must be positive integers")
 

@@ -166,6 +166,10 @@ def test_hermitian_eig_input_validation():
         hermitian_eig(bad)
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros((2, 2, 2)))
+    # an empty matrix is rejected before it reaches LAPACK
+    for entry in (hermitian_eig, psd_sqrt):
+        with pytest.raises(ValueError, match="nonempty"):
+            entry(np.zeros((0, 0)))
 
 
 def test_hermitian_eig_convergence_error(monkeypatch):
@@ -240,6 +244,15 @@ def test_trace_hurwitz_rejects_bad_input():
         trace_hurwitz_numeric(np.eye(2), np.eye(3), 3, 1)
     with pytest.raises(ValueError):
         trace_hurwitz_numeric(np.eye(2), np.eye(2), 3, 4)
+    E = np.zeros((0, 0))
+    cert = bundled_certificate("p7r3.json")
+    for A, B in ((E, E), (E, np.eye(2)), (np.eye(2), E)):
+        with pytest.raises(ValueError, match="nonempty"):
+            word_matrix(A, B, "AB")
+        with pytest.raises(ValueError, match="nonempty"):
+            trace_hurwitz_numeric(A, B, 3, 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            eval_certificate_numeric(cert, A, B)
 
 
 def test_trace_hurwitz_rejects_boolean_degrees():

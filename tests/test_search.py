@@ -29,7 +29,6 @@ from hurwitz_sos.search import (
     UnderdeterminedAnsatzError,
     UnreachableTargetError,
     _denominator_ladder,
-    _flat_ids,
     _group_sums,
     _margin_cutoff,
     _nearest,
@@ -95,7 +94,22 @@ def test_constraint_map_three_word_block():
         "AABABAB": 3,
         "AABAABB": 3,
     }
+    # the flat table: every pair's class id in (block, j, k) order, and
+    # the number of pairs per class, both read-only like ``index``
+    assert cmap.ids.tolist() == cmap.index[0].ravel().tolist()
+    assert cmap.counts.tolist() == [1, 1, 1, 3, 3]
+    assert cmap.counts.tolist() == np.bincount(cmap.ids).tolist()
+    for table in (cmap.ids, cmap.counts) + cmap.index:
+        with pytest.raises(ValueError):
+            table[...] = 0
     assert not cmap.determined
+    assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
+    # two blocks: the ids of block 1 follow those of block 0
+    two = build_constraint_map(9, 3, BLOCKS_93)
+    assert two.ids.tolist() == (
+        two.index[0].ravel().tolist() + two.index[1].ravel().tolist()
+    )
+    assert two.counts.tolist() == np.bincount(two.ids).tolist()
 
 
 def test_constraint_map_covers_every_target_class():
@@ -108,6 +122,13 @@ def test_constraint_map_p6_determined():
     cmap = build_constraint_map(6, 3, (P6_BLOCK,))
     assert cmap.determined
     assert class_counts(cmap) == {"AAABBB": 1, "AABABB": 1, "AABBAB": 1, "ABABAB": 1}
+    assert cmap.ids.tolist() == cmap.index[0].ravel().tolist()
+    assert cmap.counts.tolist() == [1, 1, 1, 1]
+    assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
+    assert cmap.counts.tolist() == np.bincount(cmap.ids).tolist()
+    for table in (cmap.ids, cmap.counts) + cmap.index:
+        with pytest.raises(ValueError):
+            table[...] = 0
 
 
 def test_constraint_map_shape_mismatch():
@@ -148,7 +169,6 @@ def random_mats(rng, blocks, spread=True):
 @pytest.mark.parametrize("p, r, blocks", ANSATZES)
 def test_group_sums_match_per_entry_sums(p, r, blocks):
     cmap = build_constraint_map(p, r, blocks)
-    ids = _flat_ids(cmap)
     rng = np.random.default_rng(11)
     for _ in range(20):
         mats = random_mats(rng, blocks)
@@ -159,7 +179,7 @@ def test_group_sums_match_per_entry_sums(p, r, blocks):
                     cls = reduce_pair(block, j, k)
                     c = cmap.classes.index(cls)
                     expected[c] += complex(mats[bi][j, k])
-        sums = _group_sums(mats, ids)
+        sums = _group_sums(mats, cmap.ids)
         assert sums.dtype == np.complex128 and len(sums) == len(cmap.classes)
         for got, want in zip(sums.tolist(), expected):
             assert got.real.hex() == want.real.hex()
@@ -221,18 +241,16 @@ def candidate_points(rng, blocks, centre):
     return points
 
 
-def search_constants(cmap, target):
-    """The flat class ids, class goals and class sizes the search passes around."""
-    ids = _flat_ids(cmap)
-    goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
-    return ids, goal, np.bincount(ids)
+def class_goals(cmap, target):
+    """The prescribed sum of each class, as the search passes it around."""
+    return np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
 
 
 def projected_points(cmap, target, rounds, seed):
     """Search iterates from a random symmetric start at the target's scale:
     the point after each count in ``rounds`` of affine and PSD projections
     at the first phase floor."""
-    ids, goal, counts = search_constants(cmap, target)
+    goal = class_goals(cmap, target)
     scale = max([1.0] + np.abs(goal).tolist())
     rng = np.random.default_rng(seed)
     mats = []
@@ -241,7 +259,7 @@ def projected_points(cmap, target, rounds, seed):
         mats.append(((X + X.T) / 2.0).astype(np.complex128))
     points = []
     for done in range(1, max(rounds) + 1):
-        _project_affine(mats, cmap, ids, goal, counts)
+        _project_affine(mats, cmap, goal)
         _project_psd(mats, 0.05 * scale)
         if done in rounds:
             points.append([M.copy() for M in mats])
@@ -256,7 +274,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     """Both filters only ever drop rungs the unfiltered rule rejects."""
     cmap = build_constraint_map(p, r, blocks)
     target = hurwitz_expand(p, r)
-    ids, goal, counts = search_constants(cmap, target)
+    goal = class_goals(cmap, target)
     if p == 7:
         # around a certificate the search finds, so some rungs accept
         found = feasibility_search(p, r, blocks, SearchOptions(seed=0)).certificate
@@ -273,9 +291,9 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     tally = Counter()
     margin_skips = 0
     for mats in points:
-        cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
+        cutoff = _margin_cutoff(mats, cmap, goal)
         for bound in _denominator_ladder(10_000)[::3] + [10_000]:
-            got = _round_candidate(mats, cmap, target, bound, ids, goal, counts, tally)
+            got = _round_candidate(mats, cmap, target, bound, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, bound)
             assert got == want
             if bound > cutoff:
@@ -339,7 +357,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     round it back exactly, so only the large rungs may be skipped."""
     cert, cmap, target, G = weyl_margin_setup()
     assert verify_certificate(cert).min_pivots == (0,)
-    ids, goal, counts = search_constants(cmap, target)
+    goal = class_goals(cmap, target)
     # (1, 1) and its class mates (0, 1), (1, 0) keep their sum
     E = np.zeros((3, 3), dtype=complex)
     E[1, 1], E[0, 1], E[1, 0] = -0.01, 0.005, 0.005
@@ -347,7 +365,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     ladder = _denominator_ladder(10_000)
-    cutoff = _margin_cutoff(mats, cmap, ids, goal, counts)
+    cutoff = _margin_cutoff(mats, cmap, goal)
     assert ladder[0] <= cutoff < ladder[-1]
     unfiltered = next(
         found
@@ -355,7 +373,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
         if found is not None
     )
     tally = Counter()
-    filtered = _round_iterate(mats, cmap, target, ladder, ids, goal, counts, tally)
+    filtered = _round_iterate(mats, cmap, target, ladder, goal, tally)
     assert filtered == unfiltered == cert
     # every rung above the cutoff really fails
     for q in ladder:
@@ -369,30 +387,28 @@ def test_margin_keeps_every_rung_the_weyl_bound_allows(bound):
     restored point in every entry, even with float error up to half the
     slack on top: the worst case of the bound, with unit-modulus complex
     entries along a null vector."""
-    _cert, cmap, target, G = weyl_margin_setup()
-    ids, _goal, counts = search_constants(cmap, target)
+    _cert, cmap, _target, G = weyl_margin_setup()
     w = np.exp(1j * np.array([0.3, 1.9, -2.4]))
     P = 7.0 * (np.eye(3) - np.outer(w, w.conj()) / 3.0)  # PSD, null vector w
     slack = FILTER_SLACK * (1.0 + np.abs(P).sum())
     stretch = 1.0 + slack * bound / (2.0 * 3.0 * math.sqrt(2.0))
     F = P - stretch * (math.sqrt(2.0) / bound) * np.outer(w, w.conj())
-    goal = _group_sums([F], ids)
-    assert _margin_cutoff([F], cmap, ids, goal, counts) >= bound
+    goal = _group_sums([F], cmap.ids)
+    assert _margin_cutoff([F], cmap, goal) >= bound
     # and a point any further out loses the rung
     F_out = P - 1.01 * (math.sqrt(2.0) / bound) * np.outer(w, w.conj())
-    goal = _group_sums([F_out], ids)
-    assert _margin_cutoff([F_out], cmap, ids, goal, counts) < bound
+    goal = _group_sums([F_out], cmap.ids)
+    assert _margin_cutoff([F_out], cmap, goal) < bound
 
 
 def test_twin_slack_absorbs_float_error_only():
     """A boundary point off by float-sized error passes the twin, one
     clearly outside the cone does not."""
-    _cert, cmap, target, G = weyl_margin_setup()
-    ids, _goal, counts = search_constants(cmap, target)
+    _cert, cmap, _target, G = weyl_margin_setup()
     v = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # null vector of G
     for shift, passes in ((1e-13, True), (1e-6, False)):
         twin = [G - shift * np.outer(v, v)]
-        assert _twin_passes(twin, cmap, ids, _group_sums(twin, ids), counts) is passes
+        assert _twin_passes(twin, cmap, _group_sums(twin, cmap.ids)) is passes
 
 
 # ------------------------------------------------------------------ filtered search

@@ -25,6 +25,14 @@ def test_trial_config_validation():
         TrialConfig(dims=(0,))
     with pytest.raises(ValueError):
         TrialConfig(tol_rel=-1.0)
+    for seed in (1.5, "7", None, 2.0):
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(seed=seed)
+    for tol_rel in (0, 0.0, "x", None, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol_rel"):
+            TrialConfig(tol_rel=tol_rel)
+    assert TrialConfig(seed=-3, tol_rel=1).tol_rel == 1
+    assert TrialConfig(seed=2**70, tol_rel=10**400).seed == 2**70
 
 
 def test_trial_config_rejects_booleans():
@@ -32,6 +40,10 @@ def test_trial_config_rejects_booleans():
         TrialConfig(dims=(True,))
     with pytest.raises(ValueError, match="trials"):
         TrialConfig(trials=True)
+    with pytest.raises(ValueError, match="seed"):
+        TrialConfig(seed=True)
+    with pytest.raises(ValueError, match="tol_rel"):
+        TrialConfig(tol_rel=True)
 
 
 def test_identity_word_sum():
