@@ -23,11 +23,11 @@ from .rational import ZERO, GaussianRational
 from .words import (
     CyclicClass,
     TracePolynomial,
+    _class_of,
     check_degrees,
     check_word,
     hurwitz_expand,
     is_int,
-    reverse_word,
     swap_word,
 )
 
@@ -45,7 +45,8 @@ class AnsatzMismatchError(ValueError):
 
 
 HALF_LETTERS = ("a", "b")
-_HALF_TO_FULL = {"a": "A", "b": "B"}
+# the full letter two adjacent copies of a half letter square to; none without one
+_HALF_SQUARED = {"a": "A", "b": "B", None: ""}
 _HALF_SWAP = {"a": "b", "b": "a", None: None}
 
 
@@ -130,13 +131,27 @@ def reduce_pair(block: SandwichBlock, j: int, k: int) -> CyclicClass:
         raise IndexError(
             f"pair index ({j}, {k}) out of range for basis of size {len(basis)}"
         )
-    parts = [basis[j]]
-    if block.suffix is not None:
-        parts.append(_HALF_TO_FULL[block.suffix])
-    parts.append(reverse_word(basis[k]))
-    if block.prefix is not None:
-        parts.append(_HALF_TO_FULL[block.prefix])
-    return CyclicClass("".join(parts))
+    return _class_of(_pair_head(block, basis[j]) + _pair_tail(block, basis[k]))
+
+
+def _pair_head(block: SandwichBlock, word: str) -> str:
+    return word + _HALF_SQUARED[block.suffix]
+
+
+def _pair_tail(block: SandwichBlock, word: str) -> str:
+    return word[::-1] + _HALF_SQUARED[block.prefix]
+
+
+def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
+    """The d x d table whose entry [j][k] is ``reduce_pair(block, j, k)``.
+
+    The reversed basis words are built once, and each pair word goes
+    through one least rotation without the letter check: the block
+    checked its basis words when it was built.
+    """
+    heads = [_pair_head(block, word) for word in block.basis]
+    tails = [_pair_tail(block, word) for word in block.basis]
+    return tuple(tuple(_class_of(head + tail) for tail in tails) for head in heads)
 
 
 EntryLike = Union[int, Fraction, GaussianRational]
@@ -269,12 +284,21 @@ def _normalize_witness(vec: List[GaussianRational]) -> Tuple[GaussianRational, .
     return tuple(vec)
 
 
-def _exact_quotient(x: int, divisor: int) -> int:
-    """x / divisor, which must be an integer; ArithmeticError otherwise."""
-    quotient, remainder = divmod(x, divisor)
-    if remainder:
-        raise ArithmeticError(f"fraction-free step: {divisor} does not divide {x}")
-    return quotient
+def _gram_integers(gram: GramMatrix) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """``(L, Tre, Tim)``: L the lcm of the entry denominators, Tre + i Tim = L G.
+
+    Each part is ``numerator * (L // denominator)``, so no Fraction is
+    multiplied.
+    """
+    rows = gram.entries
+    scale = lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
+    Tre = [[z.re.numerator * (scale // z.re.denominator) for z in row] for row in rows]
+    Tim = [[z.im.numerator * (scale // z.im.denominator) for z in row] for row in rows]
+    return scale, Tre, Tim
+
+
+def _inexact_step(x: int, divisor: int) -> ArithmeticError:
+    return ArithmeticError(f"fraction-free step: {divisor} does not divide {x}")
 
 
 def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
@@ -300,11 +324,7 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
     s = S[i][j] gives u_j - s u_i, whose form value is exactly -2 |s|^2.
     """
     n = gram.dimension
-    scale = lcm(
-        *(x.denominator for row in gram.entries for z in row for x in (z.re, z.im))
-    )
-    Tre = [[int(z.re * scale) for z in row] for row in gram.entries]
-    Tim = [[int(z.im * scale) for z in row] for row in gram.entries]
+    scale, Tre, Tim = _gram_integers(gram)
     # v_i = delta u_i as (vre[i], vim[i]); nonzero only at pivoted indices and i
     vre = [[1 if i == t else 0 for t in range(n)] for i in range(n)]
     vim = [[0] * n for _ in range(n)]
@@ -350,15 +370,24 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
             # T[q][i] = a + b i; row i gets T[i][q] = conj(T[q][i])
             a, b = rq[i], iq[i]
             vri, vii = vre[i], vim[i]
+            # the divisions are inline: these loops are the O(n^3) part
             for t in done + [i]:
                 x, y = vrq[t], viq[t]
-                vri[t] = _exact_quotient(d * vri[t] - (a * x - b * y), delta)
-                vii[t] = _exact_quotient(d * vii[t] - (a * y + b * x), delta)
+                num_re = d * vri[t] - (a * x - b * y)
+                num_im = d * vii[t] - (a * y + b * x)
+                vri[t], rem_re = divmod(num_re, delta)
+                vii[t], rem_im = divmod(num_im, delta)
+                if rem_re or rem_im:
+                    raise _inexact_step(num_re if rem_re else num_im, delta)
             ri, ii = Tre[i], Tim[i]
             for j in remaining[pos:]:
                 c, e = rq[j], iq[j]
-                re = _exact_quotient(d * ri[j] - (a * c + b * e), delta)
-                im = _exact_quotient(d * ii[j] - (a * e - b * c), delta)
+                num_re = d * ri[j] - (a * c + b * e)
+                num_im = d * ii[j] - (a * e - b * c)
+                re, rem_re = divmod(num_re, delta)
+                im, rem_im = divmod(num_im, delta)
+                if rem_re or rem_im:
+                    raise _inexact_step(num_re if rem_re else num_im, delta)
                 ri[j], ii[j] = re, im
                 Tre[j][i], Tim[j][i] = re, -im
         delta = d
@@ -406,15 +435,25 @@ def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
             f"Gram dimension {gram.dimension} does not match basis size "
             f"{block.dimension}"
         )
-    acc: Dict[CyclicClass, GaussianRational] = {}
-    for j in range(block.dimension):
-        for k in range(block.dimension):
-            coeff = gram.at(j, k)
-            if coeff.is_zero:
+    scale, Tre, Tim = _gram_integers(gram)
+    # each class's sum of L G entries, as integer [re, im]
+    sums: Dict[CyclicClass, List[int]] = {}
+    for classes, row_re, row_im in zip(pair_classes(block), Tre, Tim):
+        for cls, x, y in zip(classes, row_re, row_im):
+            if not (x or y):
                 continue
-            cls = reduce_pair(block, j, k)
-            acc[cls] = acc.get(cls, ZERO) + coeff
-    return TracePolynomial(block.product_degree, acc)
+            acc = sums.get(cls)
+            if acc is None:
+                sums[cls] = [x, y]
+            else:
+                acc[0] += x
+                acc[1] += y
+    terms = {
+        cls: GaussianRational(Fraction(x, scale), Fraction(y, scale))
+        for cls, (x, y) in sums.items()
+        if x or y
+    }
+    return TracePolynomial._from_canonical(block.product_degree, terms)
 
 
 def certificate_expansion(cert: Certificate) -> TracePolynomial:

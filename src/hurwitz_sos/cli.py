@@ -5,7 +5,8 @@ Subcommands: expand, verify, search, validate, bmv-check.  Exit codes:
 converge or a numeric result was not finite, 2 usage or malformed
 input, 3 exact infeasibility proven, 4 search exhausted without an
 answer.  All runs are deterministic given flags plus seed; the seed
-falls back to the HURWITZ_SOS_SEED environment variable, then 0.
+falls back to the HURWITZ_SOS_SEED environment variable, then 0, and
+must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from .numeric import ConvergenceError
+from .numeric import SEED_LIMIT, ConvergenceError
 from .search import (
     SearchOptions,
     SearchOutcome,
@@ -49,15 +50,19 @@ class _UsageError(Exception):
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV)
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    source = "--seed"
+    if value is None:
+        raw = os.environ.get(SEED_ENV)
+        if raw is None or raw.strip() == "":
+            return 0
+        try:
+            value = int(raw, 0)
+        except ValueError:
+            raise _UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        source = SEED_ENV
+    if not 0 <= value < SEED_LIMIT:
+        raise _UsageError(f"{source} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _parse_dims(text: str) -> tuple:

@@ -43,7 +43,10 @@ class NotPsdError(ValueError):
 # SplitMix64 stream and Gaussian sampling
 # ------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
+# mix64 reduces its input modulo 2^64, so seeds that differ by a multiple
+# of it would alias; every seed the package accepts lies in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

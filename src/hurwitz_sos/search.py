@@ -65,13 +65,13 @@ from .certificate import (
     GramMatrix,
     SandwichBlock,
     certificate_to_json,
+    pair_classes,
     psd_check_exact,
     quadratic_form,
     rational_quad,
-    reduce_pair,
     verify_against,
 )
-from .numeric import derive_seed, gaussian_stream, hermitian_eig
+from .numeric import SEED_LIMIT, derive_seed, gaussian_stream, hermitian_eig
 from .rational import ZERO, GaussianRational
 from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 
@@ -97,7 +97,7 @@ class UnderdeterminedAnsatzError(ValueError):
     applied to an underdetermined one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintMap:
     """The cyclic class of every ordered basis pair, as ids into one table.
 
@@ -108,6 +108,8 @@ class ConstraintMap:
     is every pair's class id, blocks concatenated in (block, j, k) order,
     and ``counts[c]`` is the number of pairs that feed class c, so
     ``counts == np.bincount(ids)``.  All these arrays are read-only.
+    Maps compare and hash by identity, since an array has no single
+    truth value to compare field by field.
     """
 
     p: int
@@ -132,16 +134,12 @@ def build_constraint_map(
         raise AnsatzMismatchError("ansatz must contain at least one block")
     for idx, block in enumerate(blocks):
         block.check_shape(p, r, name=f"block {idx}")
-    pair_classes = [
-        [[reduce_pair(block, j, k) for k in range(block.dimension)]
-         for j in range(block.dimension)]
-        for block in blocks
-    ]
-    classes = tuple(sorted({cls for rows in pair_classes for row in rows for cls in row}))
+    tables = [pair_classes(block) for block in blocks]
+    classes = tuple(sorted({cls for table in tables for row in table for cls in row}))
     position = {cls: i for i, cls in enumerate(classes)}
     index = tuple(
-        np.array([[position[cls] for cls in row] for row in rows], dtype=np.intp)
-        for rows in pair_classes
+        np.array([[position[cls] for cls in row] for row in table], dtype=np.intp)
+        for table in tables
     )
     ids = np.concatenate([block_ids.ravel() for block_ids in index])
     counts = np.bincount(ids)
@@ -208,6 +206,8 @@ class SearchOptions:
         for name in ("seed", "max_iters", "denom_bound"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.denom_bound < 1:

@@ -19,6 +19,7 @@ import numpy as np
 from .certificate import Certificate
 from .words import check_degrees, is_int
 from .numeric import (
+    SEED_LIMIT,
     bmv_coefficients,
     derive_seed,
     eval_certificate_numeric,
@@ -51,6 +52,14 @@ class TrialConfig:
             raise ValueError("tol_rel must be a finite positive number")
         if not self.dims or any(not is_int(n) or n < 1 for n in self.dims):
             raise ValueError("dims must be positive integers")
+        # either runner numbers its trials seed, seed + 1, ..., at most
+        # len(dims) * trials of them, and each must be a distinct 64-bit seed
+        count = len(self.dims) * self.trials
+        if not 0 <= self.seed <= SEED_LIMIT - count:
+            raise ValueError(
+                f"seed must lie in [0, 2**64 - {count}] so that its {count} "
+                f"trial seeds stay below 2**64, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)

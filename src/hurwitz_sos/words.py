@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
-from .rational import GaussianRational, ZERO
+from .rational import ONE, GaussianRational, ZERO
 
 ALPHABET = "AB"
 _SWAP_TABLE = str.maketrans("AB", "BA")
@@ -46,7 +46,12 @@ def check_degrees(p: int, r: int) -> None:
 
 def least_rotation(word: str) -> str:
     """Lexicographically least rotation of a word."""
-    n = len(check_word(word))
+    return _least_rotation(check_word(word))
+
+
+def _least_rotation(word: str) -> str:
+    """``least_rotation`` without the letter check, for words built from checked ones."""
+    n = len(word)
     doubled = word + word
     # a plain loop: min() over a generator of the slices is about 20% slower
     best = word
@@ -86,8 +91,25 @@ class CyclicClass:
         object.__setattr__(self, "length", len(canon))
         object.__setattr__(self, "b_count", canon.count("B"))
 
+    @classmethod
+    def _trusted(cls, representative: str) -> "CyclicClass":
+        """Class of a word that is already its own least rotation: no check, no rotation."""
+        obj = object.__new__(cls)
+        # filled through __dict__, past the frozen __setattr__: about half
+        # the cost of three object.__setattr__ calls, once per class
+        fields = obj.__dict__
+        fields["representative"] = representative
+        fields["length"] = len(representative)
+        fields["b_count"] = representative.count("B")
+        return obj
+
     def __str__(self) -> str:
         return self.representative
+
+
+def _class_of(word: str) -> CyclicClass:
+    """Class of a word known to be over {A, B}: one unchecked least rotation."""
+    return CyclicClass._trusted(_least_rotation(word))
 
 
 ClassLike = Union[str, CyclicClass]
@@ -141,6 +163,21 @@ class TracePolynomial:
                     data[cls] = coeff
         self._terms = data
 
+    @classmethod
+    def _from_canonical(
+        cls, degree: int, terms: Dict[CyclicClass, GaussianRational]
+    ) -> "TracePolynomial":
+        """Wrap ``terms`` as they are, without the checks of ``__init__``.
+
+        Every key must be a class of length ``degree`` and every value a
+        nonzero GaussianRational.  The dict is kept, not copied, so the
+        caller hands over a fresh one.
+        """
+        poly = object.__new__(cls)
+        poly._degree = degree
+        poly._terms = terms
+        return poly
+
     @property
     def degree(self) -> int:
         return self._degree
@@ -186,11 +223,19 @@ class TracePolynomial:
             )
         merged: Dict[CyclicClass, GaussianRational] = dict(self._terms)
         for cls, value in other._terms.items():
-            merged[cls] = merged.get(cls, ZERO) + value
-        return TracePolynomial(self._degree, merged)
+            previous = merged.get(cls)
+            if previous is None:
+                merged[cls] = value
+                continue
+            total = previous + value
+            if total.is_zero:
+                del merged[cls]
+            else:
+                merged[cls] = total
+        return TracePolynomial._from_canonical(self._degree, merged)
 
     def __neg__(self) -> "TracePolynomial":
-        return TracePolynomial(
+        return TracePolynomial._from_canonical(
             self._degree, {cls: -value for cls, value in self._terms.items()}
         )
 
@@ -201,7 +246,10 @@ class TracePolynomial:
 
     def scaled(self, factor: CoefficientLike) -> "TracePolynomial":
         factor = GaussianRational.of(factor)
-        return TracePolynomial(
+        if factor.is_zero:
+            return TracePolynomial(self._degree)
+        # a product of nonzero Gaussian rationals is nonzero
+        return TracePolynomial._from_canonical(
             self._degree,
             {cls: value * factor for cls, value in self._terms.items()},
         )
@@ -259,20 +307,35 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     rotations, its primitive period p * q / r for a run-length period
     q; so ``ABABAB`` in (6, 3) has multiplicity 2.  The multiplicities
     add up to C(p, r).
+
+    Each necklace is already a least rotation, so it becomes a class
+    as it is, and the classes sharing a multiplicity share one
+    coefficient object.
     """
     check_degrees(p, r)
     if r == 0:
-        return TracePolynomial(p, {"A" * p: 1})
-    terms: Dict[str, int] = {}
+        return TracePolynomial._from_canonical(p, {CyclicClass._trusted("A" * p): ONE})
+    pieces = ["A" * g + "B" for g in range(p - r + 1)]
+    weights: Dict[int, GaussianRational] = {}
+    terms: Dict[CyclicClass, GaussianRational] = {}
     for runs, period in _run_length_necklaces(r, p - r):
-        terms["".join("A" * g + "B" for g in runs)] = p * period // r
-    return TracePolynomial(p, terms)
+        multiplicity = p * period // r
+        weight = weights.get(multiplicity)
+        if weight is None:
+            weight = weights[multiplicity] = GaussianRational(Fraction(multiplicity))
+        terms[CyclicClass._trusted("".join(map(pieces.__getitem__, runs)))] = weight
+    return TracePolynomial._from_canonical(p, terms)
 
 
 def swap_letters(poly: TracePolynomial) -> TracePolynomial:
-    """Exchange the roles of A and B in every class of a polynomial."""
-    swapped: Dict[str, GaussianRational] = {}
-    for cls, value in poly.items():
-        key = least_rotation(swap_word(cls.representative))
-        swapped[key] = swapped.get(key, ZERO) + value
-    return TracePolynomial(poly.degree, swapped)
+    """Exchange the roles of A and B in every class of a polynomial.
+
+    The swap maps distinct classes to distinct classes, so no two terms merge.
+    """
+    return TracePolynomial._from_canonical(
+        poly.degree,
+        {
+            _class_of(cls.representative.translate(_SWAP_TABLE)): value
+            for cls, value in poly._terms.items()
+        },
+    )

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hurwitz_sos as hs
+from hurwitz_sos import certificate
 from hurwitz_sos.certificate import (
     AnsatzMismatchError,
     Certificate,
@@ -16,7 +17,7 @@ from hurwitz_sos.certificate import (
     GramMatrix,
     PsdCheckResult,
     SandwichBlock,
-    _exact_quotient,
+    _gram_integers,
     ansatz_from_json,
     bundled_certificate,
     bundled_path,
@@ -25,6 +26,7 @@ from hurwitz_sos.certificate import (
     certificate_to_json,
     expand_gram,
     gram_from_vectors,
+    pair_classes,
     psd_check_exact,
     quadratic_form,
     reduce_pair,
@@ -53,6 +55,25 @@ def oracle_pair_class(block, j, k):
     if block.prefix:
         word += block.prefix.upper()
     return oracle_least_rotation(word)
+
+
+def words_with(length, b_count):
+    """All words of ``length`` letters with ``b_count`` B's."""
+    return tuple(
+        "".join("B" if i in pos else "A" for i in range(length))
+        for pos in combinations(range(length), b_count)
+    )
+
+
+CORE_4 = words_with(4, 1)
+# the blocks of the search-mix benchmark's ansatzes, bar the bundled p6 one
+SEARCH_MIX_BLOCKS = (
+    BLOCK_73,
+    SandwichBlock(None, None, words_with(5, 1)),
+    SandwichBlock(None, None, words_with(4, 2)),
+    SandwichBlock("b", None, CORE_4),
+    SandwichBlock(None, "b", CORE_4),
+)
 
 
 def oracle_principal_minors_psd(gram):
@@ -195,6 +216,27 @@ def test_reduce_pair_suffix_and_both_sides():
         reduce_pair(both, 0, 2)
 
 
+def test_pair_classes_match_reduce_pair():
+    # the table takes unchecked least rotations; every entry must equal
+    # the checked reduce_pair and the by-hand oracle, fields included
+    _p, _r, p6_blocks = hs.load_ansatz(bundled_path("p6r3_restricted_ansatz.json"))
+    blocks = list(SEARCH_MIX_BLOCKS + p6_blocks)
+    for name in ("p7r0.json", "p7r1.json", "p7r2.json", "p7r3.json"):
+        cert = bundled_certificate(name)
+        for c in (cert, swap_certificate(cert)):
+            blocks.extend(block for block, _gram in c.blocks)
+    for block in blocks:
+        table = pair_classes(block)
+        d = block.dimension
+        assert len(table) == d and all(len(row) == d for row in table)
+        for j in range(d):
+            for k in range(d):
+                cls = table[j][k]
+                assert cls == reduce_pair(block, j, k)
+                assert cls.representative == oracle_pair_class(block, j, k)
+                assert vars(cls) == vars(CyclicClass(cls.representative))
+
+
 def test_reduce_pair_transpose_is_reversal():
     # class(k, j) is the reversal class of class(j, k)
     from hurwitz_sos.words import reverse_class
@@ -328,17 +370,21 @@ small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_entries = st.builds(GaussianRational, small_fracs, small_fracs)
 
 
-@st.composite
-def hermitian_grams(draw, max_n=3):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def draw_hermitian(draw, n, fracs=small_fracs):
+    """An n x n Hermitian Gram whose parts are drawn from ``fracs``."""
     rows = [[None] * n for _ in range(n)]
     for j in range(n):
-        rows[j][j] = GaussianRational(draw(small_fracs))
+        rows[j][j] = GaussianRational(draw(fracs))
         for k in range(j + 1, n):
-            x = draw(small_entries)
+            x = GaussianRational(draw(fracs), draw(fracs))
             rows[j][k] = x
             rows[k][j] = x.conjugate()
     return GramMatrix.from_rows(rows)
+
+
+@st.composite
+def hermitian_grams(draw, max_n=3):
+    return draw_hermitian(draw, draw(st.integers(min_value=1, max_value=max_n)))
 
 
 @given(hermitian_grams())
@@ -429,12 +475,17 @@ def test_psd_check_zero_diagonal_after_a_pivot():
     assert quadratic_form(G, result.witness) == grat(-2 * s.norm2())
 
 
-def test_exact_quotient_refuses_a_remainder():
-    assert _exact_quotient(-12, 4) == -3
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(7, 2)
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(-7, 3)
+def test_exact_quotient_refuses_a_remainder(monkeypatch):
+    # Sylvester's identity makes every division exact, so a remainder is
+    # forced by a divmod that reports one for every divisor but 1; the
+    # second step divides by the first pivot, 3
+    G = GramMatrix.from_rows([[3, 1, 1], [1, 2, 1], [1, 1, 2]])
+    assert psd_check_exact(G).psd
+    monkeypatch.setattr(
+        certificate, "divmod", lambda x, y: (x // y, int(y != 1)), raising=False
+    )
+    with pytest.raises(ArithmeticError, match="fraction-free step: 3 does not divide"):
+        psd_check_exact(G)
 
 
 # ------------------------------------------------------------------ expansion
@@ -469,6 +520,43 @@ def test_expand_gram_linearity():
     assert expand_gram(BLOCK_73, G1.scaled(3)) == expand_gram(
         BLOCK_73, G1
     ).scaled(3)
+
+
+def oracle_expand_gram(block, gram):
+    # the per-pair sum of Gaussian rationals that expand_gram replaced
+    acc = {}
+    for j in range(block.dimension):
+        for k in range(block.dimension):
+            key = oracle_pair_class(block, j, k)
+            acc[key] = acc.get(key, grat(0)) + gram.at(j, k)
+    return TracePolynomial(block.product_degree, acc)
+
+
+# denominators up to 12, so the entries of one Gram mix denominators
+mixed_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def blocks_with_grams(draw):
+    block = draw(st.sampled_from(SEARCH_MIX_BLOCKS + (
+        SandwichBlock("a", "b", ("AB", "BA")),
+        SandwichBlock(None, "a", ("BAA", "ABA", "AAB")),
+    )))
+    return block, draw_hermitian(draw, block.dimension, mixed_fracs)
+
+
+@given(blocks_with_grams())
+def test_expand_gram_matches_per_pair_sum(block_gram):
+    block, gram = block_gram
+    assert expand_gram(block, gram) == oracle_expand_gram(block, gram)
+
+
+def test_gram_integers_scale_by_the_lcm():
+    G = GramMatrix.from_rows(
+        [[Fraction(1, 2), grat(Fraction(1, 3), Fraction(-1, 4))],
+         [grat(Fraction(1, 3), Fraction(1, 4)), 5]]
+    )
+    assert _gram_integers(G) == (12, [[6, 4], [4, 60]], [[0, -3], [3, 0]])
 
 
 def test_expand_gram_dimension_mismatch():
@@ -622,6 +710,31 @@ def test_certificate_json_complex_entries(tmp_path):
     path = tmp_path / "c.json"
     hs.save_certificate(cert, str(path))
     assert hs.load_certificate(str(path)) == cert
+
+
+# (p, r, blocks that fit it): small certificates for the round trip
+CERT_SHAPES = (
+    (7, 3, (BLOCK_73, SandwichBlock("b", None, ("AAB", "ABA")),
+            SandwichBlock(None, "b", ("BAA",)))),
+    (6, 3, (SandwichBlock("a", "b", ("AB", "BA")),)),
+    (9, 3, (SandwichBlock("b", None, CORE_4), SandwichBlock(None, "b", CORE_4))),
+)
+
+
+@st.composite
+def small_certificates(draw):
+    p, r, shapes = draw(st.sampled_from(CERT_SHAPES))
+    chosen = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3))
+    return Certificate(
+        p, r, tuple((block, draw_hermitian(draw, block.dimension, mixed_fracs))
+                    for block in chosen)
+    )
+
+
+@given(small_certificates())
+def test_certificate_json_round_trip_property(cert):
+    doc = json.loads(json.dumps(certificate_to_json(cert)))
+    assert certificate_from_json(doc) == cert
 
 
 @pytest.mark.parametrize(

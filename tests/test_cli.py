@@ -285,6 +285,23 @@ def test_bad_env_seed(three_word_ansatz, monkeypatch, capsys):
     assert SEED_ENV in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed(three_word_ansatz, monkeypatch, capsys, seed):
+    code = main(["search", "--ansatz", three_word_ansatz, "--seed", str(seed)])
+    assert code == EXIT_USAGE
+    assert f"error: --seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    monkeypatch.setenv(SEED_ENV, str(seed))
+    assert main(["bmv-check", "-p", "3", "--trials", "1"]) == EXIT_USAGE
+    assert f"error: {SEED_ENV} must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_seed_whose_trials_pass_2_to_the_64(capsys):
+    # 2^64 - 1 is a seed, but the second of its trial seeds would not be
+    args = ["--trials", "2", "--dims", "1", "--seed", str(2**64 - 1)]
+    assert main(["validate", "--cert", bundled_path("p7r3.json")] + args) == EXIT_USAGE
+    assert "error: seed must lie in [0, 2**64 - 2]" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ validate
 
 def test_validate_ok(capsys):

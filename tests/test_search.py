@@ -112,6 +112,16 @@ def test_constraint_map_three_word_block():
     assert two.counts.tolist() == np.bincount(two.ids).tolist()
 
 
+def test_constraint_map_compares_by_identity():
+    # numpy fields have no single truth value, so maps compare and hash
+    # by identity instead of field by field
+    one = build_constraint_map(7, 3, (BLOCK_73,))
+    two = build_constraint_map(7, 3, (BLOCK_73,))
+    assert one == one and one != two and not (one == two)
+    assert hash(one) == hash(one) and isinstance(hash(two), int)
+    assert len({one, two}) == 2
+
+
 def test_constraint_map_covers_every_target_class():
     cmap = build_constraint_map(7, 3, (BLOCK_73,))
     target = hurwitz_expand(7, 3)
@@ -540,6 +550,11 @@ def test_search_options_validation():
         SearchOptions(max_iters=0)
     with pytest.raises(ValueError):
         SearchOptions(denom_bound=0)
+    # seeds are 64-bit: a larger one would alias a smaller one modulo 2^64
+    assert SearchOptions(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie"):
+            SearchOptions(seed=seed)
 
 
 @pytest.mark.parametrize("field", ["seed", "max_iters", "denom_bound"])

@@ -31,8 +31,18 @@ def test_trial_config_validation():
     for tol_rel in (0, 0.0, "x", None, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="tol_rel"):
             TrialConfig(tol_rel=tol_rel)
-    assert TrialConfig(seed=-3, tol_rel=1).tol_rel == 1
-    assert TrialConfig(seed=2**70, tol_rel=10**400).seed == 2**70
+    assert TrialConfig(seed=3, tol_rel=1).tol_rel == 1
+    assert TrialConfig(seed=3, tol_rel=10**400).tol_rel == 10**400
+    # mix64 reduces seeds modulo 2^64: every trial seed, seed up to
+    # seed + len(dims) * trials - 1, must lie below 2^64 or it would
+    # repeat the trial of a smaller seed
+    last = 2**64 - 3 * 5
+    assert TrialConfig(seed=last, dims=(1, 2, 3), trials=5).seed == last
+    for seed in (-1, -3, last + 1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="seed must lie"):
+            TrialConfig(seed=seed, dims=(1, 2, 3), trials=5)
+    rows = bmv_check_trials(5, TrialConfig(seed=2**64 - 2, dims=(2,), trials=2)).rows
+    assert [row.trial_seed for row in rows] == [2**64 - 2, 2**64 - 1]
 
 
 def test_trial_config_rejects_booleans():

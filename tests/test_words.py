@@ -146,6 +146,38 @@ def test_trace_polynomial_arithmetic():
     assert a.scaled(grat(0, 1)).coefficient("AA") == grat(0, 1)
 
 
+small_coeffs = st.builds(
+    grat,
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.fractions(min_value=-1, max_value=1, max_denominator=2),
+)
+length_4_terms = st.dictionaries(
+    st.text(alphabet="AB", min_size=4, max_size=4), small_coeffs, max_size=6
+)
+
+
+def rebuilt(pairs):
+    """The checked constructor's polynomial for (class or word, value) pairs."""
+    acc = {}
+    for key, value in pairs:
+        word = oracle_least_rotation(str(key))
+        acc[word] = acc.get(word, grat(0)) + value
+    return TracePolynomial(4, acc)
+
+
+@given(length_4_terms, length_4_terms, small_coeffs)
+def test_trace_polynomial_arithmetic_matches_checked_constructor(a_terms, b_terms, factor):
+    # +, - and scaled build their results unchecked; equality with the
+    # checked constructor, which prunes zeros, also rules out a kept zero
+    a, b = TracePolynomial(4, a_terms), TracePolynomial(4, b_terms)
+    assert a == rebuilt(a_terms.items())
+    assert a + b == rebuilt(list(a.items()) + list(b.items()))
+    assert a - b == rebuilt(list(a.items()) + [(c, -v) for c, v in b.items()])
+    assert -a == rebuilt((c, -v) for c, v in a.items())
+    assert a.scaled(factor) == rebuilt((c, v * factor) for c, v in a.items())
+    assert all(not v.is_zero for v in (a + b).scaled(factor)._terms.values())
+
+
 def test_trace_polynomial_total():
     assert hurwitz_expand(7, 3).total() == grat(comb(7, 3))
 
@@ -220,6 +252,16 @@ def test_hurwitz_expand_against_direct_enumeration():
             assert {str(c): v for c, v in poly.items()} == {
                 k: grat(v) for k, v in buckets[r].items()
             }, (p, r)
+
+
+def test_hurwitz_expand_emits_least_rotations():
+    # the necklaces become classes without a rotation or a check: each
+    # must be its own least rotation, with the fields the checked path sets
+    for p in range(1, 21):
+        for r in range(p + 1):
+            for cls in hurwitz_expand(p, r).support():
+                assert cls.representative == oracle_least_rotation(cls.representative)
+                assert vars(cls) == vars(CyclicClass(cls.representative))
 
 
 def test_hurwitz_expand_long_word_is_not_recursive():
