@@ -7,7 +7,17 @@ That is safe because floats never decide a result on their own: they
 cross-check certificates and steer the search, every search result is
 re-verified in exact rational arithmetic before it is returned, and the
 random inputs stay seeded by SplitMix64, so a different LAPACK changes
-rounding, not which matrices are tried.  The word-sum trace here
+rounding, not which matrices are tried.
+
+The evaluators take one pair of (n, n) matrices or a stack of m pairs of
+shape (m, n, n); a single pair is a stack of one inside.  The validation
+runners stack all trials of one dimension, so each call costs one batched
+recurrence, not one Python-level call per trial.  Every product is a
+matmul batched over the stack and every sum runs along a fixed axis, so
+a slice's value does not depend on the other slices of its stack.
+``eval_certificate_numeric`` diagonalizes each Gram matrix once per call
+and contracts the sandwiches of all pairs against its eigenvectors in
+one matmul.  The word-sum trace here
 (the coefficient recurrence of ``kernels.hurwitz_trace``) is the
 oracle that exact certificates are cross-checked against; it shares no
 code with the sum-of-squares evaluator, and the tests check it against
@@ -24,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .certificate import Certificate, GramMatrix
-from .words import check_degrees, check_word
+from .words import check_degrees, check_word, is_int
 
 
 # Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
@@ -104,10 +114,16 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     return out[:count]
 
 
+def _check_sampler_args(n: int, seed: int) -> None:
+    if not is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
+    if not is_int(seed) or not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
 def random_hermitian(n: int, seed: int) -> np.ndarray:
     """Random Hermitian matrix with independent complex Gaussian entries."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_sampler_args(n, seed)
     g = gaussian_stream(seed, 2 * n * n)
     X = (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
     return (X + X.conj().T) / 2.0
@@ -115,8 +131,7 @@ def random_hermitian(n: int, seed: int) -> np.ndarray:
 
 def random_psd(n: int, seed: int) -> np.ndarray:
     """Random positive semidefinite matrix R* R with complex Gaussian R."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_sampler_args(n, seed)
     g = gaussian_stream(seed, 2 * n * n)
     R = (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
     M = R.conj().T @ R
@@ -135,10 +150,12 @@ class EigResult:
     vectors: np.ndarray
 
 
-def _checked_square(M, name: str = "matrix") -> np.ndarray:
+def _checked_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """M as a finite complex128 square matrix, or with ``stack`` also a stack (m, n, n)."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-1] != M.shape[-2]:
+        what = "square or a stack of square matrices" if stack else "square"
+        raise ValueError(f"{name} must be {what}, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {M.shape}")
     M = M.astype(np.complex128, copy=False)
@@ -147,15 +164,33 @@ def _checked_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _checked_pair(A, B):
+def _checked_pair(A, B, stack: bool = False):
     """A and B as complex128 arrays: finite, square and of equal shape."""
-    A = _checked_square(A, "A")
-    B = _checked_square(B, "B")
+    A = _checked_square(A, "A", stack)
+    B = _checked_square(B, "B", stack)
     if A.shape != B.shape:
         raise ValueError(
             f"A and B must have equal shape, got {A.shape} and {B.shape}"
         )
     return A, B
+
+
+def _pair_stack(A, B):
+    """A and B as checked stacks (m, n, n), and whether they were one pair."""
+    A, B = _checked_pair(A, B, stack=True)
+    single = A.ndim == 2
+    if single:
+        A, B = A[np.newaxis], B[np.newaxis]
+    return A, B, single
+
+
+def _which(single: bool, k: int) -> str:
+    """Names slice k of a stack in an error message; nothing for a single input."""
+    return "" if single else f" (stack index {k})"
+
+
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
 
 
 def hermitian_eig(H) -> EigResult:
@@ -177,34 +212,51 @@ def hermitian_eig(H) -> EigResult:
 
 
 def psd_sqrt(A) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack (m, n, n).
 
     Eigenvalues below zero by more than ``PSD_NEG_TOL * (1 + ||A||_F)``
     are an error; smaller dips are treated as roundoff and clamped to zero.
+    The stack is checked and diagonalized as a whole, like
+    :func:`hermitian_eig` on each slice.
     """
-    eig = hermitian_eig(A)
-    scale = 1.0 + float(np.linalg.norm(np.asarray(A)))
-    if eig.eigenvalues[0] < -PSD_NEG_TOL * scale:
+    A = _checked_square(A, stack=True)
+    single = A.ndim == 2
+    H = A[np.newaxis] if single else A
+    scale = 1.0 + np.linalg.norm(H, axis=(-2, -1))
+    off = np.linalg.norm(H - _adjoint(H), axis=(-2, -1)) > 1e-8 * scale
+    if off.any():
+        raise ValueError(f"matrix{_which(single, int(np.argmax(off)))} is not Hermitian")
+    try:
+        w, V = np.linalg.eigh((H + _adjoint(H)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    low = w[:, 0] < -PSD_NEG_TOL * scale
+    if low.any():
+        k = int(np.argmax(low))
         raise NotPsdError(
-            f"matrix has negative eigenvalue {eig.eigenvalues[0]:.6e}"
+            f"matrix{_which(single, k)} has negative eigenvalue {w[k, 0]:.6e}"
         )
-    w = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    S = (eig.vectors * w) @ eig.vectors.conj().T
-    return (S + S.conj().T) / 2.0
+    S = (V * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ _adjoint(V)
+    S = (S + _adjoint(S)) / 2.0
+    return S[0] if single else S
 
 
 # ------------------------------------------------------------------
 # evaluators
 # ------------------------------------------------------------------
 
-def word_matrix(A, B, word: str) -> np.ndarray:
-    """Product of the matrices spelled by ``word`` (A and B full letters)."""
-    check_word(word)
-    A, B = _checked_pair(A, B)
+def _word_product(A: np.ndarray, B: np.ndarray, word: str) -> np.ndarray:
     M = A if word[0] == "A" else B
     for ch in word[1:]:
         M = M @ (A if ch == "A" else B)
     return M
+
+
+def word_matrix(A, B, word: str) -> np.ndarray:
+    """Product of the matrices spelled by ``word`` (A and B full letters)."""
+    check_word(word)
+    A, B = _checked_pair(A, B)
+    return _word_product(A, B, word)
 
 
 def trace_word_product(A, B, word: str) -> complex:
@@ -212,36 +264,46 @@ def trace_word_product(A, B, word: str) -> complex:
     return complex(np.trace(word_matrix(A, B, word)))
 
 
-def trace_hurwitz_numeric(A, B, p: int, r: int) -> float:
+def trace_hurwitz_numeric(A, B, p: int, r: int):
     """Sum of Tr(W) over all length-p words with r B's.
 
     Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
     in :mod:`hurwitz_sos.kernels`.  For Hermitian inputs the result is
     real; a significant imaginary part indicates bad input and raises
     ArithmeticError, as does a total that overflowed to inf or NaN.
+    A pair gives a float; a stack of m pairs gives a float vector of
+    length m, and raises if any of its traces would.
     """
     check_degrees(p, r)
-    A, B = _checked_pair(A, B)
+    A, B, single = _pair_stack(A, B)
     # overflow is reported below as an ArithmeticError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        total = kernels.hurwitz_trace(A, B, p, r)
-    if not np.isfinite(total):
+        totals = kernels.hurwitz_trace(A, B, p, r)
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"word-sum trace for (p={p}, r={r}) is not finite ({total}); "
-            "it exceeds double precision"
+            f"word-sum trace for (p={p}, r={r}){_which(single, k)} is not finite "
+            f"({complex(totals[k])}); it exceeds double precision"
         )
-    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
+    bad = np.abs(totals.imag) > 1e-9 * (1.0 + np.abs(totals.real))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"word-sum trace has imaginary part {total.imag:.3e}; "
-            "inputs are probably not Hermitian"
+            f"word-sum trace{_which(single, k)} has imaginary part "
+            f"{totals[k].imag:.3e}; inputs are probably not Hermitian"
         )
-    return float(total.real)
+    return float(totals[0].real) if single else totals.real.copy()
 
 
 def bmv_coefficients(A, B, p: int) -> np.ndarray:
-    """All word-sum traces for degrees r = 0..p, as a float vector."""
-    return np.array(
-        [trace_hurwitz_numeric(A, B, p, r) for r in range(p + 1)], dtype=np.float64
+    """All word-sum traces for degrees r = 0..p.
+
+    A pair gives a float vector of length p + 1; a stack of m pairs gives
+    an (m, p + 1) array, one row per pair.
+    """
+    return np.stack(
+        [trace_hurwitz_numeric(A, B, p, r) for r in range(p + 1)], axis=-1
     )
 
 
@@ -255,19 +317,21 @@ def gram_to_complex(gram: GramMatrix) -> np.ndarray:
     return out
 
 
-def eval_certificate_numeric(cert: Certificate, A, B) -> float:
+def eval_certificate_numeric(cert: Certificate, A, B):
     """Evaluate a certificate as an explicit sum of squared Frobenius norms.
 
     Each block's Gram matrix is factored through its (floating point)
     eigensystem into vectors c_l, every c_l is contracted against the
     sandwich matrices built from psd_sqrt(A) and psd_sqrt(B), and the
-    squared norms ||C_l||_F^2 are summed.  This follows the
-    sum-of-squares reading of the certificate, not the exact expansion,
-    which is what makes it a meaningful cross-check.
+    squared norms ||C_l||_F^2 are summed over the positive eigenvalues.
+    This follows the sum-of-squares reading of the certificate, not the
+    exact expansion, which is what makes it a meaningful cross-check.
+    A pair gives a float; a stack of m pairs gives a float vector of
+    length m, with each Gram eigensystem computed once for the stack.
     """
-    A, B = _checked_pair(A, B)
+    A, B, single = _pair_stack(A, B)
     half: Dict[str, np.ndarray] = {"a": psd_sqrt(A), "b": psd_sqrt(B)}
-    total = 0.0
+    total = np.zeros(A.shape[0])
     for block_index, (block, gram) in enumerate(cert.blocks):
         G = gram_to_complex(gram)
         eig = hermitian_eig(G)
@@ -277,20 +341,17 @@ def eval_certificate_numeric(cert: Certificate, A, B) -> float:
                 f"block {block_index}: Gram matrix is numerically indefinite "
                 f"(min eigenvalue {eig.eigenvalues[0]:.3e}); verify exactly first"
             )
+        positive = eig.eigenvalues > 0.0
         sandwiches = []
         for word in block.basis:
-            M = word_matrix(A, B, word)
+            M = _word_product(A, B, word)
             if block.prefix is not None:
                 M = half[block.prefix] @ M
             if block.suffix is not None:
                 M = M @ half[block.suffix]
-            sandwiches.append(M)
-        for l in range(gram.dimension):
-            lam = eig.eigenvalues[l]
-            if lam <= 0.0:
-                continue
-            C = np.zeros_like(A)
-            for j in range(gram.dimension):
-                C = C + eig.vectors[j, l] * sandwiches[j]
-            total += lam * float(np.vdot(C, C).real)
-    return float(total)
+            sandwiches.append(M.reshape(M.shape[0], -1))
+        # (k, d) @ (m, d, n*n): row l of slice i is C_l for pair i, flattened
+        C = eig.vectors[:, positive].T @ np.stack(sandwiches, axis=1)
+        norms = (C.real ** 2 + C.imag ** 2).sum(axis=-1)
+        total = total + (norms * eig.eigenvalues[positive]).sum(axis=-1)
+    return float(total[0]) if single else total

@@ -6,6 +6,12 @@ the word-sum trace ``numeric.trace_hurwitz_numeric``.  The coefficient
 runner samples PSD pairs and checks that every word-sum trace for
 r = 0..p is nonnegative up to roundoff.  Both emit one record per trial so failures are
 reproducible from the recorded seed alone.
+
+Each runner draws every trial's pair on its own, from its own seed, then
+evaluates all trials of one dimension as one stack of shape (m, n, n):
+one call of the trace and of the certificate evaluator per dimension,
+not per trial.  A slice's value does not depend on the rest of its
+stack, so a row equals, bit for bit, the row of the same seed run alone.
 """
 
 from __future__ import annotations
@@ -28,6 +34,19 @@ from .numeric import (
 )
 
 
+def _check_tolerance(name: str, tol: object) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < inf:
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+
+
+def _indices_by_dimension(dims: List[int]) -> Dict[int, List[int]]:
+    """Row indices grouped by their matrix dimension, in order of first use."""
+    groups: Dict[int, List[int]] = {}
+    for index, n in enumerate(dims):
+        groups.setdefault(n, []).append(index)
+    return groups
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Shared knobs for the trial runners.
@@ -47,9 +66,7 @@ class TrialConfig:
             raise ValueError("seed must be an integer")
         if not is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        tol = self.tol_rel
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < inf:
-            raise ValueError("tol_rel must be a finite positive number")
+        _check_tolerance("tol_rel", self.tol_rel)
         if not self.dims or any(not is_int(n) or n < 1 for n in self.dims):
             raise ValueError("dims must be positive integers")
         # either runner numbers its trials seed, seed + 1, ..., at most
@@ -124,10 +141,8 @@ class TrialReport:
 
 
 def _trial_row(
-    cert: Certificate, A, B, n: int, label: str, tol_rel: float
+    cert: Certificate, n: int, label: str, oracle: float, value: float, tol_rel: float
 ) -> TrialRow:
-    oracle = trace_hurwitz_numeric(A, B, cert.p, cert.r)
-    value = eval_certificate_numeric(cert, A, B)
     diff = abs(value - oracle)
     passed = diff <= tol_rel * (1.0 + abs(oracle))
     return TrialRow(
@@ -159,25 +174,26 @@ def validate_certificate_trials(
     float discrepancy between the two evaluation routes.
     """
     config = config or TrialConfig()
-    rows: List[TrialRow] = []
-
-    A = np.array([[2.0]], dtype=np.complex128)
-    B = np.array([[3.0]], dtype=np.complex128)
-    rows.append(_trial_row(cert, A, B, 1, "scalar(2,3)", config.tol_rel))
-
-    for n in config.dims:
-        eye = np.eye(n, dtype=np.complex128)
-        rows.append(_trial_row(cert, eye, eye, n, "identity", config.tol_rel))
-
-    counter = 0
+    # (n, label, A, B) in row order
+    trials = [(1, "scalar(2,3)", np.array([[2.0]]), np.array([[3.0]]))]
+    trials += [(n, "identity", np.eye(n), np.eye(n)) for n in config.dims]
+    trial_seed = config.seed
     for n in config.dims:
         for _ in range(config.trials):
-            trial_seed = config.seed + counter
-            counter += 1
             A = random_psd(n, derive_seed(trial_seed, 0))
             B = random_psd(n, derive_seed(trial_seed, 1))
-            rows.append(
-                _trial_row(cert, A, B, n, str(trial_seed), config.tol_rel)
+            trials.append((n, str(trial_seed), A, B))
+            trial_seed += 1
+
+    rows: List[Optional[TrialRow]] = [None] * len(trials)
+    for n, indices in _indices_by_dimension([t[0] for t in trials]).items():
+        A = np.stack([trials[i][2] for i in indices])
+        B = np.stack([trials[i][3] for i in indices])
+        oracles = trace_hurwitz_numeric(A, B, cert.p, cert.r)
+        values = eval_certificate_numeric(cert, A, B)
+        for i, oracle, value in zip(indices, oracles, values):
+            rows[i] = _trial_row(
+                cert, n, trials[i][1], float(oracle), float(value), config.tol_rel
             )
     return TrialReport(rows=tuple(rows), tol_rel=config.tol_rel)
 
@@ -238,11 +254,10 @@ class CoefficientReport:
         }
 
 
-def coefficient_trial(p: int, n: int, trial_seed: int, tol: float) -> CoefficientRow:
-    """Sample one PSD pair and check all p+1 coefficients for nonnegativity."""
-    A = random_psd(n, derive_seed(trial_seed, 0))
-    B = random_psd(n, derive_seed(trial_seed, 1))
-    coeffs = bmv_coefficients(A, B, p)
+def _coefficient_row(
+    p: int, n: int, trial_seed: int, coeffs: np.ndarray, tol: float
+) -> CoefficientRow:
+    """Check one pair's p+1 coefficients for nonnegativity."""
     biggest = float(np.max(np.abs(coeffs)))
     threshold = tol * (1.0 + biggest)
     smallest = float(np.min(coeffs))
@@ -264,12 +279,18 @@ def bmv_check_trials(
 
     Dimensions cycle through ``config.dims`` so the trial count is the
     total, not per dimension.  Each row records the seed that generated
-    its PSD pair, so any failure can be replayed exactly.
+    its PSD pair, so any failure can be replayed exactly.  ``tol`` must
+    be a finite positive number.
     """
     check_degrees(p, 0)
+    _check_tolerance("tol", tol)
     config = config or TrialConfig(dims=(2, 3, 4))
-    rows = []
-    for t in range(config.trials):
-        n = config.dims[t % len(config.dims)]
-        rows.append(coefficient_trial(p, n, config.seed + t, tol))
+    dims = [config.dims[t % len(config.dims)] for t in range(config.trials)]
+    rows: List[Optional[CoefficientRow]] = [None] * config.trials
+    for n, indices in _indices_by_dimension(dims).items():
+        seeds = [config.seed + t for t in indices]
+        A = np.stack([random_psd(n, derive_seed(s, 0)) for s in seeds])
+        B = np.stack([random_psd(n, derive_seed(s, 1)) for s in seeds])
+        for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p)):
+            rows[t] = _coefficient_row(p, n, seed, coeffs, tol)
     return CoefficientReport(rows=tuple(rows), tol=tol)

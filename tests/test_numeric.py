@@ -332,3 +332,16 @@ def test_eval_certificate_rejects_indefinite_gram():
     B = random_psd(2, seed=71)
     with pytest.raises(NotPsdError):
         eval_certificate_numeric(bad, A, B)
+
+
+def test_samplers_reject_bad_dimension_and_seed():
+    for sampler in (random_psd, random_hermitian):
+        for n in (0, -1, 1.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError, match="n must be a positive int"):
+                sampler(n, 1)
+        # mix64 reduces seeds modulo 2^64, so 2^64 would alias seed 0
+        for seed in (-1, 2**64, 2**70, 1.5, True, "1", None):
+            with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
+                sampler(2, seed)
+        assert sampler(2, 2**64 - 1).shape == (2, 2)
+        assert not np.array_equal(sampler(2, 2**64 - 1), sampler(2, 0))

@@ -159,3 +159,13 @@ def test_trial_report_types():
     report = validate_certificate_trials(cert, TrialConfig(dims=(1,), trials=1))
     assert isinstance(report, TrialReport)
     assert report.all_passed == (len(report.failures) == 0)
+
+
+def test_bmv_trials_reject_bad_tol():
+    # a negative or NaN tolerance would mark every row FAILED
+    config = TrialConfig(dims=(2,), trials=1)
+    for tol in (-1, -1e-9, 0, 0.0, math.nan, math.inf, -math.inf, True, False, "1e-9", None):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            bmv_check_trials(5, config, tol=tol)
+    for tol in (1, 1e-9, 1e300):
+        assert bmv_check_trials(5, config, tol=tol).all_passed
