@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .certificate import Certificate, GramMatrix
-from .words import check_degrees, check_word, is_int
+from .words import check_degrees, is_int
 
 
 # Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
@@ -144,28 +144,35 @@ def random_psd(n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigResult:
-    """Eigenvalues ascending, eigenvector columns aligned with them."""
+    """Eigenvalues ascending, eigenvector columns aligned with them.
+
+    For a stack (m, n, n) both carry a leading axis of length m.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
 
 def _checked_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """M as a finite complex128 square matrix, or with ``stack`` also a stack (m, n, n)."""
+    """M as a finite square matrix, or with ``stack`` also a stack (m, n, n).
+
+    A real input (bool, integer or float) becomes float64, so its
+    eigensystem is real; any other input becomes complex128.
+    """
     M = np.asarray(M)
     if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-1] != M.shape[-2]:
         what = "square or a stack of square matrices" if stack else "square"
         raise ValueError(f"{name} must be {what}, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {M.shape}")
-    M = M.astype(np.complex128, copy=False)
+    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=False)
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
 def _checked_pair(A, B, stack: bool = False):
-    """A and B as complex128 arrays: finite, square and of equal shape."""
+    """A and B as checked arrays: finite, square and of equal shape."""
     A = _checked_square(A, "A", stack)
     B = _checked_square(B, "B", stack)
     if A.shape != B.shape:
@@ -193,19 +200,27 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def hermitian_eig(H) -> EigResult:
-    """Full eigensystem of a Hermitian matrix via LAPACK ``eigh``.
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.sqrt(np.square(np.abs(M)).sum(axis=(-2, -1)))
 
-    The input is symmetrized as (H + H*)/2 first; an input that is far
-    from Hermitian is rejected.  Raises ConvergenceError if LAPACK does
-    not converge.
+
+def hermitian_eig(H) -> EigResult:
+    """Eigensystem of a Hermitian matrix, or of each matrix of a stack (m, n, n).
+
+    Computed by LAPACK ``eigh`` on (H + H*)/2; a real input gets a real
+    eigensystem.  An input far from Hermitian is rejected, naming its
+    stack index.  Raises ConvergenceError if LAPACK does not converge.
+    A stack gives eigenvalues of shape (m, n) and vectors (m, n, n).
     """
-    H = _checked_square(H)
-    fro = float(np.linalg.norm(H))
-    if float(np.linalg.norm(H - H.conj().T)) > 1e-8 * (1.0 + fro):
-        raise ValueError("matrix is not Hermitian")
+    H = _checked_square(H, stack=True)
+    adjoint = _adjoint(H)
+    off = _frobenius(H - adjoint) > 1e-8 * (1.0 + _frobenius(H))
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
     try:
-        w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+        w, V = np.linalg.eigh((H + adjoint) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return EigResult(w, V)
@@ -216,29 +231,21 @@ def psd_sqrt(A) -> np.ndarray:
 
     Eigenvalues below zero by more than ``PSD_NEG_TOL * (1 + ||A||_F)``
     are an error; smaller dips are treated as roundoff and clamped to zero.
-    The stack is checked and diagonalized as a whole, like
-    :func:`hermitian_eig` on each slice.
+    The input is checked and diagonalized by :func:`hermitian_eig`, and
+    ||A||_F is read off its eigenvalues.
     """
-    A = _checked_square(A, stack=True)
-    single = A.ndim == 2
-    H = A[np.newaxis] if single else A
-    scale = 1.0 + np.linalg.norm(H, axis=(-2, -1))
-    off = np.linalg.norm(H - _adjoint(H), axis=(-2, -1)) > 1e-8 * scale
-    if off.any():
-        raise ValueError(f"matrix{_which(single, int(np.argmax(off)))} is not Hermitian")
-    try:
-        w, V = np.linalg.eigh((H + _adjoint(H)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    low = w[:, 0] < -PSD_NEG_TOL * scale
+    eig = hermitian_eig(A)
+    w, V = eig.eigenvalues, eig.vectors
+    single = w.ndim == 1
+    lowest = np.ravel(w[..., 0])
+    low = lowest < -PSD_NEG_TOL * (1.0 + np.ravel(np.sqrt(np.square(w).sum(axis=-1))))
     if low.any():
         k = int(np.argmax(low))
         raise NotPsdError(
-            f"matrix{_which(single, k)} has negative eigenvalue {w[k, 0]:.6e}"
+            f"matrix{_which(single, k)} has negative eigenvalue {lowest[k]:.6e}"
         )
-    S = (V * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ _adjoint(V)
-    S = (S + _adjoint(S)) / 2.0
-    return S[0] if single else S
+    S = (V * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _adjoint(V)
+    return (S + _adjoint(S)) / 2.0
 
 
 # ------------------------------------------------------------------
@@ -250,18 +257,6 @@ def _word_product(A: np.ndarray, B: np.ndarray, word: str) -> np.ndarray:
     for ch in word[1:]:
         M = M @ (A if ch == "A" else B)
     return M
-
-
-def word_matrix(A, B, word: str) -> np.ndarray:
-    """Product of the matrices spelled by ``word`` (A and B full letters)."""
-    check_word(word)
-    A, B = _checked_pair(A, B)
-    return _word_product(A, B, word)
-
-
-def trace_word_product(A, B, word: str) -> complex:
-    """Trace of the product spelled by ``word``."""
-    return complex(np.trace(word_matrix(A, B, word)))
 
 
 def trace_hurwitz_numeric(A, B, p: int, r: int):
@@ -317,6 +312,8 @@ def gram_to_complex(gram: GramMatrix) -> np.ndarray:
     return out
 
 
+# overflow is reported as an ArithmeticError, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def eval_certificate_numeric(cert: Certificate, A, B):
     """Evaluate a certificate as an explicit sum of squared Frobenius norms.
 
@@ -328,6 +325,8 @@ def eval_certificate_numeric(cert: Certificate, A, B):
     exact expansion, which is what makes it a meaningful cross-check.
     A pair gives a float; a stack of m pairs gives a float vector of
     length m, with each Gram eigensystem computed once for the stack.
+    A total that overflows to inf or NaN raises ArithmeticError naming
+    the block and, for a stack, the pair.
     """
     A, B, single = _pair_stack(A, B)
     half: Dict[str, np.ndarray] = {"a": psd_sqrt(A), "b": psd_sqrt(B)}
@@ -336,7 +335,7 @@ def eval_certificate_numeric(cert: Certificate, A, B):
         G = gram_to_complex(gram)
         eig = hermitian_eig(G)
         scale = 1.0 + float(np.linalg.norm(G))
-        if eig.eigenvalues[0] < -1e-9 * scale:
+        if eig.eigenvalues[0] < -PSD_NEG_TOL * scale:
             raise NotPsdError(
                 f"block {block_index}: Gram matrix is numerically indefinite "
                 f"(min eigenvalue {eig.eigenvalues[0]:.3e}); verify exactly first"
@@ -354,4 +353,11 @@ def eval_certificate_numeric(cert: Certificate, A, B):
         C = eig.vectors[:, positive].T @ np.stack(sandwiches, axis=1)
         norms = (C.real ** 2 + C.imag ** 2).sum(axis=-1)
         total = total + (norms * eig.eigenvalues[positive]).sum(axis=-1)
+        bad = ~np.isfinite(total)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ArithmeticError(
+                f"block {block_index}: sum of squares{_which(single, k)} is not "
+                f"finite ({total[k]}); it exceeds double precision"
+            )
     return float(total[0]) if single else total

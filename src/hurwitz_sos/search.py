@@ -7,45 +7,44 @@ prescribes the sum of the Gram entries of each class.  When every class
 has a single member the whole Gram matrix is forced and both
 feasibility and infeasibility are decided exactly.  Otherwise the
 search alternates projections between the affine slice (class-sum
-constraints) and the PSD cone in floating point, with a decreasing
-eigenvalue floor so it prefers interior points.  Every ``ROUND_EVERY``
-iterations, on convergence and after the last projection, it rounds the
-point to small-denominator rationals at each rung q of a denominator
-ladder, restores the class sums exactly, and keeps a candidate only if
-every block passes the exact PSD check and the assembled certificate
-then passes full exact verification.  Infeasible underdetermined
-systems therefore come back as unknown, not as a proof.
+constraints) and the PSD cone in real floating point, with a decreasing
+eigenvalue floor so it prefers interior points; the target's
+coefficients are integers, so real iterates lose nothing.  Every
+``ROUND_EVERY`` iterations, on convergence and after the last
+projection, it rounds the point to the grid 1/q at each rung q of a
+denominator ladder, restores the class sums exactly, and keeps a
+candidate only if every block passes the exact PSD check and the
+assembled certificate then passes full exact verification.  Infeasible
+underdetermined systems therefore come back as unknown, not as a proof.
 
 Two float filters drop rungs whose exact candidate provably fails the
 exact PSD check, so they never change which rung is accepted:
 
 * **Weyl margin, once per rounding round.**  Let F_b be block b of the
   float point with its class sums restored in float, λ_b its smallest
-  eigenvalue and d_b its dimension.  At denominator q every component
-  of every entry moves by at most 1/(2q) in rounding and by at most as
-  much again in the exact restoration (a class's share is the mean of
-  its rounding errors), so each entry of the exact candidate G_q lies
-  within √2/q of F_b, and Hermitizing averages entries so keeps that.
-  Hence ‖G_q − F_b‖₂ ≤ ‖G_q − F_b‖_F ≤ d_b·√2/q, and by Weyl's
+  eigenvalue and d_b its dimension.  At denominator q every entry moves
+  by at most 1/(2q) in rounding to the grid 1/q and by at most as much
+  again in the exact restoration (a class's share is the mean of its
+  rounding errors), so each entry of the exact candidate G_q lies within
+  1/q of F_b, up to float error that the slack absorbs, and
+  Hermitizing averages entries so keeps that.  Hence
+  ‖G_q − F_b‖₂ ≤ ‖G_q − F_b‖_F ≤ d_b/q ≤ d_b·√2/q, and by Weyl's
   inequality λ_min(G_q) ≤ λ_b + d_b·√2/q.  When λ_b < −slack, every
   rung q > d_b·√2/(−λ_b − slack) has λ_min(G_q) < 0.  Those rungs are a
   suffix of the ladder: a larger q moves the point less, so the
   negative eigenvalue survives.  When every λ_b ≥ −slack no rung is
   skipped.
-* **Float twin, once per remaining rung.**  The rounded pairs (n, d)
-  are also read as floats n/d, restored and Hermitized in float, and
-  the rung is rejected when some block's smallest eigenvalue is below
-  −slack.  The twin differs from the exact candidate only by the
-  rounding of each n/d to a float and by float restoration error,
-  O(count·eps·scale), and LAPACK's backward error is O(d·eps·‖T‖); all
-  are far below the slack, so a twin eigenvalue below −slack means the
-  exact candidate has a negative eigenvalue too.
+* **Float twin, once per remaining rung.**  The exact candidate is held
+  as integer blocks K over one denominator D, and the twin is its float
+  image K/D.  The two differ only by the rounding of each entry to a
+  float, a few eps relative, and LAPACK's backward error is
+  O(d·eps·‖K/D‖); both are far below the slack, so a twin eigenvalue
+  below −slack means the exact candidate has a negative eigenvalue too.
 
 The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with Σ|T| the sum of the
-moduli of every entry of the float point being tested.  A rung that
-passes both filters is rounded exactly from the same integer pairs and
-checked exactly; ``verify_against`` stays the last word on every
-returned certificate.
+moduli of every entry of the float point being tested.  Only a rung
+that passes both filters builds Fractions for the exact PSD check;
+``verify_against`` stays the last word on every returned certificate.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .certificate import (
     verify_against,
 )
 from .numeric import SEED_LIMIT, derive_seed, gaussian_stream, hermitian_eig
-from .rational import ZERO, GaussianRational
+from .rational import GaussianRational
 from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 
 # Residual at which a projection phase counts as converged.
@@ -198,6 +197,13 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Knobs of ``feasibility_search``.
+
+    ``seed`` picks the random start, ``max_iters`` bounds the projection
+    rounds, and ``denom_bound`` is the largest grid denominator q: rung q
+    rounds every Gram entry to a multiple of 1/q.
+    """
+
     seed: int = 0
     max_iters: int = 5000
     denom_bound: int = 10_000
@@ -222,8 +228,9 @@ class SearchOutcome:
     CERTIFICATE, a (witness vector, block index, form value) triple for
     INFEASIBLE, nothing for UNKNOWN.  The three ``rungs_*`` counts say
     what happened to each denominator rung the search visited: skipped
-    by the Weyl margin, rejected by the float twin, or rounded and
-    checked exactly.  They add up to the number of rungs visited.
+    by the Weyl margin, rejected by the float twin of its exact
+    candidate, or checked exactly.  They add up to the number of rungs
+    visited.
     """
 
     status: SearchStatus
@@ -283,27 +290,24 @@ def _decide_forced(
 # ------------------------------------------------------------------
 
 def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
-    """Complex sum of each class's Gram entries.
+    """Sum of each class's Gram entries.
 
     ``np.bincount`` adds the entries of a class in input order, which is
-    (block, j, k) order, separately for the real and imaginary parts, so
-    every sum equals the sequential per-entry sum bit for bit.
+    (block, j, k) order, so every sum equals the sequential per-entry sum
+    bit for bit.
     """
-    flat = np.concatenate([M.ravel() for M in mats])
-    sums = np.bincount(ids, flat.real).astype(np.complex128)
-    sums.imag = np.bincount(ids, flat.imag)
-    return sums
+    return np.bincount(ids, np.concatenate([M.ravel() for M in mats]))
 
 
 def _project_affine(
     mats: List[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
 ) -> None:
-    """Shift each class's entries evenly to the prescribed sum, then re-Hermitize."""
+    """Shift each class's entries evenly to the prescribed sum, then re-symmetrize."""
     shift = (goal - _group_sums(mats, cmap.ids)) / cmap.counts
     for M, index in zip(mats, cmap.index):
         M += shift[index]
     for bi in range(len(mats)):
-        mats[bi] = (mats[bi] + mats[bi].conj().T) / 2.0
+        mats[bi] = (mats[bi] + mats[bi].T) / 2.0
 
 
 def _project_psd(mats: List[np.ndarray], floor: float) -> None:
@@ -311,42 +315,14 @@ def _project_psd(mats: List[np.ndarray], floor: float) -> None:
     for bi in range(len(mats)):
         eig = hermitian_eig(mats[bi])
         w = np.clip(eig.eigenvalues, floor, None)
-        M = (eig.vectors * w) @ eig.vectors.conj().T
-        mats[bi] = (M + M.conj().T) / 2.0
+        M = (eig.vectors * w) @ eig.vectors.T
+        mats[bi] = (M + M.T) / 2.0
 
 
 def _denominator_ladder(bound: int) -> List[int]:
     base = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096]
     ladder = sorted({d for d in base if d <= bound} | {bound})
     return ladder
-
-
-def _nearest(x: float, bound: int) -> Tuple[int, int]:
-    """``Fraction(x).limit_denominator(bound)`` as a (numerator, denominator) pair.
-
-    The same continued-fraction walk, run on ``x.as_integer_ratio()`` in
-    plain integers, with the same tie rule: of the last convergent and
-    the best semiconvergent, the convergent wins a tie.  The pair is
-    coprime and its denominator positive.
-    """
-    n, d = x.as_integer_ratio()
-    if d <= bound:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (bound - q0) // q1
-    ps, qs = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |ps/qs - n/d|, cross-multiplied
-    if abs(p1 * d - n * q1) * qs <= abs(ps * d - n * qs) * q1:
-        return p1, q1
-    return ps, qs
 
 
 def _slack(mats: Sequence[np.ndarray]) -> float:
@@ -375,75 +351,70 @@ def _margin_cutoff(
     return cutoff
 
 
-def _twin_passes(twin: List[np.ndarray], cmap: ConstraintMap, goal: np.ndarray) -> bool:
-    """Whether the float twin of a rounded candidate is PSD up to the slack.
-
-    ``twin`` holds the rounded entries as floats; its class sums are
-    restored in place, as the exact path restores the candidate's.
-    """
-    _project_affine(twin, cmap, goal)
+def _twin_passes(twin: Sequence[np.ndarray]) -> bool:
+    """Whether the float image of an exact candidate is PSD up to the slack."""
     slack = _slack(twin)
     return all(hermitian_eig(M).eigenvalues[0] >= -slack for M in twin)
+
+
+def _exact_candidate(
+    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray, q: int
+) -> Tuple[List[np.ndarray], int]:
+    """The rung-q candidate as integer blocks K over one denominator D.
+
+    One ``np.rint(q·M)`` puts every entry on the grid 1/q.  Each class's
+    share (t − s)/n of the gap between its target t and its rounded sum
+    s is added to each of its n entries, and each block is replaced by
+    the average of it and its transpose.  Over D = 2·q·lcm(counts) every
+    share and every average is an integer, so K holds Python ints and
+    the candidate is exactly K/D; ``goal`` must hold integers.
+    """
+    lcm = math.lcm(*cmap.counts.tolist())
+    flat = np.rint(q * np.concatenate([M.ravel() for M in mats]))
+    rounded = np.array([int(x) for x in flat.tolist()], dtype=object)
+    sums = np.zeros(len(cmap.classes), dtype=object)
+    np.add.at(sums, cmap.ids, rounded)
+    shares = (lcm // cmap.counts.astype(object)) * (q * goal.astype(object) - sums)
+    # half of each restored numerator over D; K = half + halfᵀ
+    half = lcm * rounded + shares[cmap.ids]
+    blocks, start = [], 0
+    for index in cmap.index:
+        X = half[start:start + index.size].reshape(index.shape)
+        blocks.append(X + X.T)
+        start += index.size
+    return blocks, 2 * q * lcm
 
 
 def _round_candidate(
     mats: Sequence[np.ndarray],
     cmap: ConstraintMap,
     target: TracePolynomial,
-    bound: int,
+    q: int,
     goal: np.ndarray,
     tally: Counter,
 ) -> Optional[Certificate]:
-    """Round floats to denominator <= bound, restore class sums exactly, verify.
+    """Round to the grid 1/q, restore class sums exactly, verify.
 
-    Every real and imaginary part is rounded to an integer pair by
-    ``_nearest``.  The float twin of the candidate is checked first; a
-    rung it rejects cannot pass the exact PSD check (see the module
-    docstring) and is tallied under ``rungs_float_rejected``.  Any other
-    rung is tallied under ``rungs_exact``: the same pairs become Gaussian
-    rationals, the class sums are restored exactly and the blocks
-    Hermitized, so they match the target by construction.  Each block
-    is then put through the exact PSD check alone, and only when all
-    pass is the certificate assembled and fully verified.
+    The float twin of the exact candidate is checked first; a rung it
+    rejects cannot pass the exact PSD check (see the module docstring)
+    and is tallied under ``rungs_float_rejected``.  Any other rung is
+    tallied under ``rungs_exact``: each block's entries become Fractions
+    and go through the exact PSD check alone, and only when all pass is
+    the certificate assembled and fully verified.
     """
-    pairs = [
-        [[(_nearest(z.real, bound), _nearest(z.imag, bound)) for z in row] for row in M.tolist()]
-        for M in mats
-    ]
-    twin = [
-        np.array([[complex(nr / dr, ni / di) for (nr, dr), (ni, di) in row] for row in rows])
-        for rows in pairs
-    ]
-    if not _twin_passes(twin, cmap, goal):
+    blocks, denom = _exact_candidate(mats, cmap, goal, q)
+    if not _twin_passes([K.astype(np.float64) / float(denom) for K in blocks]):
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
-    # every entry in (block, j, k) order, the order of ``cmap.ids``
-    flat = [
-        GaussianRational(Fraction(*x), Fraction(*y))
-        for rows in pairs for row in rows for x, y in row
-    ]
-    ids = cmap.ids.tolist()
-    sums = [ZERO] * len(cmap.classes)
-    for x, c in zip(flat, ids):
-        sums[c] = sums[c] + x
-    shares = [
-        (target.coefficient(cls) - s) / n
-        for cls, s, n in zip(cmap.classes, sums, cmap.counts.tolist())
-    ]
-    restored = (x if shares[c].is_zero else x + shares[c] for x, c in zip(flat, ids))
     grams = []
-    for block in cmap.blocks:
-        d = block.dimension
-        rows = [[next(restored) for _k in range(d)] for _j in range(d)]
-        for j in range(d):
-            for k in range(j, d):
-                mean = (rows[j][k] + rows[k][j].conjugate()) / 2
-                rows[j][k] = mean
-                rows[k][j] = mean.conjugate()
-        grams.append(GramMatrix.from_rows(rows))
-    if not all(psd_check_exact(gram).psd for gram in grams):
-        return None
+    for K in blocks:
+        gram = GramMatrix.from_rows(
+            [[Fraction(x, denom) for x in row] for row in K.tolist()]
+        )
+        if not psd_check_exact(gram).psd:
+            return None
+        grams.append(gram)
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
 
@@ -462,9 +433,9 @@ def _round_iterate(
     tallied under ``rungs_skipped`` once every rung below has failed.
     """
     cutoff = _margin_cutoff(mats, cmap, goal)
-    allowed = [bound for bound in ladder if bound <= cutoff]
-    for bound in allowed:
-        cert = _round_candidate(mats, cmap, target, bound, goal, tally)
+    allowed = [q for q in ladder if q <= cutoff]
+    for q in allowed:
+        cert = _round_candidate(mats, cmap, target, q, goal, tally)
         if cert is not None:
             return cert
     tally["rungs_skipped"] += len(ladder) - len(allowed)
@@ -492,7 +463,8 @@ def feasibility_search(
     if forced is not None:
         return _decide_forced(cmap, target, forced)
 
-    goal = np.array([complex(target.coefficient(cls)) for cls in cmap.classes])
+    # hurwitz_expand counts words, so every class coefficient is an integer
+    goal = np.array([int(target.coefficient(cls).re) for cls in cmap.classes])
     scale = max([1.0] + np.abs(goal).tolist())
     ladder = _denominator_ladder(opts.denom_bound)
 
@@ -501,7 +473,7 @@ def feasibility_search(
         d = block.dimension
         g = gaussian_stream(derive_seed(opts.seed, 1000 + bi), d * d)
         X = g.reshape(d, d) * scale
-        mats.append(((X + X.T) / 2.0).astype(np.complex128))
+        mats.append((X + X.T) / 2.0)
 
     # Floor phases: prefer interior points (robust to rounding), fall back
     # to the plain cone for targets whose solutions all sit on the boundary.

@@ -35,7 +35,13 @@ from .numeric import (
 
 
 def _check_tolerance(name: str, tol: object) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < inf:
+    """Accept an int or float whose float value is finite and positive."""
+    ok = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    try:
+        ok = ok and 0 < float(tol) < inf
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 

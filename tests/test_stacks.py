@@ -19,6 +19,7 @@ from hurwitz_sos.numeric import (
     eval_certificate_numeric,
     gaussian_stream,
     gram_to_complex,
+    hermitian_eig,
     psd_sqrt,
     random_psd,
     trace_hurwitz_numeric,
@@ -123,6 +124,35 @@ def test_stacked_psd_sqrt_and_certificate_equal_slices(n, m):
         assert close(got, [per_pair_certificate(cert, a, b) for a, b in zip(A, B)])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 7])
+def test_stacked_hermitian_eig_equals_slices(n, m):
+    A = psd_stack(n, m, 30 * n + m) - np.eye(n)
+    for H in (A, A.real.copy()):
+        eig = hermitian_eig(H)
+        assert eig.eigenvalues.shape == (m, n) and eig.vectors.shape == (m, n, n)
+        assert eig.vectors.dtype == H.dtype
+        for k, h in enumerate(H):
+            alone = hermitian_eig(h)
+            assert close(eig.eigenvalues[k], alone.eigenvalues)
+            V, w = eig.vectors[k], eig.eigenvalues[k]
+            assert close((V * w) @ V.conj().T, h)
+
+
+def test_certificate_overflow_names_block_and_slice():
+    cert = bundled_certificate("p7r3.json")
+    I = np.eye(2)
+    # the squares of these sandwiches overflow to inf, and to NaN
+    for A, B, value in ((1e60 * I, 1e60 * I, "inf"), (1e200 * I, I, "nan")):
+        with pytest.raises(ArithmeticError, match=rf"block 0: sum of squares is not finite \({value}\)"):
+            eval_certificate_numeric(cert, A, B)
+    A, B = psd_stack(2, 5, 1), psd_stack(2, 5, 2)
+    A[3] = 1e60 * I
+    B[3] = 1e60 * I
+    with pytest.raises(ArithmeticError, match=r"block 0: sum of squares \(stack index 3\) is not finite"):
+        eval_certificate_numeric(cert, A, B)
+
+
 def test_a_pair_keeps_its_scalar_types():
     A, B = random_psd(3, 1), random_psd(3, 2)
     cert = bundled_certificate("p7r3.json")
@@ -168,7 +198,7 @@ BAD_SLICES = (
     ("inf", np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]]), ("trace", "bmv", "cert")),
     ("non-Hermitian", *NON_HERMITIAN, ("trace", "bmv", "sqrt", "cert")),
     ("indefinite", -np.eye(2), np.eye(2), ("sqrt", "cert")),
-    ("overflow", 1e200 * np.eye(2), 1e200 * np.eye(2), ("trace", "bmv")),
+    ("overflow", 1e200 * np.eye(2), 1e200 * np.eye(2), ("trace", "bmv", "cert")),
 )
 
 CALLS = {
@@ -204,6 +234,10 @@ def test_bad_slice_message_names_its_index():
     A[3] = -np.eye(2)
     with pytest.raises(NotPsdError, match=r"stack index 3\) has negative"):
         psd_sqrt(A)
+    A[3] = NON_HERMITIAN[0]
+    for entry in (hermitian_eig, psd_sqrt):
+        with pytest.raises(ValueError, match=r"stack index 3\) is not Hermitian"):
+            entry(A)
 
 
 # ------------------------------------------------------------------ runners replay
