@@ -274,16 +274,6 @@ class PsdCheckResult:
     pivots: Tuple[Fraction, ...]
 
 
-def _normalize_witness(vec: List[GaussianRational]) -> Tuple[GaussianRational, ...]:
-    for x in vec:
-        if x.is_zero:
-            continue
-        if x.re < 0 or (x.re == 0 and x.im < 0):
-            return tuple(-y for y in vec)
-        break
-    return tuple(vec)
-
-
 def _gram_integers(gram: GramMatrix) -> Tuple[int, List[List[int]], List[List[int]]]:
     """``(L, Tre, Tim)``: L the lcm of the entry denominators, Tre + i Tim = L G.
 
@@ -297,8 +287,31 @@ def _gram_integers(gram: GramMatrix) -> Tuple[int, List[List[int]], List[List[in
     return scale, Tre, Tim
 
 
-def _inexact_step(x: int, divisor: int) -> ArithmeticError:
-    return ArithmeticError(f"fraction-free step: {divisor} does not divide {x}")
+def _witness(
+    start: Dict[int, Tuple[int, int]], den: int, done: List[int],
+    Tre: List[List[int]], Tim: List[List[int]],
+) -> Tuple[GaussianRational, ...]:
+    """The vector sum_k (start[k] / den) u_k, normalized as PsdCheckResult states.
+
+    Each start[k] is a Gaussian integer (re, im).  Pivot q ran
+    u_k <- u_k - (T[q][k] / T[q][q]) u_q, and row q of T is not written
+    after its pivot, so back-substitution in reversed pivot order gives
+    y[q] = -sum_k y[k] T[q][k] / T[q][q], here on integer numerators
+    over one denominator that takes the factor T[q][q].
+    """
+    y = dict(start)
+    for q in reversed(done):
+        rq, iq, d = Tre[q], Tim[q], Tre[q][q]
+        re = sum(a * rq[k] - b * iq[k] for k, (a, b) in y.items())
+        im = sum(a * iq[k] + b * rq[k] for k, (a, b) in y.items())
+        y = {k: (a * d, b * d) for k, (a, b) in y.items()}
+        y[q] = (-re, -im)
+        den *= d
+    vec = [y.get(t, (0, 0)) for t in range(len(Tre))]
+    a, b = next((z for z in vec if z != (0, 0)), (0, 0))
+    if a < 0 or (a == 0 and b < 0):
+        den = -den
+    return tuple(GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in vec)
 
 
 def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
@@ -314,72 +327,49 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
     of the Schur complement.  By Sylvester's identity every T' entry is
     a bordered minor of T, so each division is exact; it is done with
     ``divmod`` and a nonzero remainder raises ArithmeticError rather
-    than rounding.  The same update of v_i = delta u_i tracks, for every
-    remaining row i, a vector u_i with Schur complement entry
-    S[i][j] = T[i][j] / (delta L) = u_i* G u_j.
+    than rounding.  Only the end result goes back to rationals: pivot k
+    is minor_k / (minor_(k-1) L).
 
-    Only the end result goes back to rationals: pivot k is
-    minor_k / (minor_(k-1) L).  A negative diagonal entry gives the
-    witness u_i; a zero diagonal with a nonzero off-diagonal entry
-    s = S[i][j] gives u_j - s u_i, whose form value is exactly -2 |s|^2.
+    Each remaining entry is S[i][j] = T[i][j] / (delta L) = u_i* G u_j,
+    with u_i = e_i - sum over earlier pivots q of (T[q][i] / T[q][q]) u_q.
+    No u_i is kept while the check runs; on failure the witness is read
+    off the stored pivot rows.  A negative diagonal entry gives u_i; a
+    zero diagonal with a nonzero off-diagonal entry s = S[i][j] gives
+    u_j - s u_i, whose form value is exactly -2 |s|^2.
     """
-    n = gram.dimension
     scale, Tre, Tim = _gram_integers(gram)
-    # v_i = delta u_i as (vre[i], vim[i]); nonzero only at pivoted indices and i
-    vre = [[1 if i == t else 0 for t in range(n)] for i in range(n)]
-    vim = [[0] * n for _ in range(n)]
     delta = 1
-    remaining = list(range(n))
+    remaining = list(range(gram.dimension))
     done: List[int] = []
     pivots: List[Fraction] = []
-
-    def u(i: int) -> List[GaussianRational]:
-        return [GaussianRational(Fraction(x, delta), Fraction(y, delta))
-                for x, y in zip(vre[i], vim[i])]
 
     while remaining:
         for i in remaining:
             if Tre[i][i] < 0:
-                return PsdCheckResult(False, _normalize_witness(u(i)), tuple(pivots))
+                witness = _witness({i: (1, 0)}, 1, done, Tre, Tim)
+                return PsdCheckResult(False, witness, tuple(pivots))
         q = max(remaining, key=lambda i: Tre[i][i])
         d = Tre[q][q]
         if d == 0:
-            culprit = None
-            for i in remaining:
-                for j in remaining:
-                    if i < j and (Tre[i][j] or Tim[i][j]):
-                        culprit = (i, j)
-                        break
-                if culprit:
-                    break
+            culprit = next(((i, j) for i in remaining for j in remaining
+                            if i < j and (Tre[i][j] or Tim[i][j])), None)
             if culprit is None:
                 pivots.extend(Fraction(0) for _ in remaining)
                 break
+            # u_j - s u_i with s = T[i][j] / (delta L), over the denominator delta L
             i, j = culprit
-            s = GaussianRational(
-                Fraction(Tre[i][j], delta * scale), Fraction(Tim[i][j], delta * scale)
-            )
-            witness = [uj - s * ui for ui, uj in zip(u(i), u(j))]
-            return PsdCheckResult(False, _normalize_witness(witness), tuple(pivots))
+            start = {j: (delta * scale, 0), i: (-Tre[i][j], -Tim[i][j])}
+            witness = _witness(start, delta * scale, done, Tre, Tim)
+            return PsdCheckResult(False, witness, tuple(pivots))
         pivots.append(Fraction(d, delta * scale))
         remaining.remove(q)
         done.append(q)
         rq, iq = Tre[q], Tim[q]
-        vrq, viq = vre[q], vim[q]
         for pos, i in enumerate(remaining):
             # T[q][i] = a + b i; row i gets T[i][q] = conj(T[q][i])
             a, b = rq[i], iq[i]
-            vri, vii = vre[i], vim[i]
-            # the divisions are inline: these loops are the O(n^3) part
-            for t in done + [i]:
-                x, y = vrq[t], viq[t]
-                num_re = d * vri[t] - (a * x - b * y)
-                num_im = d * vii[t] - (a * y + b * x)
-                vri[t], rem_re = divmod(num_re, delta)
-                vii[t], rem_im = divmod(num_im, delta)
-                if rem_re or rem_im:
-                    raise _inexact_step(num_re if rem_re else num_im, delta)
             ri, ii = Tre[i], Tim[i]
+            # the divisions are inline: this loop is the O(n^3) part
             for j in remaining[pos:]:
                 c, e = rq[j], iq[j]
                 num_re = d * ri[j] - (a * c + b * e)
@@ -387,7 +377,10 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
                 re, rem_re = divmod(num_re, delta)
                 im, rem_im = divmod(num_im, delta)
                 if rem_re or rem_im:
-                    raise _inexact_step(num_re if rem_re else num_im, delta)
+                    x = num_re if rem_re else num_im
+                    raise ArithmeticError(
+                        f"fraction-free step: {delta} does not divide {x}"
+                    )
                 ri[j], ii[j] = re, im
                 Tre[j][i], Tim[j][i] = re, -im
         delta = d

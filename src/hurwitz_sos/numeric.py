@@ -171,20 +171,12 @@ def _checked_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return M
 
 
-def _checked_pair(A, B, stack: bool = False):
-    """A and B as checked arrays: finite, square and of equal shape."""
-    A = _checked_square(A, "A", stack)
-    B = _checked_square(B, "B", stack)
-    if A.shape != B.shape:
-        raise ValueError(
-            f"A and B must have equal shape, got {A.shape} and {B.shape}"
-        )
-    return A, B
-
-
 def _pair_stack(A, B):
     """A and B as checked stacks (m, n, n), and whether they were one pair."""
-    A, B = _checked_pair(A, B, stack=True)
+    A = _checked_square(A, "A", stack=True)
+    B = _checked_square(B, "B", stack=True)
+    if A.shape != B.shape:
+        raise ValueError(f"A and B must have equal shape, got {A.shape} and {B.shape}")
     single = A.ndim == 2
     if single:
         A, B = A[np.newaxis], B[np.newaxis]
@@ -205,6 +197,19 @@ def _frobenius(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(np.abs(M)).sum(axis=(-2, -1)))
 
 
+def _clearly_negative(w: np.ndarray) -> np.ndarray:
+    """Whether min(w) < -PSD_NEG_TOL (1 + ||w||) for ascending eigenvalues w, per row.
+
+    ||w|| is the Frobenius norm of the matrix whose eigenvalues are w.  The
+    check runs on w u, u = 1 / max(1, max |w|), as min(w u) < -PSD_NEG_TOL
+    (u + ||w u||), so a huge eigenvalue cannot overflow the norm.
+    """
+    u = 1.0 / np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
+    ws = w * u
+    norm = np.sqrt(np.square(ws).sum(axis=-1))
+    return ws[..., 0] < -PSD_NEG_TOL * (u[..., 0] + norm)
+
+
 def hermitian_eig(H) -> EigResult:
     """Eigensystem of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
@@ -215,10 +220,15 @@ def hermitian_eig(H) -> EigResult:
     """
     H = _checked_square(H, stack=True)
     adjoint = _adjoint(H)
-    off = _frobenius(H - adjoint) > 1e-8 * (1.0 + _frobenius(H))
-    if off.any():
-        k = int(np.argmax(off))
-        raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
+    # H == H* passes the tolerance below exactly, so skip its norms; they
+    # run on H u, u = 1 / max(1, max |H|), so a huge entry cannot overflow them
+    if not (H == adjoint).all():
+        u = 1.0 / np.abs(H).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        Hs = H * u
+        off = _frobenius(Hs - _adjoint(Hs)) > 1e-8 * (u[..., 0, 0] + _frobenius(Hs))
+        if off.any():
+            k = int(np.argmax(off))
+            raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
     try:
         w, V = np.linalg.eigh((H + adjoint) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -238,7 +248,7 @@ def psd_sqrt(A) -> np.ndarray:
     w, V = eig.eigenvalues, eig.vectors
     single = w.ndim == 1
     lowest = np.ravel(w[..., 0])
-    low = lowest < -PSD_NEG_TOL * (1.0 + np.ravel(np.sqrt(np.square(w).sum(axis=-1))))
+    low = np.ravel(_clearly_negative(w))
     if low.any():
         k = int(np.argmax(low))
         raise NotPsdError(
@@ -304,12 +314,8 @@ def bmv_coefficients(A, B, p: int) -> np.ndarray:
 
 def gram_to_complex(gram: GramMatrix) -> np.ndarray:
     """Gram matrix as a complex128 array."""
-    n = gram.dimension
-    out = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = complex(gram.at(j, k))
-    return out
+    rows = [[complex(z) for z in row] for row in gram.entries]
+    return np.array(rows, dtype=np.complex128)
 
 
 # overflow is reported as an ArithmeticError, not as a warning
@@ -334,8 +340,7 @@ def eval_certificate_numeric(cert: Certificate, A, B):
     for block_index, (block, gram) in enumerate(cert.blocks):
         G = gram_to_complex(gram)
         eig = hermitian_eig(G)
-        scale = 1.0 + float(np.linalg.norm(G))
-        if eig.eigenvalues[0] < -PSD_NEG_TOL * scale:
+        if _clearly_negative(eig.eigenvalues):
             raise NotPsdError(
                 f"block {block_index}: Gram matrix is numerically indefinite "
                 f"(min eigenvalue {eig.eigenvalues[0]:.3e}); verify exactly first"

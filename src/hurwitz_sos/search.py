@@ -300,29 +300,29 @@ def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
 
 
 def _project_affine(
-    mats: List[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
-) -> None:
-    """Shift each class's entries evenly to the prescribed sum, then re-symmetrize."""
-    shift = (goal - _group_sums(mats, cmap.ids)) / cmap.counts
-    for M, index in zip(mats, cmap.index):
-        M += shift[index]
-    for bi in range(len(mats)):
-        mats[bi] = (mats[bi] + mats[bi].T) / 2.0
+    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
+) -> Tuple[List[np.ndarray], float]:
+    """New blocks with each class's entries shifted evenly to the prescribed
+    sum, then re-symmetrized, and the largest class-sum gap that closes."""
+    gap = goal - _group_sums(mats, cmap.ids)
+    shift = gap / cmap.counts
+    shifted = [M + shift[index] for M, index in zip(mats, cmap.index)]
+    return [(M + M.T) / 2.0 for M in shifted], np.abs(gap).max()
 
 
-def _project_psd(mats: List[np.ndarray], floor: float) -> None:
-    """Clamp each block's eigenvalues from below at ``floor``."""
-    for bi in range(len(mats)):
-        eig = hermitian_eig(mats[bi])
-        w = np.clip(eig.eigenvalues, floor, None)
-        M = (eig.vectors * w) @ eig.vectors.T
-        mats[bi] = (M + M.T) / 2.0
+def _project_psd(mats: Sequence[np.ndarray], floor: float) -> List[np.ndarray]:
+    """New blocks with each block's eigenvalues clamped from below at ``floor``."""
+    clamped = []
+    for M in mats:
+        eig = hermitian_eig(M)
+        P = (eig.vectors * np.clip(eig.eigenvalues, floor, None)) @ eig.vectors.T
+        clamped.append((P + P.T) / 2.0)
+    return clamped
 
 
 def _denominator_ladder(bound: int) -> List[int]:
     base = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096]
-    ladder = sorted({d for d in base if d <= bound} | {bound})
-    return ladder
+    return sorted({d for d in base if d <= bound} | {bound})
 
 
 def _slack(mats: Sequence[np.ndarray]) -> float:
@@ -330,18 +330,14 @@ def _slack(mats: Sequence[np.ndarray]) -> float:
     return FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in mats))
 
 
-def _margin_cutoff(
-    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
-) -> float:
+def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
     """Largest denominator at which the rounded candidate can still be PSD.
 
-    The class sums of ``mats`` are restored in float; a block whose
-    smallest eigenvalue λ is below −slack bounds every rung by
-    d·√2/(−λ − slack), the Weyl bound of the module docstring.  The
-    result is ``math.inf`` when no block is that far below zero.
+    ``restored`` is the rounded point after the affine projection.  A
+    block whose smallest eigenvalue λ is below −slack bounds every rung
+    by d·√2/(−λ − slack), the Weyl bound of the module docstring, and
+    the result is ``math.inf`` when no block is that far below zero.
     """
-    restored = [M.copy() for M in mats]
-    _project_affine(restored, cmap, goal)
     slack = _slack(restored)
     cutoff = math.inf
     for M in restored:
@@ -421,6 +417,7 @@ def _round_candidate(
 
 def _round_iterate(
     mats: Sequence[np.ndarray],
+    restored: Sequence[np.ndarray],
     cmap: ConstraintMap,
     target: TracePolynomial,
     ladder: Sequence[int],
@@ -429,10 +426,11 @@ def _round_iterate(
 ) -> Optional[Certificate]:
     """First certificate on the denominator ladder, smallest rung first.
 
-    The rungs above the Weyl cutoff are a suffix of the ladder; they are
+    ``mats`` is rounded; the Weyl cutoff reads ``restored``, its affine
+    projection.  Rungs above the cutoff are a suffix of the ladder,
     tallied under ``rungs_skipped`` once every rung below has failed.
     """
-    cutoff = _margin_cutoff(mats, cmap, goal)
+    cutoff = _margin_cutoff(restored)
     allowed = [q for q in ladder if q <= cutoff]
     for q in allowed:
         cert = _round_candidate(mats, cmap, target, q, goal, tally)
@@ -468,12 +466,13 @@ def feasibility_search(
     scale = max([1.0] + np.abs(goal).tolist())
     ladder = _denominator_ladder(opts.denom_bound)
 
-    mats: List[np.ndarray] = []
+    start: List[np.ndarray] = []
     for bi, block in enumerate(cmap.blocks):
         d = block.dimension
         g = gaussian_stream(derive_seed(opts.seed, 1000 + bi), d * d)
         X = g.reshape(d, d) * scale
-        mats.append((X + X.T) / 2.0)
+        start.append((X + X.T) / 2.0)
+    mats, _gap = _project_affine(start, cmap, goal)
 
     # Floor phases: prefer interior points (robust to rounding), fall back
     # to the plain cone for targets whose solutions all sit on the boundary.
@@ -489,15 +488,15 @@ def feasibility_search(
     iterations = 0
     for phase, (floor, budget) in enumerate(phases):
         for step in range(budget):
-            _project_affine(mats, cmap, goal)
-            _project_psd(mats, floor)
+            # the PSD point is rounded; its affine projection starts the next step
+            point = _project_psd(mats, floor)
+            mats, residual = _project_affine(point, cmap, goal)
             iterations += 1
-            residual = np.abs(_group_sums(mats, cmap.ids) - goal).max()
             converged = residual <= TOL
             # the last projection of the search is rounded whatever its count
             last = phase == len(phases) - 1 and step == budget - 1
             if converged or last or iterations % ROUND_EVERY == 0:
-                cert = _round_iterate(mats, cmap, target, ladder, goal, tally)
+                cert = _round_iterate(point, mats, cmap, target, ladder, goal, tally)
                 if cert is not None:
                     return SearchOutcome(
                         status=SearchStatus.CERTIFICATE,

@@ -35,7 +35,7 @@ from hurwitz_sos.certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from hurwitz_sos.rational import GaussianRational, grat
+from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand, swap_letters
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
@@ -455,6 +455,59 @@ def test_psd_check_dimension_20_matches_rational_oracle():
     assert result == oracle_psd_check(gram)
     assert result.psd and len(result.pivots) == 20
     assert sum(1 for x in result.pivots if x == 0) == 4
+
+
+def planted_gram(d, seed):
+    """V V* - m w w^T as in the exact-scale benchmark: d complex integer
+    vectors of length d, and m just large enough that w* G w < 0."""
+    rng = random.Random(seed)
+    vecs = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+    re = [[sum(v[j][0] * v[k][0] + v[j][1] * v[k][1] for v in vecs) for k in range(d)]
+          for j in range(d)]
+    im = [[sum(v[j][1] * v[k][0] - v[j][0] * v[k][1] for v in vecs) for k in range(d)]
+          for j in range(d)]
+    w = [rng.randint(-2, 2) for _ in range(d)]
+    w[rng.randrange(d)] = 2
+    form = sum(w[j] * re[j][k] * w[k] for j in range(d) for k in range(d))
+    m = form // sum(x * x for x in w) ** 2 + 1
+    return GramMatrix.from_rows(
+        [[grat(re[j][k] - m * w[j] * w[k], im[j][k]) for k in range(d)] for j in range(d)]
+    )
+
+
+@pytest.mark.parametrize("d, seed, min_pivots", [(20, 0, 10), (35, 2, 22)])
+def test_psd_witness_after_many_pivots_matches_rational_oracle(d, seed, min_pivots):
+    # the witness is rebuilt from every stored pivot row, so a long run of
+    # pivots before the negative diagonal exercises the whole back-substitution
+    gram = planted_gram(d, seed)
+    result = psd_check_exact(gram)
+    assert result == oracle_psd_check(gram)
+    assert not result.psd and len(result.pivots) >= min_pivots
+    value = quadratic_form(gram, result.witness)
+    assert value.is_real and value.re < 0
+
+
+def test_psd_check_zero_diagonal_after_two_pivots():
+    # G = L K L* with K = diag(10, 6) + [[0, s], [conj s, 0]] and L unit lower
+    # triangular: pivots 10 and 6 leave the Schur complement [[0, s], [conj s, 0]]
+    s = grat(1, Fraction(1, 2))
+    K = [[grat(10), ZERO, ZERO, ZERO], [ZERO, grat(6), ZERO, ZERO],
+         [ZERO, ZERO, ZERO, s], [ZERO, ZERO, s.conjugate(), ZERO]]
+    L = [[grat(1), ZERO, ZERO, ZERO],
+         [grat(Fraction(1, 2)), grat(1), ZERO, ZERO],
+         [grat(0, Fraction(1, 2)), grat(Fraction(1, 3)), grat(1), ZERO],
+         [grat(Fraction(-1, 4)), grat(Fraction(1, 3), Fraction(-1, 3)), ZERO, grat(1)]]
+    LK = [[sum((L[j][t] * K[t][k] for t in range(4)), ZERO) for k in range(4)]
+          for j in range(4)]
+    G = GramMatrix.from_rows(
+        [[sum((LK[j][t] * L[k][t].conjugate() for t in range(4)), ZERO) for k in range(4)]
+         for j in range(4)]
+    )
+    result = psd_check_exact(G)
+    assert result == oracle_psd_check(G)
+    assert not result.psd
+    assert result.pivots == (Fraction(10), Fraction(6))
+    assert quadratic_form(G, result.witness) == grat(-2 * s.norm2())
 
 
 def test_psd_check_zero_diagonal_after_a_pivot():

@@ -181,6 +181,20 @@ def test_hermitian_eig_input_validation():
             entry(np.zeros((0, 0)))
 
 
+def test_hermitian_eig_tolerance_survives_huge_entries():
+    # the Frobenius norms of these matrices overflow; the check must not
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.array([[0.0, 1e200], [0.0, 0.0]]))
+    stack = np.stack([np.eye(2), np.array([[0.0, 1e200], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match=r"stack index 1"):
+        hermitian_eig(stack)
+    res = hermitian_eig(np.diag([1e200, -1e195]))
+    assert np.allclose(res.eigenvalues, [-1e195, 1e200], rtol=1e-12, atol=0.0)
+    # off Hermitian by 1e-12 relative: inside the tolerance, so accepted
+    near = np.array([[1e200, 1e200 * (1.0 + 1e-12)], [1e200, 1e200]])
+    assert np.allclose(hermitian_eig(near).eigenvalues, [0.0, 2e200], rtol=1e-9, atol=1e189)
+
+
 def test_hermitian_eig_convergence_error(monkeypatch):
     def fail(_H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -205,6 +219,14 @@ def test_psd_sqrt_rejects_indefinite():
     A = random_psd(4, seed=3)
     S = psd_sqrt(A - 1e-14 * np.eye(4))
     assert np.all(np.isfinite(S))
+
+
+def test_psd_sqrt_tolerance_survives_huge_entries():
+    with pytest.raises(NotPsdError, match="-1.000000e\\+195"):
+        psd_sqrt(np.diag([1e200, -1e195]))
+    # a dip far below PSD_NEG_TOL times the norm is still roundoff
+    S = psd_sqrt(np.diag([1e200, -1e185]))
+    assert np.allclose(S, np.diag([1e100, 0.0]), rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------------ traces
@@ -337,6 +359,15 @@ def test_eval_certificate_rejects_indefinite_gram():
     B = random_psd(2, seed=71)
     with pytest.raises(NotPsdError):
         eval_certificate_numeric(bad, A, B)
+
+
+def test_eval_certificate_rejects_huge_indefinite_gram():
+    # ||G||_F overflows, so an unscaled tolerance would accept this Gram
+    block = SandwichBlock(prefix=None, suffix=None, basis=("AB", "BA"))
+    gram = GramMatrix.from_rows([[10**200, 0], [0, -10**195]])
+    bad = Certificate(4, 2, ((block, gram),))
+    with pytest.raises(NotPsdError, match="block 0"):
+        eval_certificate_numeric(bad, np.eye(2), np.eye(2))
 
 
 def test_samplers_reject_bad_dimension_and_seed():

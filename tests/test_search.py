@@ -258,10 +258,9 @@ def projected_points(cmap, target, rounds, seed):
         mats.append((X + X.T) / 2.0)
     points = []
     for done in range(1, max(rounds) + 1):
-        _project_affine(mats, cmap, goal)
-        _project_psd(mats, 0.05 * scale)
+        mats = _project_psd(_project_affine(mats, cmap, goal)[0], 0.05 * scale)
         if done in rounds:
-            points.append([M.copy() for M in mats])
+            points.append(mats)
     return points
 
 
@@ -290,7 +289,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     tally = Counter()
     margin_skips = 0
     for mats in points:
-        cutoff = _margin_cutoff(mats, cmap, goal)
+        cutoff = _margin_cutoff(_project_affine(mats, cmap, goal)[0])
         for q in _denominator_ladder(10_000)[::3] + [10_000]:
             got = _round_candidate(mats, cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
@@ -333,7 +332,8 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     ladder = _denominator_ladder(10_000)
-    cutoff = _margin_cutoff(mats, cmap, goal)
+    restored, _gap = _project_affine(mats, cmap, goal)
+    cutoff = _margin_cutoff(restored)
     assert ladder[0] <= cutoff < ladder[-1]
     unfiltered = next(
         found
@@ -341,7 +341,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
         if found is not None
     )
     tally = Counter()
-    filtered = _round_iterate(mats, cmap, target, ladder, goal, tally)
+    filtered = _round_iterate(mats, restored, cmap, target, ladder, goal, tally)
     assert filtered == unfiltered == cert
     # every rung above the cutoff really fails
     for q in ladder:
@@ -355,18 +355,16 @@ def test_margin_keeps_every_rung_the_weyl_bound_allows(bound):
     restored point in every entry, even with float error up to half the
     slack on top: the worst case of the bound, with ±1 entries along a
     real null vector."""
-    _cert, cmap, _target, G = weyl_margin_setup()
     w = np.array([1.0, -1.0, 1.0])
     P = 7.0 * (np.eye(3) - np.outer(w, w) / 3.0)  # PSD, null vector w
     slack = FILTER_SLACK * (1.0 + np.abs(P).sum())
     stretch = 1.0 + slack * bound / (2.0 * 3.0 * math.sqrt(2.0))
     F = P - stretch * (math.sqrt(2.0) / bound) * np.outer(w, w)
-    goal = _group_sums([F], cmap.ids)
-    assert _margin_cutoff([F], cmap, goal) >= bound
+    # F is symmetric, so restoring its own class sums gives F back
+    assert _margin_cutoff([F]) >= bound
     # and a point any further out loses the rung
     F_out = P - 1.01 * (math.sqrt(2.0) / bound) * np.outer(w, w)
-    goal = _group_sums([F_out], cmap.ids)
-    assert _margin_cutoff([F_out], cmap, goal) < bound
+    assert _margin_cutoff([F_out]) < bound
 
 
 def test_twin_slack_absorbs_float_error_only():
