@@ -33,7 +33,12 @@ from .search import (
     feasibility_search,
     outcome_to_json,
 )
-from .validation import TrialConfig, bmv_check_trials, validate_certificate_trials
+from .validation import (
+    TrialConfig,
+    bmv_check_trials,
+    trial_pair,
+    validate_certificate_trials,
+)
 from .words import hurwitz_expand
 
 EXIT_OK = 0
@@ -228,11 +233,8 @@ def cmd_bmv_check(args: argparse.Namespace) -> int:
     )
     _emit(doc, lines, args.format)
     if not report.all_passed:
-        from .numeric import derive_seed, random_psd
-
         for row in report.failures:
-            A = random_psd(row.n, derive_seed(row.trial_seed, 0))
-            B = random_psd(row.n, derive_seed(row.trial_seed, 1))
+            A, B = trial_pair(row.n, row.trial_seed)
             candidate = {
                 "p": row.p,
                 "n": row.n,

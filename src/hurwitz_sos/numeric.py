@@ -153,16 +153,17 @@ class EigResult:
     vectors: np.ndarray
 
 
-def _checked_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """M as a finite square matrix, or with ``stack`` also a stack (m, n, n).
+def _checked_square(M, name: str = "matrix") -> np.ndarray:
+    """M as a finite square matrix or a stack of them (m, n, n).
 
     A real input (bool, integer or float) becomes float64, so its
     eigensystem is real; any other input becomes complex128.
     """
     M = np.asarray(M)
-    if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-1] != M.shape[-2]:
-        what = "square or a stack of square matrices" if stack else "square"
-        raise ValueError(f"{name} must be {what}, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(
+            f"{name} must be square or a stack of square matrices, got shape {M.shape}"
+        )
     if M.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {M.shape}")
     M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=False)
@@ -173,8 +174,8 @@ def _checked_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 def _pair_stack(A, B):
     """A and B as checked stacks (m, n, n), and whether they were one pair."""
-    A = _checked_square(A, "A", stack=True)
-    B = _checked_square(B, "B", stack=True)
+    A = _checked_square(A, "A")
+    B = _checked_square(B, "B")
     if A.shape != B.shape:
         raise ValueError(f"A and B must have equal shape, got {A.shape} and {B.shape}")
     single = A.ndim == 2
@@ -213,15 +214,18 @@ def _clearly_negative(w: np.ndarray) -> np.ndarray:
 def hermitian_eig(H) -> EigResult:
     """Eigensystem of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
-    Computed by LAPACK ``eigh`` on (H + H*)/2; a real input gets a real
-    eigensystem.  An input far from Hermitian is rejected, naming its
-    stack index.  Raises ConvergenceError if LAPACK does not converge.
+    Computed by LAPACK ``eigh`` on H, or on H/2 + H*/2 when H is not
+    exactly Hermitian; a real input gets a real eigensystem.  An input
+    far from Hermitian is rejected, naming its stack index.  Raises
+    ConvergenceError if LAPACK does not converge, and ArithmeticError,
+    naming the stack index, if an eigenvalue exceeds double precision.
     A stack gives eigenvalues of shape (m, n) and vectors (m, n, n).
     """
-    H = _checked_square(H, stack=True)
+    H = _checked_square(H)
     adjoint = _adjoint(H)
-    # H == H* passes the tolerance below exactly, so skip its norms; they
-    # run on H u, u = 1 / max(1, max |H|), so a huge entry cannot overflow them
+    # H == H* passes the tolerance below exactly and needs no average, so
+    # skip both; the norms run on H u, u = 1 / max(1, max |H|), and the
+    # average halves before it adds, so a huge entry overflows neither
     if not (H == adjoint).all():
         u = 1.0 / np.abs(H).max(axis=(-2, -1), keepdims=True, initial=1.0)
         Hs = H * u
@@ -229,10 +233,19 @@ def hermitian_eig(H) -> EigResult:
         if off.any():
             k = int(np.argmax(off))
             raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
+        H = H / 2.0 + adjoint / 2.0
     try:
-        w, V = np.linalg.eigh((H + adjoint) / 2.0)
+        w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    # a Python pass costs less than a numpy reduction on the small
+    # matrices the search diagonalizes thousands of times
+    if not all(map(math.isfinite, w.ravel().tolist())):
+        k = int(np.argmin(np.isfinite(w).all(axis=-1)))
+        raise ArithmeticError(
+            f"matrix{_which(H.ndim == 2, k)} has an eigenvalue that is not finite; "
+            "it exceeds double precision"
+        )
     return EigResult(w, V)
 
 

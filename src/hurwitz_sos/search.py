@@ -13,12 +13,13 @@ coefficients are integers, so real iterates lose nothing.  Every
 ``ROUND_EVERY`` iterations, on convergence and after the last
 projection, it rounds the point to the grid 1/q at each rung q of a
 denominator ladder, restores the class sums exactly, and keeps a
-candidate only if every block passes the exact PSD check and the
-assembled certificate then passes full exact verification.  Infeasible
-underdetermined systems therefore come back as unknown, not as a proof.
+candidate only if ``verify_against`` accepts the assembled certificate:
+the search's one exact verdict, here and on the determined path.
+Infeasible underdetermined systems therefore come back as unknown.
 
-Two float filters drop rungs whose exact candidate provably fails the
-exact PSD check, so they never change which rung is accepted:
+One float test, λ_min ≥ −slack on every block, drops rungs whose exact
+candidate provably fails the exact PSD check, so it never changes which
+rung is accepted.  It is applied twice:
 
 * **Weyl margin, once per rounding round.**  Let F_b be block b of the
   float point with its class sums restored in float, λ_b its smallest
@@ -40,11 +41,11 @@ exact PSD check, so they never change which rung is accepted:
   float, a few eps relative, and LAPACK's backward error is
   O(d·eps·‖K/D‖); both are far below the slack, so a twin eigenvalue
   below −slack means the exact candidate has a negative eigenvalue too.
+  The twin passes exactly when its ``_margin_cutoff`` is ``math.inf``.
 
 The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with Σ|T| the sum of the
 moduli of every entry of the float point being tested.  Only a rung
-that passes both filters builds Fractions for the exact PSD check;
-``verify_against`` stays the last word on every returned certificate.
+that passes the twin builds Fractions, for ``verify_against``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .certificate import (
     SandwichBlock,
     certificate_to_json,
     pair_classes,
-    psd_check_exact,
     quadratic_form,
     rational_quad,
     verify_against,
@@ -78,7 +78,7 @@ from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 TOL = 1e-12
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
-# Relative slack of both float rounding filters (see the module docstring).
+# Relative slack of the float rounding test (see the module docstring).
 FILTER_SLACK = 1e-9
 
 
@@ -249,8 +249,9 @@ def prove_infeasible_determined(
 ) -> SearchOutcome:
     """Decide a fully determined system exactly.
 
-    The forced Gram matrices either pass the exact PSD check, giving a
-    certificate, or some block yields an exact witness vector whose
+    The forced Gram matrices are assembled into a certificate and
+    verified.  Either it passes, or ``verify_against`` names the first
+    block that fails the exact PSD check with a witness vector whose
     quadratic form against the forced matrix is negative, which proves
     no PSD solution exists over this ansatz.
     """
@@ -259,29 +260,18 @@ def prove_infeasible_determined(
         raise UnderdeterminedAnsatzError(
             "constraint system is underdetermined; use feasibility_search"
         )
-    return _decide_forced(cmap, target, forced)
-
-
-def _decide_forced(
-    cmap: ConstraintMap, target: TracePolynomial, forced: List[GramMatrix]
-) -> SearchOutcome:
-    for bi, gram in enumerate(forced):
-        result = psd_check_exact(gram)
-        if not result.psd:
-            form = quadratic_form(gram, result.witness)
-            return SearchOutcome(
-                status=SearchStatus.INFEASIBLE,
-                iterations=0,
-                witness=result.witness,
-                witness_block=bi,
-                witness_form=form,
-            )
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, forced)))
     report = verify_against(cert, target)
-    if not report.ok:
+    if not report.matched:
         raise AssertionError("forced Gram matrices failed exact re-verification")
+    if report.psd:
+        return SearchOutcome(SearchStatus.CERTIFICATE, iterations=0, certificate=cert)
     return SearchOutcome(
-        status=SearchStatus.CERTIFICATE, iterations=0, certificate=cert
+        status=SearchStatus.INFEASIBLE,
+        iterations=0,
+        witness=report.witness,
+        witness_block=report.witness_block,
+        witness_form=quadratic_form(forced[report.witness_block], report.witness),
     )
 
 
@@ -325,32 +315,22 @@ def _denominator_ladder(bound: int) -> List[int]:
     return sorted({d for d in base if d <= bound} | {bound})
 
 
-def _slack(mats: Sequence[np.ndarray]) -> float:
-    """Eigenvalue slack of the float filters at the float point ``mats``."""
-    return FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in mats))
-
-
 def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
     """Largest denominator at which the rounded candidate can still be PSD.
 
-    ``restored`` is the rounded point after the affine projection.  A
-    block whose smallest eigenvalue λ is below −slack bounds every rung
-    by d·√2/(−λ − slack), the Weyl bound of the module docstring, and
-    the result is ``math.inf`` when no block is that far below zero.
+    ``restored`` is the rounded point after the affine projection, or the
+    float twin of an exact candidate.  A block whose smallest eigenvalue
+    λ is below −slack bounds every rung by d·√2/(−λ − slack), the Weyl
+    bound of the module docstring, and the result is ``math.inf`` exactly
+    when every block has λ ≥ −slack.
     """
-    slack = _slack(restored)
+    slack = FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in restored))
     cutoff = math.inf
     for M in restored:
         gap = -hermitian_eig(M).eigenvalues[0] - slack
         if gap > 0:
             cutoff = min(cutoff, M.shape[0] * math.sqrt(2.0) / gap)
     return cutoff
-
-
-def _twin_passes(twin: Sequence[np.ndarray]) -> bool:
-    """Whether the float image of an exact candidate is PSD up to the slack."""
-    slack = _slack(twin)
-    return all(hermitian_eig(M).eigenvalues[0] >= -slack for M in twin)
 
 
 def _exact_candidate(
@@ -394,23 +374,19 @@ def _round_candidate(
     The float twin of the exact candidate is checked first; a rung it
     rejects cannot pass the exact PSD check (see the module docstring)
     and is tallied under ``rungs_float_rejected``.  Any other rung is
-    tallied under ``rungs_exact``: each block's entries become Fractions
-    and go through the exact PSD check alone, and only when all pass is
-    the certificate assembled and fully verified.
+    tallied under ``rungs_exact``, and its certificate, with Fraction
+    entries, is returned iff ``verify_against`` accepts it.
     """
     blocks, denom = _exact_candidate(mats, cmap, goal, q)
-    if not _twin_passes([K.astype(np.float64) / float(denom) for K in blocks]):
+    twin = [K.astype(np.float64) / float(denom) for K in blocks]
+    if _margin_cutoff(twin) < math.inf:
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
-    grams = []
-    for K in blocks:
-        gram = GramMatrix.from_rows(
-            [[Fraction(x, denom) for x in row] for row in K.tolist()]
-        )
-        if not psd_check_exact(gram).psd:
-            return None
-        grams.append(gram)
+    grams = [
+        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in K.tolist()])
+        for K in blocks
+    ]
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
 
@@ -457,9 +433,9 @@ def feasibility_search(
     opts = options or SearchOptions()
     cmap = build_constraint_map(p, r, blocks)
     target = hurwitz_expand(p, r)
-    forced = determined_gram(cmap, target)
-    if forced is not None:
-        return _decide_forced(cmap, target, forced)
+    if cmap.determined:
+        return prove_infeasible_determined(cmap, target)
+    _check_reachable(cmap, target)
 
     # hurwitz_expand counts words, so every class coefficient is an integer
     goal = np.array([int(target.coefficient(cls).re) for cls in cmap.classes])

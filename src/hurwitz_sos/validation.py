@@ -163,6 +163,13 @@ def _trial_row(
     )
 
 
+def trial_pair(n: int, trial_seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The random PSD pair (A, B) of dimension n that a trial seed draws."""
+    A = random_psd(n, derive_seed(trial_seed, 0))
+    B = random_psd(n, derive_seed(trial_seed, 1))
+    return A, B
+
+
 def identity_word_sum(p: int, r: int, n: int) -> float:
     """Word-sum trace at A = B = I_n: every word contributes n."""
     return float(comb(p, r) * n)
@@ -186,9 +193,7 @@ def validate_certificate_trials(
     trial_seed = config.seed
     for n in config.dims:
         for _ in range(config.trials):
-            A = random_psd(n, derive_seed(trial_seed, 0))
-            B = random_psd(n, derive_seed(trial_seed, 1))
-            trials.append((n, str(trial_seed), A, B))
+            trials.append((n, str(trial_seed), *trial_pair(n, trial_seed)))
             trial_seed += 1
 
     rows: List[Optional[TrialRow]] = [None] * len(trials)
@@ -295,8 +300,7 @@ def bmv_check_trials(
     rows: List[Optional[CoefficientRow]] = [None] * config.trials
     for n, indices in _indices_by_dimension(dims).items():
         seeds = [config.seed + t for t in indices]
-        A = np.stack([random_psd(n, derive_seed(s, 0)) for s in seeds])
-        B = np.stack([random_psd(n, derive_seed(s, 1)) for s in seeds])
+        A, B = map(np.stack, zip(*[trial_pair(n, s) for s in seeds]))
         for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p)):
             rows[t] = _coefficient_row(p, n, seed, coeffs, tol)
     return CoefficientReport(rows=tuple(rows), tol=tol)

@@ -13,6 +13,7 @@ from hurwitz_sos.certificate import (
     load_certificate,
     verify_certificate,
 )
+from hurwitz_sos import cli
 from hurwitz_sos.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -22,6 +23,8 @@ from hurwitz_sos.cli import (
     SEED_ENV,
     main,
 )
+from hurwitz_sos.numeric import derive_seed, random_psd
+from hurwitz_sos.validation import CoefficientReport, CoefficientRow
 
 THREE_WORD_ANSATZ = {
     "p": 7,
@@ -387,6 +390,34 @@ def test_bmv_check_json(capsys):
     assert doc["p"] == 6
     assert doc["summary"]["trials"] == 4
     assert all(row["passed"] for row in doc["rows"])
+
+
+def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
+    """A failing row is printed with the pair its seed draws, rebuilt here
+    from the seed alone."""
+    n, seed = 3, 987654321
+    row = CoefficientRow(
+        p=7,
+        n=n,
+        trial_seed=seed,
+        coefficients=(1.0, -0.5) + (1.0,) * 6,
+        min_coefficient=-0.5,
+        threshold=1e-9,
+        passed=False,
+    )
+    report = CoefficientReport(rows=(row,), tol=1e-9)
+    monkeypatch.setattr(cli, "bmv_check_trials", lambda p, config: report)
+    assert main(["bmv-check", "-p", "7", "--trials", "1"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    prefix = "counterexample candidate: "
+    (line,) = [x for x in err.splitlines() if x.startswith(prefix)]
+    candidate = json.loads(line[len(prefix):])
+    assert (candidate["p"], candidate["n"], candidate["seed"]) == (7, n, seed)
+    assert candidate["coefficients"] == list(row.coefficients)
+    for key, index in (("A", 0), ("B", 1)):
+        want = random_psd(n, derive_seed(seed, index))
+        got = np.array(candidate[key])
+        assert np.array_equal(got[..., 0] + 1j * got[..., 1], want)
 
 
 def test_bmv_check_bad_p(capsys):

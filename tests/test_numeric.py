@@ -195,6 +195,21 @@ def test_hermitian_eig_tolerance_survives_huge_entries():
     assert np.allclose(hermitian_eig(near).eigenvalues, [0.0, 2e200], rtol=1e-9, atol=1e189)
 
 
+def test_hermitian_eig_never_returns_nan_for_finite_input():
+    # exactly Hermitian input is not averaged, so (H + H*) cannot overflow
+    res = hermitian_eig(np.diag([1.7e308, 1.0]))
+    assert res.eigenvalues.tolist() == [1.0, 1.7e308]
+    # the true eigenvalues are 0 and 2e308, which no float can hold
+    with pytest.raises(ArithmeticError, match="not finite"):
+        hermitian_eig(np.array([[1e308, 1e308], [1e308, 1e308]]))
+    stack = np.stack([np.eye(2), np.full((2, 2), 1e308)])
+    with pytest.raises(ArithmeticError, match=r"stack index 1\) has an eigenvalue"):
+        hermitian_eig(stack)
+    # averaging a near-Hermitian input halves before adding
+    near = np.array([[1.7e308, 1.0], [1.0 + 1e-15, 1.0]])
+    assert np.isfinite(hermitian_eig(near).eigenvalues).all()
+
+
 def test_hermitian_eig_convergence_error(monkeypatch):
     def fail(_H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -227,6 +242,8 @@ def test_psd_sqrt_tolerance_survives_huge_entries():
     # a dip far below PSD_NEG_TOL times the norm is still roundoff
     S = psd_sqrt(np.diag([1e200, -1e185]))
     assert np.allclose(S, np.diag([1e100, 0.0]), rtol=1e-12, atol=0.0)
+    S = psd_sqrt(np.diag([1.7e308, 1.0]))
+    assert np.allclose(S, np.diag([math.sqrt(1.7e308), 1.0]), rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------------ traces

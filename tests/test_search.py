@@ -33,7 +33,6 @@ from hurwitz_sos.search import (
     _project_psd,
     _round_candidate,
     _round_iterate,
-    _twin_passes,
     build_constraint_map,
     determined_gram,
     feasibility_search,
@@ -374,15 +373,14 @@ def test_twin_slack_absorbs_float_error_only():
     v = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # null vector of G
     for shift, passes in ((1e-13, True), (1e-6, False)):
         twin = [G - shift * np.outer(v, v)]
-        assert _twin_passes(twin) is passes
+        assert (_margin_cutoff(twin) == math.inf) == passes
 
 
 # ------------------------------------------------------------------ filtered search
 
 def unfiltered(monkeypatch):
-    """Let every rung through both float filters."""
+    """Let every rung through the float test, at the margin and the twin."""
     monkeypatch.setattr(search, "_margin_cutoff", lambda *args: math.inf)
-    monkeypatch.setattr(search, "_twin_passes", lambda *args: True)
 
 
 SEARCH_CASES = [
@@ -486,6 +484,36 @@ def test_prove_infeasible_p6():
     # the witness value really is the quadratic form on the forced matrix
     forced = GramMatrix.from_rows([[6, 6], [6, 2]])
     assert quadratic_form(forced, outcome.witness) == outcome.witness_form
+
+
+def test_prove_infeasible_names_a_later_block():
+    """Block 0 is forced PSD, block 1 is forced to [[1, 2], [2, 1]]: the
+    witness comes from block 1 and its form is read on that block."""
+    blocks = (
+        SandwichBlock(None, "b", ("BAA",)),
+        SandwichBlock(None, "b", ("ABA", "AAB")),
+    )
+    cmap = build_constraint_map(7, 3, blocks)
+    assert cmap.determined
+    target = TracePolynomial(
+        7,
+        {
+            CyclicClass("AABAABB"): grat(1),  # block 0's one pair
+            CyclicClass("AABABAB"): grat(1),
+            CyclicClass("AAABABB"): grat(2),
+            CyclicClass("AAABBAB"): grat(2),
+            CyclicClass("AAAABBB"): grat(1),
+        },
+    )
+    forced = determined_gram(cmap, target)
+    assert forced[0] == GramMatrix.from_rows([[1]])
+    assert forced[1] == GramMatrix.from_rows([[1, 2], [2, 1]])
+    outcome = prove_infeasible_determined(cmap, target)
+    assert outcome.status is SearchStatus.INFEASIBLE
+    assert outcome.witness_block == 1
+    assert outcome.witness == (grat(2), grat(-1))
+    assert outcome.witness_form == grat(-3)
+    assert quadratic_form(forced[1], outcome.witness) == outcome.witness_form
 
 
 def test_prove_infeasible_feasible_determined_case():
