@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rational import ZERO, GaussianRational
 from .words import (
@@ -616,6 +616,21 @@ def _gram_from_json(obj: object, what: str) -> GramMatrix:
         raise CertificateFormatError(f"{what}: {exc}") from exc
 
 
+def _pair_from_json(obj: object, what: str) -> Tuple[SandwichBlock, GramMatrix]:
+    block = _block_from_json(obj, what)
+    if "gram" not in obj:
+        raise CertificateFormatError(f"{what}: missing key 'gram'")
+    return block, _gram_from_json(obj["gram"], what)
+
+
+def _blocks_from_json(data: dict, parse: Callable[[object, str], object]) -> tuple:
+    """Parse each entry of a document's ``blocks``, which must be a nonempty list."""
+    raw_blocks = data["blocks"]
+    if not isinstance(raw_blocks, list) or not raw_blocks:
+        raise CertificateFormatError("blocks must be a nonempty list")
+    return tuple(parse(raw, f"block {idx}") for idx, raw in enumerate(raw_blocks))
+
+
 def certificate_to_json(cert: Certificate) -> Dict[str, object]:
     blocks = []
     for block, gram in cert.blocks:
@@ -637,29 +652,22 @@ def certificate_from_json(data: object) -> Certificate:
     p, r = data["p"], data["r"]
     if not (is_int(p) and is_int(r)):
         raise CertificateFormatError("p and r must be integers")
-    raw_blocks = data["blocks"]
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        raise CertificateFormatError("blocks must be a nonempty list")
-    pairs = []
-    for idx, raw in enumerate(raw_blocks):
-        what = f"block {idx}"
-        block = _block_from_json(raw, what)
-        if "gram" not in raw:
-            raise CertificateFormatError(f"{what}: missing key 'gram'")
-        gram = _gram_from_json(raw["gram"], what)
-        pairs.append((block, gram))
+    blocks = _blocks_from_json(data, _pair_from_json)
     try:
-        return Certificate(p=p, r=r, blocks=tuple(pairs))
+        return Certificate(p=p, r=r, blocks=blocks)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from exc
 
 
 def _load_json(path: str) -> object:
+    """Parse a JSON file; malformed or too deeply nested JSON is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise CertificateFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise CertificateFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_certificate(path: str) -> Certificate:
@@ -680,12 +688,7 @@ def ansatz_from_json(
         raise CertificateFormatError("ansatz document must be a JSON object")
     if "blocks" not in data:
         raise CertificateFormatError("ansatz document missing key 'blocks'")
-    raw_blocks = data["blocks"]
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        raise CertificateFormatError("blocks must be a nonempty list")
-    blocks = tuple(
-        _block_from_json(raw, f"block {idx}") for idx, raw in enumerate(raw_blocks)
-    )
+    blocks = _blocks_from_json(data, _block_from_json)
     hints = []
     for key in ("p", "r"):
         value = data.get(key)

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .certificate import (
     load_ansatz,
@@ -34,6 +34,7 @@ from .search import (
     outcome_to_json,
 )
 from .validation import (
+    CoefficientRow,
     TrialConfig,
     bmv_check_trials,
     trial_pair,
@@ -71,13 +72,11 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _parse_dims(text: str) -> tuple:
+    # TrialConfig rejects an empty list and a dimension below 1
     try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise _UsageError(f"--dims must be comma-separated integers, got {text!r}")
-    if not dims or any(n < 1 for n in dims):
-        raise _UsageError(f"--dims must list positive integers, got {text!r}")
-    return dims
 
 
 def _emit(doc: dict, lines: List[str], fmt: str) -> None:
@@ -175,80 +174,65 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_UNKNOWN
 
 
+def _run_trials(
+    args: argparse.Namespace, head: dict, tail: str, run: Callable, explain: Callable
+) -> int:
+    """Print the report of ``run(config)``; ``tail`` ends its summary line."""
+    config = TrialConfig(
+        seed=_resolve_seed(args.seed),
+        dims=_parse_dims(args.dims),
+        trials=args.trials,
+    )
+    report = run(config)
+    summary = report.summary()
+    doc = {**head, "summary": summary, "rows": [row.to_json() for row in report.rows]}
+    lines = [row.format_line() for row in report.rows]
+    lines.append(("{passed}/{trials} trials passed, " + tail).format(**summary))
+    _emit(doc, lines, args.format)
+    for row in report.failures:
+        print(explain(row), file=sys.stderr)
+    return EXIT_OK if report.all_passed else EXIT_FAIL
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
-    report = verify_certificate(cert)
-    if not report.ok:
+    if not verify_certificate(cert).ok:
         print(
             f"certificate {args.cert} failed exact verification; not running trials",
             file=sys.stderr,
         )
         return EXIT_FAIL
-    config = TrialConfig(
-        seed=_resolve_seed(args.seed),
-        dims=_parse_dims(args.dims),
-        trials=args.trials,
+    return _run_trials(
+        args,
+        head={"path": args.cert},
+        tail="max diff {max_abs_diff:.3e}",
+        run=lambda config: validate_certificate_trials(cert, config),
+        explain=lambda row: f"FAILED trial: n={row.n} trial={row.label} "
+        "(rerun with --seed as recorded)",
     )
-    trial_report = validate_certificate_trials(cert, config)
-    doc = {
-        "path": args.cert,
-        "summary": trial_report.summary(),
-        "rows": [row.to_json() for row in trial_report.rows],
+
+
+def _candidate_line(row: CoefficientRow) -> str:
+    A, B = trial_pair(row.n, row.trial_seed)
+    candidate = {
+        "p": row.p,
+        "n": row.n,
+        "seed": row.trial_seed,
+        "coefficients": list(row.coefficients),
+        "A": [[[z.real, z.imag] for z in rowv] for rowv in A],
+        "B": [[[z.real, z.imag] for z in rowv] for rowv in B],
     }
-    lines = [row.format_line() for row in trial_report.rows]
-    summary = trial_report.summary()
-    lines.append(
-        f"{summary['passed']}/{summary['trials']} trials passed, "
-        f"max diff {summary['max_abs_diff']:.3e}"
-    )
-    _emit(doc, lines, args.format)
-    if not trial_report.all_passed:
-        for row in trial_report.failures:
-            print(
-                f"FAILED trial: n={row.n} trial={row.label} "
-                f"(rerun with --seed as recorded)",
-                file=sys.stderr,
-            )
-        return EXIT_FAIL
-    return EXIT_OK
+    return "counterexample candidate: " + json.dumps(candidate)
 
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
-    config = TrialConfig(
-        seed=_resolve_seed(args.seed),
-        dims=_parse_dims(args.dims),
-        trials=args.trials,
+    return _run_trials(
+        args,
+        head={"p": args.p},
+        tail="min coefficient {min_coefficient:.6e}",
+        run=lambda config: bmv_check_trials(args.p, config),
+        explain=_candidate_line,
     )
-    report = bmv_check_trials(args.p, config)
-    doc = {
-        "p": args.p,
-        "summary": report.summary(),
-        "rows": [row.to_json() for row in report.rows],
-    }
-    lines = [row.format_line() for row in report.rows]
-    summary = report.summary()
-    lines.append(
-        f"{summary['passed']}/{summary['trials']} trials passed, "
-        f"min coefficient {summary['min_coefficient']:.6e}"
-    )
-    _emit(doc, lines, args.format)
-    if not report.all_passed:
-        for row in report.failures:
-            A, B = trial_pair(row.n, row.trial_seed)
-            candidate = {
-                "p": row.p,
-                "n": row.n,
-                "seed": row.trial_seed,
-                "coefficients": list(row.coefficients),
-                "A": [[[z.real, z.imag] for z in rowv] for rowv in A],
-                "B": [[[z.real, z.imag] for z in rowv] for rowv in B],
-            }
-            print(
-                "counterexample candidate: " + json.dumps(candidate),
-                file=sys.stderr,
-            )
-        return EXIT_FAIL
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -258,6 +242,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="text",
         help="output format (default: text)",
     )
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser, trials: int, dims: str) -> None:
+    parser.add_argument("--trials", type=int, default=trials)
+    parser.add_argument("--dims", default=dims)
+    parser.add_argument("--seed", type=int, default=None)
+    _add_common(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,20 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-check a certificate numerically"
     )
     p_validate.add_argument("--cert", required=True, help="certificate JSON path")
-    p_validate.add_argument("--trials", type=int, default=100)
-    p_validate.add_argument("--dims", default="1,2,3,4,5,6")
-    p_validate.add_argument("--seed", type=int, default=None)
-    _add_common(p_validate)
+    _add_trial_flags(p_validate, trials=100, dims="1,2,3,4,5,6")
     p_validate.set_defaults(func=cmd_validate)
 
     p_bmv = sub.add_parser(
         "bmv-check", help="sample PSD pairs and test coefficient nonnegativity"
     )
     p_bmv.add_argument("-p", "--p", dest="p", type=int, required=True)
-    p_bmv.add_argument("--trials", type=int, default=500)
-    p_bmv.add_argument("--dims", default="2,3,4")
-    p_bmv.add_argument("--seed", type=int, default=None)
-    _add_common(p_bmv)
+    _add_trial_flags(p_bmv, trials=500, dims="2,3,4")
     p_bmv.set_defaults(func=cmd_bmv_check)
 
     return parser

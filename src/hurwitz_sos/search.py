@@ -483,8 +483,6 @@ def feasibility_search(
                 if converged:
                     # fixed point of this phase; a finer floor may still work
                     break
-        if iterations >= opts.max_iters:
-            break
     return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=iterations, **tally)
 
 

@@ -17,8 +17,8 @@ stack, so a row equals, bit for bit, the row of the same seed run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
-from typing import Dict, List, Optional, Tuple
+from math import inf
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +55,13 @@ def _indices_by_dimension(dims: List[int]) -> Dict[int, List[int]]:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Shared knobs for the trial runners.
+    """Seed, dimensions, trial count and tolerance of a trial run.
 
-    ``trials`` counts random trials per dimension for the certificate
-    runner and total trials (cycled over the dimensions) for the
-    coefficient runner.
+    Both runners read ``seed``, ``dims`` and ``trials``.  ``trials``
+    counts random trials per dimension for the certificate runner and
+    total trials (cycled over the dimensions) for the coefficient
+    runner.  Only the certificate runner reads ``tol_rel``;
+    ``bmv_check_trials`` takes its own ``tol``.
     """
 
     seed: int = 0
@@ -120,17 +122,23 @@ class TrialRow:
 
 
 @dataclass(frozen=True)
-class TrialReport:
-    rows: Tuple[TrialRow, ...]
-    tol_rel: float
+class _Report:
+    """The rows of one trial run, each carrying a ``passed`` flag."""
+
+    rows: Tuple[Union[TrialRow, CoefficientRow], ...]
 
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
     @property
-    def failures(self) -> Tuple[TrialRow, ...]:
+    def failures(self) -> Tuple[Union[TrialRow, CoefficientRow], ...]:
         return tuple(row for row in self.rows if not row.passed)
+
+
+@dataclass(frozen=True)
+class TrialReport(_Report):
+    tol_rel: float
 
     @property
     def max_abs_diff(self) -> float:
@@ -168,11 +176,6 @@ def trial_pair(n: int, trial_seed: int) -> Tuple[np.ndarray, np.ndarray]:
     A = random_psd(n, derive_seed(trial_seed, 0))
     B = random_psd(n, derive_seed(trial_seed, 1))
     return A, B
-
-
-def identity_word_sum(p: int, r: int, n: int) -> float:
-    """Word-sum trace at A = B = I_n: every word contributes n."""
-    return float(comb(p, r) * n)
 
 
 def validate_certificate_trials(
@@ -241,17 +244,8 @@ class CoefficientRow:
 
 
 @dataclass(frozen=True)
-class CoefficientReport:
-    rows: Tuple[CoefficientRow, ...]
+class CoefficientReport(_Report):
     tol: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    @property
-    def failures(self) -> Tuple[CoefficientRow, ...]:
-        return tuple(row for row in self.rows if not row.passed)
 
     def summary(self) -> Dict[str, object]:
         return {

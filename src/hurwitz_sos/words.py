@@ -9,7 +9,7 @@ the package trades in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
@@ -78,30 +78,29 @@ class CyclicClass:
 
     The stored representative is always the least rotation, so two
     classes compare equal exactly when their words are rotations of one
-    another.
+    another.  ``length`` and ``b_count`` are derived from it.
     """
 
     representative: str
-    length: int = field(init=False, compare=False)
-    b_count: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        canon = least_rotation(self.representative)
-        object.__setattr__(self, "representative", canon)
-        object.__setattr__(self, "length", len(canon))
-        object.__setattr__(self, "b_count", canon.count("B"))
+        object.__setattr__(self, "representative", least_rotation(self.representative))
 
     @classmethod
     def _trusted(cls, representative: str) -> "CyclicClass":
         """Class of a word that is already its own least rotation: no check, no rotation."""
         obj = object.__new__(cls)
-        # filled through __dict__, past the frozen __setattr__: about half
-        # the cost of three object.__setattr__ calls, once per class
-        fields = obj.__dict__
-        fields["representative"] = representative
-        fields["length"] = len(representative)
-        fields["b_count"] = representative.count("B")
+        # filled through __dict__, past the frozen __setattr__, once per class
+        obj.__dict__["representative"] = representative
         return obj
+
+    @property
+    def length(self) -> int:
+        return len(self.representative)
+
+    @property
+    def b_count(self) -> int:
+        return self.representative.count("B")
 
     def __str__(self) -> str:
         return self.representative

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_sos.certificate import (
     bundled_path,
@@ -24,7 +29,12 @@ from hurwitz_sos.cli import (
     main,
 )
 from hurwitz_sos.numeric import derive_seed, random_psd
-from hurwitz_sos.validation import CoefficientReport, CoefficientRow
+from hurwitz_sos.validation import (
+    CoefficientReport,
+    CoefficientRow,
+    TrialReport,
+    TrialRow,
+)
 
 THREE_WORD_ANSATZ = {
     "p": 7,
@@ -135,6 +145,23 @@ def test_verify_malformed_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--cert", str(path)]) == EXIT_USAGE
     assert "p and r must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["verify --cert", "validate --cert", "search --ansatz"]
+)
+def test_deeply_nested_json_exits_usage(tmp_path, command):
+    """JSON nested past the parser's recursion limit is malformed input, not a crash."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = subprocess.run(
+        [sys.executable, "-m", "hurwitz_sos.cli", *command.split(), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.startswith("error: ") and "nested too deeply" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 # ------------------------------------------------------------------ search
@@ -365,6 +392,37 @@ def test_validate_eigensolver_failure_exits_fail(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
+def test_validate_prints_the_failing_trial(monkeypatch, capsys):
+    row = TrialRow(
+        p=7,
+        r=3,
+        n=2,
+        label="12345",
+        oracle=1.0,
+        value=2.0,
+        abs_diff=1.0,
+        passed=False,
+    )
+    report = TrialReport(rows=(row,), tol_rel=1e-8)
+    monkeypatch.setattr(cli, "validate_certificate_trials", lambda cert, config: report)
+    args = ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"]
+    assert main(args) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert "0/1 trials passed" in captured.out
+    assert captured.err.splitlines() == [
+        "FAILED trial: n=2 trial=12345 (rerun with --seed as recorded)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate", "--cert", bundled_path("p7r3.json")], ["bmv-check", "-p", "5"]],
+)
+def test_trial_commands_reject_dimension_zero(command, capsys):
+    assert main(command + ["--dims", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_bad_dims(capsys):
     code = main(
         ["validate", "--cert", bundled_path("p7r3.json"), "--dims", "2,x"]
@@ -432,6 +490,71 @@ def test_bmv_check_overflow_exits_fail(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "not finite" in captured.err
     assert "counterexample candidate" not in captured.err
+
+
+# ------------------------------------------------------------------ boundary
+
+# values a mutation puts in place of one node of a valid document
+JSON_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 2**70, 1.5, math.nan, [], [1, 0], {}]
+) | st.text(alphabet="ABab x", max_size=4)
+
+
+def _node_paths(doc, path=()):
+    """The key path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _node_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``, as a new document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """JSON text of a bundled certificate or ansatz with one node replaced."""
+    name = draw(st.sampled_from(["p7r3.json", "p6r3_restricted_ansatz.json"]))
+    with open(bundled_path(name)) as fh:
+        doc = json.load(fh)
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    doc = _replaced(doc, path, draw(JSON_VALUES))
+    depth = draw(st.sampled_from([0, 0, 0, 100_000]))
+    return "[" * depth + json.dumps(doc) + "]" * depth
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutated") / "doc.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_documents())
+def test_malformed_documents_exit_with_a_documented_code(doc_path, text):
+    """A mutated or deeply nested file never raises out of the CLI, exits with a
+    documented code, and exits 2 only with an ``error:`` line."""
+    with open(doc_path, "w") as fh:
+        fh.write(text)
+    for argv in (
+        ["verify", "--cert", doc_path],
+        ["validate", "--cert", doc_path, "--trials", "1", "--dims", "1"],
+        ["search", "--ansatz", doc_path, "--max-iter", "50"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_UNKNOWN)
+        if code == EXIT_USAGE:
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 # ------------------------------------------------------------------ parser

@@ -9,7 +9,6 @@ from hurwitz_sos.validation import (
     TrialConfig,
     TrialReport,
     bmv_check_trials,
-    identity_word_sum,
     validate_certificate_trials,
 )
 
@@ -56,11 +55,6 @@ def test_trial_config_rejects_booleans():
         TrialConfig(seed=True)
     with pytest.raises(ValueError, match="tol_rel"):
         TrialConfig(tol_rel=True)
-
-
-def test_identity_word_sum():
-    assert identity_word_sum(7, 3, 4) == math.comb(7, 3) * 4
-    assert identity_word_sum(6, 0, 2) == 2
 
 
 def test_validate_bundled_certificate_small():
