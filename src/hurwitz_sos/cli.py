@@ -213,7 +213,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _candidate_line(row: CoefficientRow) -> str:
-    A, B = trial_pair(row.n, row.trial_seed)
+    (A,), (B,) = trial_pair(row.n, [row.trial_seed])
     candidate = {
         "p": row.p,
         "n": row.n,

@@ -5,9 +5,10 @@ P_{k+1}[j] = P_k[j] A + P_k[j-1] B, and the sum of Tr(W) over all
 length-p words W with r B's is Tr P_p[r].  Only P_k[0..r] is kept, as
 one (r+1)n x n block column, so each of the p - 1 steps is two matmuls.
 
-A stack of m pairs, arrays of shape (m, n, n), runs as one recurrence
-with m block columns.  numpy evaluates a batched matmul one slice at a
-time, so a pair's trace does not depend on the rest of its stack.
+The input is a stack of m pairs, arrays of shape (m, n, n), and runs as
+one recurrence with m block columns.  numpy evaluates a batched matmul
+one slice at a time, so a pair's trace does not depend on the rest of
+its stack.
 
 Callers validate their inputs; :func:`hurwitz_sos.numeric.trace_hurwitz_numeric`
 is the checked entry point.
@@ -24,14 +25,11 @@ USING_NUMBA = False
 def hurwitz_trace(A, B, p: int, r: int):
     """Sum of Tr(W) over the C(p, r) words, as Tr P_p[r] of the recurrence.
 
-    A pair of (n, n) matrices gives a complex; a stack of shape (m, n, n)
-    gives a complex vector of length m, one trace per pair.
+    A and B are stacks of shape (m, n, n); the result is a complex vector
+    of length m, one trace per pair.
     """
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
-    single = A.ndim == 2
-    if single:
-        A, B = A[np.newaxis], B[np.newaxis]
     m, n, _ = A.shape
     P = np.zeros((m, r + 1, n, n), dtype=np.complex128)
     P[:, 0] = A
@@ -40,5 +38,4 @@ def hurwitz_trace(A, B, p: int, r: int):
         Q = (P.reshape(m, -1, n) @ A).reshape(P.shape)
         Q[:, 1:] += (P[:, :-1].reshape(m, -1, n) @ B).reshape(m, r, n, n)
         P = Q
-    traces = np.trace(P[:, r], axis1=-2, axis2=-1)
-    return complex(traces[0]) if single else traces
+    return np.trace(P[:, r], axis1=-2, axis2=-1)

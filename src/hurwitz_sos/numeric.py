@@ -9,6 +9,14 @@ re-verified in exact rational arithmetic before it is returned, and the
 random inputs stay seeded by SplitMix64, so a different LAPACK changes
 rounding, not which matrices are tried.
 
+The samplers take one seed or a sequence of m seeds.  A sequence is
+drawn in one pass: one (m, count) array of SplitMix64 counters, one
+Box-Muller transform over its rows and, for ``random_psd``, one batched
+R* R.  Every step is elementwise, runs along a row or is a matmul
+batched over the stack, so row k is still a function of seed k alone,
+bit for bit what that seed draws on its own; a single seed is the
+one-row case of the same code.
+
 The evaluators take one pair of (n, n) matrices or a stack of m pairs of
 shape (m, n, n); a single pair is a stack of one inside.  The validation
 runners stack all trials of one dimension, so each call costs one batched
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -77,65 +85,121 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64(mix64(seed) ^ (index + 1))
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64."""
+def _seed_vector(seed) -> Tuple[np.ndarray, bool]:
+    """The seeds of a draw as a uint64 vector, and whether ``seed`` was one int.
+
+    ``seed`` is an int or a nonempty list, tuple or range of ints, each in
+    [0, SEED_LIMIT); a bad seed of a sequence is named by its stack index.
+    """
+    single = not isinstance(seed, (list, tuple, range))
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("seed sequence must be nonempty")
+    for k, s in enumerate(seeds):
+        if not is_int(s) or not 0 <= s < SEED_LIMIT:
+            raise ValueError(
+                f"seed{_which(single, k)} must be an int in [0, 2**64), got {s!r}"
+            )
+    return np.array(seeds, dtype=np.uint64), single
+
+
+def _splitmix_rows(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Row k: the first ``count`` SplitMix64 outputs of seeds[k], as uint64."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    base = np.uint64(seed & _MASK64)
-    counters = base + np.uint64(_GOLDEN) * np.arange(1, count + 1, dtype=np.uint64)
+    steps = np.uint64(_GOLDEN) * np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = counters
+        z = seeds[:, np.newaxis] + steps
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
     return z
 
 
-def uniform_stream(seed: int, count: int) -> np.ndarray:
-    """IID uniforms in [0, 1) with 53-bit resolution."""
-    bits = splitmix64_stream(seed, count)
+def _uniform_rows(seeds: np.ndarray, count: int) -> np.ndarray:
+    bits = _splitmix_rows(seeds, count)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def gaussian_stream(seed: int, count: int) -> np.ndarray:
-    """IID standard normals via the Box-Muller transform."""
+def _gaussian_rows(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Row k: ``count`` standard normals from seeds[k] by Box-Muller.
+
+    Each row pairs the first half of its uniforms (radii) with the second
+    half (angles); every step is elementwise or runs along a row, so a
+    row does not depend on the other seeds.
+    """
+    pairs = (count + 1) // 2
+    u = _uniform_rows(seeds, 2 * pairs)
+    # log1p(-u1) keeps the argument strictly negative even when u1 == 0
+    rad = np.sqrt(-2.0 * np.log1p(-u[:, :pairs]))
+    ang = 2.0 * np.pi * u[:, pairs:]
+    out = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
+    out[:, 0::2] = rad * np.cos(ang)
+    out[:, 1::2] = rad * np.sin(ang)
+    return out[:, :count]
+
+
+def _complex_gaussian_rows(seeds: np.ndarray, n: int) -> np.ndarray:
+    """An (m, n, n) stack of complex Gaussian matrices, slice k from seeds[k]."""
+    g = _gaussian_rows(seeds, 2 * n * n)
+    X = (g[:, : n * n] + 1j * g[:, n * n :]).reshape(len(seeds), n, n)
+    return X / math.sqrt(2.0)
+
+
+def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64."""
+    return _splitmix_rows(np.array([seed & _MASK64], dtype=np.uint64), count)[0]
+
+
+def uniform_stream(seed: int, count: int) -> np.ndarray:
+    """IID uniforms in [0, 1) with 53-bit resolution."""
+    return _uniform_rows(np.array([seed & _MASK64], dtype=np.uint64), count)[0]
+
+
+def gaussian_stream(seed, count: int) -> np.ndarray:
+    """IID standard normals via the Box-Muller transform.
+
+    An int seed gives ``count`` normals; a sequence of m seeds gives an
+    (m, count) array whose row k is what seed k alone gives.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    pairs = (count + 1) // 2
-    u = uniform_stream(seed, 2 * pairs)
-    u1 = u[:pairs]
-    u2 = u[pairs:]
-    # log1p(-u1) keeps the argument strictly negative even when u1 == 0
-    rad = np.sqrt(-2.0 * np.log1p(-u1))
-    ang = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = rad * np.cos(ang)
-    out[1::2] = rad * np.sin(ang)
-    return out[:count]
+    seeds, single = _seed_vector(seed)
+    g = _gaussian_rows(seeds, count)
+    return g[0] if single else g
 
 
-def _check_sampler_args(n: int, seed: int) -> None:
+def _check_dimension(n: int) -> None:
     if not is_int(n) or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")
-    if not is_int(seed) or not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
 
 
-def random_hermitian(n: int, seed: int) -> np.ndarray:
-    """Random Hermitian matrix with independent complex Gaussian entries."""
-    _check_sampler_args(n, seed)
-    g = gaussian_stream(seed, 2 * n * n)
-    X = (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
-    return (X + X.conj().T) / 2.0
+def random_hermitian(n: int, seed) -> np.ndarray:
+    """Random Hermitian matrix with independent complex Gaussian entries.
+
+    An int seed gives an (n, n) matrix; a sequence of m seeds gives an
+    (m, n, n) stack whose slice k is what seed k alone gives.
+    """
+    _check_dimension(n)
+    seeds, single = _seed_vector(seed)
+    X = _complex_gaussian_rows(seeds, n)
+    H = (X + _adjoint(X)) / 2.0
+    return H[0] if single else H
 
 
-def random_psd(n: int, seed: int) -> np.ndarray:
-    """Random positive semidefinite matrix R* R with complex Gaussian R."""
-    _check_sampler_args(n, seed)
-    g = gaussian_stream(seed, 2 * n * n)
-    R = (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
-    M = R.conj().T @ R
-    return (M + M.conj().T) / 2.0
+def random_psd(n: int, seed) -> np.ndarray:
+    """Random positive semidefinite matrix R* R with complex Gaussian R.
+
+    An int seed gives an (n, n) matrix; a sequence of m seeds gives an
+    (m, n, n) stack, drawn in one pass, whose slice k is what seed k
+    alone gives.
+    """
+    _check_dimension(n)
+    seeds, single = _seed_vector(seed)
+    R = _complex_gaussian_rows(seeds, n)
+    M = _adjoint(R) @ R
+    M = (M + _adjoint(M)) / 2.0
+    return M[0] if single else M
 
 
 # ------------------------------------------------------------------

@@ -7,18 +7,20 @@ runner samples PSD pairs and checks that every word-sum trace for
 r = 0..p is nonnegative up to roundoff.  Both emit one record per trial so failures are
 reproducible from the recorded seed alone.
 
-Each runner draws every trial's pair on its own, from its own seed, then
-evaluates all trials of one dimension as one stack of shape (m, n, n):
-one call of the trace and of the certificate evaluator per dimension,
-not per trial.  A slice's value does not depend on the rest of its
-stack, so a row equals, bit for bit, the row of the same seed run alone.
+Each runner draws all random pairs of one dimension in one pass, then
+evaluates all trials of that dimension as one stack of shape (m, n, n):
+one call of the sampler, of the trace and of the certificate evaluator
+per dimension, not per trial.  Every pair is still a function of its
+own trial seed alone, and a slice's value does not depend on the rest
+of its stack, so a row equals, bit for bit, the row of the same seed
+run alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,11 +173,16 @@ def _trial_row(
     )
 
 
-def trial_pair(n: int, trial_seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The random PSD pair (A, B) of dimension n that a trial seed draws."""
-    A = random_psd(n, derive_seed(trial_seed, 0))
-    B = random_psd(n, derive_seed(trial_seed, 1))
-    return A, B
+def trial_pair(n: int, trial_seeds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The stacks (A, B) of random PSD pairs of dimension n, one per trial seed.
+
+    Slice k of A is drawn from ``derive_seed(trial_seeds[k], 0)`` and of B
+    from ``derive_seed(trial_seeds[k], 1)``, all in one ``random_psd`` call,
+    so a slice is what its trial seed draws alone.
+    """
+    m = len(trial_seeds)
+    drawn = random_psd(n, [derive_seed(s, k) for k in (0, 1) for s in trial_seeds])
+    return drawn[:m], drawn[m:]
 
 
 def validate_certificate_trials(
@@ -190,25 +197,27 @@ def validate_certificate_trials(
     float discrepancy between the two evaluation routes.
     """
     config = config or TrialConfig()
-    # (n, label, A, B) in row order
-    trials = [(1, "scalar(2,3)", np.array([[2.0]]), np.array([[3.0]]))]
-    trials += [(n, "identity", np.eye(n), np.eye(n)) for n in config.dims]
-    trial_seed = config.seed
-    for n in config.dims:
-        for _ in range(config.trials):
-            trials.append((n, str(trial_seed), *trial_pair(n, trial_seed)))
-            trial_seed += 1
+    # (n, label, A, B) of the fixed pairs, which come first in row order;
+    # the random trials follow, config.trials per dimension, seeded
+    # config.seed, config.seed + 1, ... in row order
+    fixed = [(1, "scalar(2,3)", np.array([[2.0]]), np.array([[3.0]]))]
+    fixed += [(n, "identity", np.eye(n), np.eye(n)) for n in config.dims]
+    dims = [f[0] for f in fixed] + [n for n in config.dims for _ in range(config.trials)]
 
-    rows: List[Optional[TrialRow]] = [None] * len(trials)
-    for n, indices in _indices_by_dimension([t[0] for t in trials]).items():
-        A = np.stack([trials[i][2] for i in indices])
-        B = np.stack([trials[i][3] for i in indices])
+    rows: List[Optional[TrialRow]] = [None] * len(dims)
+    for n, indices in _indices_by_dimension(dims).items():
+        head = [i for i in indices if i < len(fixed)]
+        seeds = [config.seed + i - len(fixed) for i in indices[len(head):]]
+        labels = [fixed[i][1] for i in head] + [str(s) for s in seeds]
+        A = np.stack([fixed[i][2] for i in head])
+        B = np.stack([fixed[i][3] for i in head])
+        if seeds:
+            A_random, B_random = trial_pair(n, seeds)
+            A, B = np.concatenate([A, A_random]), np.concatenate([B, B_random])
         oracles = trace_hurwitz_numeric(A, B, cert.p, cert.r)
         values = eval_certificate_numeric(cert, A, B)
-        for i, oracle, value in zip(indices, oracles, values):
-            rows[i] = _trial_row(
-                cert, n, trials[i][1], float(oracle), float(value), config.tol_rel
-            )
+        for i, label, oracle, value in zip(indices, labels, oracles, values):
+            rows[i] = _trial_row(cert, n, label, float(oracle), float(value), config.tol_rel)
     return TrialReport(rows=tuple(rows), tol_rel=config.tol_rel)
 
 
@@ -294,7 +303,7 @@ def bmv_check_trials(
     rows: List[Optional[CoefficientRow]] = [None] * config.trials
     for n, indices in _indices_by_dimension(dims).items():
         seeds = [config.seed + t for t in indices]
-        A, B = map(np.stack, zip(*[trial_pair(n, s) for s in seeds]))
+        A, B = trial_pair(n, seeds)
         for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p)):
             rows[t] = _coefficient_row(p, n, seed, coeffs, tol)
     return CoefficientReport(rows=tuple(rows), tol=tol)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -140,6 +141,76 @@ def test_random_psd_properties():
     assert w.min() > -1e-12
     assert np.array_equal(A, random_psd(5, seed=2))
     assert random_psd(1, seed=0).shape == (1, 1)
+
+
+# One-seed samplers written out step by step, on the scalar SplitMix64
+# reference: the oracle that every stacked draw must match bit for bit.
+
+def ref_gaussian(seed, count):
+    pairs = (count + 1) // 2
+    bits = np.array(ref_splitmix64(seed, 2 * pairs), dtype=np.uint64)
+    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    rad = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
+    ang = 2.0 * np.pi * u[pairs:]
+    out = np.empty(2 * pairs)
+    out[0::2] = rad * np.cos(ang)
+    out[1::2] = rad * np.sin(ang)
+    return out[:count]
+
+
+def ref_complex_gaussian(n, seed):
+    g = ref_gaussian(seed, 2 * n * n)
+    return (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
+
+
+def ref_hermitian(n, seed):
+    X = ref_complex_gaussian(n, seed)
+    return (X + X.conj().T) / 2.0
+
+
+def ref_psd(n, seed):
+    R = ref_complex_gaussian(n, seed)
+    M = R.conj().T @ R
+    return (M + M.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 18, 30])
+def test_stacked_draws_match_one_seed_oracle(n, m):
+    seeds = [derive_seed(100 * n + m, k) for k in range(m - 1)] + [(1 << 64) - 1]
+    count = 2 * n * n - 1  # odd, so the last Box-Muller pair is cut
+    cases = (
+        (lambda s: random_psd(n, s), lambda s: ref_psd(n, s)),
+        (lambda s: random_hermitian(n, s), lambda s: ref_hermitian(n, s)),
+        (lambda s: gaussian_stream(s, count), lambda s: ref_gaussian(s, count)),
+    )
+    for draw, oracle in cases:
+        stack = draw(seeds)
+        assert stack.shape[0] == m
+        for row, seed in zip(stack, seeds):
+            assert np.array_equal(row, oracle(seed))
+            assert np.array_equal(row, draw(seed))
+    assert random_psd(n, tuple(seeds)).shape == (m, n, n)
+    assert np.array_equal(random_psd(n, range(3)), random_psd(n, [0, 1, 2]))
+
+
+def test_stacked_samplers_reject_bad_seeds():
+    samplers = (
+        lambda s: random_psd(2, s),
+        lambda s: random_hermitian(2, s),
+        lambda s: gaussian_stream(s, 4),
+    )
+    for draw in samplers:
+        for empty in ([], (), range(0)):
+            with pytest.raises(ValueError, match="seed sequence must be nonempty"):
+                draw(empty)
+        for bad in (-1, 2**64, 2**70, 1.5, True, False, "1", None, [1]):
+            message = rf"seed \(stack index 2\) must be an int in \[0, 2\*\*64\), got {re.escape(repr(bad))}"
+            with pytest.raises(ValueError, match=message):
+                draw([0, 5, bad, 7])
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\), got -1"):
+            draw(-1)
+        assert draw([2**64 - 1, 0]).shape[0] == 2
 
 
 # ------------------------------------------------------------------ eigensolver
