@@ -78,10 +78,16 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(value, name: str = "seed") -> None:
+    if not is_int(value) or not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"{name} must be an int in [0, 2**64), got {value!r}")
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Stable child seed for substream ``index`` of ``seed``."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
+    """Stable child seed for substream ``index`` of ``seed``; both are ints
+    in [0, 2**64), as anything outside would alias a seed inside."""
+    _check_seed(seed)
+    _check_seed(index, "index")
     return mix64(mix64(seed) ^ (index + 1))
 
 
@@ -96,17 +102,12 @@ def _seed_vector(seed) -> Tuple[np.ndarray, bool]:
     if not seeds:
         raise ValueError("seed sequence must be nonempty")
     for k, s in enumerate(seeds):
-        if not is_int(s) or not 0 <= s < SEED_LIMIT:
-            raise ValueError(
-                f"seed{_which(single, k)} must be an int in [0, 2**64), got {s!r}"
-            )
+        _check_seed(s, f"seed{_which(single, k)}")
     return np.array(seeds, dtype=np.uint64), single
 
 
 def _splitmix_rows(seeds: np.ndarray, count: int) -> np.ndarray:
     """Row k: the first ``count`` SplitMix64 outputs of seeds[k], as uint64."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     steps = np.uint64(_GOLDEN) * np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = seeds[:, np.newaxis] + steps
@@ -146,27 +147,29 @@ def _complex_gaussian_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     return X / math.sqrt(2.0)
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64."""
-    return _splitmix_rows(np.array([seed & _MASK64], dtype=np.uint64), count)[0]
-
-
-def uniform_stream(seed: int, count: int) -> np.ndarray:
-    """IID uniforms in [0, 1) with 53-bit resolution."""
-    return _uniform_rows(np.array([seed & _MASK64], dtype=np.uint64), count)[0]
-
-
-def gaussian_stream(seed, count: int) -> np.ndarray:
-    """IID standard normals via the Box-Muller transform.
-
-    An int seed gives ``count`` normals; a sequence of m seeds gives an
-    (m, count) array whose row k is what seed k alone gives.
-    """
+def _stream(rows, seed, count: int) -> np.ndarray:
+    """``count`` draws of ``rows`` for one seed, or an (m, count) array for
+    a sequence of m seeds whose row k is what seed k alone gives."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     seeds, single = _seed_vector(seed)
-    g = _gaussian_rows(seeds, count)
-    return g[0] if single else g
+    out = rows(seeds, count)
+    return out[0] if single else out
+
+
+def splitmix64_stream(seed, count: int) -> np.ndarray:
+    """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64."""
+    return _stream(_splitmix_rows, seed, count)
+
+
+def uniform_stream(seed, count: int) -> np.ndarray:
+    """IID uniforms in [0, 1) with 53-bit resolution."""
+    return _stream(_uniform_rows, seed, count)
+
+
+def gaussian_stream(seed, count: int) -> np.ndarray:
+    """IID standard normals via the Box-Muller transform."""
+    return _stream(_gaussian_rows, seed, count)
 
 
 def _check_dimension(n: int) -> None:

@@ -6,16 +6,17 @@ ids (``ConstraintMap``) records which.  Matching a target polynomial
 prescribes the sum of the Gram entries of each class.  When every class
 has a single member the whole Gram matrix is forced and both
 feasibility and infeasibility are decided exactly.  Otherwise the
-search alternates projections between the affine slice (class-sum
-constraints) and the PSD cone in real floating point, with a decreasing
-eigenvalue floor so it prefers interior points; the target's
+search runs Douglas–Rachford splitting between the affine slice A
+(class-sum constraints) and the PSD cone K in real floating point: it
+keeps a point z, and each step takes the shadow x = P_K(z) and moves z
+to z + P_A(2x − z) − x.  The loop has no tuning constants; the target's
 coefficients are integers, so real iterates lose nothing.  Every
-``ROUND_EVERY`` iterations, on convergence and after the last
-projection, it rounds the point to the grid 1/q at each rung q of a
-denominator ladder, restores the class sums exactly, and keeps a
-candidate only if ``verify_against`` accepts the assembled certificate:
-the search's one exact verdict, here and on the determined path.
-Infeasible underdetermined systems therefore come back as unknown.
+``ROUND_EVERY`` steps and after the last one, it rounds the shadow to
+the grid 1/q at each rung q of a denominator ladder, restores the class
+sums exactly, and keeps a candidate only if ``verify_against`` accepts
+the assembled certificate: the search's one exact verdict, here and on
+the determined path.  Infeasible underdetermined systems therefore come
+back as unknown.
 
 One float test, λ_min ≥ −slack on every block, drops rungs whose exact
 candidate provably fails the exact PSD check, so it never changes which
@@ -74,8 +75,6 @@ from .numeric import SEED_LIMIT, derive_seed, gaussian_stream, hermitian_eig
 from .rational import GaussianRational
 from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 
-# Residual at which a projection phase counts as converged.
-TOL = 1e-12
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
 # Relative slack of the float rounding test (see the module docstring).
@@ -199,9 +198,9 @@ class SearchStatus(enum.Enum):
 class SearchOptions:
     """Knobs of ``feasibility_search``.
 
-    ``seed`` picks the random start, ``max_iters`` bounds the projection
-    rounds, and ``denom_bound`` is the largest grid denominator q: rung q
-    rounds every Gram entry to a multiple of 1/q.
+    ``seed`` picks the random start, ``max_iters`` is the number of
+    Douglas–Rachford steps, and ``denom_bound`` is the largest grid
+    denominator q: rung q rounds every Gram entry to a multiple of 1/q.
     """
 
     seed: int = 0
@@ -276,7 +275,7 @@ def prove_infeasible_determined(
 
 
 # ------------------------------------------------------------------
-# alternating projections over the underdetermined case
+# Douglas–Rachford splitting over the underdetermined case
 # ------------------------------------------------------------------
 
 def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
@@ -289,25 +288,39 @@ def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
     return np.bincount(ids, np.concatenate([M.ravel() for M in mats]))
 
 
-def _project_affine(
-    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
-) -> Tuple[List[np.ndarray], float]:
-    """New blocks with each class's entries shifted evenly to the prescribed
-    sum, then re-symmetrized, and the largest class-sum gap that closes."""
-    gap = goal - _group_sums(mats, cmap.ids)
+def _shift_classes(mats: Sequence[np.ndarray], gap: np.ndarray, cmap: ConstraintMap):
+    """New blocks with each class's entries shifted by an even share of its
+    ``gap``, then re-symmetrized."""
     shift = gap / cmap.counts
     shifted = [M + shift[index] for M, index in zip(mats, cmap.index)]
-    return [(M + M.T) / 2.0 for M in shifted], np.abs(gap).max()
+    return [(M + M.T) / 2.0 for M in shifted]
 
 
-def _project_psd(mats: Sequence[np.ndarray], floor: float) -> List[np.ndarray]:
-    """New blocks with each block's eigenvalues clamped from below at ``floor``."""
+def _project_affine(
+    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
+) -> List[np.ndarray]:
+    """P_A: new blocks with each class's entries shifted evenly to the
+    prescribed sum, then re-symmetrized."""
+    return _shift_classes(mats, goal - _group_sums(mats, cmap.ids), cmap)
+
+
+def _project_psd(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """P_K: new blocks with each block's negative eigenvalues set to zero."""
     clamped = []
     for M in mats:
         eig = hermitian_eig(M)
-        P = (eig.vectors * np.clip(eig.eigenvalues, floor, None)) @ eig.vectors.T
+        P = (eig.vectors * np.maximum(eig.eigenvalues, 0.0)) @ eig.vectors.T
         clamped.append((P + P.T) / 2.0)
     return clamped
+
+
+def _dr_step(z: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray):
+    """One Douglas–Rachford step: the shadow x = P_K(z) and the next z,
+    z + P_A(2x − z) − x.  For symmetric x and z that is x shifted by the
+    class gaps of the reflection 2x − z, which is what is computed."""
+    x = _project_psd(z)
+    reflected = [2.0 * X - Z for X, Z in zip(x, z)]
+    return x, _shift_classes(x, goal - _group_sums(reflected, cmap.ids), cmap)
 
 
 def _denominator_ladder(bound: int) -> List[int]:
@@ -425,10 +438,11 @@ def feasibility_search(
     """Search for an exact certificate of the (p, r) word sum over ``blocks``.
 
     Determined systems are decided exactly (certificate or infeasibility
-    witness).  Underdetermined systems run the projection loop; any
-    candidate that rounds to rationals and passes exact verification is
-    returned, otherwise the outcome is UNKNOWN after the iteration
-    budget.
+    witness).  Underdetermined systems run ``max_iters`` Douglas–Rachford
+    steps from the affine projection of a seeded random symmetric point,
+    rounding the shadow every ``ROUND_EVERY`` steps and after the last;
+    the first candidate that passes exact verification is returned,
+    otherwise the outcome is UNKNOWN.
     """
     opts = options or SearchOptions()
     cmap = build_constraint_map(p, r, blocks)
@@ -448,42 +462,23 @@ def feasibility_search(
         g = gaussian_stream(derive_seed(opts.seed, 1000 + bi), d * d)
         X = g.reshape(d, d) * scale
         start.append((X + X.T) / 2.0)
-    mats, _gap = _project_affine(start, cmap, goal)
-
-    # Floor phases: prefer interior points (robust to rounding), fall back
-    # to the plain cone for targets whose solutions all sit on the boundary.
-    phases = [
-        (0.05 * scale, int(opts.max_iters * 0.2)),
-        (0.01 * scale, int(opts.max_iters * 0.15)),
-        (0.002 * scale, int(opts.max_iters * 0.15)),
-    ]
-    used = sum(budget for _f, budget in phases)
-    phases.append((0.0, opts.max_iters - used))
+    z = _project_affine(start, cmap, goal)
 
     tally: Counter = Counter()
-    iterations = 0
-    for phase, (floor, budget) in enumerate(phases):
-        for step in range(budget):
-            # the PSD point is rounded; its affine projection starts the next step
-            point = _project_psd(mats, floor)
-            mats, residual = _project_affine(point, cmap, goal)
-            iterations += 1
-            converged = residual <= TOL
-            # the last projection of the search is rounded whatever its count
-            last = phase == len(phases) - 1 and step == budget - 1
-            if converged or last or iterations % ROUND_EVERY == 0:
-                cert = _round_iterate(point, mats, cmap, target, ladder, goal, tally)
-                if cert is not None:
-                    return SearchOutcome(
-                        status=SearchStatus.CERTIFICATE,
-                        iterations=iterations,
-                        certificate=cert,
-                        **tally,
-                    )
-                if converged:
-                    # fixed point of this phase; a finer floor may still work
-                    break
-    return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=iterations, **tally)
+    for iterations in range(1, opts.max_iters + 1):
+        x, z = _dr_step(z, cmap, goal)
+        # the last shadow of the search is rounded whatever its count
+        if iterations % ROUND_EVERY == 0 or iterations == opts.max_iters:
+            restored = _project_affine(x, cmap, goal)
+            cert = _round_iterate(x, restored, cmap, target, ladder, goal, tally)
+            if cert is not None:
+                return SearchOutcome(
+                    status=SearchStatus.CERTIFICATE,
+                    iterations=iterations,
+                    certificate=cert,
+                    **tally,
+                )
+    return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=opts.max_iters, **tally)
 
 
 def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:

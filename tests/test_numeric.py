@@ -127,6 +127,18 @@ def test_derive_seed_distinct():
     assert derive_seed(5, 3) == derive_seed(5, 3)
 
 
+def test_derive_seed_rejects_aliasing_seeds_and_indices():
+    # mix64 reduces modulo 2^64, so each of these would alias a valid input
+    for seed in (-1, 2**64, 2**70, True, False, 1.5, "1", None):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
+            derive_seed(seed, 0)
+    for index in (-1, 2**64, True, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match=r"index must be an int in \[0, 2\*\*64\)"):
+            derive_seed(0, index)
+    edge = {derive_seed(s, k) for s in (0, 1, 2**64 - 1) for k in (0, 1, 3, 2**64 - 1)}
+    assert len(edge) == 12
+
+
 def test_random_hermitian_properties():
     H = random_hermitian(6, seed=11)
     assert H.shape == (6, 6) and H.dtype == np.complex128
@@ -183,6 +195,7 @@ def test_stacked_draws_match_one_seed_oracle(n, m):
         (lambda s: random_psd(n, s), lambda s: ref_psd(n, s)),
         (lambda s: random_hermitian(n, s), lambda s: ref_hermitian(n, s)),
         (lambda s: gaussian_stream(s, count), lambda s: ref_gaussian(s, count)),
+        (lambda s: splitmix64_stream(s, count), lambda s: ref_splitmix64(s, count)),
     )
     for draw, oracle in cases:
         stack = draw(seeds)
@@ -199,6 +212,8 @@ def test_stacked_samplers_reject_bad_seeds():
         lambda s: random_psd(2, s),
         lambda s: random_hermitian(2, s),
         lambda s: gaussian_stream(s, 4),
+        lambda s: splitmix64_stream(s, 3),
+        lambda s: uniform_stream(s, 2),
     )
     for draw in samplers:
         for empty in ([], (), range(0)):
@@ -208,8 +223,10 @@ def test_stacked_samplers_reject_bad_seeds():
             message = rf"seed \(stack index 2\) must be an int in \[0, 2\*\*64\), got {re.escape(repr(bad))}"
             with pytest.raises(ValueError, match=message):
                 draw([0, 5, bad, 7])
-        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\), got -1"):
-            draw(-1)
+        for bad in (-1, 2**64, True):
+            message = rf"seed must be an int in \[0, 2\*\*64\), got {bad!r}"
+            with pytest.raises(ValueError, match=message):
+                draw(bad)
         assert draw([2**64 - 1, 0]).shape[0] == 2
 
 

@@ -27,6 +27,7 @@ from hurwitz_sos.search import (
     UnderdeterminedAnsatzError,
     UnreachableTargetError,
     _denominator_ladder,
+    _dr_step,
     _group_sums,
     _margin_cutoff,
     _project_affine,
@@ -245,9 +246,9 @@ def class_goals(cmap, target):
 
 
 def projected_points(cmap, target, rounds, seed):
-    """Search iterates from a random symmetric start at the target's scale:
-    the point after each count in ``rounds`` of affine and PSD projections
-    at the first phase floor."""
+    """Iterates from a random symmetric start at the target's scale: the
+    point after each count in ``rounds`` of alternating affine and PSD
+    projections."""
     goal = class_goals(cmap, target)
     scale = max([1.0] + np.abs(goal).tolist())
     rng = np.random.default_rng(seed)
@@ -257,7 +258,7 @@ def projected_points(cmap, target, rounds, seed):
         mats.append((X + X.T) / 2.0)
     points = []
     for done in range(1, max(rounds) + 1):
-        mats = _project_psd(_project_affine(mats, cmap, goal)[0], 0.05 * scale)
+        mats = _project_psd(_project_affine(mats, cmap, goal))
         if done in rounds:
             points.append(mats)
     return points
@@ -288,7 +289,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     tally = Counter()
     margin_skips = 0
     for mats in points:
-        cutoff = _margin_cutoff(_project_affine(mats, cmap, goal)[0])
+        cutoff = _margin_cutoff(_project_affine(mats, cmap, goal))
         for q in _denominator_ladder(10_000)[::3] + [10_000]:
             got = _round_candidate(mats, cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
@@ -303,6 +304,24 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     else:
         # the filters fire on these points, so the comparison above is not vacuous
         assert margin_skips > 0 and tally["rungs_float_rejected"] > 0
+
+
+@pytest.mark.parametrize("p, r, blocks", ANSATZES)
+def test_dr_step_matches_the_textbook_step(p, r, blocks):
+    """The compact step equals z + P_A(2x − z) − x with x = P_K(z)."""
+    cmap = build_constraint_map(p, r, blocks)
+    goal = class_goals(cmap, hurwitz_expand(p, r))
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        z = [(M + M.T) / 2.0 for M in random_mats(rng, blocks, spread=False)]
+        x, got = _dr_step(z, cmap, goal)
+        assert all(np.array_equal(X, P) for X, P in zip(x, _project_psd(z)))
+        reflected = [2.0 * X - Z for X, Z in zip(x, z)]
+        textbook = [
+            Z + P - X for Z, P, X in zip(z, _project_affine(reflected, cmap, goal), x)
+        ]
+        for G, W in zip(got, textbook):
+            assert np.abs(G - W).max() <= 1e-12
 
 
 # ------------------------------------------------------------------ rounding filters
@@ -331,7 +350,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     ladder = _denominator_ladder(10_000)
-    restored, _gap = _project_affine(mats, cmap, goal)
+    restored = _project_affine(mats, cmap, goal)
     cutoff = _margin_cutoff(restored)
     assert ladder[0] <= cutoff < ladder[-1]
     unfiltered = next(
@@ -617,14 +636,20 @@ def full_ansatz(p, r):
     return tuple(blocks)
 
 
-@pytest.mark.parametrize("p, r", [(7, 3), (8, 2), (8, 4)])
+@pytest.mark.parametrize("p, r", [(7, 3), (8, 2), (8, 4), (11, 3)])
 def test_full_ansatz_search_finds_certificates(p, r):
-    outcome = feasibility_search(p, r, full_ansatz(p, r), SearchOptions(seed=0))
+    outcome = feasibility_search(p, r, full_ansatz(p, r), SearchOptions(seed=0, max_iters=300))
     assert outcome.status is SearchStatus.CERTIFICATE
     assert verify_certificate(outcome.certificate).ok
 
 
-@pytest.mark.parametrize("p, r", [(6, 3), (9, 3)])
+@pytest.mark.parametrize(
+    "p, r",
+    [
+        (6, 3), (8, 3), (9, 3), (10, 5), (9, 4), (10, 4), (11, 4), (12, 4),
+        (11, 5), (12, 5), (12, 6), (13, 5), (13, 6),
+    ],
+)
 def test_full_ansatz_search_unknown(p, r):
     outcome = feasibility_search(p, r, full_ansatz(p, r), SearchOptions(seed=0, max_iters=300))
     assert outcome.status is SearchStatus.UNKNOWN
