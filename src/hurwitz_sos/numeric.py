@@ -20,9 +20,13 @@ one-row case of the same code.
 The evaluators take one pair of (n, n) matrices or a stack of m pairs of
 shape (m, n, n); a single pair is a stack of one inside.  The validation
 runners stack all trials of one dimension, so each call costs one batched
-recurrence, not one Python-level call per trial.  Every product is a
-matmul batched over the stack and every sum runs along a fixed axis, so
-a slice's value does not depend on the other slices of its stack.
+recurrence, not one Python-level call per trial.  One run of the
+recurrence up to degree r holds every degree 0..r, so
+``trace_hurwitz_numeric`` also takes a range of degrees and
+``bmv_coefficients`` gets all p + 1 coefficients from a single run.
+Every product is a matmul batched over the stack and every sum runs
+along a fixed axis, so a slice's value does not depend on the other
+slices of its stack.
 ``eval_certificate_numeric`` diagonalizes each Gram matrix once per call
 and contracts the sandwiches of all pairs against its eigenvectors in
 one matmul.  The word-sum trace here
@@ -349,21 +353,8 @@ def _word_product(A: np.ndarray, B: np.ndarray, word: str) -> np.ndarray:
     return M
 
 
-def trace_hurwitz_numeric(A, B, p: int, r: int):
-    """Sum of Tr(W) over all length-p words with r B's.
-
-    Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
-    in :mod:`hurwitz_sos.kernels`.  For Hermitian inputs the result is
-    real; a significant imaginary part indicates bad input and raises
-    ArithmeticError, as does a total that overflowed to inf or NaN.
-    A pair gives a float; a stack of m pairs gives a float vector of
-    length m, and raises if any of its traces would.
-    """
-    check_degrees(p, r)
-    A, B, single = _pair_stack(A, B)
-    # overflow is reported below as an ArithmeticError, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = kernels.hurwitz_trace(A, B, p, r)
+def _check_trace(totals: np.ndarray, p: int, r: int, single: bool) -> None:
+    """Raise ArithmeticError if a degree-r trace of the stack is inf, NaN or not real."""
     bad = ~np.isfinite(totals)
     if bad.any():
         k = int(np.argmax(bad))
@@ -375,21 +366,59 @@ def trace_hurwitz_numeric(A, B, p: int, r: int):
     if bad.any():
         k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"word-sum trace{_which(single, k)} has imaginary part "
-            f"{totals[k].imag:.3e}; inputs are probably not Hermitian"
+            f"word-sum trace for (p={p}, r={r}){_which(single, k)} has imaginary "
+            f"part {totals[k].imag:.3e}; inputs are probably not Hermitian"
         )
-    return float(totals[0].real) if single else totals.real.copy()
+
+
+def trace_hurwitz_numeric(A, B, p: int, r):
+    """Sum of Tr(W) over all length-p words with r B's, for one r or a range of them.
+
+    Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
+    in :mod:`hurwitz_sos.kernels`.  For Hermitian inputs the result is
+    real; a significant imaginary part indicates bad input and raises
+    ArithmeticError, as does a total that overflowed to inf or NaN.
+
+    An int r gives a float for a pair and a float vector of length m for
+    a stack of m pairs, and raises if any of its traces would; only
+    degree r is checked.  A nonempty ``range`` of degrees in [0, p]
+    runs the recurrence once, up to its largest degree, and adds a
+    trailing axis with one entry per degree of the range: a vector for a
+    pair, an (m, len(r)) array for a stack.  Its degrees are checked in
+    ascending order, each as an int r would be, so the first bad degree
+    raises what its own call would.
+    """
+    if isinstance(r, range):
+        if not r:
+            raise ValueError(f"r must be an int or a nonempty range, got {r!r}")
+        check_degrees(p, min(r))
+        top = max(r)
+    else:
+        top = r
+    check_degrees(p, top)
+    A, B, single = _pair_stack(A, B)
+    # overflow is reported below as an ArithmeticError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = kernels.hurwitz_trace(A, B, p, top)
+    if not isinstance(r, range):
+        totals = columns[:, r]
+        _check_trace(totals, p, r, single)
+        return float(totals[0].real) if single else totals.real.copy()
+    for j in sorted(r):
+        _check_trace(columns[:, j], p, j, single)
+    totals = columns[:, r]
+    return (totals[0] if single else totals).real.copy()
 
 
 def bmv_coefficients(A, B, p: int) -> np.ndarray:
-    """All word-sum traces for degrees r = 0..p.
+    """All word-sum traces for degrees r = 0..p, from one run of the recurrence.
 
     A pair gives a float vector of length p + 1; a stack of m pairs gives
-    an (m, p + 1) array, one row per pair.
+    an (m, p + 1) array, one row per pair.  Degree r holds what
+    ``trace_hurwitz_numeric(A, B, p, r)`` returns, and the first degree
+    that is not finite or not real raises its error.
     """
-    return np.stack(
-        [trace_hurwitz_numeric(A, B, p, r) for r in range(p + 1)], axis=-1
-    )
+    return trace_hurwitz_numeric(A, B, p, range(p + 1))
 
 
 def gram_to_complex(gram: GramMatrix) -> np.ndarray:

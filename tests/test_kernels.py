@@ -41,7 +41,7 @@ def oracle_trace(A, B, p, r):
 def test_numpy_kernel_matches_oracle(p, r, n):
     A = random_psd(n, seed=p)
     B = random_psd(n, seed=r + 100)
-    (got,) = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)
+    got = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
     want = oracle_trace(A, B, p, r)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -51,7 +51,7 @@ def test_hurwitz_trace_non_hermitian_pair():
     A = (g[0:9] + 1j * g[9:18]).reshape(3, 3)
     B = (g[18:27] + 1j * g[27:36]).reshape(3, 3)
     for r in range(7):
-        (got,) = hurwitz_trace(A[np.newaxis], B[np.newaxis], 6, r)
+        got = hurwitz_trace(A[np.newaxis], B[np.newaxis], 6, r)[0, r]
         want = oracle_trace(A, B, 6, r)
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -61,11 +61,24 @@ def test_numpy_kernel_edge_counts():
     B = random_psd(2, seed=2)
     # r=0 and r=p are single words
     assert np.isclose(
-        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 0)[0], np.trace(A @ A @ A)
+        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 0)[0, 0], np.trace(A @ A @ A)
     )
     assert np.isclose(
-        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 3)[0], np.trace(B @ B @ B)
+        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 3)[0, 3], np.trace(B @ B @ B)
     )
+
+
+def test_hurwitz_trace_returns_every_degree():
+    # block j depends only on blocks 0..j, so a run up to r holds every
+    # lower degree's run in its columns
+    A = random_psd(3, [1, 2, 3])
+    B = random_psd(3, [4, 5, 6])
+    for p, r in ((1, 1), (6, 3), (7, 7), (10, 4)):
+        got = hurwitz_trace(A, B, p, r)
+        assert got.shape == (3, r + 1) and got.dtype == np.complex128
+        for j in range(r + 1):
+            want = hurwitz_trace(A, B, p, j)[:, j]
+            assert np.abs(got[:, j] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
 # ------------------------------------------------------------------ exact oracle
@@ -111,5 +124,5 @@ def test_hurwitz_trace_matches_exact_class_expansion(case):
     )
     A = (np.array(a_flat[: n * n]) + 1j * np.array(a_flat[n * n :])).reshape(n, n)
     B = (np.array(b_flat[: n * n]) + 1j * np.array(b_flat[n * n :])).reshape(n, n)
-    (got,) = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)
+    got = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))

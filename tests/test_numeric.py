@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hurwitz_sos import kernels
 from hurwitz_sos.certificate import (
     Certificate,
     GramMatrix,
@@ -374,7 +375,7 @@ def test_trace_hurwitz_rejects_bad_input():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
     B = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
     # Tr(AB) + Tr(BA) = -2i: the imaginary part betrays the bad input
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"^word-sum trace for \(p=2, r=1\) has imaginary part -2\.000e\+00;"):
         trace_hurwitz_numeric(A, B, 2, 1)
     with pytest.raises(ValueError):
         trace_hurwitz_numeric(np.eye(2), np.eye(3), 3, 1)
@@ -406,6 +407,29 @@ def test_trace_hurwitz_overflow_raises():
         trace_hurwitz_numeric(1e200 * I, I, 3, 0)
 
 
+def test_trace_hurwitz_checks_only_its_degrees():
+    I = np.eye(2)
+    # an int r checks only its own degree: Tr(I^3) = 2 while degree 0 overflows
+    assert trace_hurwitz_numeric(1e200 * I, I, 3, 3) == 2.0
+    with pytest.raises(ArithmeticError, match=r"\(p=3, r=0\) is not finite"):
+        bmv_coefficients(1e200 * I, I, 3)
+
+
+def test_trace_hurwitz_takes_a_range_of_degrees():
+    A = random_psd(3, seed=30)
+    B = random_psd(3, seed=31)
+    got = trace_hurwitz_numeric(A, B, 6, range(2, 7, 2))
+    assert got.shape == (3,) and got.dtype == np.float64
+    want = [trace_hurwitz_numeric(A, B, 6, r) for r in (2, 4, 6)]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="nonempty range"):
+        trace_hurwitz_numeric(A, B, 6, range(0))
+    with pytest.raises(ValueError, match=r"r must lie in \[0, 6\], got 7"):
+        trace_hurwitz_numeric(A, B, 6, range(8))
+    with pytest.raises(ValueError, match=r"r must lie in \[0, 6\], got -1"):
+        trace_hurwitz_numeric(A, B, 6, range(-1, 3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_pairs_reject_non_finite_entries(bad):
     M = np.array([[bad, 0.0], [0.0, 1.0]])
@@ -428,6 +452,39 @@ def test_bmv_coefficients():
     # polynomial identity: sum of coefficients = Tr[(A+B)^5]
     total = np.trace(np.linalg.matrix_power(A + B, 5)).real
     assert np.isclose(sum(coeffs), total)
+    # every coefficient of a stack against the product over every word,
+    # which shares no code with the recurrence
+    A = random_psd(2, [derive_seed(22, k) for k in range(3)])
+    B = random_psd(2, [derive_seed(23, k) for k in range(3)])
+    for p in range(1, 7):
+        coeffs = bmv_coefficients(A, B, p)
+        assert coeffs.shape == (3, p + 1)
+        for a, b, row in zip(A, B, coeffs):
+            for r, c in enumerate(row):
+                want = oracle_trace_hurwitz(a, b, p, r)
+                assert abs(c - want) <= 1e-9 * (1.0 + abs(want))
+    # a degree no brute force reaches: the coefficients sum to Tr[(A+B)^40]
+    A = random_psd(3, seed=24)
+    B = random_psd(3, seed=25)
+    total = np.trace(np.linalg.matrix_power(A + B, 40)).real
+    assert abs(bmv_coefficients(A, B, 40).sum() - total) <= 1e-9 * abs(total)
+
+
+def test_bmv_coefficients_runs_the_recurrence_once(monkeypatch):
+    calls = []
+    kernel = kernels.hurwitz_trace
+
+    def spy(A, B, p, r):
+        calls.append((p, r))
+        return kernel(A, B, p, r)
+
+    monkeypatch.setattr(kernels, "hurwitz_trace", spy)
+    A = random_psd(3, [1, 2])
+    B = random_psd(3, [3, 4])
+    for p in (1, 5, 10):
+        bmv_coefficients(A, B, p)
+        bmv_coefficients(A[0], B[0], p)
+    assert calls == [(1, 1), (1, 1), (5, 5), (5, 5), (10, 10), (10, 10)]
 
 
 # ------------------------------------------------------------------ certificate evaluation

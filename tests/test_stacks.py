@@ -84,9 +84,9 @@ def per_pair_certificate(cert, A, B):
 def test_stacked_traces_equal_slices(n, m):
     A, B = psd_stack(n, m, 10 * n + m), psd_stack(n, m, 100 + 10 * n + m)
     for p, r in ((1, 0), (1, 1), (5, 2), (7, 3), (7, 7), (10, 4)):
-        got = kernels.hurwitz_trace(A, B, p, r)
+        got = kernels.hurwitz_trace(A, B, p, r)[:, r]
         assert got.shape == (m,) and got.dtype == np.complex128
-        assert close(got, [kernels.hurwitz_trace(a[None], b[None], p, r)[0] for a, b in zip(A, B)])
+        assert close(got, [kernels.hurwitz_trace(a[None], b[None], p, r)[0, r] for a, b in zip(A, B)])
         got = trace_hurwitz_numeric(A, B, p, r)
         assert got.shape == (m,) and got.dtype == np.float64
         want = [trace_hurwitz_numeric(a, b, p, r) for a, b in zip(A, B)]
@@ -104,8 +104,8 @@ def test_stacked_kernel_equals_slices_off_hermitian(n, m):
     g = gaussian_stream(n + 10 * m, 4 * m * n * n).reshape(4, m, n, n)
     A, B = g[0] + 1j * g[1], g[2] + 1j * g[3]
     for r in range(7):
-        got = kernels.hurwitz_trace(A, B, 6, r)
-        assert close(got, [kernels.hurwitz_trace(a[None], b[None], 6, r)[0] for a, b in zip(A, B)])
+        got = kernels.hurwitz_trace(A, B, 6, r)[:, r]
+        assert close(got, [kernels.hurwitz_trace(a[None], b[None], 6, r)[0, r] for a, b in zip(A, B)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -157,6 +157,8 @@ def test_a_pair_keeps_its_scalar_types():
     A, B = random_psd(3, 1), random_psd(3, 2)
     cert = bundled_certificate("p7r3.json")
     assert type(trace_hurwitz_numeric(A, B, 7, 3)) is float
+    degrees = trace_hurwitz_numeric(A, B, 7, range(8))
+    assert type(degrees) is np.ndarray and degrees.shape == (8,) and degrees.dtype == np.float64
     assert type(eval_certificate_numeric(cert, A, B)) is float
     assert bmv_coefficients(A, B, 7).shape == (8,)
     assert psd_sqrt(A).shape == (3, 3)
@@ -174,6 +176,15 @@ def test_stacks_reject_bad_shapes():
         trace_hurwitz_numeric(I, np.stack([I]), 3, 1)
     with pytest.raises(ValueError, match="nonempty"):
         trace_hurwitz_numeric(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), 3, 1)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_stacked_degree_range_equals_its_degrees(m):
+    A, B = psd_stack(3, m, 40 + m), psd_stack(3, m, 400 + m)
+    got = trace_hurwitz_numeric(A, B, 7, range(8))
+    assert got.shape == (m, 8) and got.dtype == np.float64
+    for r in range(8):
+        assert close(got[:, r], trace_hurwitz_numeric(A, B, 7, r))
 
 
 # ------------------------------------------------------------------ a bad slice
@@ -276,3 +287,11 @@ def test_coefficient_rows_replay_alone(p):
         want = [per_pair_trace(A, B, p, r).real for r in range(p + 1)]
         assert close(row.coefficients, want)
         assert row.passed
+
+
+def test_bmv_coefficients_names_the_failing_degree():
+    A, B = psd_stack(2, 5, 1), psd_stack(2, 5, 2)
+    A[3], B[3] = NON_HERMITIAN
+    # degree 0 is Tr(A^2) = 0, so degree 1 is the first that fails
+    with pytest.raises(ArithmeticError, match=r"\(p=2, r=1\) \(stack index 3\) has imaginary part"):
+        bmv_coefficients(A, B, 2)
