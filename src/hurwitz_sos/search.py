@@ -18,6 +18,13 @@ the assembled certificate: the search's one exact verdict, here and on
 the determined path.  Infeasible underdetermined systems therefore come
 back as unknown.
 
+Every point of the search is one flat vector v in the map's (block, j,
+k) order, the order of ``ConstraintMap.ids``.  With A the class
+incidence matrix, ``np.bincount(ids, v)`` is A·v, ``(gap / counts)[ids]``
+is Aᵀ(AAᵀ)⁻¹·gap, and ``(v + v[mirror]) / 2`` symmetrizes every block at
+once.  Only the eigensolves and the final Gram matrices read blocks, as
+``(d, d)`` views of v.
+
 One float test, λ_min ≥ −slack on every block, drops rungs whose exact
 candidate provably fails the exact PSD check, so it never changes which
 rung is accepted.  It is applied twice:
@@ -37,9 +44,9 @@ rung is accepted.  It is applied twice:
   negative eigenvalue survives.  When every λ_b ≥ −slack no rung is
   skipped.
 * **Float twin, once per remaining rung.**  The exact candidate is held
-  as integer blocks K over one denominator D, and the twin is its float
-  image K/D.  The two differ only by the rounding of each entry to a
-  float, a few eps relative, and LAPACK's backward error is
+  as a flat integer point K over one denominator D, and the twin is its
+  float image K/D.  The two differ only by the rounding of each entry to
+  a float, a few eps relative, and LAPACK's backward error is
   O(d·eps·‖K/D‖); both are far below the slack, so a twin eigenvalue
   below −slack means the exact candidate has a negative eigenvalue too.
   The twin passes exactly when its ``_margin_cutoff`` is ``math.inf``.
@@ -99,13 +106,14 @@ class UnderdeterminedAnsatzError(ValueError):
 class ConstraintMap:
     """The cyclic class of every ordered basis pair, as ids into one table.
 
-    ``classes`` holds the classes the ansatz reaches, sorted.
-    ``index[b]`` is a ``(d, d)`` int array for block b whose entry
-    ``[j, k]`` is the position in ``classes`` of the class that pair
-    (j, k) feeds, so that class is ``classes[index[b][j, k]]``.  ``ids``
-    is every pair's class id, blocks concatenated in (block, j, k) order,
-    and ``counts[c]`` is the number of pairs that feed class c, so
-    ``counts == np.bincount(ids)``.  All these arrays are read-only.
+    ``classes`` holds the classes the ansatz reaches, sorted.  ``ids`` is
+    every pair's class id, blocks concatenated in (block, j, k) order:
+    the order of the search's flat point.  ``index[b]`` is the ``(d, d)``
+    view of ``ids`` for block b, so pair (j, k) of block b feeds
+    ``classes[index[b][j, k]]``.  ``counts[c]`` is the number of pairs
+    that feed class c, so ``counts == np.bincount(ids)``, and
+    ``mirror[i]`` is the flat position of the transposed entry of
+    position i, (b, k, j) for (b, j, k).  All these arrays are read-only.
     Maps compare and hash by identity, since an array has no single
     truth value to compare field by field.
     """
@@ -117,11 +125,22 @@ class ConstraintMap:
     index: Tuple[np.ndarray, ...]
     ids: np.ndarray
     counts: np.ndarray
+    mirror: np.ndarray
 
     @property
     def determined(self) -> bool:
         """Whether every class is fed by exactly one pair."""
         return len(self.classes) == self.ids.size
+
+
+def _blocks(v: np.ndarray, blocks: Sequence[SandwichBlock]) -> List[np.ndarray]:
+    """Each block of the flat array ``v`` as a ``(d, d)`` view, in block order."""
+    views, start = [], 0
+    for block in blocks:
+        d = block.dimension
+        views.append(v[start:start + d * d].reshape(d, d))
+        start += d * d
+    return views
 
 
 def build_constraint_map(
@@ -135,16 +154,20 @@ def build_constraint_map(
     tables = [pair_classes(block) for block in blocks]
     classes = tuple(sorted({cls for table in tables for row in table for cls in row}))
     position = {cls: i for i, cls in enumerate(classes)}
-    index = tuple(
-        np.array([[position[cls] for cls in row] for row in table], dtype=np.intp)
-        for table in tables
+    ids = np.array(
+        [position[cls] for table in tables for row in table for cls in row],
+        dtype=np.intp,
     )
-    ids = np.concatenate([block_ids.ravel() for block_ids in index])
     counts = np.bincount(ids)
-    for table in index + (ids, counts):
+    mirror = np.concatenate(
+        [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), blocks)]
+    )
+    for table in (ids, counts, mirror):
         table.setflags(write=False)
+    index = tuple(_blocks(ids, blocks))
     return ConstraintMap(
-        p=p, r=r, blocks=blocks, classes=classes, index=index, ids=ids, counts=counts
+        p=p, r=r, blocks=blocks, classes=classes,
+        index=index, ids=ids, counts=counts, mirror=mirror,
     )
 
 
@@ -278,49 +301,35 @@ def prove_infeasible_determined(
 # Douglas–Rachford splitting over the underdetermined case
 # ------------------------------------------------------------------
 
-def _group_sums(mats: Sequence[np.ndarray], ids: np.ndarray) -> np.ndarray:
-    """Sum of each class's Gram entries.
-
-    ``np.bincount`` adds the entries of a class in input order, which is
-    (block, j, k) order, so every sum equals the sequential per-entry sum
-    bit for bit.
-    """
-    return np.bincount(ids, np.concatenate([M.ravel() for M in mats]))
+def _shift_classes(v: np.ndarray, gap: np.ndarray, cmap: ConstraintMap) -> np.ndarray:
+    """A new flat point: each class's entries of ``v`` shifted by an even
+    share of its ``gap``, then re-symmetrized."""
+    shifted = v + (gap / cmap.counts)[cmap.ids]
+    return (shifted + shifted[cmap.mirror]) / 2.0
 
 
-def _shift_classes(mats: Sequence[np.ndarray], gap: np.ndarray, cmap: ConstraintMap):
-    """New blocks with each class's entries shifted by an even share of its
-    ``gap``, then re-symmetrized."""
-    shift = gap / cmap.counts
-    shifted = [M + shift[index] for M, index in zip(mats, cmap.index)]
-    return [(M + M.T) / 2.0 for M in shifted]
+def _project_affine(v: np.ndarray, cmap: ConstraintMap, goal: np.ndarray) -> np.ndarray:
+    """P_A: each class's entries shifted evenly to the prescribed sum, then
+    re-symmetrized.  ``np.bincount`` adds a class's entries in flat order,
+    so every class sum equals the sequential per-entry sum bit for bit."""
+    return _shift_classes(v, goal - np.bincount(cmap.ids, v), cmap)
 
 
-def _project_affine(
-    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray
-) -> List[np.ndarray]:
-    """P_A: new blocks with each class's entries shifted evenly to the
-    prescribed sum, then re-symmetrized."""
-    return _shift_classes(mats, goal - _group_sums(mats, cmap.ids), cmap)
-
-
-def _project_psd(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """P_K: new blocks with each block's negative eigenvalues set to zero."""
-    clamped = []
-    for M in mats:
+def _project_psd(v: np.ndarray, cmap: ConstraintMap) -> np.ndarray:
+    """P_K: each block's negative eigenvalues set to zero."""
+    clamped = np.empty_like(v)
+    for M, P in zip(_blocks(v, cmap.blocks), _blocks(clamped, cmap.blocks)):
         eig = hermitian_eig(M)
-        P = (eig.vectors * np.maximum(eig.eigenvalues, 0.0)) @ eig.vectors.T
-        clamped.append((P + P.T) / 2.0)
-    return clamped
+        P[...] = (eig.vectors * np.maximum(eig.eigenvalues, 0.0)) @ eig.vectors.T
+    return (clamped + clamped[cmap.mirror]) / 2.0
 
 
-def _dr_step(z: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray):
+def _dr_step(z: np.ndarray, cmap: ConstraintMap, goal: np.ndarray):
     """One Douglas–Rachford step: the shadow x = P_K(z) and the next z,
     z + P_A(2x − z) − x.  For symmetric x and z that is x shifted by the
     class gaps of the reflection 2x − z, which is what is computed."""
-    x = _project_psd(z)
-    reflected = [2.0 * X - Z for X, Z in zip(x, z)]
-    return x, _shift_classes(x, goal - _group_sums(reflected, cmap.ids), cmap)
+    x = _project_psd(z, cmap)
+    return x, _shift_classes(x, goal - np.bincount(cmap.ids, 2.0 * x - z), cmap)
 
 
 def _denominator_ladder(bound: int) -> List[int]:
@@ -347,35 +356,29 @@ def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
 
 
 def _exact_candidate(
-    mats: Sequence[np.ndarray], cmap: ConstraintMap, goal: np.ndarray, q: int
-) -> Tuple[List[np.ndarray], int]:
-    """The rung-q candidate as integer blocks K over one denominator D.
+    v: np.ndarray, cmap: ConstraintMap, goal: np.ndarray, q: int
+) -> Tuple[np.ndarray, int]:
+    """The rung-q candidate as a flat integer point K over one denominator D.
 
-    One ``np.rint(q·M)`` puts every entry on the grid 1/q.  Each class's
+    One ``np.rint(q·v)`` puts every entry on the grid 1/q.  Each class's
     share (t − s)/n of the gap between its target t and its rounded sum
-    s is added to each of its n entries, and each block is replaced by
-    the average of it and its transpose.  Over D = 2·q·lcm(counts) every
-    share and every average is an integer, so K holds Python ints and
-    the candidate is exactly K/D; ``goal`` must hold integers.
+    s is added to each of its n entries, and each entry is replaced by
+    the average of it and its transposed entry.  Over D = 2·q·lcm(counts)
+    every share and every average is an integer, so K holds Python ints
+    and the candidate is exactly K/D; ``goal`` must hold integers.
     """
     lcm = math.lcm(*cmap.counts.tolist())
-    flat = np.rint(q * np.concatenate([M.ravel() for M in mats]))
-    rounded = np.array([int(x) for x in flat.tolist()], dtype=object)
+    rounded = np.array([int(x) for x in np.rint(q * v).tolist()], dtype=object)
     sums = np.zeros(len(cmap.classes), dtype=object)
     np.add.at(sums, cmap.ids, rounded)
     shares = (lcm // cmap.counts.astype(object)) * (q * goal.astype(object) - sums)
-    # half of each restored numerator over D; K = half + halfᵀ
+    # half of each restored numerator over D
     half = lcm * rounded + shares[cmap.ids]
-    blocks, start = [], 0
-    for index in cmap.index:
-        X = half[start:start + index.size].reshape(index.shape)
-        blocks.append(X + X.T)
-        start += index.size
-    return blocks, 2 * q * lcm
+    return half + half[cmap.mirror], 2 * q * lcm
 
 
 def _round_candidate(
-    mats: Sequence[np.ndarray],
+    v: np.ndarray,
     cmap: ConstraintMap,
     target: TracePolynomial,
     q: int,
@@ -390,23 +393,22 @@ def _round_candidate(
     tallied under ``rungs_exact``, and its certificate, with Fraction
     entries, is returned iff ``verify_against`` accepts it.
     """
-    blocks, denom = _exact_candidate(mats, cmap, goal, q)
-    twin = [K.astype(np.float64) / float(denom) for K in blocks]
-    if _margin_cutoff(twin) < math.inf:
+    K, denom = _exact_candidate(v, cmap, goal, q)
+    twin = K.astype(np.float64) / float(denom)
+    if _margin_cutoff(_blocks(twin, cmap.blocks)) < math.inf:
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
     grams = [
-        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in K.tolist()])
-        for K in blocks
+        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
+        for M in _blocks(K, cmap.blocks)
     ]
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
 
 
 def _round_iterate(
-    mats: Sequence[np.ndarray],
-    restored: Sequence[np.ndarray],
+    v: np.ndarray,
     cmap: ConstraintMap,
     target: TracePolynomial,
     ladder: Sequence[int],
@@ -415,14 +417,14 @@ def _round_iterate(
 ) -> Optional[Certificate]:
     """First certificate on the denominator ladder, smallest rung first.
 
-    ``mats`` is rounded; the Weyl cutoff reads ``restored``, its affine
-    projection.  Rungs above the cutoff are a suffix of the ladder,
-    tallied under ``rungs_skipped`` once every rung below has failed.
+    ``v`` is rounded; the Weyl cutoff reads its affine projection.  Rungs
+    above the cutoff are a suffix of the ladder, tallied under
+    ``rungs_skipped`` once every rung below has failed.
     """
-    cutoff = _margin_cutoff(restored)
+    cutoff = _margin_cutoff(_blocks(_project_affine(v, cmap, goal), cmap.blocks))
     allowed = [q for q in ladder if q <= cutoff]
     for q in allowed:
-        cert = _round_candidate(mats, cmap, target, q, goal, tally)
+        cert = _round_candidate(v, cmap, target, q, goal, tally)
         if cert is not None:
             return cert
     tally["rungs_skipped"] += len(ladder) - len(allowed)
@@ -456,21 +458,18 @@ def feasibility_search(
     scale = max([1.0] + np.abs(goal).tolist())
     ladder = _denominator_ladder(opts.denom_bound)
 
-    start: List[np.ndarray] = []
-    for bi, block in enumerate(cmap.blocks):
-        d = block.dimension
-        g = gaussian_stream(derive_seed(opts.seed, 1000 + bi), d * d)
-        X = g.reshape(d, d) * scale
-        start.append((X + X.T) / 2.0)
-    z = _project_affine(start, cmap, goal)
+    start = scale * np.concatenate([
+        gaussian_stream(derive_seed(opts.seed, 1000 + bi), block.dimension ** 2)
+        for bi, block in enumerate(cmap.blocks)
+    ])
+    z = _project_affine((start + start[cmap.mirror]) / 2.0, cmap, goal)
 
     tally: Counter = Counter()
     for iterations in range(1, opts.max_iters + 1):
         x, z = _dr_step(z, cmap, goal)
         # the last shadow of the search is rounded whatever its count
         if iterations % ROUND_EVERY == 0 or iterations == opts.max_iters:
-            restored = _project_affine(x, cmap, goal)
-            cert = _round_iterate(x, restored, cmap, target, ladder, goal, tally)
+            cert = _round_iterate(x, cmap, target, ladder, goal, tally)
             if cert is not None:
                 return SearchOutcome(
                     status=SearchStatus.CERTIFICATE,

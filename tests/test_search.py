@@ -12,7 +12,6 @@ from hurwitz_sos.certificate import (
     Certificate,
     GramMatrix,
     SandwichBlock,
-    gram_from_vectors,
     quadratic_form,
     reduce_pair,
     verify_against,
@@ -21,14 +20,13 @@ from hurwitz_sos.certificate import (
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
     FILTER_SLACK,
-    ConstraintMap,
     SearchOptions,
     SearchStatus,
     UnderdeterminedAnsatzError,
     UnreachableTargetError,
+    _blocks,
     _denominator_ladder,
     _dr_step,
-    _group_sums,
     _margin_cutoff,
     _project_affine,
     _project_psd,
@@ -56,12 +54,47 @@ def words_with(length, b_count):
     )
 
 
+def full_ansatz(p, r):
+    """The full sandwich ansatz of (p, r): one block per (prefix, suffix)
+    in {None, a, b}² whose half letters leave a core of even length with
+    an even number of B's, holding every core word of half that length."""
+    blocks = []
+    for prefix, suffix in itertools.product((None, "a", "b"), repeat=2):
+        halves = [x for x in (prefix, suffix) if x is not None]
+        length, b_count = p - len(halves), r - halves.count("b")
+        if length % 2 == 0 and b_count % 2 == 0 and 0 <= b_count <= length:
+            blocks.append(SandwichBlock(prefix, suffix, words_with(length // 2, b_count // 2)))
+    return tuple(blocks)
+
+
 BLOCKS_84 = (SandwichBlock(None, None, words_with(4, 2)),)
 BLOCKS_102 = (SandwichBlock(None, None, words_with(5, 1)),)
 ANSATZES = [
     pytest.param(7, 3, (BLOCK_73,), id="p7r3"),
     pytest.param(9, 3, BLOCKS_93, id="p9r3"),
 ]
+
+
+def flat(mats):
+    """One matrix per block as the search's flat point, in (block, j, k) order."""
+    return np.concatenate([M.ravel() for M in mats])
+
+
+def check_mirror(cmap):
+    """``mirror`` sends flat position (b, j, k) to (b, k, j), so it is its
+    own inverse, and it is read-only like the other tables."""
+    positions = [
+        (b, j, k)
+        for b, block in enumerate(cmap.blocks)
+        for j in range(block.dimension)
+        for k in range(block.dimension)
+    ]
+    assert [positions[i] for i in cmap.mirror.tolist()] == [
+        (b, k, j) for b, j, k in positions
+    ]
+    assert cmap.mirror[cmap.mirror].tolist() == list(range(len(positions)))
+    with pytest.raises(ValueError):
+        cmap.mirror[...] = 0
 
 
 def class_counts(cmap):
@@ -107,6 +140,8 @@ def test_constraint_map_three_word_block():
         two.index[0].ravel().tolist() + two.index[1].ravel().tolist()
     )
     assert two.counts.tolist() == np.bincount(two.ids).tolist()
+    check_mirror(cmap)
+    check_mirror(two)
 
 
 def test_constraint_map_compares_by_identity():
@@ -136,6 +171,7 @@ def test_constraint_map_p6_determined():
     for table in (cmap.ids, cmap.counts) + cmap.index:
         with pytest.raises(ValueError):
             table[...] = 0
+    check_mirror(cmap)
 
 
 def test_constraint_map_shape_mismatch():
@@ -186,7 +222,7 @@ def test_group_sums_match_per_entry_sums(p, r, blocks):
                     cls = reduce_pair(block, j, k)
                     c = cmap.classes.index(cls)
                     expected[c] += float(mats[bi][j, k])
-        sums = _group_sums(mats, cmap.ids)
+        sums = np.bincount(cmap.ids, flat(mats))
         assert sums.dtype == np.float64 and len(sums) == len(cmap.classes)
         for got, want in zip(sums.tolist(), expected):
             assert got.hex() == want.hex()
@@ -256,11 +292,12 @@ def projected_points(cmap, target, rounds, seed):
     for block in cmap.blocks:
         X = rng.standard_normal((block.dimension, block.dimension)) * scale
         mats.append((X + X.T) / 2.0)
+    v = flat(mats)
     points = []
     for done in range(1, max(rounds) + 1):
-        mats = _project_psd(_project_affine(mats, cmap, goal))
+        v = _project_psd(_project_affine(v, cmap, goal), cmap)
         if done in rounds:
-            points.append(mats)
+            points.append(_blocks(v, cmap.blocks))
     return points
 
 
@@ -289,9 +326,10 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     tally = Counter()
     margin_skips = 0
     for mats in points:
-        cutoff = _margin_cutoff(_project_affine(mats, cmap, goal))
+        restored = _project_affine(flat(mats), cmap, goal)
+        cutoff = _margin_cutoff(_blocks(restored, cmap.blocks))
         for q in _denominator_ladder(10_000)[::3] + [10_000]:
-            got = _round_candidate(mats, cmap, target, q, goal, tally)
+            got = _round_candidate(flat(mats), cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
             assert got == want
             if q > cutoff:
@@ -313,15 +351,71 @@ def test_dr_step_matches_the_textbook_step(p, r, blocks):
     goal = class_goals(cmap, hurwitz_expand(p, r))
     rng = np.random.default_rng(31)
     for _ in range(20):
-        z = [(M + M.T) / 2.0 for M in random_mats(rng, blocks, spread=False)]
+        z = flat([(M + M.T) / 2.0 for M in random_mats(rng, blocks, spread=False)])
         x, got = _dr_step(z, cmap, goal)
-        assert all(np.array_equal(X, P) for X, P in zip(x, _project_psd(z)))
-        reflected = [2.0 * X - Z for X, Z in zip(x, z)]
-        textbook = [
-            Z + P - X for Z, P, X in zip(z, _project_affine(reflected, cmap, goal), x)
-        ]
-        for G, W in zip(got, textbook):
-            assert np.abs(G - W).max() <= 1e-12
+        assert np.array_equal(x, _project_psd(z, cmap))
+        textbook = z + _project_affine(2.0 * x - z, cmap, goal) - x
+        assert np.abs(got - textbook).max() <= 1e-12
+
+
+def reference_sums(mats, cmap):
+    """Class sums and class sizes by a plain loop over (block, j, k), with
+    each pair's class taken from ``reduce_pair``."""
+    sums, sizes = [0.0] * len(cmap.classes), [0] * len(cmap.classes)
+    for bi, block in enumerate(cmap.blocks):
+        for j in range(block.dimension):
+            for k in range(block.dimension):
+                c = cmap.classes.index(reduce_pair(block, j, k))
+                sums[c] += float(mats[bi][j, k])
+                sizes[c] += 1
+    return np.array(sums), np.array(sizes)
+
+
+def reference_shift(mats, gap, sizes, cmap):
+    """Each pair's entry plus its class's share of ``gap``, block by block,
+    then each block averaged with its transpose."""
+    share = gap / sizes
+    shifted = []
+    for bi, (block, M) in enumerate(zip(cmap.blocks, mats)):
+        S = M.copy()
+        for j in range(block.dimension):
+            for k in range(block.dimension):
+                S[j, k] += share[cmap.classes.index(reduce_pair(block, j, k))]
+        shifted.append((S + S.T) / 2.0)
+    return shifted
+
+
+def reference_psd(mats):
+    """Each block's eigenvalues clamped at zero, then averaged with its transpose."""
+    clamped = []
+    for M in mats:
+        w, V = np.linalg.eigh(M)
+        P = (V * np.maximum(w, 0.0)) @ V.T
+        clamped.append((P + P.T) / 2.0)
+    return clamped
+
+
+@pytest.mark.parametrize(
+    "p, r, blocks",
+    ANSATZES + [pytest.param(10, 4, full_ansatz(10, 4), id="p10r4-full")],
+)
+def test_flat_step_matches_per_block_reference(p, r, blocks):
+    """The flat projections and step equal a per-block computation bit for
+    bit, so a wrong block offset or a wrong ``mirror`` shows here."""
+    cmap = build_constraint_map(p, r, blocks)
+    goal = class_goals(cmap, hurwitz_expand(p, r))
+    rng = np.random.default_rng(47)
+    for spread in (False, True) * 5:
+        z = [(M + M.T) / 2.0 for M in random_mats(rng, blocks, spread=spread)]
+        sums, sizes = reference_sums(z, cmap)
+        affine = reference_shift(z, goal - sums, sizes, cmap)
+        assert np.array_equal(_project_affine(flat(z), cmap, goal), flat(affine))
+        x = reference_psd(z)
+        assert np.array_equal(_project_psd(flat(z), cmap), flat(x))
+        reflected_sums, _ = reference_sums([2.0 * X - Z for X, Z in zip(x, z)], cmap)
+        step = reference_shift(x, goal - reflected_sums, sizes, cmap)
+        got_x, got_z = _dr_step(flat(z), cmap, goal)
+        assert np.array_equal(got_x, flat(x)) and np.array_equal(got_z, flat(step))
 
 
 # ------------------------------------------------------------------ rounding filters
@@ -350,8 +444,8 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     ladder = _denominator_ladder(10_000)
-    restored = _project_affine(mats, cmap, goal)
-    cutoff = _margin_cutoff(restored)
+    restored = _project_affine(flat(mats), cmap, goal)
+    cutoff = _margin_cutoff(_blocks(restored, cmap.blocks))
     assert ladder[0] <= cutoff < ladder[-1]
     unfiltered = next(
         found
@@ -359,7 +453,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
         if found is not None
     )
     tally = Counter()
-    filtered = _round_iterate(mats, restored, cmap, target, ladder, goal, tally)
+    filtered = _round_iterate(flat(mats), cmap, target, ladder, goal, tally)
     assert filtered == unfiltered == cert
     # every rung above the cutoff really fails
     for q in ladder:
@@ -623,19 +717,6 @@ def test_search_unknown_on_budget_exhaustion():
     assert visited == len(_denominator_ladder(10_000))
 
 
-def full_ansatz(p, r):
-    """The full sandwich ansatz of (p, r): one block per (prefix, suffix)
-    in {None, a, b}² whose half letters leave a core of even length with
-    an even number of B's, holding every core word of half that length."""
-    blocks = []
-    for prefix, suffix in itertools.product((None, "a", "b"), repeat=2):
-        halves = [x for x in (prefix, suffix) if x is not None]
-        length, b_count = p - len(halves), r - halves.count("b")
-        if length % 2 == 0 and b_count % 2 == 0 and 0 <= b_count <= length:
-            blocks.append(SandwichBlock(prefix, suffix, words_with(length // 2, b_count // 2)))
-    return tuple(blocks)
-
-
 @pytest.mark.parametrize("p, r", [(7, 3), (8, 2), (8, 4), (11, 3)])
 def test_full_ansatz_search_finds_certificates(p, r):
     outcome = feasibility_search(p, r, full_ansatz(p, r), SearchOptions(seed=0, max_iters=300))
@@ -657,11 +738,14 @@ def test_full_ansatz_search_unknown(p, r):
 
 
 def test_search_deterministic():
-    opts = SearchOptions(seed=5, max_iters=5000)
-    a = feasibility_search(7, 3, (BLOCK_73,), opts)
-    b = feasibility_search(7, 3, (BLOCK_73,), opts)
-    assert a.status == b.status and a.iterations == b.iterations
-    assert a.certificate == b.certificate
+    """Two runs in one process give the same document, rung tallies
+    included, on one block and on three blocks of sizes 6, 3 and 3."""
+    for p, r, blocks, seed in ((7, 3, (BLOCK_73,), 5), (8, 4, full_ansatz(8, 4), 0)):
+        opts = SearchOptions(seed=seed, max_iters=5000)
+        a = outcome_to_json(feasibility_search(p, r, blocks, opts))
+        b = outcome_to_json(feasibility_search(p, r, blocks, opts))
+        assert json.dumps(a) == json.dumps(b)
+        assert sum(a["rounding"].values()) > 0
 
 
 # ------------------------------------------------------------------ json

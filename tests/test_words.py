@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hurwitz_sos.rational import GaussianRational, grat
+from hurwitz_sos.rational import grat
 from hurwitz_sos.words import (
     CyclicClass,
     TracePolynomial,
