@@ -282,6 +282,14 @@ def _clearly_negative(w: np.ndarray) -> np.ndarray:
     return ws[..., 0] < -PSD_NEG_TOL * (u[..., 0] + norm)
 
 
+def _eigh(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``eigh`` of H, raising ConvergenceError if it does not converge."""
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
 def hermitian_eig(H) -> EigResult:
     """Eigensystem of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
@@ -305,12 +313,9 @@ def hermitian_eig(H) -> EigResult:
             k = int(np.argmax(off))
             raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
         H = H / 2.0 + adjoint / 2.0
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    w, V = _eigh(H)
     # a Python pass costs less than a numpy reduction on the small
-    # matrices the search diagonalizes thousands of times
+    # matrices of the search's Weyl margin and float twin
     if not all(map(math.isfinite, w.ravel().tolist())):
         k = int(np.argmin(np.isfinite(w).all(axis=-1)))
         raise ArithmeticError(
@@ -379,35 +384,28 @@ def trace_hurwitz_numeric(A, B, p: int, r):
     real; a significant imaginary part indicates bad input and raises
     ArithmeticError, as does a total that overflowed to inf or NaN.
 
-    An int r gives a float for a pair and a float vector of length m for
-    a stack of m pairs, and raises if any of its traces would; only
-    degree r is checked.  A nonempty ``range`` of degrees in [0, p]
-    runs the recurrence once, up to its largest degree, and adds a
-    trailing axis with one entry per degree of the range: a vector for a
-    pair, an (m, len(r)) array for a stack.  Its degrees are checked in
-    ascending order, each as an int r would be, so the first bad degree
-    raises what its own call would.
+    ``r`` is an int or a nonempty ``range`` of degrees in [0, p], and an
+    int r is the one-degree case of a range.  The recurrence runs once,
+    up to the largest degree, and only the requested degrees are
+    checked, in ascending order, so the first bad degree raises what its
+    own call would.  A range adds a trailing axis with one entry per
+    degree: a vector for a pair, an (m, len(r)) array for a stack of m
+    pairs.  An int r adds none: a float for a pair, a float vector of
+    length m for a stack.
     """
-    if isinstance(r, range):
-        if not r:
-            raise ValueError(f"r must be an int or a nonempty range, got {r!r}")
-        check_degrees(p, min(r))
-        top = max(r)
-    else:
-        top = r
-    check_degrees(p, top)
+    degrees = sorted(r) if isinstance(r, range) else [r]
+    if not degrees:
+        raise ValueError(f"r must be an int or a nonempty range, got {r!r}")
+    check_degrees(p, degrees[0])
+    check_degrees(p, degrees[-1])
     A, B, single = _pair_stack(A, B)
     # overflow is reported below as an ArithmeticError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = kernels.hurwitz_trace(A, B, p, top)
-    if not isinstance(r, range):
-        totals = columns[:, r]
-        _check_trace(totals, p, r, single)
-        return float(totals[0].real) if single else totals.real.copy()
-    for j in sorted(r):
+        columns = kernels.hurwitz_trace(A, B, p, degrees[-1])
+    for j in degrees:
         _check_trace(columns[:, j], p, j, single)
-    totals = columns[:, r]
-    return (totals[0] if single else totals).real.copy()
+    totals = (columns[0] if single else columns)[..., r].real.copy()
+    return float(totals) if totals.ndim == 0 else totals
 
 
 def bmv_coefficients(A, B, p: int) -> np.ndarray:

@@ -23,7 +23,7 @@ k) order, the order of ``ConstraintMap.ids``.  With A the class
 incidence matrix, ``np.bincount(ids, v)`` is A·v, ``(gap / counts)[ids]``
 is Aᵀ(AAᵀ)⁻¹·gap, and ``(v + v[mirror]) / 2`` symmetrizes every block at
 once.  Only the eigensolves and the final Gram matrices read blocks, as
-``(d, d)`` views of v.
+``(d, d)`` views of v cut at the map's ``spans``.
 
 One float test, λ_min ≥ −slack on every block, drops rungs whose exact
 candidate provably fails the exact PSD check, so it never changes which
@@ -59,6 +59,7 @@ that passes the twin builds Fractions, for ``verify_against``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ from .certificate import (
     rational_quad,
     verify_against,
 )
-from .numeric import SEED_LIMIT, derive_seed, gaussian_stream, hermitian_eig
+from .numeric import SEED_LIMIT, _eigh, derive_seed, gaussian_stream, hermitian_eig
 from .rational import GaussianRational
 from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
 
@@ -108,11 +109,11 @@ class ConstraintMap:
 
     ``classes`` holds the classes the ansatz reaches, sorted.  ``ids`` is
     every pair's class id, blocks concatenated in (block, j, k) order:
-    the order of the search's flat point.  ``index[b]`` is the ``(d, d)``
-    view of ``ids`` for block b, so pair (j, k) of block b feeds
-    ``classes[index[b][j, k]]``.  ``counts[c]`` is the number of pairs
-    that feed class c, so ``counts == np.bincount(ids)``, and
-    ``mirror[i]`` is the flat position of the transposed entry of
+    the order of the search's flat point.  ``spans[b]`` is block b's
+    (offset, d) in ``ids`` as plain ints, so pair (j, k) of block b
+    feeds ``classes[ids[offset + j·d + k]]``.  ``counts[c]`` is the
+    number of pairs that feed class c, so ``counts == np.bincount(ids)``,
+    and ``mirror[i]`` is the flat position of the transposed entry of
     position i, (b, k, j) for (b, j, k).  All these arrays are read-only.
     Maps compare and hash by identity, since an array has no single
     truth value to compare field by field.
@@ -122,7 +123,7 @@ class ConstraintMap:
     r: int
     blocks: Tuple[SandwichBlock, ...]
     classes: Tuple[CyclicClass, ...]
-    index: Tuple[np.ndarray, ...]
+    spans: Tuple[Tuple[int, int], ...]
     ids: np.ndarray
     counts: np.ndarray
     mirror: np.ndarray
@@ -133,14 +134,9 @@ class ConstraintMap:
         return len(self.classes) == self.ids.size
 
 
-def _blocks(v: np.ndarray, blocks: Sequence[SandwichBlock]) -> List[np.ndarray]:
+def _blocks(v: np.ndarray, spans: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
     """Each block of the flat array ``v`` as a ``(d, d)`` view, in block order."""
-    views, start = [], 0
-    for block in blocks:
-        d = block.dimension
-        views.append(v[start:start + d * d].reshape(d, d))
-        start += d * d
-    return views
+    return [v[start:start + d * d].reshape(d, d) for start, d in spans]
 
 
 def build_constraint_map(
@@ -159,15 +155,16 @@ def build_constraint_map(
         dtype=np.intp,
     )
     counts = np.bincount(ids)
+    dims = [block.dimension for block in blocks]
+    spans = tuple(zip(itertools.accumulate((d * d for d in dims), initial=0), dims))
     mirror = np.concatenate(
-        [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), blocks)]
+        [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), spans)]
     )
     for table in (ids, counts, mirror):
         table.setflags(write=False)
-    index = tuple(_blocks(ids, blocks))
     return ConstraintMap(
         p=p, r=r, blocks=blocks, classes=classes,
-        index=index, ids=ids, counts=counts, mirror=mirror,
+        spans=spans, ids=ids, counts=counts, mirror=mirror,
     )
 
 
@@ -198,7 +195,7 @@ def determined_gram(
     if not cmap.determined:
         return None
     grams: List[GramMatrix] = []
-    for bi, ids in enumerate(cmap.index):
+    for bi, ids in enumerate(_blocks(cmap.ids, cmap.spans)):
         rows = [
             [target.coefficient(cmap.classes[i]) for i in row] for row in ids.tolist()
         ]
@@ -318,9 +315,11 @@ def _project_affine(v: np.ndarray, cmap: ConstraintMap, goal: np.ndarray) -> np.
 def _project_psd(v: np.ndarray, cmap: ConstraintMap) -> np.ndarray:
     """P_K: each block's negative eigenvalues set to zero."""
     clamped = np.empty_like(v)
-    for M, P in zip(_blocks(v, cmap.blocks), _blocks(clamped, cmap.blocks)):
-        eig = hermitian_eig(M)
-        P[...] = (eig.vectors * np.maximum(eig.eigenvalues, 0.0)) @ eig.vectors.T
+    # every point is symmetrized by the mirror, so its blocks are finite
+    # and exactly symmetric, and LAPACK needs no checked wrapper
+    for M, P in zip(_blocks(v, cmap.spans), _blocks(clamped, cmap.spans)):
+        w, V = _eigh(M)
+        P[...] = (V * np.maximum(w, 0.0)) @ V.T
     return (clamped + clamped[cmap.mirror]) / 2.0
 
 
@@ -395,13 +394,13 @@ def _round_candidate(
     """
     K, denom = _exact_candidate(v, cmap, goal, q)
     twin = K.astype(np.float64) / float(denom)
-    if _margin_cutoff(_blocks(twin, cmap.blocks)) < math.inf:
+    if _margin_cutoff(_blocks(twin, cmap.spans)) < math.inf:
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
     grams = [
         GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
-        for M in _blocks(K, cmap.blocks)
+        for M in _blocks(K, cmap.spans)
     ]
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
@@ -421,7 +420,7 @@ def _round_iterate(
     above the cutoff are a suffix of the ladder, tallied under
     ``rungs_skipped`` once every rung below has failed.
     """
-    cutoff = _margin_cutoff(_blocks(_project_affine(v, cmap, goal), cmap.blocks))
+    cutoff = _margin_cutoff(_blocks(_project_affine(v, cmap, goal), cmap.spans))
     allowed = [q for q in ladder if q <= cutoff]
     for q in allowed:
         cert = _round_candidate(v, cmap, target, q, goal, tally)

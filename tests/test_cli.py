@@ -392,6 +392,18 @@ def test_validate_eigensolver_failure_exits_fail(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
+def test_search_eigensolver_failure_exits_fail(three_word_ansatz, monkeypatch, capsys):
+    # the search's projections and its rounding filter share one mapping
+    # of LAPACK's failure to ConvergenceError
+    def fail(_H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["search", "--ansatz", three_word_ansatz]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not converge" in err
+
+
 def test_validate_prints_the_failing_trial(monkeypatch, capsys):
     row = TrialRow(
         p=7,

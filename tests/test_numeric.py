@@ -410,7 +410,10 @@ def test_trace_hurwitz_overflow_raises():
 def test_trace_hurwitz_checks_only_its_degrees():
     I = np.eye(2)
     # an int r checks only its own degree: Tr(I^3) = 2 while degree 0 overflows
-    assert trace_hurwitz_numeric(1e200 * I, I, 3, 3) == 2.0
+    got = trace_hurwitz_numeric(1e200 * I, I, 3, 3)
+    assert got == 2.0 and type(got) is float
+    # and so does a range, its one-degree case included
+    assert trace_hurwitz_numeric(1e200 * I, I, 3, range(3, 4)).tolist() == [2.0]
     with pytest.raises(ArithmeticError, match=r"\(p=3, r=0\) is not finite"):
         bmv_coefficients(1e200 * I, I, 3)
 
@@ -428,6 +431,21 @@ def test_trace_hurwitz_takes_a_range_of_degrees():
         trace_hurwitz_numeric(A, B, 6, range(8))
     with pytest.raises(ValueError, match=r"r must lie in \[0, 6\], got -1"):
         trace_hurwitz_numeric(A, B, 6, range(-1, 3))
+    # an int r is the one-degree range without its trailing axis
+    As = random_psd(3, [derive_seed(32, k) for k in range(3)])
+    Bs = random_psd(3, [derive_seed(33, k) for k in range(3)])
+    for X, Y in ((A, B), (As, Bs)):
+        for r in range(7):
+            one = trace_hurwitz_numeric(X, Y, 6, range(r, r + 1))
+            assert np.array_equal(trace_hurwitz_numeric(X, Y, 6, r), one[..., 0])
+    # a non-Hermitian pair fails both calls with the same message
+    N = np.diag([1.0 + 1.0j, 1.0])
+    messages = []
+    for r in (1, range(1, 2)):
+        with pytest.raises(ArithmeticError, match="imaginary part") as info:
+            trace_hurwitz_numeric(N, np.eye(2), 3, r)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

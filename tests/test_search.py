@@ -99,7 +99,22 @@ def check_mirror(cmap):
 
 def class_counts(cmap):
     """Number of pairs feeding each class, keyed by the class string."""
-    return Counter(str(cmap.classes[i]) for ids in cmap.index for i in ids.ravel())
+    return Counter(str(cmap.classes[i]) for i in cmap.ids.tolist())
+
+
+def check_spans(cmap):
+    """``spans`` tiles ``ids``: contiguous offsets from 0, d² entries per
+    block, the last ending at ``ids.size``, every value a Python int; the
+    block views it cuts are read-only like ``ids``."""
+    offset = 0
+    for (start, d), block in zip(cmap.spans, cmap.blocks):
+        assert type(start) is int and type(d) is int
+        assert start == offset and d == block.dimension
+        offset += d * d
+    assert len(cmap.spans) == len(cmap.blocks) and offset == cmap.ids.size
+    for view in _blocks(cmap.ids, cmap.spans):
+        with pytest.raises(ValueError):
+            view[...] = 0
 
 
 # ------------------------------------------------------------------ constraint map
@@ -108,9 +123,8 @@ def test_constraint_map_three_word_block():
     cmap = build_constraint_map(7, 3, (BLOCK_73,))
     assert cmap.p == 7 and cmap.r == 3
     # frozen pair-class table for the three-word block
-    table = [
-        [str(cmap.classes[cmap.index[0][j, k]]) for k in range(3)] for j in range(3)
-    ]
+    index, = _blocks(cmap.ids, cmap.spans)
+    table = [[str(cmap.classes[index[j, k]]) for k in range(3)] for j in range(3)]
     assert table == [
         ["AABAABB", "AABABAB", "AABAABB"],
         ["AABABAB", "AABABAB", "AAABBAB"],
@@ -125,23 +139,25 @@ def test_constraint_map_three_word_block():
         "AABAABB": 3,
     }
     # the flat table: every pair's class id in (block, j, k) order, and
-    # the number of pairs per class, both read-only like ``index``
-    assert cmap.ids.tolist() == cmap.index[0].ravel().tolist()
+    # the number of pairs per class, both read-only
+    assert cmap.ids.tolist() == index.ravel().tolist()
     assert cmap.counts.tolist() == [1, 1, 1, 3, 3]
     assert cmap.counts.tolist() == np.bincount(cmap.ids).tolist()
-    for table in (cmap.ids, cmap.counts) + cmap.index:
+    for table in (cmap.ids, cmap.counts):
         with pytest.raises(ValueError):
             table[...] = 0
     assert not cmap.determined
     assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
     # two blocks: the ids of block 1 follow those of block 0
     two = build_constraint_map(9, 3, BLOCKS_93)
-    assert two.ids.tolist() == (
-        two.index[0].ravel().tolist() + two.index[1].ravel().tolist()
-    )
+    assert two.spans == ((0, 4), (16, 4))
+    first, second = _blocks(two.ids, two.spans)
+    assert two.ids.tolist() == first.ravel().tolist() + second.ravel().tolist()
     assert two.counts.tolist() == np.bincount(two.ids).tolist()
     check_mirror(cmap)
     check_mirror(two)
+    check_spans(cmap)
+    check_spans(two)
 
 
 def test_constraint_map_compares_by_identity():
@@ -164,14 +180,16 @@ def test_constraint_map_p6_determined():
     cmap = build_constraint_map(6, 3, (P6_BLOCK,))
     assert cmap.determined
     assert class_counts(cmap) == {"AAABBB": 1, "AABABB": 1, "AABBAB": 1, "ABABAB": 1}
-    assert cmap.ids.tolist() == cmap.index[0].ravel().tolist()
+    assert cmap.spans == ((0, 2),)
+    assert cmap.ids.tolist() == _blocks(cmap.ids, cmap.spans)[0].ravel().tolist()
     assert cmap.counts.tolist() == [1, 1, 1, 1]
     assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
     assert cmap.counts.tolist() == np.bincount(cmap.ids).tolist()
-    for table in (cmap.ids, cmap.counts) + cmap.index:
+    for table in (cmap.ids, cmap.counts):
         with pytest.raises(ValueError):
             table[...] = 0
     check_mirror(cmap)
+    check_spans(cmap)
 
 
 def test_constraint_map_shape_mismatch():
@@ -297,7 +315,7 @@ def projected_points(cmap, target, rounds, seed):
     for done in range(1, max(rounds) + 1):
         v = _project_psd(_project_affine(v, cmap, goal), cmap)
         if done in rounds:
-            points.append(_blocks(v, cmap.blocks))
+            points.append(_blocks(v, cmap.spans))
     return points
 
 
@@ -327,7 +345,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     margin_skips = 0
     for mats in points:
         restored = _project_affine(flat(mats), cmap, goal)
-        cutoff = _margin_cutoff(_blocks(restored, cmap.blocks))
+        cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
         for q in _denominator_ladder(10_000)[::3] + [10_000]:
             got = _round_candidate(flat(mats), cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
@@ -440,12 +458,13 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     # (1, 1) and its class mates (0, 1), (1, 0) keep their sum
     E = np.zeros((3, 3))
     E[1, 1], E[0, 1], E[1, 0] = -0.01, 0.005, 0.005
-    assert cmap.index[0][1, 1] == cmap.index[0][0, 1] == cmap.index[0][1, 0]
+    index, = _blocks(cmap.ids, cmap.spans)
+    assert index[1, 1] == index[0, 1] == index[1, 0]
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     ladder = _denominator_ladder(10_000)
     restored = _project_affine(flat(mats), cmap, goal)
-    cutoff = _margin_cutoff(_blocks(restored, cmap.blocks))
+    cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
     assert ladder[0] <= cutoff < ladder[-1]
     unfiltered = next(
         found
