@@ -117,6 +117,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _check_cert_path(path: str) -> None:
+    """Reject a --cert path that cannot be written, before any search runs."""
+    if os.path.isdir(path):
+        raise _UsageError(f"--cert {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(f"--cert {path}: directory {parent} does not exist")
+
+
+_SEARCH_EXIT = {
+    SearchStatus.CERTIFICATE: EXIT_OK,
+    SearchStatus.INFEASIBLE: EXIT_INFEASIBLE,
+    SearchStatus.UNKNOWN: EXIT_UNKNOWN,
+}
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     hint_p, hint_r, blocks = load_ansatz(args.ansatz)
     p = args.p if args.p is not None else hint_p
@@ -132,46 +148,42 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_iters=args.max_iter,
         denom_bound=args.denom_bound,
     )
+    if args.cert:
+        _check_cert_path(args.cert)
     try:
         outcome = feasibility_search(p, r, blocks, options)
     except UnreachableTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        if args.format == "json":
-            doc = outcome_to_json(SearchOutcome(SearchStatus.INFEASIBLE, 0))
-            doc["missing"] = [str(cls) for cls in exc.missing]
-            _emit(doc, [], args.format)
-        return EXIT_INFEASIBLE
-    doc = outcome_to_json(outcome)
-    lines = [
-        f"status: {outcome.status.value}",
-        f"iterations: {outcome.iterations}",
-        f"rounding: {outcome.rungs_skipped} rungs skipped by the margin, "
-        f"{outcome.rungs_float_rejected} rejected by the float twin, "
-        f"{outcome.rungs_exact} checked exactly",
-    ]
-    if outcome.status is SearchStatus.CERTIFICATE:
-        cert = outcome.certificate
-        for idx, (block, gram) in enumerate(cert.blocks):
+        outcome = SearchOutcome(SearchStatus.INFEASIBLE, 0)
+        doc = {**outcome_to_json(outcome), "missing": [str(c) for c in exc.missing]}
+        lines: List[str] = []
+    else:
+        doc = outcome_to_json(outcome)
+        lines = [
+            f"status: {outcome.status.value}",
+            f"iterations: {outcome.iterations}",
+            f"rounding: {outcome.rungs_skipped} rungs skipped by the margin, "
+            f"{outcome.rungs_float_rejected} rejected by the float twin, "
+            f"{outcome.rungs_exact} checked exactly",
+        ]
+    if outcome.certificate is not None:
+        for idx, (block, gram) in enumerate(outcome.certificate.blocks):
             shape = f"{block.prefix or ''}|{','.join(block.basis)}|{block.suffix or ''}"
             lines.append(f"block {idx} [{shape}]:")
             for j in range(gram.dimension):
                 row = "  ".join(str(gram.at(j, k)) for k in range(gram.dimension))
                 lines.append(f"  {row}")
         if args.cert:
-            save_certificate(cert, args.cert)
+            save_certificate(outcome.certificate, args.cert)
             lines.append(f"certificate written to {args.cert}")
-        _emit(doc, lines, args.format)
-        return EXIT_OK
-    if outcome.status is SearchStatus.INFEASIBLE:
+    if outcome.witness is not None:
         vec = ", ".join(str(x) for x in outcome.witness)
         lines.append(
             f"witness (block {outcome.witness_block}): ({vec}) "
             f"with form value {outcome.witness_form}"
         )
-        _emit(doc, lines, args.format)
-        return EXIT_INFEASIBLE
     _emit(doc, lines, args.format)
-    return EXIT_UNKNOWN
+    return _SEARCH_EXIT[outcome.status]
 
 
 def _run_trials(
@@ -244,10 +256,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trial_flags(parser: argparse.ArgumentParser, trials: int, dims: str) -> None:
-    parser.add_argument("--trials", type=int, default=trials)
-    parser.add_argument("--dims", default=dims)
-    parser.add_argument("--seed", type=int, default=None)
+_SEED_HELP = f"seed in [0, 2**64) (default: ${SEED_ENV}, then 0)"
+
+
+def _add_trial_flags(
+    parser: argparse.ArgumentParser, trials: int, trials_help: str, dims: str
+) -> None:
+    parser.add_argument(
+        "--trials", type=int, default=trials, help=f"{trials_help} (default: {trials})"
+    )
+    parser.add_argument(
+        "--dims", default=dims, help=f"comma-separated matrix sizes (default: {dims})"
+    )
+    parser.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     _add_common(parser)
 
 
@@ -265,8 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser(
         "expand", help="expand the (p, r) word sum into cyclic classes"
     )
-    p_expand.add_argument("-p", "--p", dest="p", type=int, required=True)
-    p_expand.add_argument("-r", "--r", dest="r", type=int, required=True)
+    p_expand.add_argument(
+        "-p", "--p", dest="p", type=int, required=True, help="word length p >= 1"
+    )
+    p_expand.add_argument(
+        "-r", "--r", dest="r", type=int, required=True, help="B count r, 0 <= r <= p"
+    )
     _add_common(p_expand)
     p_expand.set_defaults(func=cmd_expand)
 
@@ -280,15 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", help="search for a Gram certificate over an ansatz"
     )
-    p_search.add_argument("-p", "--p", dest="p", type=int, default=None)
-    p_search.add_argument("-r", "--r", dest="r", type=int, default=None)
+    p_search.add_argument(
+        "-p", "--p", dest="p", type=int, help="word length (default: the ansatz's p)"
+    )
+    p_search.add_argument(
+        "-r", "--r", dest="r", type=int, help="number of B's (default: the ansatz's r)"
+    )
     p_search.add_argument("--ansatz", required=True, help="ansatz JSON path")
     p_search.add_argument(
         "--cert", default=None, help="write any found certificate here"
     )
-    p_search.add_argument("--seed", type=int, default=None)
-    p_search.add_argument("--max-iter", type=int, default=5000)
-    p_search.add_argument("--denom-bound", type=int, default=10_000)
+    p_search.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
+    p_search.add_argument(
+        "--max-iter",
+        type=int,
+        default=5000,
+        help="Douglas-Rachford steps (default: 5000)",
+    )
+    p_search.add_argument(
+        "--denom-bound",
+        type=int,
+        default=10_000,
+        help="largest rounding denominator q (default: 10000)",
+    )
     _add_common(p_search)
     p_search.set_defaults(func=cmd_search)
 
@@ -296,14 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-check a certificate numerically"
     )
     p_validate.add_argument("--cert", required=True, help="certificate JSON path")
-    _add_trial_flags(p_validate, trials=100, dims="1,2,3,4,5,6")
+    _add_trial_flags(p_validate, 100, "random trials per dimension", "1,2,3,4,5,6")
     p_validate.set_defaults(func=cmd_validate)
 
     p_bmv = sub.add_parser(
         "bmv-check", help="sample PSD pairs and test coefficient nonnegativity"
     )
-    p_bmv.add_argument("-p", "--p", dest="p", type=int, required=True)
-    _add_trial_flags(p_bmv, trials=500, dims="2,3,4")
+    p_bmv.add_argument(
+        "-p",
+        "--p",
+        dest="p",
+        type=int,
+        required=True,
+        help="word length p: test the p + 1 coefficients of Tr (A + tB)^p",
+    )
+    _add_trial_flags(p_bmv, 500, "random trials in total, cycled over --dims", "2,3,4")
     p_bmv.set_defaults(func=cmd_bmv_check)
 
     return parser

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .certificate import Certificate, GramMatrix
-from .words import check_degrees, is_int
+from .words import check_degrees, check_positive_int, is_int
 
 
 # Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
@@ -176,18 +176,13 @@ def gaussian_stream(seed, count: int) -> np.ndarray:
     return _stream(_gaussian_rows, seed, count)
 
 
-def _check_dimension(n: int) -> None:
-    if not is_int(n) or n < 1:
-        raise ValueError(f"n must be a positive int, got {n!r}")
-
-
 def random_hermitian(n: int, seed) -> np.ndarray:
     """Random Hermitian matrix with independent complex Gaussian entries.
 
     An int seed gives an (n, n) matrix; a sequence of m seeds gives an
     (m, n, n) stack whose slice k is what seed k alone gives.
     """
-    _check_dimension(n)
+    check_positive_int(n, "n")
     seeds, single = _seed_vector(seed)
     X = _complex_gaussian_rows(seeds, n)
     H = (X + _adjoint(X)) / 2.0
@@ -201,7 +196,7 @@ def random_psd(n: int, seed) -> np.ndarray:
     (m, n, n) stack, drawn in one pass, whose slice k is what seed k
     alone gives.
     """
-    _check_dimension(n)
+    check_positive_int(n, "n")
     seeds, single = _seed_vector(seed)
     R = _complex_gaussian_rows(seeds, n)
     M = _adjoint(R) @ R

@@ -79,9 +79,9 @@ from .certificate import (
     rational_quad,
     verify_against,
 )
-from .numeric import SEED_LIMIT, _eigh, derive_seed, gaussian_stream, hermitian_eig
+from .numeric import _check_seed, _eigh, derive_seed, gaussian_stream, hermitian_eig
 from .rational import GaussianRational
-from .words import CyclicClass, TracePolynomial, hurwitz_expand, is_int
+from .words import CyclicClass, TracePolynomial, check_positive_int, hurwitz_expand
 
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
@@ -221,6 +221,7 @@ class SearchOptions:
     ``seed`` picks the random start, ``max_iters`` is the number of
     Douglas–Rachford steps, and ``denom_bound`` is the largest grid
     denominator q: rung q rounds every Gram entry to a multiple of 1/q.
+    Each must be an int, ``seed`` in [0, 2**64) and the others >= 1.
     """
 
     seed: int = 0
@@ -228,15 +229,9 @@ class SearchOptions:
     denom_bound: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("seed", "max_iters", "denom_bound"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.denom_bound < 1:
-            raise ValueError("denom_bound must be positive")
+        _check_seed(self.seed)
+        check_positive_int(self.max_iters, "max_iters")
+        check_positive_int(self.denom_bound, "denom_bound")
 
 
 @dataclass(frozen=True)

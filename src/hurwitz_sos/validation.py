@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .certificate import Certificate
-from .words import check_degrees, is_int
+from .words import check_degrees, check_positive_int
 from .numeric import (
     SEED_LIMIT,
+    _check_seed,
     bmv_coefficients,
     derive_seed,
     eval_certificate_numeric,
@@ -63,7 +64,9 @@ class TrialConfig:
     counts random trials per dimension for the certificate runner and
     total trials (cycled over the dimensions) for the coefficient
     runner.  Only the certificate runner reads ``tol_rel``;
-    ``bmv_check_trials`` takes its own ``tol``.
+    ``bmv_check_trials`` takes its own ``tol``.  ``trials`` and each of
+    the nonempty ``dims`` must be positive ints, and every trial seed
+    must lie in [0, 2**64); a bad value raises ``ValueError`` naming it.
     """
 
     seed: int = 0
@@ -72,17 +75,17 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not is_int(self.seed):
-            raise ValueError("seed must be an integer")
-        if not is_int(self.trials) or self.trials < 1:
-            raise ValueError("trials must be a positive integer")
+        _check_seed(self.seed)
+        check_positive_int(self.trials, "trials")
         _check_tolerance("tol_rel", self.tol_rel)
-        if not self.dims or any(not is_int(n) or n < 1 for n in self.dims):
-            raise ValueError("dims must be positive integers")
+        if not self.dims:
+            raise ValueError("dims must be nonempty")
+        for k, n in enumerate(self.dims):
+            check_positive_int(n, f"dims[{k}]")
         # either runner numbers its trials seed, seed + 1, ..., at most
         # len(dims) * trials of them, and each must be a distinct 64-bit seed
         count = len(self.dims) * self.trials
-        if not 0 <= self.seed <= SEED_LIMIT - count:
+        if self.seed > SEED_LIMIT - count:
             raise ValueError(
                 f"seed must lie in [0, 2**64 - {count}] so that its {count} "
                 f"trial seeds stay below 2**64, got {self.seed}"

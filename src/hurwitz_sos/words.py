@@ -36,10 +36,15 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_positive_int(value: object, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a non-bool int >= 1."""
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def check_degrees(p: int, r: int) -> None:
     """Validate a word length p >= 1 and a B count r in [0, p]; a bool is rejected."""
-    if not is_int(p) or p < 1:
-        raise ValueError(f"p must be a positive int, got {p!r}")
+    check_positive_int(p, "p")
     if not is_int(r) or not 0 <= r <= p:
         raise ValueError(f"r must lie in [0, {p}], got {r!r}")
 
@@ -142,8 +147,7 @@ class TracePolynomial:
         degree: int,
         terms: Optional[Mapping[ClassLike, CoefficientLike]] = None,
     ) -> None:
-        if not is_int(degree) or degree < 1:
-            raise ValueError(f"degree must be a positive int, got {degree!r}")
+        check_positive_int(degree, "degree")
         self._degree = degree
         data: Dict[CyclicClass, GaussianRational] = {}
         if terms:

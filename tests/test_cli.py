@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hurwitz_sos.certificate import (
     bundled_path,
+    certificate_from_json,
     certificate_to_json,
     bundled_certificate,
     load_certificate,
@@ -186,6 +188,35 @@ def test_search_finds_certificate(tmp_path, three_word_ansatz, capsys):
     found = load_certificate(str(out_path))
     assert verify_certificate(found).ok
     assert (found.p, found.r) == (7, 3)
+
+
+def test_search_json_certificate(tmp_path, three_word_ansatz, capsys):
+    out_path = tmp_path / "found.json"
+    argv = ["--ansatz", three_word_ansatz, "--cert", str(out_path), "--format", "json"]
+    assert main(["search"] + argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "certificate" and doc["witness"] is None
+    found = certificate_from_json(doc["certificate"])
+    assert verify_certificate(found).ok
+    assert found == load_certificate(str(out_path))
+
+
+@pytest.mark.parametrize("where", ["missing/found.json", "."])
+def test_search_rejects_unwritable_cert_before_searching(
+    tmp_path, three_word_ansatz, monkeypatch, capsys, where
+):
+    # a path whose directory is missing, or a directory: the search, which
+    # may run for minutes, must not start when its result cannot be saved
+    def fail(*_args):
+        raise AssertionError("feasibility_search ran")
+
+    monkeypatch.setattr(cli, "feasibility_search", fail)
+    cert = str(tmp_path / where)
+    code = main(["search", "--ansatz", three_word_ansatz, "--cert", cert])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cert ") and cert in captured.err
 
 
 def test_search_infeasible_restricted_ansatz(capsys):
@@ -577,6 +608,16 @@ def test_unknown_subcommand():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"expand", "verify", "search", "validate", "bmv-check"}
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if action.option_strings and action.dest != "help":
+                assert action.help, (name, action.option_strings)
 
 
 def test_module_entry_point():

@@ -662,15 +662,19 @@ def test_prove_infeasible_feasible_determined_case():
 # ------------------------------------------------------------------ search
 
 def test_search_options_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         SearchOptions(max_iters=0)
+    assert str(info.value) == "max_iters must be a positive int, got 0"
     with pytest.raises(ValueError):
         SearchOptions(denom_bound=0)
     # seeds are 64-bit: a larger one would alias a smaller one modulo 2^64
     assert SearchOptions(seed=2**64 - 1).seed == 2**64 - 1
     for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed must lie"):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             SearchOptions(seed=seed)
+    with pytest.raises(ValueError) as info:
+        SearchOptions(seed=-1)
+    assert str(info.value) == "seed must be an int in [0, 2**64), got -1"
 
 
 @pytest.mark.parametrize("field", ["seed", "max_iters", "denom_bound"])

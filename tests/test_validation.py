@@ -16,12 +16,14 @@ SMALL = TrialConfig(seed=0, dims=(1, 2, 3), trials=5)
 
 
 def test_trial_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         TrialConfig(trials=0)
+    assert str(info.value) == "trials must be a positive int, got 0"
     with pytest.raises(ValueError):
         TrialConfig(dims=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         TrialConfig(dims=(0,))
+    assert str(info.value) == "dims[0] must be a positive int, got 0"
     with pytest.raises(ValueError):
         TrialConfig(tol_rel=-1.0)
     for seed in (1.5, "7", None, 2.0):
@@ -39,9 +41,11 @@ def test_trial_config_validation():
     # repeat the trial of a smaller seed
     last = 2**64 - 3 * 5
     assert TrialConfig(seed=last, dims=(1, 2, 3), trials=5).seed == last
-    for seed in (-1, -3, last + 1, 2**64, 2**70):
-        with pytest.raises(ValueError, match="seed must lie"):
+    for seed in (-1, -3, 2**64, 2**70):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             TrialConfig(seed=seed, dims=(1, 2, 3), trials=5)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 15\]"):
+        TrialConfig(seed=last + 1, dims=(1, 2, 3), trials=5)
     rows = bmv_check_trials(5, TrialConfig(seed=2**64 - 2, dims=(2,), trials=2)).rows
     assert [row.trial_seed for row in rows] == [2**64 - 2, 2**64 - 1]
 
