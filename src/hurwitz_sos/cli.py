@@ -4,9 +4,8 @@ Subcommands: expand, verify, search, validate, bmv-check.  Exit codes:
 0 success, 1 a verification or trial failed, the eigensolver did not
 converge or a numeric result was not finite, 2 usage or malformed
 input, 3 exact infeasibility proven, 4 search exhausted without an
-answer.  All runs are deterministic given flags plus seed; the seed
-falls back to the HURWITZ_SOS_SEED environment variable, then 0, and
-must lie in [0, 2**64).
+answer.  Every run is deterministic given its flags: the seed comes
+from ``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from .numeric import SEED_LIMIT, ConvergenceError
+from .numeric import ConvergenceError, _check_seed
 from .search import (
     SearchOptions,
     SearchOutcome,
@@ -40,7 +39,7 @@ from .validation import (
     trial_pair,
     validate_certificate_trials,
 )
-from .words import hurwitz_expand
+from .words import check_positive_int, hurwitz_expand
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,35 +47,20 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNKNOWN = 4
 
-SEED_ENV = "HURWITZ_SOS_SEED"
-
 
 class _UsageError(Exception):
     pass
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    source = "--seed"
-    if value is None:
-        raw = os.environ.get(SEED_ENV)
-        if raw is None or raw.strip() == "":
-            return 0
-        try:
-            value = int(raw, 0)
-        except ValueError:
-            raise _UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-        source = SEED_ENV
-    if not 0 <= value < SEED_LIMIT:
-        raise _UsageError(f"{source} must lie in [0, 2**64), got {value}")
-    return value
-
-
 def _parse_dims(text: str) -> tuple:
-    # TrialConfig rejects an empty list and a dimension below 1
+    # TrialConfig rejects an empty list
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        dims = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise _UsageError(f"--dims must be comma-separated integers, got {text!r}")
+    for dim in dims:
+        check_positive_int(dim, "--dims entry")
+    return dims
 
 
 def _emit(doc: dict, lines: List[str], fmt: str) -> None:
@@ -143,11 +127,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"ansatz file says (p={hint_p}, r={hint_r}), flags say (p={p}, r={r})"
         )
-    options = SearchOptions(
-        seed=_resolve_seed(args.seed),
-        max_iters=args.max_iter,
-        denom_bound=args.denom_bound,
-    )
+    _check_seed(args.seed, "--seed")
+    check_positive_int(args.max_iter, "--max-iter")
+    options = SearchOptions(seed=args.seed, max_iters=args.max_iter)
     if args.cert:
         _check_cert_path(args.cert)
     try:
@@ -190,8 +172,10 @@ def _run_trials(
     args: argparse.Namespace, head: dict, tail: str, run: Callable, explain: Callable
 ) -> int:
     """Print the report of ``run(config)``; ``tail`` ends its summary line."""
+    _check_seed(args.seed, "--seed")
+    check_positive_int(args.trials, "--trials")
     config = TrialConfig(
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         dims=_parse_dims(args.dims),
         trials=args.trials,
     )
@@ -256,7 +240,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_SEED_HELP = f"seed in [0, 2**64) (default: ${SEED_ENV}, then 0)"
+_SEED_HELP = "seed in [0, 2**64) (default: 0)"
 
 
 def _add_trial_flags(
@@ -268,7 +252,7 @@ def _add_trial_flags(
     parser.add_argument(
         "--dims", default=dims, help=f"comma-separated matrix sizes (default: {dims})"
     )
-    parser.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
+    parser.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     _add_common(parser)
 
 
@@ -315,18 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--cert", default=None, help="write any found certificate here"
     )
-    p_search.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
+    p_search.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p_search.add_argument(
         "--max-iter",
         type=int,
         default=5000,
         help="Douglas-Rachford steps (default: 5000)",
-    )
-    p_search.add_argument(
-        "--denom-bound",
-        type=int,
-        default=10_000,
-        help="largest rounding denominator q (default: 10000)",
     )
     _add_common(p_search)
     p_search.set_defaults(func=cmd_search)

@@ -12,11 +12,11 @@ keeps a point z, and each step takes the shadow x = P_K(z) and moves z
 to z + P_A(2x − z) − x.  The loop has no tuning constants; the target's
 coefficients are integers, so real iterates lose nothing.  Every
 ``ROUND_EVERY`` steps and after the last one, it rounds the shadow to
-the grid 1/q at each rung q of a denominator ladder, restores the class
-sums exactly, and keeps a candidate only if ``verify_against`` accepts
-the assembled certificate: the search's one exact verdict, here and on
-the determined path.  Infeasible underdetermined systems therefore come
-back as unknown.
+the grid 1/q at each rung q of the denominator ladder ``LADDER``,
+restores the class sums exactly, and keeps a candidate only if
+``verify_against`` accepts the assembled certificate: the search's one
+exact verdict, here and on the determined path.  Infeasible
+underdetermined systems therefore come back as unknown.
 
 Every point of the search is one flat vector v in the map's (block, j,
 k) order, the order of ``ConstraintMap.ids``.  With A the class
@@ -87,6 +87,9 @@ from .words import CyclicClass, TracePolynomial, check_positive_int, hurwitz_exp
 ROUND_EVERY = 50
 # Relative slack of the float rounding test (see the module docstring).
 FILTER_SLACK = 1e-9
+# Rounding denominators, smallest first: rung q rounds every Gram entry
+# to a multiple of 1/q.
+LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096, 10_000)
 
 
 class UnreachableTargetError(ValueError):
@@ -218,20 +221,17 @@ class SearchStatus(enum.Enum):
 class SearchOptions:
     """Knobs of ``feasibility_search``.
 
-    ``seed`` picks the random start, ``max_iters`` is the number of
-    Douglas–Rachford steps, and ``denom_bound`` is the largest grid
-    denominator q: rung q rounds every Gram entry to a multiple of 1/q.
-    Each must be an int, ``seed`` in [0, 2**64) and the others >= 1.
+    ``seed`` picks the random start and ``max_iters`` is the number of
+    Douglas–Rachford steps.  Each must be an int, ``seed`` in [0, 2**64)
+    and ``max_iters`` >= 1.  The rounding denominators are ``LADDER``.
     """
 
     seed: int = 0
     max_iters: int = 5000
-    denom_bound: int = 10_000
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
         check_positive_int(self.max_iters, "max_iters")
-        check_positive_int(self.denom_bound, "denom_bound")
 
 
 @dataclass(frozen=True)
@@ -324,11 +324,6 @@ def _dr_step(z: np.ndarray, cmap: ConstraintMap, goal: np.ndarray):
     class gaps of the reflection 2x − z, which is what is computed."""
     x = _project_psd(z, cmap)
     return x, _shift_classes(x, goal - np.bincount(cmap.ids, 2.0 * x - z), cmap)
-
-
-def _denominator_ladder(bound: int) -> List[int]:
-    base = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096]
-    return sorted({d for d in base if d <= bound} | {bound})
 
 
 def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
@@ -450,7 +445,6 @@ def feasibility_search(
     # hurwitz_expand counts words, so every class coefficient is an integer
     goal = np.array([int(target.coefficient(cls).re) for cls in cmap.classes])
     scale = max([1.0] + np.abs(goal).tolist())
-    ladder = _denominator_ladder(opts.denom_bound)
 
     start = scale * np.concatenate([
         gaussian_stream(derive_seed(opts.seed, 1000 + bi), block.dimension ** 2)
@@ -463,7 +457,7 @@ def feasibility_search(
         x, z = _dr_step(z, cmap, goal)
         # the last shadow of the search is rounded whatever its count
         if iterations % ROUND_EVERY == 0 or iterations == opts.max_iters:
-            cert = _round_iterate(x, cmap, target, ladder, goal, tally)
+            cert = _round_iterate(x, cmap, target, LADDER, goal, tally)
             if cert is not None:
                 return SearchOutcome(
                     status=SearchStatus.CERTIFICATE,

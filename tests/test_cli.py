@@ -27,7 +27,6 @@ from hurwitz_sos.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
-    SEED_ENV,
     main,
 )
 from hurwitz_sos.numeric import derive_seed, random_psd
@@ -52,11 +51,6 @@ def three_word_ansatz(tmp_path):
     path = tmp_path / "ansatz.json"
     path.write_text(json.dumps(THREE_WORD_ANSATZ))
     return str(path)
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
 
 
 # ------------------------------------------------------------------ expand
@@ -327,33 +321,35 @@ def test_search_shape_mismatch(tmp_path, capsys):
     assert main(["search", "--ansatz", str(path), "-p", "6", "-r", "3"]) == EXIT_USAGE
 
 
-def test_search_env_seed_matches_flag(tmp_path, three_word_ansatz, monkeypatch, capsys):
-    code = main(
-        ["search", "--ansatz", three_word_ansatz, "--seed", "5", "--format", "json"]
-    )
-    assert code == EXIT_OK
-    by_flag = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv(SEED_ENV, "5")
-    code = main(["search", "--ansatz", three_word_ansatz, "--format", "json"])
-    assert code == EXIT_OK
-    by_env = json.loads(capsys.readouterr().out)
-    assert by_flag == by_env
-
-
-def test_bad_env_seed(three_word_ansatz, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    assert main(["search", "--ansatz", three_word_ansatz]) == EXIT_USAGE
-    assert SEED_ENV in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_out_of_range_seed(three_word_ansatz, monkeypatch, capsys, seed):
-    code = main(["search", "--ansatz", three_word_ansatz, "--seed", str(seed)])
-    assert code == EXIT_USAGE
-    assert f"error: --seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
-    monkeypatch.setenv(SEED_ENV, str(seed))
-    assert main(["bmv-check", "-p", "3", "--trials", "1"]) == EXIT_USAGE
-    assert f"error: {SEED_ENV} must lie in [0, 2**64)" in capsys.readouterr().err
+def test_out_of_range_seed(three_word_ansatz, capsys, seed):
+    for command in (
+        ["search", "--ansatz", three_word_ansatz],
+        ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"],
+        ["bmv-check", "-p", "3", "--trials", "1"],
+    ):
+        assert main(command + ["--seed", str(seed)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: --seed must be an int in [0, 2**64), got {seed}\n"
+
+
+def test_seed_ignores_the_environment(three_word_ansatz, monkeypatch, capsys):
+    """A run depends on its flags alone: no environment variable sets or
+    breaks the seed."""
+    commands = (
+        ["search", "--ansatz", three_word_ansatz, "--format", "json"],
+        ["bmv-check", "-p", "3", "--trials", "1", "--format", "json"],
+    )
+    monkeypatch.delenv("HURWITZ_SOS_SEED", raising=False)
+    unset = []
+    for command in commands:
+        assert main(command) == EXIT_OK
+        unset.append(capsys.readouterr().out)
+    for value in ("not-a-number", "5"):
+        monkeypatch.setenv("HURWITZ_SOS_SEED", value)
+        for command, want in zip(commands, unset):
+            assert main(command) == EXIT_OK, value
+            assert capsys.readouterr().out == want
 
 
 def test_seed_whose_trials_pass_2_to_the_64(capsys):
@@ -464,6 +460,25 @@ def test_validate_prints_the_failing_trial(monkeypatch, capsys):
 def test_trial_commands_reject_dimension_zero(command, capsys):
     assert main(command + ["--dims", "0"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (
+            ["search", "--ansatz", bundled_path("p6r3_restricted_ansatz.json"),
+             "--max-iter", "0"],
+            "--max-iter",
+        ),
+        (["validate", "--cert", bundled_path("p7r3.json"), "--trials", "0"], "--trials"),
+        (["bmv-check", "-p", "3", "--trials", "0"], "--trials"),
+        (["bmv-check", "-p", "3", "--dims", "2,0"], "--dims entry"),
+    ],
+    ids=["max-iter", "trials-validate", "trials-bmv-check", "dims"],
+)
+def test_rejected_value_names_its_flag(capsys, argv, flag):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must be a positive int, got 0\n"
 
 
 def test_validate_bad_dims(capsys):

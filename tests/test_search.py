@@ -20,12 +20,12 @@ from hurwitz_sos.certificate import (
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
     FILTER_SLACK,
+    LADDER,
     SearchOptions,
     SearchStatus,
     UnderdeterminedAnsatzError,
     UnreachableTargetError,
     _blocks,
-    _denominator_ladder,
     _dr_step,
     _margin_cutoff,
     _project_affine,
@@ -346,7 +346,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     for mats in points:
         restored = _project_affine(flat(mats), cmap, goal)
         cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
-        for q in _denominator_ladder(10_000)[::3] + [10_000]:
+        for q in LADDER[::3] + (10_000,):
             got = _round_candidate(flat(mats), cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
             assert got == want
@@ -462,20 +462,19 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     assert index[1, 1] == index[0, 1] == index[1, 0]
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
-    ladder = _denominator_ladder(10_000)
     restored = _project_affine(flat(mats), cmap, goal)
     cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
-    assert ladder[0] <= cutoff < ladder[-1]
+    assert LADDER[0] <= cutoff < LADDER[-1]
     unfiltered = next(
         found
-        for found in (round_candidate_oracle(mats, cmap, target, q) for q in ladder)
+        for found in (round_candidate_oracle(mats, cmap, target, q) for q in LADDER)
         if found is not None
     )
     tally = Counter()
-    filtered = _round_iterate(flat(mats), cmap, target, ladder, goal, tally)
+    filtered = _round_iterate(flat(mats), cmap, target, LADDER, goal, tally)
     assert filtered == unfiltered == cert
     # every rung above the cutoff really fails
-    for q in ladder:
+    for q in LADDER:
         if q > cutoff:
             assert round_candidate_oracle(mats, cmap, target, q) is None
 
@@ -554,7 +553,7 @@ def test_last_iterate_is_rounded():
     assert verify_certificate(outcome.certificate).ok
     # one rounding round, over the whole ladder at most
     visited = outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
-    assert 0 < visited <= len(_denominator_ladder(10_000))
+    assert 0 < visited <= len(LADDER)
 
 
 # ------------------------------------------------------------------ determined path
@@ -665,8 +664,6 @@ def test_search_options_validation():
     with pytest.raises(ValueError) as info:
         SearchOptions(max_iters=0)
     assert str(info.value) == "max_iters must be a positive int, got 0"
-    with pytest.raises(ValueError):
-        SearchOptions(denom_bound=0)
     # seeds are 64-bit: a larger one would alias a smaller one modulo 2^64
     assert SearchOptions(seed=2**64 - 1).seed == 2**64 - 1
     for seed in (-1, 2**64):
@@ -677,7 +674,7 @@ def test_search_options_validation():
     assert str(info.value) == "seed must be an int in [0, 2**64), got -1"
 
 
-@pytest.mark.parametrize("field", ["seed", "max_iters", "denom_bound"])
+@pytest.mark.parametrize("field", ["seed", "max_iters"])
 def test_search_options_reject_non_integers(field):
     for value in (2.5, 10.0, True, "7", None):
         with pytest.raises(ValueError, match=field):
@@ -737,7 +734,7 @@ def test_search_unknown_on_budget_exhaustion():
     assert outcome.iterations == 8
     # only the last iterate is rounded, over the whole ladder
     visited = outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
-    assert visited == len(_denominator_ladder(10_000))
+    assert visited == len(LADDER)
 
 
 @pytest.mark.parametrize("p, r", [(7, 3), (8, 2), (8, 4), (11, 3)])
@@ -804,5 +801,5 @@ def test_outcome_json_unknown():
     assert doc["status"] == "unknown"
     assert doc["certificate"] is None and doc["witness"] is None
     assert set(doc["rounding"]) == {"skipped", "float_rejected", "exact"}
-    assert sum(doc["rounding"].values()) == len(_denominator_ladder(10_000))
+    assert sum(doc["rounding"].values()) == len(LADDER)
     json.dumps(doc)
