@@ -53,11 +53,12 @@ class _UsageError(Exception):
 
 
 def _parse_dims(text: str) -> tuple:
-    # TrialConfig rejects an empty list
     try:
         dims = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise _UsageError(f"--dims must be comma-separated integers, got {text!r}")
+    if not dims:
+        raise _UsageError(f"--dims must name at least one dimension, got {text!r}")
     for dim in dims:
         check_positive_int(dim, "--dims entry")
     return dims

@@ -262,21 +262,34 @@ class TracePolynomial:
         return f"TracePolynomial({self._degree}, {{{body}}})"
 
 
-def _run_length_necklaces(r: int, m: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """Sequences g of r nonnegative ints summing to m, each greatest among its rotations.
+def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
+    """Least-rotation words A^g1 B A^g2 B ... A^gr B of the necklaces with r B's and m A's.
 
-    Yields ``(g, period)`` with ``period`` the primitive period of g.
-    This is the FKM necklace generator (Fredricksen, Kessler and Maiorana)
-    with the order of the integers reversed and the fixed sum pruned
-    into the bounds of each position.  It walks the prefix tree with an
-    explicit position counter instead of recursion, so its depth is not
-    tied to the interpreter's recursion limit.  Sequences come out in
-    decreasing lexicographic order.
+    Yields ``(word, q)`` with q the primitive period of the run lengths
+    (g1, ..., gr), which are greatest among their rotations.  This is
+    the FKM necklace generator (Fredricksen, Kessler and Maiorana) on
+    the run lengths, with the order of the integers reversed and the
+    fixed sum pruned into the bounds of each position.  It walks the
+    prefix tree with an explicit position counter instead of recursion,
+    so its depth is not tied to the interpreter's recursion limit, and
+    it keeps the word spelled by each prefix, one string per depth.
+
+    The walk stops at position r - 1: the last run must take the rest
+    of the sum, so it is placed in one step.  That leaf exists exactly
+    when the rest is at most the value FKM bounds position r by, and
+    it keeps the prefix's period only when it meets that bound.  Words
+    come out in decreasing lexicographic order of their run lengths.
     """
-    a = [m] * (r + 1)  # a[0] = m is a sentinel bounding a[1] from above
-    per = [1] * (r + 1)  # per[t]: length of the longest Lyndon prefix of a[1..t]
-    left = [m] * (r + 2)  # left[t]: sum still to place in positions t..r
-    low = [0] * (r + 1)  # low[t]: smallest a[t] that leaves left[t+1] placeable
+    if r == 1:
+        yield "A" * m + "B", 1
+        return
+    pieces = ["A" * g + "B" for g in range(m + 1)]
+    last = r - 1
+    a = [m] * r  # a[0] = m is a sentinel bounding a[1] from above
+    per = [1] * r  # per[t]: length of the longest Lyndon prefix of a[1..t]
+    left = [m] * r  # left[t]: sum still to place in positions t..r
+    low = [0] * r  # low[t]: smallest a[t] that leaves left[t+1] placeable
+    pre = [""] * r  # pre[t]: the word spelled by runs 1..t
     low[1] = -(-m // r)  # a[1] is the largest entry, so at least m / r
     a[1] = m + 1  # one above the first value tried at position 1
     t = 1
@@ -286,15 +299,26 @@ def _run_length_necklaces(r: int, m: int) -> Iterator[Tuple[Tuple[int, ...], int
             t -= 1
             continue
         a[t] = value
-        per[t] = per[t - 1] if value == a[t - per[t - 1]] else t
-        left[t + 1] = left[t] - value
-        if t == r:
-            if r % per[t] == 0:
-                yield tuple(a[1:]), per[t]
+        q = per[t - 1] if value == a[t - per[t - 1]] else t
+        rest = left[t] - value
+        if t == last:
+            # the last run is forced: it takes the rest of the sum
+            bound = a[r - q]
+            if rest <= bound:
+                if rest < bound:
+                    q = r
+                if r % q == 0:
+                    yield pre[t - 1] + pieces[value] + pieces[rest], q
             continue
+        per[t] = q
+        pre[t] = pre[t - 1] + pieces[value]
         t += 1
-        a[t] = min(a[t - per[t - 1]], left[t]) + 1
-        low[t] = max(0, left[t] - (r - t) * a[1])
+        left[t] = rest
+        # conditional expressions: builtin min() and max() cost a third of the walk
+        top = a[t - q]
+        a[t] = (top if top < rest else rest) + 1
+        floor = rest - (r - t) * a[1]
+        low[t] = floor if floor > 0 else 0
 
 
 def hurwitz_expand(p: int, r: int) -> TracePolynomial:
@@ -311,23 +335,23 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     q; so ``ABABAB`` in (6, 3) has multiplicity 2.  The multiplicities
     add up to C(p, r).
 
-    Each necklace is already a least rotation, so it becomes a class
-    as it is, and the classes sharing a multiplicity share one
-    coefficient object.
+    The walk spells each class's least rotation as it goes, so every
+    word becomes a class as it is, and the classes sharing a period q
+    share one coefficient object.
     """
     check_degrees(p, r)
     if r == 0:
         return TracePolynomial._from_canonical(p, {CyclicClass._trusted("A" * p): ONE})
-    pieces = ["A" * g + "B" for g in range(p - r + 1)]
-    weights: Dict[int, GaussianRational] = {}
-    terms: Dict[CyclicClass, GaussianRational] = {}
-    for runs, period in _run_length_necklaces(r, p - r):
-        multiplicity = p * period // r
-        weight = weights.get(multiplicity)
-        if weight is None:
-            weight = weights[multiplicity] = GaussianRational(Fraction(multiplicity))
-        terms[CyclicClass._trusted("".join(map(pieces.__getitem__, runs)))] = weight
-    return TracePolynomial._from_canonical(p, terms)
+    weights = {
+        q: GaussianRational(Fraction(p * q // r)) for q in range(1, r + 1) if r % q == 0
+    }
+    return TracePolynomial._from_canonical(
+        p,
+        {
+            CyclicClass._trusted(word): weights[q]
+            for word, q in _necklace_words(r, p - r)
+        },
+    )
 
 
 def swap_letters(poly: TracePolynomial) -> TracePolynomial:

@@ -481,6 +481,21 @@ def test_rejected_value_names_its_flag(capsys, argv, flag):
     assert capsys.readouterr().err == f"error: {flag} must be a positive int, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bmv-check", "-p", "3", "--dims", ","],
+        ["validate", "--cert", bundled_path("p7r3.json"), "--dims", ""],
+    ],
+    ids=["bmv-check", "validate"],
+)
+def test_empty_dims_names_the_flag(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --dims must name at least one dimension, got {argv[-1]!r}\n"
+    )
+
+
 def test_validate_bad_dims(capsys):
     code = main(
         ["validate", "--cert", bundled_path("p7r3.json"), "--dims", "2,x"]

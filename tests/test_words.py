@@ -276,6 +276,24 @@ def test_hurwitz_expand_p20r10_at_scale():
     assert poly.total() == grat(comb(20, 10))
 
 
+@pytest.mark.parametrize("p", range(13, 25))
+def test_hurwitz_expand_counts_past_the_brute_force_range(p):
+    # beyond the direct enumeration: class count and total multiplicity
+    for r in range(p + 1):
+        poly = hurwitz_expand(p, r)
+        assert len(poly) == oracle_class_count(p, r), (p, r)
+        assert poly.total() == grat(comb(p, r)), (p, r)
+
+
+@pytest.mark.parametrize("r", [2, 1199, 1200])
+def test_hurwitz_expand_long_word_edges(r):
+    # r = 2: the last run alone decides each leaf; r = 1199: a walk of depth
+    # 1198 with one A to place; r = 1200: no A at all, a walk of depth 1199
+    poly = hurwitz_expand(1200, r)
+    assert len(poly) == oracle_class_count(1200, r)
+    assert poly.total() == grat(comb(1200, r))
+
+
 def test_swap_letters_frozen():
     poly = swap_letters(hurwitz_expand(6, 2))
     assert poly == hurwitz_expand(6, 4)
