@@ -25,35 +25,31 @@ is Aᵀ(AAᵀ)⁻¹·gap, and ``(v + v[mirror]) / 2`` symmetrizes every block at
 once.  Only the eigensolves and the final Gram matrices read blocks, as
 ``(d, d)`` views of v cut at the map's ``spans``.
 
-One float test, λ_min ≥ −slack on every block, drops rungs whose exact
-candidate provably fails the exact PSD check, so it never changes which
-rung is accepted.  It is applied twice:
+One float test, λ_min ≥ −slack on every block of a point T whose class
+sums ``_project_affine`` has restored in float, drops rungs whose exact
+candidate G_q provably fails the exact PSD check, so it never changes
+which rung is accepted.  The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with
+Σ|T| the sum of the moduli of every entry of T.  T is one of two points:
 
-* **Weyl margin, once per rounding round.**  Let F_b be block b of the
-  float point with its class sums restored in float, λ_b its smallest
-  eigenvalue and d_b its dimension.  At denominator q every entry moves
-  by at most 1/(2q) in rounding to the grid 1/q and by at most as much
-  again in the exact restoration (a class's share is the mean of its
-  rounding errors), so each entry of the exact candidate G_q lies within
-  1/q of F_b, up to float error that the slack absorbs, and
-  Hermitizing averages entries so keeps that.  Hence
-  ‖G_q − F_b‖₂ ≤ ‖G_q − F_b‖_F ≤ d_b/q ≤ d_b·√2/q, and by Weyl's
-  inequality λ_min(G_q) ≤ λ_b + d_b·√2/q.  When λ_b < −slack, every
-  rung q > d_b·√2/(−λ_b − slack) has λ_min(G_q) < 0.  Those rungs are a
-  suffix of the ladder: a larger q moves the point less, so the
-  negative eigenvalue survives.  When every λ_b ≥ −slack no rung is
-  skipped.
-* **Float twin, once per remaining rung.**  The exact candidate is held
-  as a flat integer point K over one denominator D, and the twin is its
-  float image K/D.  The two differ only by the rounding of each entry to
-  a float, a few eps relative, and LAPACK's backward error is
-  O(d·eps·‖K/D‖); both are far below the slack, so a twin eigenvalue
-  below −slack means the exact candidate has a negative eigenvalue too.
-  The twin passes exactly when its ``_margin_cutoff`` is ``math.inf``.
+* **The restored shadow, once per rounding round (Weyl margin).**  At
+  denominator q every entry moves by at most 1/(2q) in rounding to the
+  grid 1/q and by at most as much again in the exact restoration (a
+  class's share is the mean of its rounding errors); Hermitizing
+  averages entries, so keeps that.  With λ_b the smallest eigenvalue of
+  block b of T and d_b its dimension, Weyl's inequality then gives
+  λ_min(G_q) ≤ λ_b + ‖G_q − T_b‖_F ≤ λ_b + d_b/q ≤ λ_b + d_b·√2/q, up to
+  float error in T that the slack absorbs.  When λ_b < −slack, every
+  rung q > d_b·√2/(−λ_b − slack) fails: a suffix of the ladder, since a
+  larger q moves the point less.
+* **The restored rounded shadow, once per remaining rung (float twin).**
+  The twin is ``_project_affine(rint(q·v), q·goal) / q``: the map that
+  builds G_q, carried out in float.  ``rint(q·v)`` holds integers
+  exactly, so each twin entry is within a few roundings of G_q's, and
+  LAPACK's backward error is O(d·eps·Σ|T|); both are far below the
+  slack, so a twin eigenvalue below −slack means G_q fails too.
 
-The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with Σ|T| the sum of the
-moduli of every entry of the float point being tested.  Only a rung
-that passes the twin builds Fractions, for ``verify_against``.
+Only a rung whose twin has no eigenvalue below −slack builds Python ints
+and Fractions, for ``verify_against``.
 """
 
 from __future__ import annotations
@@ -242,8 +238,8 @@ class SearchOutcome:
     CERTIFICATE, a (witness vector, block index, form value) triple for
     INFEASIBLE, nothing for UNKNOWN.  The three ``rungs_*`` counts say
     what happened to each denominator rung the search visited: skipped
-    by the Weyl margin, rejected by the float twin of its exact
-    candidate, or checked exactly.  They add up to the number of rungs
+    by the Weyl margin, rejected by the float twin of its rounded
+    point, or checked exactly.  They add up to the number of rungs
     visited.
     """
 
@@ -329,11 +325,11 @@ def _dr_step(z: np.ndarray, cmap: ConstraintMap, goal: np.ndarray):
 def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
     """Largest denominator at which the rounded candidate can still be PSD.
 
-    ``restored`` is the rounded point after the affine projection, or the
-    float twin of an exact candidate.  A block whose smallest eigenvalue
-    λ is below −slack bounds every rung by d·√2/(−λ − slack), the Weyl
-    bound of the module docstring, and the result is ``math.inf`` exactly
-    when every block has λ ≥ −slack.
+    ``restored`` is the shadow after the affine projection, or the float
+    twin of a rounded point.  A block whose smallest eigenvalue λ is
+    below −slack bounds every rung by d·√2/(−λ − slack), the Weyl bound
+    of the module docstring, and the result is ``math.inf`` exactly when
+    every block has λ ≥ −slack.
     """
     slack = FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in restored))
     cutoff = math.inf
@@ -345,25 +341,30 @@ def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
 
 
 def _exact_candidate(
-    v: np.ndarray, cmap: ConstraintMap, goal: np.ndarray, q: int
-) -> Tuple[np.ndarray, int]:
-    """The rung-q candidate as a flat integer point K over one denominator D.
+    rounded: np.ndarray, cmap: ConstraintMap, goal: np.ndarray, q: int
+) -> Certificate:
+    """The rung-q certificate built from ``rounded`` = rint(q·v).
 
-    One ``np.rint(q·v)`` puts every entry on the grid 1/q.  Each class's
-    share (t − s)/n of the gap between its target t and its rounded sum
-    s is added to each of its n entries, and each entry is replaced by
-    the average of it and its transposed entry.  Over D = 2·q·lcm(counts)
-    every share and every average is an integer, so K holds Python ints
-    and the candidate is exactly K/D; ``goal`` must hold integers.
+    Each class's share (t − s)/n of the gap between its target t and its
+    rounded sum s is added to each of its n entries, and each entry is
+    replaced by the average of it and its transposed entry.  Over
+    D = 2·q·lcm(counts) every share and every average is an integer, so
+    the flat numerators K hold Python ints and the Gram entries are
+    exactly K/D; ``goal`` must hold integers.
     """
     lcm = math.lcm(*cmap.counts.tolist())
-    rounded = np.array([int(x) for x in np.rint(q * v).tolist()], dtype=object)
+    ints = np.array([int(x) for x in rounded.tolist()], dtype=object)
     sums = np.zeros(len(cmap.classes), dtype=object)
-    np.add.at(sums, cmap.ids, rounded)
+    np.add.at(sums, cmap.ids, ints)
     shares = (lcm // cmap.counts.astype(object)) * (q * goal.astype(object) - sums)
     # half of each restored numerator over D
-    half = lcm * rounded + shares[cmap.ids]
-    return half + half[cmap.mirror], 2 * q * lcm
+    half = lcm * ints + shares[cmap.ids]
+    K, denom = half + half[cmap.mirror], 2 * q * lcm
+    grams = [
+        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
+        for M in _blocks(K, cmap.spans)
+    ]
+    return Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
 
 
 def _round_candidate(
@@ -376,23 +377,19 @@ def _round_candidate(
 ) -> Optional[Certificate]:
     """Round to the grid 1/q, restore class sums exactly, verify.
 
-    The float twin of the exact candidate is checked first; a rung it
+    The float twin of the rounded point is checked first; a rung it
     rejects cannot pass the exact PSD check (see the module docstring)
     and is tallied under ``rungs_float_rejected``.  Any other rung is
     tallied under ``rungs_exact``, and its certificate, with Fraction
     entries, is returned iff ``verify_against`` accepts it.
     """
-    K, denom = _exact_candidate(v, cmap, goal, q)
-    twin = K.astype(np.float64) / float(denom)
+    rounded = np.rint(q * v)
+    twin = _project_affine(rounded, cmap, q * goal) / q
     if _margin_cutoff(_blocks(twin, cmap.spans)) < math.inf:
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
-    grams = [
-        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
-        for M in _blocks(K, cmap.spans)
-    ]
-    cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
+    cert = _exact_candidate(rounded, cmap, goal, q)
     return cert if verify_against(cert, target).ok else None
 
 
@@ -400,23 +397,22 @@ def _round_iterate(
     v: np.ndarray,
     cmap: ConstraintMap,
     target: TracePolynomial,
-    ladder: Sequence[int],
     goal: np.ndarray,
     tally: Counter,
 ) -> Optional[Certificate]:
-    """First certificate on the denominator ladder, smallest rung first.
+    """First certificate on ``LADDER``, smallest rung first.
 
     ``v`` is rounded; the Weyl cutoff reads its affine projection.  Rungs
     above the cutoff are a suffix of the ladder, tallied under
     ``rungs_skipped`` once every rung below has failed.
     """
     cutoff = _margin_cutoff(_blocks(_project_affine(v, cmap, goal), cmap.spans))
-    allowed = [q for q in ladder if q <= cutoff]
+    allowed = [q for q in LADDER if q <= cutoff]
     for q in allowed:
         cert = _round_candidate(v, cmap, target, q, goal, tally)
         if cert is not None:
             return cert
-    tally["rungs_skipped"] += len(ladder) - len(allowed)
+    tally["rungs_skipped"] += len(LADDER) - len(allowed)
     return None
 
 
@@ -457,7 +453,7 @@ def feasibility_search(
         x, z = _dr_step(z, cmap, goal)
         # the last shadow of the search is rounded whatever its count
         if iterations % ROUND_EVERY == 0 or iterations == opts.max_iters:
-            cert = _round_iterate(x, cmap, target, LADDER, goal, tally)
+            cert = _round_iterate(x, cmap, target, goal, tally)
             if cert is not None:
                 return SearchOutcome(
                     status=SearchStatus.CERTIFICATE,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from .rational import ONE, GaussianRational, ZERO
@@ -200,11 +201,20 @@ class TracePolynomial:
         return tuple(sorted(self._terms))
 
     def total(self) -> GaussianRational:
-        """Sum of all coefficients."""
-        out = ZERO
-        for value in self._terms.values():
-            out = out + value
-        return out
+        """Sum of all coefficients.
+
+        Each of the real and imaginary parts is summed over integers:
+        with L the lcm of its denominators, it is the sum of every
+        ``numerator * (L // denominator)``, divided by L once.
+        """
+        values = self._terms.values()
+        parts = []
+        for part in ([v.re for v in values], [v.im for v in values]):
+            scale = lcm(*(x.denominator for x in part))
+            parts.append(
+                Fraction(sum(x.numerator * (scale // x.denominator) for x in part), scale)
+            )
+        return GaussianRational(*parts)
 
     def __len__(self) -> int:
         return len(self._terms)

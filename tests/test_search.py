@@ -246,13 +246,12 @@ def test_group_sums_match_per_entry_sums(p, r, blocks):
             assert got.hex() == want.hex()
 
 
-def round_candidate_oracle(mats, cmap, target, q):
+def oracle_grams(mats, cmap, target, q):
     """Round each entry to the grid 1/q, restore each class sum exactly,
-    Hermitize, accept iff verified.
+    Hermitize: the rung-q Gram matrices, one per block.
 
-    Entries are rounded one by one, classes come from ``reduce_pair``
-    directly, and the certificate is built and fully verified whatever
-    its blocks look like.
+    Entries are rounded one by one and classes come from ``reduce_pair``
+    directly.
     """
     exact = [
         [[GaussianRational(Fraction(round(q * x), q)) for x in row] for row in M.tolist()]
@@ -276,7 +275,13 @@ def round_candidate_oracle(mats, cmap, target, q):
                 mean = (rows[j][k] + rows[k][j].conjugate()) / 2
                 rows[j][k] = mean
                 rows[k][j] = mean.conjugate()
-    grams = [GramMatrix.from_rows(rows) for rows in exact]
+    return [GramMatrix.from_rows(rows) for rows in exact]
+
+
+def round_candidate_oracle(mats, cmap, target, q):
+    """The certificate of ``oracle_grams``, built and fully verified
+    whatever its blocks look like; returned iff accepted."""
+    grams = oracle_grams(mats, cmap, target, q)
     cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
     return cert if verify_against(cert, target).ok else None
 
@@ -360,6 +365,31 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     else:
         # the filters fire on these points, so the comparison above is not vacuous
         assert margin_skips > 0 and tally["rungs_float_rejected"] > 0
+
+
+@pytest.mark.parametrize(
+    "p, r, blocks",
+    ANSATZES + [pytest.param(8, 4, BLOCKS_84, id="p8r4")],
+)
+def test_twin_is_the_exact_candidate_up_to_float_error(p, r, blocks):
+    """The twin, the affine projection of the rounded point, is each
+    exact rung-q candidate up to a few roundings per entry, far inside
+    the filter's slack."""
+    cmap = build_constraint_map(p, r, blocks)
+    target = hurwitz_expand(p, r)
+    goal = class_goals(cmap, target)
+    centre = [np.eye(block.dimension) * 5.0 for block in blocks]
+    points = candidate_points(np.random.default_rng(7), blocks, centre)
+    points += projected_points(cmap, target, rounds=(2, 5, 12), seed=p)
+    for mats in points:
+        for q in LADDER:
+            twin = _project_affine(np.rint(q * flat(mats)), cmap, q * goal) / q
+            exact = flat([
+                np.array([[float(x.re) for x in row] for row in gram.entries])
+                for gram in oracle_grams(mats, cmap, target, q)
+            ])
+            bound = 16 * np.finfo(float).eps * (1.0 + np.abs(twin).sum())
+            assert np.abs(twin - exact).max() <= bound, (q, bound)
 
 
 @pytest.mark.parametrize("p, r, blocks", ANSATZES)
@@ -471,7 +501,7 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
         if found is not None
     )
     tally = Counter()
-    filtered = _round_iterate(flat(mats), cmap, target, LADDER, goal, tally)
+    filtered = _round_iterate(flat(mats), cmap, target, goal, tally)
     assert filtered == unfiltered == cert
     # every rung above the cutoff really fails
     for q in LADDER:

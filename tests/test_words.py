@@ -3,7 +3,7 @@ from itertools import product
 from math import comb, gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hurwitz_sos.rational import grat
@@ -180,6 +180,35 @@ def test_trace_polynomial_arithmetic_matches_checked_constructor(a_terms, b_term
 
 def test_trace_polynomial_total():
     assert hurwitz_expand(7, 3).total() == grat(comb(7, 3))
+
+
+def folded_total(poly):
+    """The sum of the coefficients as a plain GaussianRational fold."""
+    out = grat(0)
+    for _cls, value in poly.items():
+        out = out + value
+    return out
+
+
+mixed_coeffs = st.builds(
+    grat,
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@given(st.dictionaries(st.text(alphabet="AB", min_size=7, max_size=7), mixed_coeffs))
+@example({})
+@example({
+    "AAAABBB": grat(Fraction(1, 3), Fraction(-2, 7)),
+    "AAABABB": grat(Fraction(5, 6), Fraction(1, 14)),
+    "AABABAB": grat(-2, Fraction(3, 4)),
+    "AAABBAB": grat(Fraction(7, 10)),
+})
+def test_trace_polynomial_total_matches_a_fold(terms):
+    """Mixed denominators and imaginary parts, and the empty polynomial."""
+    poly = TracePolynomial(7, terms)
+    assert poly.total() == folded_total(poly)
 
 
 def test_hurwitz_expand_frozen_p7r3():
