@@ -15,7 +15,9 @@ Box-Muller transform over its rows and, for ``random_psd``, one batched
 R* R.  Every step is elementwise, runs along a row or is a matmul
 batched over the stack, so row k is still a function of seed k alone,
 bit for bit what that seed draws on its own; a single seed is the
-one-row case of the same code.
+one-row case of the same code.  ``_derive_seeds`` gives ``derive_seed``
+of a whole seed vector in one uint64 pass, so the validation runners
+derive the seeds of a dimension group without a per-trial Python call.
 
 The evaluators take one pair of (n, n) matrices or a stack of m pairs of
 shape (m, n, n); a single pair is a stack of one inside.  The validation
@@ -24,6 +26,9 @@ recurrence, not one Python-level call per trial.  One run of the
 recurrence up to degree r holds every degree 0..r, so
 ``trace_hurwitz_numeric`` also takes a range of degrees and
 ``bmv_coefficients`` gets all p + 1 coefficients from a single run.
+The requested degrees of the whole stack are checked in one pass, one
+finiteness test and one imaginary-part test over every column; only
+when one fails is the lowest bad degree looked for.
 Every product is a matmul batched over the stack and every sum runs
 along a fixed axis, so a slice's value does not depend on the other
 slices of its stack.
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -105,20 +110,37 @@ def _seed_vector(seed) -> Tuple[np.ndarray, bool]:
     seeds = [seed] if single else list(seed)
     if not seeds:
         raise ValueError("seed sequence must be nonempty")
-    for k, s in enumerate(seeds):
-        _check_seed(s, f"seed{_which(single, k)}")
+    # plain ints in range need one pass over the types and the extremes;
+    # anything else is checked seed by seed, naming the first bad one
+    if set(map(type, seeds)) != {int} or min(seeds) < 0 or max(seeds) >= SEED_LIMIT:
+        for k, s in enumerate(seeds):
+            _check_seed(s, f"seed{_which(single, k)}")
     return np.array(seeds, dtype=np.uint64), single
+
+
+# numpy wraps uint64 array arithmetic modulo 2^64 without a warning (only
+# scalar arithmetic warns), so the array helpers below need no errstate
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _derive_seeds(seeds: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """Row i, column k: ``derive_seed(seeds[k], indices[i])``, as uint64.
+
+    ``seeds`` is a checked uint64 vector and every index an int in
+    [0, SEED_LIMIT); both finalizer passes run over the whole array.
+    """
+    salts = np.array([(i + 1) & _MASK64 for i in indices], dtype=np.uint64)
+    return _mix64_array(_mix64_array(seeds) ^ salts[:, np.newaxis])
 
 
 def _splitmix_rows(seeds: np.ndarray, count: int) -> np.ndarray:
     """Row k: the first ``count`` SplitMix64 outputs of seeds[k], as uint64."""
     steps = np.uint64(_GOLDEN) * np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = seeds[:, np.newaxis] + steps
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-    return z
+    return _mix64_array(seeds[:, np.newaxis] + steps)
 
 
 def _uniform_rows(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -353,22 +375,34 @@ def _word_product(A: np.ndarray, B: np.ndarray, word: str) -> np.ndarray:
     return M
 
 
-def _check_trace(totals: np.ndarray, p: int, r: int, single: bool) -> None:
-    """Raise ArithmeticError if a degree-r trace of the stack is inf, NaN or not real."""
-    bad = ~np.isfinite(totals)
-    if bad.any():
-        k = int(np.argmax(bad))
+def _check_traces(
+    totals: np.ndarray, p: int, degrees: Sequence[int], single: bool
+) -> None:
+    """Raise ArithmeticError if a trace of the stack is inf, NaN or not real.
+
+    ``totals`` has one column per degree of ``degrees``, ascending.  Both
+    tests run over the whole array at once; only when one fails is the
+    lowest bad degree found, and within it a non-finite trace is reported
+    before an imaginary part, as a check of that degree alone would.
+    """
+    finite = np.isfinite(totals)
+    imaginary = np.abs(totals.imag) > 1e-9 * (1.0 + np.abs(totals.real))
+    bad = imaginary | ~finite
+    if not bad.any():
+        return
+    j = int(np.argmax(bad.any(axis=0)))
+    r, column = degrees[j], totals[:, j]
+    if not finite[:, j].all():
+        k = int(np.argmin(finite[:, j]))
         raise ArithmeticError(
             f"word-sum trace for (p={p}, r={r}){_which(single, k)} is not finite "
-            f"({complex(totals[k])}); it exceeds double precision"
+            f"({complex(column[k])}); it exceeds double precision"
         )
-    bad = np.abs(totals.imag) > 1e-9 * (1.0 + np.abs(totals.real))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ArithmeticError(
-            f"word-sum trace for (p={p}, r={r}){_which(single, k)} has imaginary "
-            f"part {totals[k].imag:.3e}; inputs are probably not Hermitian"
-        )
+    k = int(np.argmax(imaginary[:, j]))
+    raise ArithmeticError(
+        f"word-sum trace for (p={p}, r={r}){_which(single, k)} has imaginary "
+        f"part {column[k].imag:.3e}; inputs are probably not Hermitian"
+    )
 
 
 def trace_hurwitz_numeric(A, B, p: int, r):
@@ -382,8 +416,8 @@ def trace_hurwitz_numeric(A, B, p: int, r):
     ``r`` is an int or a nonempty ``range`` of degrees in [0, p], and an
     int r is the one-degree case of a range.  The recurrence runs once,
     up to the largest degree, and only the requested degrees are
-    checked, in ascending order, so the first bad degree raises what its
-    own call would.  A range adds a trailing axis with one entry per
+    checked, all in one pass; the lowest bad degree raises what its own
+    call would.  A range adds a trailing axis with one entry per
     degree: a vector for a pair, an (m, len(r)) array for a stack of m
     pairs.  An int r adds none: a float for a pair, a float vector of
     length m for a stack.
@@ -397,8 +431,7 @@ def trace_hurwitz_numeric(A, B, p: int, r):
     # overflow is reported below as an ArithmeticError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         columns = kernels.hurwitz_trace(A, B, p, degrees[-1])
-    for j in degrees:
-        _check_trace(columns[:, j], p, j, single)
+        _check_traces(columns[:, degrees], p, degrees, single)
     totals = (columns[0] if single else columns)[..., r].real.copy()
     return float(totals) if totals.ndim == 0 else totals
 

@@ -23,7 +23,9 @@ k) order, the order of ``ConstraintMap.ids``.  With A the class
 incidence matrix, ``np.bincount(ids, v)`` is A·v, ``(gap / counts)[ids]``
 is Aᵀ(AAᵀ)⁻¹·gap, and ``(v + v[mirror]) / 2`` symmetrizes every block at
 once.  Only the eigensolves and the final Gram matrices read blocks, as
-``(d, d)`` views of v cut at the map's ``spans``.
+``(d, d)`` views of v cut at the map's ``spans``; the PSD projection
+reads each run of consecutive equal-size blocks as one ``(k, d, d)``
+view and makes one batched eigensolve per run.
 
 One float test, λ_min ≥ −slack on every block of a point T whose class
 sums ``_project_affine`` has restored in float, drops rungs whose exact
@@ -110,7 +112,10 @@ class ConstraintMap:
     every pair's class id, blocks concatenated in (block, j, k) order:
     the order of the search's flat point.  ``spans[b]`` is block b's
     (offset, d) in ``ids`` as plain ints, so pair (j, k) of block b
-    feeds ``classes[ids[offset + j·d + k]]``.  ``counts[c]`` is the
+    feeds ``classes[ids[offset + j·d + k]]``.  ``runs`` cuts the blocks
+    into maximal runs of consecutive blocks of one dimension, each
+    (offset, count, d), so a run is one (count, d, d) view of a flat
+    point.  ``counts[c]`` is the
     number of pairs that feed class c, so ``counts == np.bincount(ids)``,
     and ``mirror[i]`` is the flat position of the transposed entry of
     position i, (b, k, j) for (b, j, k).  All these arrays are read-only.
@@ -123,6 +128,7 @@ class ConstraintMap:
     blocks: Tuple[SandwichBlock, ...]
     classes: Tuple[CyclicClass, ...]
     spans: Tuple[Tuple[int, int], ...]
+    runs: Tuple[Tuple[int, int, int], ...]
     ids: np.ndarray
     counts: np.ndarray
     mirror: np.ndarray
@@ -156,6 +162,10 @@ def build_constraint_map(
     counts = np.bincount(ids)
     dims = [block.dimension for block in blocks]
     spans = tuple(zip(itertools.accumulate((d * d for d in dims), initial=0), dims))
+    runs = []
+    for d, run in itertools.groupby(spans, key=lambda span: span[1]):
+        run = list(run)
+        runs.append((run[0][0], len(run), d))
     mirror = np.concatenate(
         [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), spans)]
     )
@@ -163,7 +173,7 @@ def build_constraint_map(
         table.setflags(write=False)
     return ConstraintMap(
         p=p, r=r, blocks=blocks, classes=classes,
-        spans=spans, ids=ids, counts=counts, mirror=mirror,
+        spans=spans, runs=tuple(runs), ids=ids, counts=counts, mirror=mirror,
     )
 
 
@@ -304,13 +314,16 @@ def _project_affine(v: np.ndarray, cmap: ConstraintMap, goal: np.ndarray) -> np.
 
 
 def _project_psd(v: np.ndarray, cmap: ConstraintMap) -> np.ndarray:
-    """P_K: each block's negative eigenvalues set to zero."""
+    """P_K: each block's negative eigenvalues set to zero, with one
+    batched eigensolve per run of equal-size blocks."""
     clamped = np.empty_like(v)
     # every point is symmetrized by the mirror, so its blocks are finite
     # and exactly symmetric, and LAPACK needs no checked wrapper
-    for M, P in zip(_blocks(v, cmap.spans), _blocks(clamped, cmap.spans)):
-        w, V = _eigh(M)
-        P[...] = (V * np.maximum(w, 0.0)) @ V.T
+    for start, count, d in cmap.runs:
+        stop = start + count * d * d
+        w, V = _eigh(v[start:stop].reshape(count, d, d))
+        P = (V * np.maximum(w, 0.0)[:, np.newaxis, :]) @ V.swapaxes(-1, -2)
+        clamped[start:stop] = P.ravel()
     return (clamped + clamped[cmap.mirror]) / 2.0
 
 

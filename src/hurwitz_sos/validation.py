@@ -13,7 +13,10 @@ one call of the sampler, of the trace and of the certificate evaluator
 per dimension, not per trial.  Every pair is still a function of its
 own trial seed alone, and a slice's value does not depend on the rest
 of its stack, so a row equals, bit for bit, the row of the same seed
-run alone.
+run alone.  The bookkeeping of a dimension group is whole-group work
+too: its trial seeds are checked once and both substream seeds derived
+in one uint64 pass, its degrees are checked in one pass over the
+group's traces, and its rows are built from one ``tolist()`` of them.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .words import check_degrees, check_positive_int
 from .numeric import (
     SEED_LIMIT,
     _check_seed,
+    _derive_seeds,
+    _seed_vector,
     bmv_coefficients,
-    derive_seed,
     eval_certificate_numeric,
     random_psd,
     trace_hurwitz_numeric,
@@ -181,11 +185,13 @@ def trial_pair(n: int, trial_seeds: Sequence[int]) -> Tuple[np.ndarray, np.ndarr
 
     Slice k of A is drawn from ``derive_seed(trial_seeds[k], 0)`` and of B
     from ``derive_seed(trial_seeds[k], 1)``, all in one ``random_psd`` call,
-    so a slice is what its trial seed draws alone.
+    so a slice is what its trial seed draws alone.  The trial seeds are
+    checked once, as a seed sequence, and both substreams are derived
+    for the whole vector at once.
     """
-    m = len(trial_seeds)
-    drawn = random_psd(n, [derive_seed(s, k) for k in (0, 1) for s in trial_seeds])
-    return drawn[:m], drawn[m:]
+    seeds, _ = _seed_vector(list(trial_seeds))
+    drawn = random_psd(n, _derive_seeds(seeds, (0, 1)).ravel().tolist())
+    return drawn[: len(seeds)], drawn[len(seeds):]
 
 
 def validate_certificate_trials(
@@ -217,10 +223,10 @@ def validate_certificate_trials(
         if seeds:
             A_random, B_random = trial_pair(n, seeds)
             A, B = np.concatenate([A, A_random]), np.concatenate([B, B_random])
-        oracles = trace_hurwitz_numeric(A, B, cert.p, cert.r)
-        values = eval_certificate_numeric(cert, A, B)
+        oracles = trace_hurwitz_numeric(A, B, cert.p, cert.r).tolist()
+        values = eval_certificate_numeric(cert, A, B).tolist()
         for i, label, oracle, value in zip(indices, labels, oracles, values):
-            rows[i] = _trial_row(cert, n, label, float(oracle), float(value), config.tol_rel)
+            rows[i] = _trial_row(cert, n, label, oracle, value, config.tol_rel)
     return TrialReport(rows=tuple(rows), tol_rel=config.tol_rel)
 
 
@@ -272,17 +278,16 @@ class CoefficientReport(_Report):
 
 
 def _coefficient_row(
-    p: int, n: int, trial_seed: int, coeffs: np.ndarray, tol: float
+    p: int, n: int, trial_seed: int, coeffs: List[float], tol: float
 ) -> CoefficientRow:
-    """Check one pair's p+1 coefficients for nonnegativity."""
-    biggest = float(np.max(np.abs(coeffs)))
-    threshold = tol * (1.0 + biggest)
-    smallest = float(np.min(coeffs))
+    """Check one pair's p+1 coefficients, as Python floats, for nonnegativity."""
+    threshold = tol * (1.0 + max(map(abs, coeffs)))
+    smallest = min(coeffs)
     return CoefficientRow(
         p=p,
         n=n,
         trial_seed=trial_seed,
-        coefficients=tuple(float(c) for c in coeffs),
+        coefficients=tuple(coeffs),
         min_coefficient=smallest,
         threshold=threshold,
         passed=smallest >= -threshold,
@@ -307,6 +312,6 @@ def bmv_check_trials(
     for n, indices in _indices_by_dimension(dims).items():
         seeds = [config.seed + t for t in indices]
         A, B = trial_pair(n, seeds)
-        for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p)):
+        for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p).tolist()):
             rows[t] = _coefficient_row(p, n, seed, coeffs, tol)
     return CoefficientReport(rows=tuple(rows), tol=tol)

@@ -15,6 +15,7 @@ from hurwitz_sos.certificate import (
 from hurwitz_sos.numeric import (
     ConvergenceError,
     NotPsdError,
+    _derive_seeds,
     bmv_coefficients,
     derive_seed,
     eval_certificate_numeric,
@@ -138,6 +139,14 @@ def test_derive_seed_rejects_aliasing_seeds_and_indices():
             derive_seed(0, index)
     edge = {derive_seed(s, k) for s in (0, 1, 2**64 - 1) for k in (0, 1, 3, 2**64 - 1)}
     assert len(edge) == 12
+
+
+def test_derive_seeds_matches_derive_seed():
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    indices = [0, 1, 3]
+    got = _derive_seeds(np.array(seeds, dtype=np.uint64), indices)
+    assert got.dtype == np.uint64 and got.shape == (3, 4)
+    assert got.tolist() == [[derive_seed(s, k) for s in seeds] for k in indices]
 
 
 def test_random_hermitian_properties():
@@ -416,6 +425,36 @@ def test_trace_hurwitz_checks_only_its_degrees():
     assert trace_hurwitz_numeric(1e200 * I, I, 3, range(3, 4)).tolist() == [2.0]
     with pytest.raises(ArithmeticError, match=r"\(p=3, r=0\) is not finite"):
         bmv_coefficients(1e200 * I, I, 3)
+
+
+def test_trace_hurwitz_raises_for_the_lowest_bad_degree():
+    I = np.eye(2)
+    # slice 0 overflows first at degree 5: 5·Tr(B^4) = 1e281, Tr(B^5) = 2e350
+    huge = (I, 1e70 * I)
+    # B^2 = iI, B^4 = -I: with A = I degree j is C(5, j)·Tr(B^j), and only
+    # degree 2 (20i) is not real
+    skew = (I, np.array([[0.0, 1.0], [1j, 0.0]]))
+    # degree 2 is 10·Tr((1e200 I)^2) = inf, degree 1 is 1e201
+    big = (I, 1e200 * I)
+
+    def stack(*pairs):
+        return np.stack([A for A, _ in pairs]), np.stack([B for _, B in pairs])
+
+    with pytest.raises(
+        ArithmeticError, match=r"\(p=5, r=2\) \(stack index 1\) has imaginary part 2\.000e\+01"
+    ):
+        bmv_coefficients(*stack(huge, skew), 5)
+    # within one degree a non-finite trace is named before an imaginary part
+    with pytest.raises(ArithmeticError, match=r"\(p=5, r=2\) \(stack index 2\) is not finite"):
+        bmv_coefficients(*stack(huge, skew, big), 5)
+    # a stepped range that skips the one bad degree does not raise
+    A, B = stack(skew)
+    for degrees in (range(1, 6, 2), range(5, 0, -2)):
+        got = trace_hurwitz_numeric(A, B, 5, degrees)
+        assert got.shape == (1, 3) and np.array_equal(got, np.zeros((1, 3)))
+    assert trace_hurwitz_numeric(A, B, 5, range(0, 5, 4)).tolist() == [[2.0, -10.0]]
+    with pytest.raises(ArithmeticError, match=r"\(p=5, r=2\) \(stack index 0\) has imaginary"):
+        trace_hurwitz_numeric(A, B, 5, range(0, 5, 2))
 
 
 def test_trace_hurwitz_takes_a_range_of_degrees():

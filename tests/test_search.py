@@ -466,6 +466,25 @@ def test_flat_step_matches_per_block_reference(p, r, blocks):
         assert np.array_equal(got_x, flat(x)) and np.array_equal(got_z, flat(step))
 
 
+def test_runs_merge_only_consecutive_blocks_of_one_size():
+    """``runs`` cuts the blocks into maximal runs of one dimension, each
+    (offset, count, d); blocks of one size apart stay apart, and the
+    projection over the runs equals the per-block one bit for bit."""
+    apart = (
+        SandwichBlock("b", None, ("AAB", "ABA", "BAA")),
+        SandwichBlock("b", None, ("AAB", "ABA")),
+        SandwichBlock(None, "b", ("AAB", "ABA", "BAA")),
+    )
+    cmap = build_constraint_map(7, 3, apart)
+    assert cmap.runs == ((0, 1, 3), (9, 1, 2), (13, 1, 3))
+    assert build_constraint_map(9, 3, BLOCKS_93).runs == ((0, 2, 4),)
+    assert build_constraint_map(8, 4, full_ansatz(8, 4)).runs == ((0, 1, 6), (36, 2, 3))
+    rng = np.random.default_rng(53)
+    for spread in (False, True):
+        z = [(M + M.T) / 2.0 for M in random_mats(rng, apart, spread=spread)]
+        assert np.array_equal(_project_psd(flat(z), cmap), flat(reference_psd(z)))
+
+
 # ------------------------------------------------------------------ rounding filters
 
 def weyl_margin_setup():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hurwitz_sos.certificate import bundled_certificate, swap_certificate
@@ -9,8 +10,10 @@ from hurwitz_sos.validation import (
     TrialConfig,
     TrialReport,
     bmv_check_trials,
+    trial_pair,
     validate_certificate_trials,
 )
+from hurwitz_sos.numeric import derive_seed, random_psd
 
 SMALL = TrialConfig(seed=0, dims=(1, 2, 3), trials=5)
 
@@ -169,3 +172,19 @@ def test_bmv_trials_reject_bad_tol():
             bmv_check_trials(5, config, tol=tol)
     for tol in (1, 1e-9, 1e300):
         assert bmv_check_trials(5, config, tol=tol).all_passed
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_trial_pair_slices_are_one_seed_draws(n):
+    seeds = [0, 7, 2**63, 2**64 - 1]
+    A, B = trial_pair(n, seeds)
+    assert A.shape == B.shape == (len(seeds), n, n)
+    for k, s in enumerate(seeds):
+        assert A[k].tobytes() == random_psd(n, derive_seed(s, 0)).tobytes()
+        assert B[k].tobytes() == random_psd(n, derive_seed(s, 1)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, True])
+def test_trial_pair_rejects_bad_seeds(bad):
+    with pytest.raises(ValueError, match=r"seed \(stack index 1\) must be an int in \[0, 2\*\*64\)"):
+        trial_pair(2, [0, bad])
