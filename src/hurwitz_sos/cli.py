@@ -104,6 +104,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _check_cert_path(path: str) -> None:
     """Reject a --cert path that cannot be written, before any search runs."""
+    if not path:
+        raise _UsageError("--cert must be a nonempty path")
     if os.path.isdir(path):
         raise _UsageError(f"--cert {path} is a directory")
     parent = os.path.dirname(path) or "."
@@ -131,7 +133,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     _check_seed(args.seed, "--seed")
     check_positive_int(args.max_iter, "--max-iter")
     options = SearchOptions(seed=args.seed, max_iters=args.max_iter)
-    if args.cert:
+    if args.cert is not None:
         _check_cert_path(args.cert)
     try:
         outcome = feasibility_search(p, r, blocks, options)
@@ -156,7 +158,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             for j in range(gram.dimension):
                 row = "  ".join(str(gram.at(j, k)) for k in range(gram.dimension))
                 lines.append(f"  {row}")
-        if args.cert:
+        if args.cert is not None:
             save_certificate(outcome.certificate, args.cert)
             lines.append(f"certificate written to {args.cert}")
     if outcome.witness is not None:

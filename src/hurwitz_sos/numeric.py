@@ -331,8 +331,8 @@ def hermitian_eig(H) -> EigResult:
             raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
         H = H / 2.0 + adjoint / 2.0
     w, V = _eigh(H)
-    # a Python pass costs less than a numpy reduction on the small
-    # matrices of the search's Weyl margin and float twin
+    # a Python pass costs less than a numpy reduction on the short
+    # stacks of small matrices of the search's Weyl margin and float twin
     if not all(map(math.isfinite, w.ravel().tolist())):
         k = int(np.argmin(np.isfinite(w).all(axis=-1)))
         raise ArithmeticError(

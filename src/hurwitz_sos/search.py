@@ -22,10 +22,10 @@ Every point of the search is one flat vector v in the map's (block, j,
 k) order, the order of ``ConstraintMap.ids``.  With A the class
 incidence matrix, ``np.bincount(ids, v)`` is A·v, ``(gap / counts)[ids]``
 is Aᵀ(AAᵀ)⁻¹·gap, and ``(v + v[mirror]) / 2`` symmetrizes every block at
-once.  Only the eigensolves and the final Gram matrices read blocks, as
-``(d, d)`` views of v cut at the map's ``spans``; the PSD projection
-reads each run of consecutive equal-size blocks as one ``(k, d, d)``
-view and makes one batched eigensolve per run.
+once.  Only the eigensolves and the exact Gram matrices read blocks:
+the map's ``runs`` cut v into runs of consecutive equal-size blocks, one
+``(count, d, d)`` view each, for one batched eigensolve per run, and
+only the exact Gram matrices cut a run into its ``(d, d)`` blocks.
 
 One float test, λ_min ≥ −slack on every block of a point T whose class
 sums ``_project_affine`` has restored in float, drops rungs whose exact
@@ -110,13 +110,12 @@ class ConstraintMap:
 
     ``classes`` holds the classes the ansatz reaches, sorted.  ``ids`` is
     every pair's class id, blocks concatenated in (block, j, k) order:
-    the order of the search's flat point.  ``spans[b]`` is block b's
-    (offset, d) in ``ids`` as plain ints, so pair (j, k) of block b
-    feeds ``classes[ids[offset + j·d + k]]``.  ``runs`` cuts the blocks
+    the order of the search's flat point.  ``runs`` cuts the blocks
     into maximal runs of consecutive blocks of one dimension, each
-    (offset, count, d), so a run is one (count, d, d) view of a flat
-    point.  ``counts[c]`` is the
-    number of pairs that feed class c, so ``counts == np.bincount(ids)``,
+    (offset, count, d) in ``ids`` as plain ints, so a run is one
+    (count, d, d) view of a flat point and pair (j, k) of the run's
+    block i feeds ``classes[ids[offset + (i·d + j)·d + k]]``.  ``counts[c]``
+    is the number of pairs that feed class c, so ``counts == np.bincount(ids)``,
     and ``mirror[i]`` is the flat position of the transposed entry of
     position i, (b, k, j) for (b, j, k).  All these arrays are read-only.
     Maps compare and hash by identity, since an array has no single
@@ -127,7 +126,6 @@ class ConstraintMap:
     r: int
     blocks: Tuple[SandwichBlock, ...]
     classes: Tuple[CyclicClass, ...]
-    spans: Tuple[Tuple[int, int], ...]
     runs: Tuple[Tuple[int, int, int], ...]
     ids: np.ndarray
     counts: np.ndarray
@@ -139,9 +137,10 @@ class ConstraintMap:
         return len(self.classes) == self.ids.size
 
 
-def _blocks(v: np.ndarray, spans: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+def _blocks(v: np.ndarray, runs: Sequence[Tuple[int, int, int]]) -> List[np.ndarray]:
     """Each block of the flat array ``v`` as a ``(d, d)`` view, in block order."""
-    return [v[start:start + d * d].reshape(d, d) for start, d in spans]
+    return [M for start, count, d in runs
+            for M in v[start:start + count * d * d].reshape(count, d, d)]
 
 
 def build_constraint_map(
@@ -160,20 +159,19 @@ def build_constraint_map(
         dtype=np.intp,
     )
     counts = np.bincount(ids)
-    dims = [block.dimension for block in blocks]
-    spans = tuple(zip(itertools.accumulate((d * d for d in dims), initial=0), dims))
-    runs = []
-    for d, run in itertools.groupby(spans, key=lambda span: span[1]):
-        run = list(run)
-        runs.append((run[0][0], len(run), d))
+    runs, start = [], 0
+    for d, run in itertools.groupby(block.dimension for block in blocks):
+        count = len(list(run))
+        runs.append((start, count, d))
+        start += count * d * d
     mirror = np.concatenate(
-        [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), spans)]
+        [M.T.ravel() for M in _blocks(np.arange(ids.size, dtype=np.intp), runs)]
     )
     for table in (ids, counts, mirror):
         table.setflags(write=False)
     return ConstraintMap(
         p=p, r=r, blocks=blocks, classes=classes,
-        spans=spans, runs=tuple(runs), ids=ids, counts=counts, mirror=mirror,
+        runs=tuple(runs), ids=ids, counts=counts, mirror=mirror,
     )
 
 
@@ -204,7 +202,7 @@ def determined_gram(
     if not cmap.determined:
         return None
     grams: List[GramMatrix] = []
-    for bi, ids in enumerate(_blocks(cmap.ids, cmap.spans)):
+    for bi, ids in enumerate(_blocks(cmap.ids, cmap.runs)):
         rows = [
             [target.coefficient(cmap.classes[i]) for i in row] for row in ids.tolist()
         ]
@@ -335,21 +333,23 @@ def _dr_step(z: np.ndarray, cmap: ConstraintMap, goal: np.ndarray):
     return x, _shift_classes(x, goal - np.bincount(cmap.ids, 2.0 * x - z), cmap)
 
 
-def _margin_cutoff(restored: Sequence[np.ndarray]) -> float:
+def _margin_cutoff(v: np.ndarray, runs: Sequence[Tuple[int, int, int]]) -> float:
     """Largest denominator at which the rounded candidate can still be PSD.
 
-    ``restored`` is the shadow after the affine projection, or the float
+    ``v`` is the flat shadow after the affine projection, or the float
     twin of a rounded point.  A block whose smallest eigenvalue λ is
     below −slack bounds every rung by d·√2/(−λ − slack), the Weyl bound
     of the module docstring, and the result is ``math.inf`` exactly when
-    every block has λ ≥ −slack.
+    every block has λ ≥ −slack.  The blocks of a run share d, so the lowest
+    eigenvalue of the run's one batched eigensolve gives its tightest bound.
     """
-    slack = FILTER_SLACK * (1.0 + sum(float(np.abs(M).sum()) for M in restored))
+    slack = FILTER_SLACK * (1.0 + float(np.abs(v).sum()))
     cutoff = math.inf
-    for M in restored:
-        gap = -hermitian_eig(M).eigenvalues[0] - slack
+    for start, count, d in runs:
+        w = hermitian_eig(v[start:start + count * d * d].reshape(count, d, d)).eigenvalues
+        gap = -float(w[:, 0].min()) - slack
         if gap > 0:
-            cutoff = min(cutoff, M.shape[0] * math.sqrt(2.0) / gap)
+            cutoff = min(cutoff, d * math.sqrt(2.0) / gap)
     return cutoff
 
 
@@ -375,7 +375,7 @@ def _exact_candidate(
     K, denom = half + half[cmap.mirror], 2 * q * lcm
     grams = [
         GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
-        for M in _blocks(K, cmap.spans)
+        for M in _blocks(K, cmap.runs)
     ]
     return Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
 
@@ -398,7 +398,7 @@ def _round_candidate(
     """
     rounded = np.rint(q * v)
     twin = _project_affine(rounded, cmap, q * goal) / q
-    if _margin_cutoff(_blocks(twin, cmap.spans)) < math.inf:
+    if _margin_cutoff(twin, cmap.runs) < math.inf:
         tally["rungs_float_rejected"] += 1
         return None
     tally["rungs_exact"] += 1
@@ -419,7 +419,7 @@ def _round_iterate(
     above the cutoff are a suffix of the ladder, tallied under
     ``rungs_skipped`` once every rung below has failed.
     """
-    cutoff = _margin_cutoff(_blocks(_project_affine(v, cmap, goal), cmap.spans))
+    cutoff = _margin_cutoff(_project_affine(v, cmap, goal), cmap.runs)
     allowed = [q for q in LADDER if q <= cutoff]
     for q in allowed:
         cert = _round_candidate(v, cmap, target, q, goal, tally)

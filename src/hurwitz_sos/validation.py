@@ -60,6 +60,16 @@ def _indices_by_dimension(dims: List[int]) -> Dict[int, List[int]]:
     return groups
 
 
+def _check_trial_seeds(seed: int, count: int) -> None:
+    """Reject a seed whose ``count`` trial seeds seed, seed + 1, ... would
+    not all be distinct 64-bit seeds."""
+    if seed > SEED_LIMIT - count:
+        raise ValueError(
+            f"seed must lie in [0, 2**64 - {count}] so that its {count} "
+            f"trial seeds stay below 2**64, got {seed}"
+        )
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Seed, dimensions, trial count and tolerance of a trial run.
@@ -69,8 +79,10 @@ class TrialConfig:
     total trials (cycled over the dimensions) for the coefficient
     runner.  Only the certificate runner reads ``tol_rel``;
     ``bmv_check_trials`` takes its own ``tol``.  ``trials`` and each of
-    the nonempty ``dims`` must be positive ints, and every trial seed
-    must lie in [0, 2**64); a bad value raises ``ValueError`` naming it.
+    the nonempty ``dims`` must be positive ints and ``seed`` must lie in
+    [0, 2**64); a bad value raises ``ValueError`` naming it.  Each runner
+    also rejects a seed whose trial seeds, seed, seed + 1, ..., one per
+    random trial it runs, would reach 2**64.
     """
 
     seed: int = 0
@@ -86,14 +98,6 @@ class TrialConfig:
             raise ValueError("dims must be nonempty")
         for k, n in enumerate(self.dims):
             check_positive_int(n, f"dims[{k}]")
-        # either runner numbers its trials seed, seed + 1, ..., at most
-        # len(dims) * trials of them, and each must be a distinct 64-bit seed
-        count = len(self.dims) * self.trials
-        if self.seed > SEED_LIMIT - count:
-            raise ValueError(
-                f"seed must lie in [0, 2**64 - {count}] so that its {count} "
-                f"trial seeds stay below 2**64, got {self.seed}"
-            )
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,7 @@ def validate_certificate_trials(
     float discrepancy between the two evaluation routes.
     """
     config = config or TrialConfig()
+    _check_trial_seeds(config.seed, len(config.dims) * config.trials)
     # (n, label, A, B) of the fixed pairs, which come first in row order;
     # the random trials follow, config.trials per dimension, seeded
     # config.seed, config.seed + 1, ... in row order
@@ -307,6 +312,7 @@ def bmv_check_trials(
     check_degrees(p, 0)
     _check_tolerance("tol", tol)
     config = config or TrialConfig(dims=(2, 3, 4))
+    _check_trial_seeds(config.seed, config.trials)
     dims = [config.dims[t % len(config.dims)] for t in range(config.trials)]
     rows: List[Optional[CoefficientRow]] = [None] * config.trials
     for n, indices in _indices_by_dimension(dims).items():

@@ -213,6 +213,18 @@ def test_search_rejects_unwritable_cert_before_searching(
     assert captured.err.startswith("error: --cert ") and cert in captured.err
 
 
+def test_search_rejects_empty_cert_before_searching(three_word_ansatz, monkeypatch, capsys):
+    # an empty --cert names no file: it must not pass as "no --cert given"
+    def fail(*_args):
+        raise AssertionError("feasibility_search ran")
+
+    monkeypatch.setattr(cli, "feasibility_search", fail)
+    assert main(["search", "--ansatz", three_word_ansatz, "--cert", ""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cert must be a nonempty path\n"
+
+
 def test_search_infeasible_restricted_ansatz(capsys):
     code = main(
         ["search", "--ansatz", bundled_path("p6r3_restricted_ansatz.json")]
@@ -357,6 +369,13 @@ def test_seed_whose_trials_pass_2_to_the_64(capsys):
     args = ["--trials", "2", "--dims", "1", "--seed", str(2**64 - 1)]
     assert main(["validate", "--cert", bundled_path("p7r3.json")] + args) == EXIT_USAGE
     assert "error: seed must lie in [0, 2**64 - 2]" in capsys.readouterr().err
+    # bmv-check runs --trials trials in all, so 2^64 - 3 leaves room for 3
+    args = ["bmv-check", "-p", "3", "--trials", "3"]
+    assert main(args + ["--seed", str(2**64 - 3)]) == EXIT_OK
+    assert "3/3 trials passed" in capsys.readouterr().out
+    assert main(args + ["--seed", str(2**64 - 2)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: seed must lie in [0, 2**64 - 3]" in err and "3 trial seeds" in err
 
 
 # ------------------------------------------------------------------ validate

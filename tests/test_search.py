@@ -17,6 +17,7 @@ from hurwitz_sos.certificate import (
     verify_against,
     verify_certificate,
 )
+from hurwitz_sos.numeric import hermitian_eig
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
     FILTER_SLACK,
@@ -102,17 +103,23 @@ def class_counts(cmap):
     return Counter(str(cmap.classes[i]) for i in cmap.ids.tolist())
 
 
-def check_spans(cmap):
-    """``spans`` tiles ``ids``: contiguous offsets from 0, d² entries per
-    block, the last ending at ``ids.size``, every value a Python int; the
-    block views it cuts are read-only like ``ids``."""
-    offset = 0
-    for (start, d), block in zip(cmap.spans, cmap.blocks):
-        assert type(start) is int and type(d) is int
-        assert start == offset and d == block.dimension
-        offset += d * d
-    assert len(cmap.spans) == len(cmap.blocks) and offset == cmap.ids.size
-    for view in _blocks(cmap.ids, cmap.spans):
+def check_runs(cmap):
+    """``runs`` tiles ``ids``: contiguous offsets from 0, count·d² entries
+    per run of ``count`` blocks of dimension d, neighbouring runs of
+    different d, the last ending at ``ids.size``, every value a Python
+    int; the block views cut from them are read-only like ``ids``."""
+    offset, dims = 0, []
+    for start, count, d in cmap.runs:
+        assert type(start) is int and type(count) is int and type(d) is int
+        assert start == offset and count >= 1
+        dims += [d] * count
+        offset += count * d * d
+    assert dims == [block.dimension for block in cmap.blocks]
+    assert offset == cmap.ids.size
+    assert all(a[2] != b[2] for a, b in zip(cmap.runs, cmap.runs[1:]))
+    views = _blocks(cmap.ids, cmap.runs)
+    assert len(views) == len(cmap.blocks)
+    for view in views:
         with pytest.raises(ValueError):
             view[...] = 0
 
@@ -123,7 +130,7 @@ def test_constraint_map_three_word_block():
     cmap = build_constraint_map(7, 3, (BLOCK_73,))
     assert cmap.p == 7 and cmap.r == 3
     # frozen pair-class table for the three-word block
-    index, = _blocks(cmap.ids, cmap.spans)
+    index, = _blocks(cmap.ids, cmap.runs)
     table = [[str(cmap.classes[index[j, k]]) for k in range(3)] for j in range(3)]
     assert table == [
         ["AABAABB", "AABABAB", "AABAABB"],
@@ -150,14 +157,14 @@ def test_constraint_map_three_word_block():
     assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
     # two blocks: the ids of block 1 follow those of block 0
     two = build_constraint_map(9, 3, BLOCKS_93)
-    assert two.spans == ((0, 4), (16, 4))
-    first, second = _blocks(two.ids, two.spans)
+    assert two.runs == ((0, 2, 4),)
+    first, second = _blocks(two.ids, two.runs)
     assert two.ids.tolist() == first.ravel().tolist() + second.ravel().tolist()
     assert two.counts.tolist() == np.bincount(two.ids).tolist()
     check_mirror(cmap)
     check_mirror(two)
-    check_spans(cmap)
-    check_spans(two)
+    check_runs(cmap)
+    check_runs(two)
 
 
 def test_constraint_map_compares_by_identity():
@@ -180,8 +187,8 @@ def test_constraint_map_p6_determined():
     cmap = build_constraint_map(6, 3, (P6_BLOCK,))
     assert cmap.determined
     assert class_counts(cmap) == {"AAABBB": 1, "AABABB": 1, "AABBAB": 1, "ABABAB": 1}
-    assert cmap.spans == ((0, 2),)
-    assert cmap.ids.tolist() == _blocks(cmap.ids, cmap.spans)[0].ravel().tolist()
+    assert cmap.runs == ((0, 1, 2),)
+    assert cmap.ids.tolist() == _blocks(cmap.ids, cmap.runs)[0].ravel().tolist()
     assert cmap.counts.tolist() == [1, 1, 1, 1]
     assert cmap.determined == all(n == 1 for n in cmap.counts.tolist())
     assert cmap.counts.tolist() == np.bincount(cmap.ids).tolist()
@@ -189,7 +196,7 @@ def test_constraint_map_p6_determined():
         with pytest.raises(ValueError):
             table[...] = 0
     check_mirror(cmap)
-    check_spans(cmap)
+    check_runs(cmap)
 
 
 def test_constraint_map_shape_mismatch():
@@ -320,7 +327,7 @@ def projected_points(cmap, target, rounds, seed):
     for done in range(1, max(rounds) + 1):
         v = _project_psd(_project_affine(v, cmap, goal), cmap)
         if done in rounds:
-            points.append(_blocks(v, cmap.spans))
+            points.append(_blocks(v, cmap.runs))
     return points
 
 
@@ -350,7 +357,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
     margin_skips = 0
     for mats in points:
         restored = _project_affine(flat(mats), cmap, goal)
-        cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
+        cutoff = _margin_cutoff(restored, cmap.runs)
         for q in LADDER[::3] + (10_000,):
             got = _round_candidate(flat(mats), cmap, target, q, goal, tally)
             want = round_candidate_oracle(mats, cmap, target, q)
@@ -466,10 +473,24 @@ def test_flat_step_matches_per_block_reference(p, r, blocks):
         assert np.array_equal(got_x, flat(x)) and np.array_equal(got_z, flat(step))
 
 
+def reference_cutoff(mats):
+    """The Weyl cutoff block by block, with one ``hermitian_eig`` per block.
+    The slack sums the flat point, as the search does: summed block by
+    block it can differ in the last bit."""
+    slack = FILTER_SLACK * (1.0 + float(np.abs(flat(mats)).sum()))
+    cutoff = math.inf
+    for M in mats:
+        gap = -hermitian_eig(M).eigenvalues[0] - slack
+        if gap > 0:
+            cutoff = min(cutoff, M.shape[0] * math.sqrt(2.0) / gap)
+    return cutoff
+
+
 def test_runs_merge_only_consecutive_blocks_of_one_size():
     """``runs`` cuts the blocks into maximal runs of one dimension, each
     (offset, count, d); blocks of one size apart stay apart, and the
-    projection over the runs equals the per-block one bit for bit."""
+    projection and the margin over the runs equal the per-block ones bit
+    for bit."""
     apart = (
         SandwichBlock("b", None, ("AAB", "ABA", "BAA")),
         SandwichBlock("b", None, ("AAB", "ABA")),
@@ -483,6 +504,20 @@ def test_runs_merge_only_consecutive_blocks_of_one_size():
     for spread in (False, True):
         z = [(M + M.T) / 2.0 for M in random_mats(rng, apart, spread=spread)]
         assert np.array_equal(_project_psd(flat(z), cmap), flat(reference_psd(z)))
+    cutoffs = set()
+    for p, r, blocks in ((7, 3, apart), (9, 3, BLOCKS_93), (8, 4, full_ansatz(8, 4))):
+        layout = build_constraint_map(p, r, blocks)
+        check_runs(layout)
+        for spread in (False, True) * 3:
+            z = [(M + M.T) / 2.0 for M in random_mats(rng, blocks, spread=spread)]
+            # the PSD part of z, and z with only its last block left indefinite
+            psd = reference_psd(z)
+            for mats in (z, psd, psd[:-1] + z[-1:]):
+                cutoff = _margin_cutoff(flat(mats), layout.runs)
+                assert cutoff == reference_cutoff(mats)
+                cutoffs.add(cutoff == math.inf)
+    # both outcomes occur, so the comparison is not vacuous
+    assert cutoffs == {True, False}
 
 
 # ------------------------------------------------------------------ rounding filters
@@ -507,12 +542,12 @@ def test_margin_skips_a_suffix_and_keeps_the_certificate():
     # (1, 1) and its class mates (0, 1), (1, 0) keep their sum
     E = np.zeros((3, 3))
     E[1, 1], E[0, 1], E[1, 0] = -0.01, 0.005, 0.005
-    index, = _blocks(cmap.ids, cmap.spans)
+    index, = _blocks(cmap.ids, cmap.runs)
     assert index[1, 1] == index[0, 1] == index[1, 0]
     mats = [G + E]
     assert np.linalg.eigvalsh(mats[0])[0] < -1e-3
     restored = _project_affine(flat(mats), cmap, goal)
-    cutoff = _margin_cutoff(_blocks(restored, cmap.spans))
+    cutoff = _margin_cutoff(restored, cmap.runs)
     assert LADDER[0] <= cutoff < LADDER[-1]
     unfiltered = next(
         found
@@ -540,10 +575,10 @@ def test_margin_keeps_every_rung_the_weyl_bound_allows(bound):
     stretch = 1.0 + slack * bound / (2.0 * 3.0 * math.sqrt(2.0))
     F = P - stretch * (math.sqrt(2.0) / bound) * np.outer(w, w)
     # F is symmetric, so restoring its own class sums gives F back
-    assert _margin_cutoff([F]) >= bound
+    assert _margin_cutoff(F.ravel(), ((0, 1, 3),)) >= bound
     # and a point any further out loses the rung
     F_out = P - 1.01 * (math.sqrt(2.0) / bound) * np.outer(w, w)
-    assert _margin_cutoff([F_out]) < bound
+    assert _margin_cutoff(F_out.ravel(), ((0, 1, 3),)) < bound
 
 
 def test_twin_slack_absorbs_float_error_only():
@@ -552,8 +587,8 @@ def test_twin_slack_absorbs_float_error_only():
     _cert, cmap, _target, G = weyl_margin_setup()
     v = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # null vector of G
     for shift, passes in ((1e-13, True), (1e-6, False)):
-        twin = [G - shift * np.outer(v, v)]
-        assert (_margin_cutoff(twin) == math.inf) == passes
+        twin = G - shift * np.outer(v, v)
+        assert (_margin_cutoff(twin.ravel(), ((0, 1, 3),)) == math.inf) == passes
 
 
 # ------------------------------------------------------------------ filtered search

@@ -40,17 +40,23 @@ def test_trial_config_validation():
     with pytest.raises(ValueError, match="tol_rel"):
         TrialConfig(seed=3, tol_rel=10**400)
     # mix64 reduces seeds modulo 2^64: every trial seed, seed up to
-    # seed + len(dims) * trials - 1, must lie below 2^64 or it would
-    # repeat the trial of a smaller seed
+    # seed + len(dims) * trials - 1 for the certificate runner, must lie
+    # below 2^64 or it would repeat the trial of a smaller seed
     last = 2**64 - 3 * 5
     assert TrialConfig(seed=last, dims=(1, 2, 3), trials=5).seed == last
     for seed in (-1, -3, 2**64, 2**70):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             TrialConfig(seed=seed, dims=(1, 2, 3), trials=5)
+    beyond = TrialConfig(seed=last + 1, dims=(1, 2, 3), trials=5)
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 15\]"):
-        TrialConfig(seed=last + 1, dims=(1, 2, 3), trials=5)
+        validate_certificate_trials(bundled_certificate("p7r3.json"), beyond)
+    # the coefficient runner numbers only ``trials`` seeds
+    rows = bmv_check_trials(3, beyond).rows
+    assert [row.trial_seed for row in rows] == [last + 1 + t for t in range(5)]
     rows = bmv_check_trials(5, TrialConfig(seed=2**64 - 2, dims=(2,), trials=2)).rows
     assert [row.trial_seed for row in rows] == [2**64 - 2, 2**64 - 1]
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 3\] so that its 3 "):
+        bmv_check_trials(3, TrialConfig(seed=2**64 - 2, dims=(2,), trials=3))
 
 
 def test_trial_config_rejects_booleans():

@@ -1,17 +1,20 @@
 """Append one benchmark run to ``BENCH_<workload>.json``.
 
     python3 tools/bench_record.py --workload bmv-scan [--seed 7] [--seconds 20]
-                                  [--root DIR] [--out DIR]
+                                  [--trace 0|1] [--root DIR] [--out DIR]
 
-Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` of the
+Runs ``perfbench/run.py --workload W --seed S --seconds T --trace K`` of the
 checkout at ``--root`` (default: this repository) as a subprocess, reads
 its JSON result from the last stdout line and the run's metadata from the
 record it writes under ``perfbench/out/``, and appends one entry to
 ``<out>/BENCH_<W>.json``, a JSON list kept oldest first.  An entry holds
 the commit (and whether ``src`` or ``perfbench`` had uncommitted changes),
-the Python and numpy versions, the CPU count, the seed and duration, the
-call counts and the end-to-end metrics.  A perf change cites the entries
-of its parent and of itself.  Exits with the benchmark's exit code; an
+the Python and numpy versions, the CPU count, the seed, duration and
+trace level, the call counts and the run's metrics: the end-to-end ones
+at ``--trace 0``, and at ``--trace 1`` the per-layer calls, self times
+and work counts (``search.eig_calls`` among them) and the
+``cli.<subcommand>.wall_s`` rows.  A perf change cites the entries of its
+parent and of itself.  Exits with the benchmark's exit code; an
 entry is appended only when the benchmark exits 0.  Standard library only.
 """
 
@@ -30,6 +33,8 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, help="perfbench workload name")
     parser.add_argument("--seed", type=int, default=7, help="benchmark seed")
     parser.add_argument("--seconds", type=float, default=20.0, help="timed run length")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="0: end-to-end metrics; 1: per-layer counts and CLI times")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose perfbench/run.py and src are run")
     parser.add_argument("--out", type=Path, default=REPO,
@@ -53,13 +58,15 @@ def main(argv=None):
     args = parse_args(argv)
     root = args.root.resolve()
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+               "--seed", str(args.seed), "--seconds", str(args.seconds),
+               "--trace", str(args.trace)]
     proc = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         print(f"error: {' '.join(command)} exited {proc.returncode}", file=sys.stderr)
         return proc.returncode
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record_path = root / "perfbench" / "out" / f"{args.workload}.seed{args.seed}.trace0.json"
+    record_path = (root / "perfbench" / "out"
+                   / f"{args.workload}.seed{args.seed}.trace{args.trace}.json")
     record = json.loads(record_path.read_text(encoding="utf-8"))
     entry = {
         "commit": record["git_commit"],
@@ -70,6 +77,7 @@ def main(argv=None):
         "nproc": record["nproc"],
         "seed": args.seed,
         "seconds": args.seconds,
+        "trace": args.trace,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
