@@ -118,22 +118,6 @@ class SandwichBlock:
                 )
 
 
-def reduce_pair(block: SandwichBlock, j: int, k: int) -> CyclicClass:
-    """Cyclic class of sandwich word j times the adjoint of sandwich word k.
-
-    With u = prefix W suffix, cyclicity moves the trailing prefix* = prefix
-    of the adjoint factor to the front, and adjacent identical half
-    letters square to the full letter, leaving
-    W_j [suffix^2] reverse(W_k) [prefix^2].
-    """
-    basis = block.basis
-    if not 0 <= j < len(basis) or not 0 <= k < len(basis):
-        raise IndexError(
-            f"pair index ({j}, {k}) out of range for basis of size {len(basis)}"
-        )
-    return _class_of(_pair_head(block, basis[j]) + _pair_tail(block, basis[k]))
-
-
 def _pair_head(block: SandwichBlock, word: str) -> str:
     return word + _HALF_SQUARED[block.suffix]
 
@@ -143,11 +127,16 @@ def _pair_tail(block: SandwichBlock, word: str) -> str:
 
 
 def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
-    """The d x d table whose entry [j][k] is ``reduce_pair(block, j, k)``.
+    """The d x d table whose entry [j][k] is the class of sandwich j times
+    the adjoint of sandwich k.
 
-    The reversed basis words are built once, and each pair word goes
-    through one least rotation without the letter check: the block
-    checked its basis words when it was built.
+    With u = prefix W suffix, cyclicity moves the trailing prefix* = prefix
+    of the adjoint factor to the front, and adjacent identical half
+    letters square to the full letter, leaving
+    W_j [suffix^2] reverse(W_k) [prefix^2].  The reversed basis words
+    are built once, and each pair word goes through one least rotation
+    without the letter check: the block checked its basis words when it
+    was built.
     """
     heads = [_pair_head(block, word) for word in block.basis]
     tails = [_pair_tail(block, word) for word in block.basis]
@@ -182,61 +171,12 @@ class GramMatrix:
     def from_rows(cls, rows: Iterable[Iterable[EntryLike]]) -> "GramMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
-    @classmethod
-    def zeros(cls, n: int) -> "GramMatrix":
-        return cls.from_rows([[ZERO] * n for _ in range(n)])
-
-    @classmethod
-    def scaled_identity(cls, n: int, value: EntryLike) -> "GramMatrix":
-        value = GaussianRational.of(value)
-        return cls.from_rows(
-            [[value if j == k else ZERO for k in range(n)] for j in range(n)]
-        )
-
     @property
     def dimension(self) -> int:
         return len(self.entries)
 
     def at(self, j: int, k: int) -> GaussianRational:
         return self.entries[j][k]
-
-    def scaled(self, factor: EntryLike) -> "GramMatrix":
-        factor = GaussianRational.of(factor)
-        if not factor.is_real:
-            raise ValueError("scaling by a non-real factor breaks Hermitian symmetry")
-        return GramMatrix.from_rows(
-            [[x * factor for x in row] for row in self.entries]
-        )
-
-    def __add__(self, other: "GramMatrix") -> "GramMatrix":
-        if not isinstance(other, GramMatrix):
-            return NotImplemented
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        return GramMatrix.from_rows(
-            [
-                [self.at(j, k) + other.at(j, k) for k in range(self.dimension)]
-                for j in range(self.dimension)
-            ]
-        )
-
-
-def gram_from_vectors(
-    vectors: Iterable[Sequence[EntryLike]],
-) -> GramMatrix:
-    """Sum of rank-one outer products v v* over the given coefficient vectors."""
-    vecs = [tuple(GaussianRational.of(x) for x in v) for v in vectors]
-    if not vecs:
-        raise ValueError("need at least one vector")
-    dim = len(vecs[0])
-    if any(len(v) != dim for v in vecs):
-        raise ValueError("vectors must share one dimension")
-    rows = [[ZERO for _ in range(dim)] for _ in range(dim)]
-    for v in vecs:
-        for j in range(dim):
-            for k in range(dim):
-                rows[j][k] = rows[j][k] + v[j] * v[k].conjugate()
-    return GramMatrix.from_rows(rows)
 
 
 def quadratic_form(gram: GramMatrix, vector: Sequence[EntryLike]) -> GaussianRational:
@@ -660,10 +600,13 @@ def certificate_from_json(data: object) -> Certificate:
 
 
 def _load_json(path: str) -> object:
-    """Parse a JSON file; malformed or too deeply nested JSON is a format error."""
+    """Parse a JSON file; text that is not UTF-8, malformed JSON or JSON
+    nested too deeply is a format error naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise CertificateFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise CertificateFormatError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:

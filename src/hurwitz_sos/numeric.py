@@ -9,10 +9,11 @@ re-verified in exact rational arithmetic before it is returned, and the
 random inputs stay seeded by SplitMix64, so a different LAPACK changes
 rounding, not which matrices are tried.
 
-The samplers take one seed or a sequence of m seeds.  A sequence is
-drawn in one pass: one (m, count) array of SplitMix64 counters, one
-Box-Muller transform over its rows and, for ``random_psd``, one batched
-R* R.  Every step is elementwise, runs along a row or is a matmul
+The two samplers, ``gaussian_stream`` (the search's start points) and
+``random_psd`` (the trial matrices), take one seed or a sequence of m
+seeds.  A sequence is drawn in one pass: one (m, count) array of
+SplitMix64 counters, one Box-Muller transform over its rows and, for
+``random_psd``, one batched R* R.  Every step is elementwise, runs along a row or is a matmul
 batched over the stack, so row k is still a function of seed k alone,
 bit for bit what that seed draws on its own; a single seed is the
 one-row case of the same code.  ``_derive_seeds`` gives ``derive_seed``
@@ -173,42 +174,17 @@ def _complex_gaussian_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     return X / math.sqrt(2.0)
 
 
-def _stream(rows, seed, count: int) -> np.ndarray:
-    """``count`` draws of ``rows`` for one seed, or an (m, count) array for
-    a sequence of m seeds whose row k is what seed k alone gives."""
+def gaussian_stream(seed, count: int) -> np.ndarray:
+    """IID standard normals via the Box-Muller transform.
+
+    An int seed gives ``count`` draws; a sequence of m seeds gives an
+    (m, count) array whose row k is what seed k alone gives.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     seeds, single = _seed_vector(seed)
-    out = rows(seeds, count)
+    out = _gaussian_rows(seeds, count)
     return out[0] if single else out
-
-
-def splitmix64_stream(seed, count: int) -> np.ndarray:
-    """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64."""
-    return _stream(_splitmix_rows, seed, count)
-
-
-def uniform_stream(seed, count: int) -> np.ndarray:
-    """IID uniforms in [0, 1) with 53-bit resolution."""
-    return _stream(_uniform_rows, seed, count)
-
-
-def gaussian_stream(seed, count: int) -> np.ndarray:
-    """IID standard normals via the Box-Muller transform."""
-    return _stream(_gaussian_rows, seed, count)
-
-
-def random_hermitian(n: int, seed) -> np.ndarray:
-    """Random Hermitian matrix with independent complex Gaussian entries.
-
-    An int seed gives an (n, n) matrix; a sequence of m seeds gives an
-    (m, n, n) stack whose slice k is what seed k alone gives.
-    """
-    check_positive_int(n, "n")
-    seeds, single = _seed_vector(seed)
-    X = _complex_gaussian_rows(seeds, n)
-    H = (X + _adjoint(X)) / 2.0
-    return H[0] if single else H
 
 
 def random_psd(n: int, seed) -> np.ndarray:

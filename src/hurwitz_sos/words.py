@@ -362,17 +362,3 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
             for word, q in _necklace_words(r, p - r)
         },
     )
-
-
-def swap_letters(poly: TracePolynomial) -> TracePolynomial:
-    """Exchange the roles of A and B in every class of a polynomial.
-
-    The swap maps distinct classes to distinct classes, so no two terms merge.
-    """
-    return TracePolynomial._from_canonical(
-        poly.degree,
-        {
-            _class_of(cls.representative.translate(_SWAP_TABLE)): value
-            for cls, value in poly._terms.items()
-        },
-    )

@@ -1,0 +1,133 @@
+"""Test oracles and test-only builders, kept apart from the package.
+
+The ``ref_*`` and ``oracle_*`` functions redo a package job by another
+route, written out step by step: the scalar SplitMix64, the one-seed
+samplers, the by-hand reduction of a sandwich pair and the letter swap
+of a polynomial.  The Gram builders assemble test inputs.  The package
+calls none of them; the tests compare its results against them.
+"""
+
+import math
+
+import numpy as np
+
+from hurwitz_sos.certificate import GramMatrix
+from hurwitz_sos.rational import ZERO, GaussianRational
+from hurwitz_sos.words import TracePolynomial
+
+MASK = (1 << 64) - 1
+
+
+# ------------------------------------------------------------------ sampling
+
+def ref_splitmix64(seed, count):
+    """The first ``count`` SplitMix64 outputs of ``seed``, one state step at a time."""
+    out = []
+    state = seed & MASK
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        out.append(z ^ (z >> 31))
+    return out
+
+
+# One-seed samplers on the scalar SplitMix64 above: the oracle that every
+# stacked draw of the package must match bit for bit.
+
+def ref_gaussian(seed, count):
+    pairs = (count + 1) // 2
+    bits = np.array(ref_splitmix64(seed, 2 * pairs), dtype=np.uint64)
+    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    rad = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
+    ang = 2.0 * np.pi * u[pairs:]
+    out = np.empty(2 * pairs)
+    out[0::2] = rad * np.cos(ang)
+    out[1::2] = rad * np.sin(ang)
+    return out[:count]
+
+
+def ref_complex_gaussian(n, seed):
+    g = ref_gaussian(seed, 2 * n * n)
+    return (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
+
+
+def ref_hermitian(n, seed):
+    """Random Hermitian matrix with independent complex Gaussian entries."""
+    X = ref_complex_gaussian(n, seed)
+    return (X + X.conj().T) / 2.0
+
+
+def ref_psd(n, seed):
+    R = ref_complex_gaussian(n, seed)
+    M = R.conj().T @ R
+    return (M + M.conj().T) / 2.0
+
+
+# ------------------------------------------------------------------ words
+
+def oracle_least_rotation(word):
+    return sorted(word[i:] + word[:i] for i in range(len(word)))[0]
+
+
+def oracle_pair_class(block, j, k):
+    """Least rotation of sandwich j times the adjoint of sandwich k, by hand."""
+    word = block.basis[j]
+    if block.suffix:
+        word += block.suffix.upper()
+    word += block.basis[k][::-1]
+    if block.prefix:
+        word += block.prefix.upper()
+    return oracle_least_rotation(word)
+
+
+def swap_letters(poly):
+    """``poly`` with A and B exchanged in every class."""
+    swap = str.maketrans("AB", "BA")
+    return TracePolynomial(
+        poly.degree,
+        {cls.representative.translate(swap): value for cls, value in poly.items()},
+    )
+
+
+# ------------------------------------------------------------------ Gram matrices
+
+def gram_from_vectors(vectors):
+    """Sum of rank-one outer products v v* over the given coefficient vectors."""
+    vecs = [tuple(GaussianRational.of(x) for x in v) for v in vectors]
+    if not vecs:
+        raise ValueError("need at least one vector")
+    dim = len(vecs[0])
+    if any(len(v) != dim for v in vecs):
+        raise ValueError("vectors must share one dimension")
+    rows = [[ZERO for _ in range(dim)] for _ in range(dim)]
+    for v in vecs:
+        for j in range(dim):
+            for k in range(dim):
+                rows[j][k] = rows[j][k] + v[j] * v[k].conjugate()
+    return GramMatrix.from_rows(rows)
+
+
+def zeros(n):
+    return GramMatrix.from_rows([[ZERO] * n for _ in range(n)])
+
+
+def scaled_identity(n, value):
+    value = GaussianRational.of(value)
+    return GramMatrix.from_rows(
+        [[value if j == k else ZERO for k in range(n)] for j in range(n)]
+    )
+
+
+def scaled(gram, factor):
+    """``factor`` times ``gram``; a non-real factor fails GramMatrix's Hermitian check."""
+    factor = GaussianRational.of(factor)
+    return GramMatrix.from_rows([[x * factor for x in row] for row in gram.entries])
+
+
+def add(first, second):
+    """Entrywise sum of two Gram matrices of one dimension."""
+    return GramMatrix.from_rows(
+        [[x + y for x, y in zip(a, b)] for a, b in zip(first.entries, second.entries)]
+    )

@@ -24,7 +24,6 @@ from hurwitz_sos.numeric import (
     derive_seed,
     hermitian_eig,
     psd_sqrt,
-    random_hermitian,
     random_psd,
     trace_hurwitz_numeric,
 )
@@ -38,7 +37,10 @@ from hurwitz_sos.search import (
     prove_infeasible_determined,
 )
 from hurwitz_sos.validation import TrialConfig, bmv_check_trials, validate_certificate_trials
-from hurwitz_sos.words import CyclicClass, hurwitz_expand, swap_letters
+from hurwitz_sos.words import CyclicClass, hurwitz_expand
+
+from oracles import ref_hermitian as random_hermitian
+from oracles import swap_letters
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))

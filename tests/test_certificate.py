@@ -25,36 +25,29 @@ from hurwitz_sos.certificate import (
     certificate_from_json,
     certificate_to_json,
     expand_gram,
-    gram_from_vectors,
     pair_classes,
     psd_check_exact,
     quadratic_form,
-    reduce_pair,
     swap_certificate,
     verify_against,
     verify_certificate,
     verify_report_to_json,
 )
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
-from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand, swap_letters
+from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
+
+from oracles import (
+    add,
+    gram_from_vectors,
+    oracle_pair_class,
+    scaled,
+    scaled_identity,
+    swap_letters,
+    zeros,
+)
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 GRAM_73 = GramMatrix.from_rows([[7, 0, 0], [0, 7, 7], [0, 7, 7]])
-
-
-def oracle_least_rotation(word):
-    return sorted(word[i:] + word[:i] for i in range(len(word)))[0]
-
-
-def oracle_pair_class(block, j, k):
-    # independent reduction: concatenate the strings by hand
-    word = block.basis[j]
-    if block.suffix:
-        word += block.suffix.upper()
-    word += block.basis[k][::-1]
-    if block.prefix:
-        word += block.prefix.upper()
-    return oracle_least_rotation(word)
 
 
 def words_with(length, b_count):
@@ -180,7 +173,7 @@ def test_block_shape_accounting():
     both.check_shape(6, 3)
 
 
-def test_reduce_pair_frozen_three_word_block():
+def test_pair_classes_frozen_three_word_block():
     # all nine ordered pairs of the three-word block, frozen
     expected = {
         (0, 0): "AABAABB",
@@ -193,32 +186,28 @@ def test_reduce_pair_frozen_three_word_block():
         (2, 1): "AAABABB",
         (2, 2): "AAAABBB",
     }
+    table = pair_classes(BLOCK_73)
     for (j, k), rep in expected.items():
-        cls = reduce_pair(BLOCK_73, j, k)
-        assert cls.representative == rep
-        assert cls.representative == oracle_pair_class(BLOCK_73, j, k)
+        assert table[j][k].representative == rep
+        assert rep == oracle_pair_class(BLOCK_73, j, k)
 
 
-def test_reduce_pair_suffix_and_both_sides():
+def test_pair_classes_suffix_and_both_sides():
     block = SandwichBlock(prefix=None, suffix="a", basis=("BAA", "ABA", "AAB"))
+    table = pair_classes(block)
     for j in range(3):
         for k in range(3):
-            assert (
-                reduce_pair(block, j, k).representative
-                == oracle_pair_class(block, j, k)
-            )
-    both = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
-    assert reduce_pair(both, 0, 0).representative == "AAABBB"
-    assert reduce_pair(both, 0, 1).representative == "AABBAB"
-    assert reduce_pair(both, 1, 0).representative == "AABABB"
-    assert reduce_pair(both, 1, 1).representative == "ABABAB"
-    with pytest.raises(IndexError):
-        reduce_pair(both, 0, 2)
+            assert table[j][k].representative == oracle_pair_class(block, j, k)
+    both = pair_classes(SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA")))
+    assert both[0][0].representative == "AAABBB"
+    assert both[0][1].representative == "AABBAB"
+    assert both[1][0].representative == "AABABB"
+    assert both[1][1].representative == "ABABAB"
 
 
-def test_pair_classes_match_reduce_pair():
+def test_pair_classes_match_oracle():
     # the table takes unchecked least rotations; every entry must equal
-    # the checked reduce_pair and the by-hand oracle, fields included
+    # the by-hand oracle and a checked CyclicClass, fields included
     _p, _r, p6_blocks = hs.load_ansatz(bundled_path("p6r3_restricted_ansatz.json"))
     blocks = list(SEARCH_MIX_BLOCKS + p6_blocks)
     for name in ("p7r0.json", "p7r1.json", "p7r2.json", "p7r3.json"):
@@ -232,12 +221,11 @@ def test_pair_classes_match_reduce_pair():
         for j in range(d):
             for k in range(d):
                 cls = table[j][k]
-                assert cls == reduce_pair(block, j, k)
                 assert cls.representative == oracle_pair_class(block, j, k)
                 assert vars(cls) == vars(CyclicClass(cls.representative))
 
 
-def test_reduce_pair_transpose_is_reversal():
+def test_pair_classes_transpose_is_reversal():
     # class(k, j) is the reversal class of class(j, k)
     from hurwitz_sos.words import reverse_class
 
@@ -246,11 +234,10 @@ def test_reduce_pair_transpose_is_reversal():
         SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA")),
         SandwichBlock(prefix=None, suffix="a", basis=("BAA", "AAB")),
     ):
+        table = pair_classes(block)
         for j in range(block.dimension):
             for k in range(block.dimension):
-                assert reduce_pair(block, k, j) == reverse_class(
-                    reduce_pair(block, j, k)
-                )
+                assert table[k][j] == reverse_class(table[j][k])
 
 
 # ------------------------------------------------------------------ gram
@@ -270,15 +257,15 @@ def test_gram_validation():
 
 
 def test_gram_helpers():
-    G = GramMatrix.scaled_identity(3, 7)
+    G = scaled_identity(3, 7)
     assert G.at(0, 0) == grat(7) and G.at(0, 1).is_zero
-    Z = GramMatrix.zeros(2)
+    Z = zeros(2)
     assert all(Z.at(j, k).is_zero for j in range(2) for k in range(2))
-    S = G.scaled(Fraction(1, 7))
+    S = scaled(G, Fraction(1, 7))
     assert S.at(2, 2) == grat(1)
-    assert (Z + Z).dimension == 2
+    assert add(Z, Z).dimension == 2
     with pytest.raises(ValueError):
-        G.scaled(grat(0, 1))
+        scaled(G, grat(0, 1))
 
 
 def test_gram_from_vectors_frozen():
@@ -434,7 +421,7 @@ def oracle_grams(draw):
     if kind == "planted":
         w = tuple(draw(st.integers(min_value=-2, max_value=2)) for _ in range(n))
         c = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
-        gram = gram + gram_from_vectors([w]).scaled(-c)
+        gram = add(gram, scaled(gram_from_vectors([w]), -c))
     return gram
 
 
@@ -450,7 +437,7 @@ def test_psd_check_dimension_20_matches_rational_oracle():
         tuple(grat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(20))
         for _ in range(16)
     ]
-    gram = gram_from_vectors(vectors).scaled(Fraction(1, 3))
+    gram = scaled(gram_from_vectors(vectors), Fraction(1, 3))
     result = psd_check_exact(gram)
     assert result == oracle_psd_check(gram)
     assert result.psd and len(result.pivots) == 20
@@ -567,10 +554,10 @@ def test_expand_gram_q_table():
 def test_expand_gram_linearity():
     G1 = gram_from_vectors([(1, 2, 0)])
     G2 = gram_from_vectors([(0, 1, -1)])
-    lhs = expand_gram(BLOCK_73, G1 + G2)
+    lhs = expand_gram(BLOCK_73, add(G1, G2))
     rhs = expand_gram(BLOCK_73, G1) + expand_gram(BLOCK_73, G2)
     assert lhs == rhs
-    assert expand_gram(BLOCK_73, G1.scaled(3)) == expand_gram(
+    assert expand_gram(BLOCK_73, scaled(G1, 3)) == expand_gram(
         BLOCK_73, G1
     ).scaled(3)
 
@@ -614,7 +601,7 @@ def test_gram_integers_scale_by_the_lcm():
 
 def test_expand_gram_dimension_mismatch():
     with pytest.raises(ValueError):
-        expand_gram(BLOCK_73, GramMatrix.scaled_identity(2, 1))
+        expand_gram(BLOCK_73, scaled_identity(2, 1))
 
 
 # ------------------------------------------------------------------ certificates
@@ -627,7 +614,7 @@ def test_certificate_structural_errors():
     with pytest.raises(CertificateStructureError):
         Certificate(7, 3, ())
     with pytest.raises(CertificateStructureError):
-        Certificate(7, 3, ((BLOCK_73, GramMatrix.scaled_identity(2, 1)),))
+        Certificate(7, 3, ((BLOCK_73, scaled_identity(2, 1)),))
     with pytest.raises(AnsatzMismatchError):
         Certificate(7, 2, ((BLOCK_73, GRAM_73),))
 
@@ -635,9 +622,9 @@ def test_certificate_structural_errors():
 def test_certificate_rejects_boolean_degrees():
     block = SandwichBlock(prefix=None, suffix=None, basis=("A",))
     with pytest.raises(CertificateStructureError, match="p must be"):
-        Certificate(True, 1, ((block, GramMatrix.scaled_identity(1, 1)),))
+        Certificate(True, 1, ((block, scaled_identity(1, 1)),))
     with pytest.raises(CertificateStructureError, match="r must"):
-        Certificate(2, True, ((block, GramMatrix.scaled_identity(1, 1)),))
+        Certificate(2, True, ((block, scaled_identity(1, 1)),))
 
 
 def test_verify_bundled_shape():
@@ -654,8 +641,8 @@ def test_verify_two_rank_one_blocks():
         7,
         3,
         (
-            (BLOCK_73, gram_from_vectors([(1, 0, 0)]).scaled(7)),
-            (BLOCK_73, gram_from_vectors([(0, 1, 1)]).scaled(7)),
+            (BLOCK_73, scaled(gram_from_vectors([(1, 0, 0)]), 7)),
+            (BLOCK_73, scaled(gram_from_vectors([(0, 1, 1)]), 7)),
         ),
     )
     assert verify_certificate(cert).ok
@@ -663,7 +650,7 @@ def test_verify_two_rank_one_blocks():
 
 def test_verify_diagonal_gram_residual_frozen():
     # scaled identity misses the off-diagonal classes; frozen residual
-    cert = Certificate(7, 3, ((BLOCK_73, GramMatrix.scaled_identity(3, 7)),))
+    cert = Certificate(7, 3, ((BLOCK_73, scaled_identity(3, 7)),))
     report = verify_certificate(cert)
     assert report.psd and not report.matched
     assert {str(c): v for c, v in report.residual.items()} == {
@@ -694,7 +681,7 @@ def test_verify_min_pivots_per_block_checked():
         7,
         3,
         (
-            (BLOCK_73, GramMatrix.scaled_identity(3, Fraction(7, 2))),
+            (BLOCK_73, scaled_identity(3, Fraction(7, 2))),
             (BLOCK_73, bad),
             (BLOCK_73, GRAM_73),
         ),
@@ -706,7 +693,7 @@ def test_verify_min_pivots_per_block_checked():
 
 
 def test_verify_against_zero_target():
-    cert = Certificate(7, 3, ((BLOCK_73, GramMatrix.zeros(3)),))
+    cert = Certificate(7, 3, ((BLOCK_73, zeros(3)),))
     report = verify_against(cert, TracePolynomial(7))
     assert report.ok
     with pytest.raises(ValueError):

@@ -649,6 +649,17 @@ def test_malformed_documents_exit_with_a_documented_code(doc_path, text):
             assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
+def test_non_utf8_document_is_a_format_error_naming_the_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (["verify", "--cert", str(path)], ["search", "--ansatz", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith(f"error: {path}: not UTF-8 text"), err.getvalue()
+
+
 # ------------------------------------------------------------------ parser
 
 def test_unknown_subcommand():

@@ -16,6 +16,8 @@ from hurwitz_sos.numeric import (
     ConvergenceError,
     NotPsdError,
     _derive_seeds,
+    _splitmix_rows,
+    _uniform_rows,
     bmv_coefficients,
     derive_seed,
     eval_certificate_numeric,
@@ -23,28 +25,17 @@ from hurwitz_sos.numeric import (
     gram_to_complex,
     hermitian_eig,
     psd_sqrt,
-    random_hermitian,
     random_psd,
-    splitmix64_stream,
     trace_hurwitz_numeric,
-    uniform_stream,
 )
 from hurwitz_sos.words import check_word
 
-MASK = (1 << 64) - 1
+from oracles import ref_gaussian, ref_hermitian, ref_psd, ref_splitmix64
 
 
-def ref_splitmix64(seed, count):
-    # scalar reference implementation, kept independent of the package
-    out = []
-    state = seed & MASK
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
+def splitmix_row(seed, count):
+    """The first ``count`` SplitMix64 outputs of one seed, as a list."""
+    return _splitmix_rows(np.array([seed], dtype=np.uint64), count)[0].tolist()
 
 
 def word_matrix(A, B, word):
@@ -73,19 +64,19 @@ def oracle_trace_hurwitz(A, B, p, r):
 # ------------------------------------------------------------------ rng
 
 def test_splitmix64_frozen_vectors():
-    assert splitmix64_stream(0, 4).tolist() == [
+    assert splitmix_row(0, 4) == [
         16294208416658607535,
         7960286522194355700,
         487617019471545679,
         17909611376780542444,
     ]
-    assert splitmix64_stream(1234567, 4).tolist() == [
+    assert splitmix_row(1234567, 4) == [
         6457827717110365317,
         3203168211198807973,
         9817491932198370423,
         4593380528125082431,
     ]
-    assert splitmix64_stream((1 << 64) - 1, 3).tolist() == [
+    assert splitmix_row((1 << 64) - 1, 3) == [
         16490336266968443936,
         16834447057089888969,
         4048727598324417001,
@@ -94,21 +85,22 @@ def test_splitmix64_frozen_vectors():
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 987654321, (1 << 64) - 1])
 def test_splitmix64_matches_reference(seed):
-    assert splitmix64_stream(seed, 17).tolist() == ref_splitmix64(seed, 17)
+    assert splitmix_row(seed, 17) == ref_splitmix64(seed, 17)
 
 
 def test_splitmix64_counter_based():
     # stream is a pure function of (seed, index): prefixes agree
-    full = splitmix64_stream(99, 32)
-    assert splitmix64_stream(99, 10).tolist() == full[:10].tolist()
-    assert splitmix64_stream(99, 0).size == 0
+    full = splitmix_row(99, 32)
+    assert splitmix_row(99, 10) == full[:10]
+    assert splitmix_row(99, 0) == []
 
 
 def test_uniform_stream_range_and_determinism():
-    u = uniform_stream(7, 10_000)
+    seeds = np.array([7], dtype=np.uint64)
+    u = _uniform_rows(seeds, 10_000)[0]
     assert u.dtype == np.float64
     assert np.all(u >= 0.0) and np.all(u < 1.0)
-    assert np.array_equal(u, uniform_stream(7, 10_000))
+    assert np.array_equal(u, _uniform_rows(seeds, 10_000)[0])
     # mean of U[0,1) concentrates near 1/2
     assert abs(u.mean() - 0.5) < 0.02
 
@@ -150,10 +142,11 @@ def test_derive_seeds_matches_derive_seed():
 
 
 def test_random_hermitian_properties():
-    H = random_hermitian(6, seed=11)
+    # the oracle that the eigensolver tests and criterion 8 draw from
+    H = ref_hermitian(6, seed=11)
     assert H.shape == (6, 6) and H.dtype == np.complex128
     assert np.allclose(H, H.conj().T)
-    assert not np.allclose(H, random_hermitian(6, seed=12))
+    assert not np.allclose(H, ref_hermitian(6, seed=12))
 
 
 def test_random_psd_properties():
@@ -165,37 +158,6 @@ def test_random_psd_properties():
     assert random_psd(1, seed=0).shape == (1, 1)
 
 
-# One-seed samplers written out step by step, on the scalar SplitMix64
-# reference: the oracle that every stacked draw must match bit for bit.
-
-def ref_gaussian(seed, count):
-    pairs = (count + 1) // 2
-    bits = np.array(ref_splitmix64(seed, 2 * pairs), dtype=np.uint64)
-    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    rad = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-    ang = 2.0 * np.pi * u[pairs:]
-    out = np.empty(2 * pairs)
-    out[0::2] = rad * np.cos(ang)
-    out[1::2] = rad * np.sin(ang)
-    return out[:count]
-
-
-def ref_complex_gaussian(n, seed):
-    g = ref_gaussian(seed, 2 * n * n)
-    return (g[: n * n] + 1j * g[n * n :]).reshape(n, n) / math.sqrt(2.0)
-
-
-def ref_hermitian(n, seed):
-    X = ref_complex_gaussian(n, seed)
-    return (X + X.conj().T) / 2.0
-
-
-def ref_psd(n, seed):
-    R = ref_complex_gaussian(n, seed)
-    M = R.conj().T @ R
-    return (M + M.conj().T) / 2.0
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("m", [1, 2, 18, 30])
 def test_stacked_draws_match_one_seed_oracle(n, m):
@@ -203,9 +165,7 @@ def test_stacked_draws_match_one_seed_oracle(n, m):
     count = 2 * n * n - 1  # odd, so the last Box-Muller pair is cut
     cases = (
         (lambda s: random_psd(n, s), lambda s: ref_psd(n, s)),
-        (lambda s: random_hermitian(n, s), lambda s: ref_hermitian(n, s)),
         (lambda s: gaussian_stream(s, count), lambda s: ref_gaussian(s, count)),
-        (lambda s: splitmix64_stream(s, count), lambda s: ref_splitmix64(s, count)),
     )
     for draw, oracle in cases:
         stack = draw(seeds)
@@ -213,6 +173,8 @@ def test_stacked_draws_match_one_seed_oracle(n, m):
         for row, seed in zip(stack, seeds):
             assert np.array_equal(row, oracle(seed))
             assert np.array_equal(row, draw(seed))
+    rows = _splitmix_rows(np.array(seeds, dtype=np.uint64), count)
+    assert rows.tolist() == [ref_splitmix64(seed, count) for seed in seeds]
     assert random_psd(n, tuple(seeds)).shape == (m, n, n)
     assert np.array_equal(random_psd(n, range(3)), random_psd(n, [0, 1, 2]))
 
@@ -220,10 +182,7 @@ def test_stacked_draws_match_one_seed_oracle(n, m):
 def test_stacked_samplers_reject_bad_seeds():
     samplers = (
         lambda s: random_psd(2, s),
-        lambda s: random_hermitian(2, s),
         lambda s: gaussian_stream(s, 4),
-        lambda s: splitmix64_stream(s, 3),
-        lambda s: uniform_stream(s, 2),
     )
     for draw in samplers:
         for empty in ([], (), range(0)):
@@ -244,7 +203,7 @@ def test_stacked_samplers_reject_bad_seeds():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_hermitian_eig_reconstruction(n):
-    H = random_hermitian(n, seed=100 + n)
+    H = ref_hermitian(n, seed=100 + n)
     res = hermitian_eig(H)
     V, w = res.vectors, res.eigenvalues
     scale = 1.0 + np.linalg.norm(H)
@@ -314,7 +273,7 @@ def test_hermitian_eig_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        hermitian_eig(random_hermitian(4, seed=1))
+        hermitian_eig(ref_hermitian(4, seed=1))
 
 
 def test_psd_sqrt_residual():
@@ -590,13 +549,12 @@ def test_eval_certificate_rejects_huge_indefinite_gram():
 
 
 def test_samplers_reject_bad_dimension_and_seed():
-    for sampler in (random_psd, random_hermitian):
-        for n in (0, -1, 1.5, 2.0, True, False, "2", None):
-            with pytest.raises(ValueError, match="n must be a positive int"):
-                sampler(n, 1)
-        # mix64 reduces seeds modulo 2^64, so 2^64 would alias seed 0
-        for seed in (-1, 2**64, 2**70, 1.5, True, "1", None):
-            with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
-                sampler(2, seed)
-        assert sampler(2, 2**64 - 1).shape == (2, 2)
-        assert not np.array_equal(sampler(2, 2**64 - 1), sampler(2, 0))
+    for n in (0, -1, 1.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match="n must be a positive int"):
+            random_psd(n, 1)
+    # mix64 reduces seeds modulo 2^64, so 2^64 would alias seed 0
+    for seed in (-1, 2**64, 2**70, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
+            random_psd(2, seed)
+    assert random_psd(2, 2**64 - 1).shape == (2, 2)
+    assert not np.array_equal(random_psd(2, 2**64 - 1), random_psd(2, 0))

@@ -1,13 +1,16 @@
 """The README's Python examples run as written and print what they say,
-and its command-line block names the options the parser has."""
+its command-line block names the options the parser has, and the names
+its examples import are the package's pinned public surface."""
 
 import argparse
+import ast
 import contextlib
 import io
 import re
 from pathlib import Path
 
-from hurwitz_sos import cli
+import hurwitz_sos
+from hurwitz_sos import certificate, cli, numeric, words
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +72,53 @@ def test_readme_command_line_matches_the_parser():
         for action in set(actions.values()):
             if action.dest not in ("help", "format"):
                 assert named & set(action.option_strings), (command, action.option_strings)
+
+
+PUBLIC_API = (
+    "AnsatzMismatchError", "Certificate", "CertificateFormatError",
+    "CertificateStructureError", "ConstraintMap", "ConvergenceError", "CyclicClass",
+    "EigResult", "GaussianRational", "GramMatrix", "NotPsdError", "PsdCheckResult",
+    "SandwichBlock", "SearchOptions", "SearchOutcome", "SearchStatus",
+    "TracePolynomial", "TrialConfig", "TrialReport", "UnderdeterminedAnsatzError",
+    "UnreachableTargetError", "VerifyReport", "__version__", "bmv_check_trials",
+    "bmv_coefficients", "build_constraint_map", "bundled_certificate", "bundled_path",
+    "canonical_rotation", "certificate_expansion", "certificate_from_json",
+    "certificate_to_json", "derive_seed", "determined_gram", "eval_certificate_numeric",
+    "expand_gram", "feasibility_search", "gaussian_stream", "grat", "hermitian_eig",
+    "hurwitz_expand", "least_rotation", "load_ansatz", "load_certificate",
+    "pair_classes", "prove_infeasible_determined", "psd_check_exact", "psd_sqrt",
+    "quadratic_form", "random_psd", "reverse_class", "reverse_word",
+    "save_certificate", "swap_certificate", "swap_word", "trace_hurwitz_numeric",
+    "validate_certificate_trials", "verify_against", "verify_certificate",
+)
+
+# Test-only code that left the package; the tests take what they still
+# need of it from tests/oracles.py.
+REMOVED = (
+    (certificate, ("reduce_pair", "gram_from_vectors")),
+    (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__")),
+    (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream")),
+    (words, ("swap_letters",)),
+)
+
+
+def test_public_surface_is_pinned():
+    assert tuple(sorted(hurwitz_sos.__all__)) == PUBLIC_API
+    for name in hurwitz_sos.__all__:
+        getattr(hurwitz_sos, name)
+    for owner, names in REMOVED:
+        for name in names:
+            assert not hasattr(hurwitz_sos, name), name
+            assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_readme_imports_only_public_names():
+    imported = {
+        alias.name
+        for code in python_blocks()
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "hurwitz_sos"
+        for alias in node.names
+    }
+    assert "feasibility_search" in imported
+    assert imported <= set(hurwitz_sos.__all__), imported - set(hurwitz_sos.__all__)

@@ -13,7 +13,6 @@ from hurwitz_sos.certificate import (
     GramMatrix,
     SandwichBlock,
     quadratic_form,
-    reduce_pair,
     verify_against,
     verify_certificate,
 )
@@ -40,6 +39,8 @@ from hurwitz_sos.search import (
     prove_infeasible_determined,
 )
 from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
+
+from oracles import oracle_pair_class
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
@@ -244,7 +245,7 @@ def test_group_sums_match_per_entry_sums(p, r, blocks):
         for bi, block in enumerate(cmap.blocks):
             for j in range(block.dimension):
                 for k in range(block.dimension):
-                    cls = reduce_pair(block, j, k)
+                    cls = CyclicClass(oracle_pair_class(block, j, k))
                     c = cmap.classes.index(cls)
                     expected[c] += float(mats[bi][j, k])
         sums = np.bincount(cmap.ids, flat(mats))
@@ -257,8 +258,8 @@ def oracle_grams(mats, cmap, target, q):
     """Round each entry to the grid 1/q, restore each class sum exactly,
     Hermitize: the rung-q Gram matrices, one per block.
 
-    Entries are rounded one by one and classes come from ``reduce_pair``
-    directly.
+    Entries are rounded one by one and classes come from
+    ``oracle_pair_class``, not from the package's pair table.
     """
     exact = [
         [[GaussianRational(Fraction(round(q * x), q)) for x in row] for row in M.tolist()]
@@ -268,7 +269,8 @@ def oracle_grams(mats, cmap, target, q):
     for bi, block in enumerate(cmap.blocks):
         for j in range(block.dimension):
             for k in range(block.dimension):
-                groups.setdefault(reduce_pair(block, j, k), []).append((bi, j, k))
+                cls = oracle_pair_class(block, j, k)
+                groups.setdefault(cls, []).append((bi, j, k))
     for cls, entries in groups.items():
         total = ZERO
         for bi, j, k in entries:
@@ -415,12 +417,12 @@ def test_dr_step_matches_the_textbook_step(p, r, blocks):
 
 def reference_sums(mats, cmap):
     """Class sums and class sizes by a plain loop over (block, j, k), with
-    each pair's class taken from ``reduce_pair``."""
+    each pair's class taken from ``oracle_pair_class``."""
     sums, sizes = [0.0] * len(cmap.classes), [0] * len(cmap.classes)
     for bi, block in enumerate(cmap.blocks):
         for j in range(block.dimension):
             for k in range(block.dimension):
-                c = cmap.classes.index(reduce_pair(block, j, k))
+                c = cmap.classes.index(CyclicClass(oracle_pair_class(block, j, k)))
                 sums[c] += float(mats[bi][j, k])
                 sizes[c] += 1
     return np.array(sums), np.array(sizes)
@@ -435,7 +437,8 @@ def reference_shift(mats, gap, sizes, cmap):
         S = M.copy()
         for j in range(block.dimension):
             for k in range(block.dimension):
-                S[j, k] += share[cmap.classes.index(reduce_pair(block, j, k))]
+                c = cmap.classes.index(CyclicClass(oracle_pair_class(block, j, k)))
+                S[j, k] += share[c]
         shifted.append((S + S.T) / 2.0)
     return shifted
 

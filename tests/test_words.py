@@ -17,16 +17,12 @@ from hurwitz_sos.words import (
     least_rotation,
     reverse_class,
     reverse_word,
-    swap_letters,
     swap_word,
 )
 
+from oracles import oracle_least_rotation, swap_letters
+
 words = st.text(alphabet="AB", min_size=1, max_size=12)
-
-
-def oracle_least_rotation(word: str) -> str:
-    # independent oracle: sort the explicit rotation list
-    return sorted(word[i:] + word[:i] for i in range(len(word)))[0]
 
 
 def oracle_class_count(p: int, r: int) -> int:

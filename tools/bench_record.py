@@ -13,7 +13,8 @@ the Python and numpy versions, the CPU count, the seed, duration and
 trace level, the call counts and the run's metrics: the end-to-end ones
 at ``--trace 0``, and at ``--trace 1`` the per-layer calls, self times
 and work counts (``search.eig_calls`` among them) and the
-``cli.<subcommand>.wall_s`` rows.  A perf change cites the entries of its
+``cli.<subcommand>.wall_s`` rows, with ``notes``: one line for each count
+whose meaning has drifted from its name.  A perf change cites the entries of its
 parent and of itself.  Exits with the benchmark's exit code; an
 entry is appended only when the benchmark exits 0.  Standard library only.
 """
@@ -26,6 +27,21 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+# Per-layer counts whose perfbench hooks no longer measure what their names
+# say; each traced entry carries these lines so that it is read with them.
+TRACE_NOTES = (
+    "kernels.jacobi_eigh.*: always 0; the Jacobi solver is gone and nothing "
+    "calls kernels.jacobi_eigh (the eigensolver is numeric._eigh)",
+    "search.eig_calls: counts numeric.hermitian_eig inside the search (the two "
+    "float filters) and misses the Douglas-Rachford loop's numeric._eigh",
+    "kernels.hurwitz_trace.matmuls: adds comb(p, r)*(p - 1) per call, the cost "
+    "of one product chain per word, not the recurrence's matmuls",
+    "words.hurwitz_expand.placements: adds comb(p, r) per call, not the number "
+    "of classes the necklace walk places",
+    "search.rounding_attempts: counts certificate.verify_against calls inside "
+    "the search, so it also counts determined decisions, not only rounding rungs",
+)
 
 
 def parse_args(argv):
@@ -82,6 +98,8 @@ def main(argv=None):
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+    if args.trace:
+        entry["notes"] = list(TRACE_NOTES)
     path = args.out / f"BENCH_{args.workload}.json"
     entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     entries.append(entry)
