@@ -2,10 +2,11 @@
 
 Subcommands: expand, verify, search, validate, bmv-check.  Exit codes:
 0 success, 1 a verification or trial failed, the eigensolver did not
-converge or a numeric result was not finite, 2 usage or malformed
-input, 3 exact infeasibility proven, 4 search exhausted without an
-answer.  Every run is deterministic given its flags: the seed comes
-from ``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
+converge, a numeric result was not finite or the run ran out of memory,
+2 usage or malformed input, 3 exact infeasibility proven, 4 search
+exhausted without an answer.  Every run is deterministic given its
+flags: the seed comes from ``--seed`` alone, defaults to 0 and must lie
+in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -158,16 +159,21 @@ def cmd_search(args: argparse.Namespace) -> int:
             for j in range(gram.dimension):
                 row = "  ".join(str(gram.at(j, k)) for k in range(gram.dimension))
                 lines.append(f"  {row}")
-        if args.cert is not None:
-            save_certificate(outcome.certificate, args.cert)
-            lines.append(f"certificate written to {args.cert}")
     if outcome.witness is not None:
         vec = ", ".join(str(x) for x in outcome.witness)
         lines.append(
             f"witness (block {outcome.witness_block}): ({vec}) "
             f"with form value {outcome.witness_form}"
         )
+    # print before writing, so a failed write does not lose the certificate
     _emit(doc, lines, args.format)
+    if outcome.certificate is not None and args.cert is not None:
+        try:
+            save_certificate(outcome.certificate, args.cert)
+        except OSError as exc:
+            raise _UsageError(f"--cert {args.cert}: {exc}") from exc
+        if args.format == "text":
+            print(f"certificate written to {args.cert}")
     return _SEARCH_EXIT[outcome.status]
 
 
@@ -306,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--max-iter",
         type=int,
-        default=5000,
-        help="Douglas-Rachford steps (default: 5000)",
+        default=SearchOptions.max_iters,
+        help=f"Douglas-Rachford steps (default: {SearchOptions.max_iters})",
     )
     _add_common(p_search)
     p_search.set_defaults(func=cmd_search)
@@ -316,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-check a certificate numerically"
     )
     p_validate.add_argument("--cert", required=True, help="certificate JSON path")
-    _add_trial_flags(p_validate, 100, "random trials per dimension", "1,2,3,4,5,6")
+    dims = ",".join(map(str, TrialConfig.dims))
+    _add_trial_flags(p_validate, TrialConfig.trials, "random trials per dimension", dims)
     p_validate.set_defaults(func=cmd_validate)
 
     p_bmv = sub.add_parser(
@@ -346,6 +353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: the run ran out of memory{detail}", file=sys.stderr)
         return EXIT_FAIL
     # the certificate and ansatz errors are ValueErrors
     except (_UsageError, OSError, ValueError) as exc:

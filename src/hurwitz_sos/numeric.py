@@ -9,16 +9,17 @@ re-verified in exact rational arithmetic before it is returned, and the
 random inputs stay seeded by SplitMix64, so a different LAPACK changes
 rounding, not which matrices are tried.
 
-The two samplers, ``gaussian_stream`` (the search's start points) and
-``random_psd`` (the trial matrices), take one seed or a sequence of m
-seeds.  A sequence is drawn in one pass: one (m, count) array of
-SplitMix64 counters, one Box-Muller transform over its rows and, for
-``random_psd``, one batched R* R.  Every step is elementwise, runs along a row or is a matmul
+``random_psd`` (the trial matrices) takes one seed or a sequence of m
+seeds, and ``gaussian_stream`` (the search's start points) takes one
+seed.  A sequence is drawn in one pass: one (m, count) array of
+SplitMix64 counters, one Box-Muller transform over its rows and one
+batched R* R.  Every step is elementwise, runs along a row or is a matmul
 batched over the stack, so row k is still a function of seed k alone,
 bit for bit what that seed draws on its own; a single seed is the
 one-row case of the same code.  ``_derive_seeds`` gives ``derive_seed``
 of a whole seed vector in one uint64 pass, so the validation runners
-derive the seeds of a dimension group without a per-trial Python call.
+derive the seeds of a dimension group without a per-trial Python call,
+and ``derive_seed`` is its one-row case.
 
 The evaluators take one pair of (n, n) matrices or a stack of m pairs of
 shape (m, n, n); a single pair is a stack of one inside.  The validation
@@ -71,21 +72,13 @@ class NotPsdError(ValueError):
 # SplitMix64 stream and Gaussian sampling
 # ------------------------------------------------------------------
 
-# mix64 reduces its input modulo 2^64, so seeds that differ by a multiple
-# of it would alias; every seed the package accepts lies in [0, SEED_LIMIT).
+# SplitMix64 works modulo 2^64, so seeds that differ by a multiple of it
+# would alias; every seed the package accepts lies in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
 _MASK64 = SEED_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _check_seed(value, name: str = "seed") -> None:
@@ -98,7 +91,7 @@ def derive_seed(seed: int, index: int) -> int:
     in [0, 2**64), as anything outside would alias a seed inside."""
     _check_seed(seed)
     _check_seed(index, "index")
-    return mix64(mix64(seed) ^ (index + 1))
+    return int(_derive_seeds(np.array([seed], dtype=np.uint64), [index])[0, 0])
 
 
 def _seed_vector(seed) -> Tuple[np.ndarray, bool]:
@@ -122,7 +115,7 @@ def _seed_vector(seed) -> Tuple[np.ndarray, bool]:
 # numpy wraps uint64 array arithmetic modulo 2^64 without a warning (only
 # scalar arithmetic warns), so the array helpers below need no errstate
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` of every entry of a uint64 array."""
+    """The SplitMix64 finalizer on every entry of a uint64 array."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -174,17 +167,12 @@ def _complex_gaussian_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     return X / math.sqrt(2.0)
 
 
-def gaussian_stream(seed, count: int) -> np.ndarray:
-    """IID standard normals via the Box-Muller transform.
-
-    An int seed gives ``count`` draws; a sequence of m seeds gives an
-    (m, count) array whose row k is what seed k alone gives.
-    """
+def gaussian_stream(seed: int, count: int) -> np.ndarray:
+    """``count`` IID standard normals from one seed via the Box-Muller transform."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    seeds, single = _seed_vector(seed)
-    out = _gaussian_rows(seeds, count)
-    return out[0] if single else out
+    _check_seed(seed)
+    return _gaussian_rows(np.array([seed], dtype=np.uint64), count)[0]
 
 
 def random_psd(n: int, seed) -> np.ndarray:

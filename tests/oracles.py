@@ -1,9 +1,9 @@
 """Test oracles and test-only builders, kept apart from the package.
 
 The ``ref_*`` and ``oracle_*`` functions redo a package job by another
-route, written out step by step: the scalar SplitMix64, the one-seed
-samplers, the by-hand reduction of a sandwich pair and the letter swap
-of a polynomial.  The Gram builders assemble test inputs.  The package
+route, written out step by step: the scalar SplitMix64 and seed
+derivation, the one-seed samplers, the by-hand reduction of a sandwich
+pair and the letter swap of a polynomial.  The Gram builders assemble test inputs.  The package
 calls none of them; the tests compare its results against them.
 """
 
@@ -20,17 +20,27 @@ MASK = (1 << 64) - 1
 
 # ------------------------------------------------------------------ sampling
 
+def ref_mix64(z):
+    """The SplitMix64 finalizer on one int, with every step masked to 64 bits."""
+    z &= MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
 def ref_splitmix64(seed, count):
     """The first ``count`` SplitMix64 outputs of ``seed``, one state step at a time."""
     out = []
     state = seed & MASK
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
+        out.append(ref_mix64(state))
     return out
+
+
+def ref_derive_seed(seed, index):
+    """Child seed ``index`` of ``seed``: the finalizer of the finalized seed xor index + 1."""
+    return ref_mix64(ref_mix64(seed) ^ ((index + 1) & MASK))
 
 
 # One-seed samplers on the scalar SplitMix64 above: the oracle that every

@@ -20,7 +20,7 @@ from hurwitz_sos.certificate import (
     load_certificate,
     verify_certificate,
 )
-from hurwitz_sos import cli
+from hurwitz_sos import cli, validation
 from hurwitz_sos.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -30,9 +30,11 @@ from hurwitz_sos.cli import (
     main,
 )
 from hurwitz_sos.numeric import derive_seed, random_psd
+from hurwitz_sos.search import SearchOptions
 from hurwitz_sos.validation import (
     CoefficientReport,
     CoefficientRow,
+    TrialConfig,
     TrialReport,
     TrialRow,
 )
@@ -223,6 +225,34 @@ def test_search_rejects_empty_cert_before_searching(three_word_ansatz, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --cert must be a nonempty path\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_cert_write_still_prints_the_certificate(
+    tmp_path, three_word_ansatz, monkeypatch, capsys, fmt
+):
+    # the write fails only after the search, so its result must reach stdout
+    # first: the output is a successful run's, less the "written" line
+    saved = str(tmp_path / "saved.json")
+    argv = ["search", "--ansatz", three_word_ansatz, "--format", fmt, "--cert"]
+    assert main(argv + [saved]) == EXIT_OK
+    want = capsys.readouterr().out.replace(f"certificate written to {saved}\n", "")
+
+    def fail(_cert, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "save_certificate", fail)
+    cert = str(tmp_path / "c.json")
+    assert main(argv + [cert]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == want and "certificate written" not in captured.out
+    assert captured.err == f"error: --cert {cert}: [Errno 13] Permission denied: {cert!r}\n"
+    if fmt == "json":
+        found = certificate_from_json(json.loads(captured.out)["certificate"])
+        assert verify_certificate(found).ok and found == load_certificate(saved)
+    else:
+        assert captured.out.startswith("status: certificate\n")
+        assert "block 0 [b|AAB,ABA,BAA|]:" in captured.out
 
 
 def test_search_infeasible_restricted_ansatz(capsys):
@@ -448,6 +478,21 @@ def test_search_eigensolver_failure_exits_fail(three_word_ansatz, monkeypatch, c
     assert main(["search", "--ansatz", three_word_ansatz]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "did not converge" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 5.96 GiB for an array", ""])
+def test_out_of_memory_exits_fail_with_one_line(three_word_ansatz, monkeypatch, capsys, message):
+    # a MemoryError is a failed run, not a traceback
+    def fail(*_args):
+        raise MemoryError(message)
+
+    want = "error: the run ran out of memory" + (f": {message}" if message else "") + "\n"
+    monkeypatch.setattr(validation, "random_psd", fail)
+    assert main(["bmv-check", "-p", "3", "--trials", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().err == want
+    monkeypatch.setattr(cli, "feasibility_search", fail)
+    assert main(["search", "--ansatz", three_word_ansatz]) == EXIT_FAIL
+    assert capsys.readouterr().err == want
 
 
 def test_validate_prints_the_failing_trial(monkeypatch, capsys):
@@ -678,6 +723,21 @@ def test_every_option_has_help():
         for action in subparser._actions:
             if action.option_strings and action.dest != "help":
                 assert action.help, (name, action.option_strings)
+
+
+def test_parser_defaults_come_from_the_library(monkeypatch):
+    def defaults():
+        parser = cli.build_parser()
+        search = parser.parse_args(["search", "--ansatz", "a.json"])
+        validate = parser.parse_args(["validate", "--cert", "c.json"])
+        return search.max_iter, validate.trials, cli._parse_dims(validate.dims)
+
+    assert defaults() == (SearchOptions.max_iters, TrialConfig.trials, TrialConfig.dims)
+    # the parser reads the fields, it does not restate them
+    monkeypatch.setattr(SearchOptions, "max_iters", 7)
+    monkeypatch.setattr(TrialConfig, "trials", 3)
+    monkeypatch.setattr(TrialConfig, "dims", (2, 5))
+    assert defaults() == (7, 3, (2, 5))
 
 
 def test_module_entry_point():

@@ -16,6 +16,7 @@ from hurwitz_sos.numeric import (
     ConvergenceError,
     NotPsdError,
     _derive_seeds,
+    _gaussian_rows,
     _splitmix_rows,
     _uniform_rows,
     bmv_coefficients,
@@ -30,7 +31,7 @@ from hurwitz_sos.numeric import (
 )
 from hurwitz_sos.words import check_word
 
-from oracles import ref_gaussian, ref_hermitian, ref_psd, ref_splitmix64
+from oracles import ref_derive_seed, ref_gaussian, ref_hermitian, ref_psd, ref_splitmix64
 
 
 def splitmix_row(seed, count):
@@ -122,7 +123,7 @@ def test_derive_seed_distinct():
 
 
 def test_derive_seed_rejects_aliasing_seeds_and_indices():
-    # mix64 reduces modulo 2^64, so each of these would alias a valid input
+    # SplitMix64 works modulo 2^64, so each of these would alias a valid input
     for seed in (-1, 2**64, 2**70, True, False, 1.5, "1", None):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             derive_seed(seed, 0)
@@ -133,12 +134,20 @@ def test_derive_seed_rejects_aliasing_seeds_and_indices():
     assert len(edge) == 12
 
 
-def test_derive_seeds_matches_derive_seed():
+def test_derive_seed_matches_oracle():
+    # derive_seed is the one-row case of _derive_seeds; both must match the
+    # scalar oracle, and three values frozen from the scalar finalizer pin it
     seeds = [0, 1, 2**63, 2**64 - 1]
-    indices = [0, 1, 3]
+    indices = [0, 1, 3, 2**64 - 1]
+    want = [[ref_derive_seed(s, k) for s in seeds] for k in indices]
     got = _derive_seeds(np.array(seeds, dtype=np.uint64), indices)
-    assert got.dtype == np.uint64 and got.shape == (3, 4)
-    assert got.tolist() == [[derive_seed(s, k) for s in seeds] for k in indices]
+    assert got.dtype == np.uint64 and got.shape == (4, 4)
+    assert got.tolist() == want
+    assert [[derive_seed(s, k) for s in seeds] for k in indices] == want
+    assert all(type(derive_seed(s, k)) is int for s in seeds for k in indices)
+    assert derive_seed(0, 0) == 6238072747940578789
+    assert derive_seed(7, 1000) == 4355090155529591177
+    assert derive_seed(2**64 - 1, 2**64 - 1) == 5476333178966447588
 
 
 def test_random_hermitian_properties():
@@ -163,16 +172,16 @@ def test_random_psd_properties():
 def test_stacked_draws_match_one_seed_oracle(n, m):
     seeds = [derive_seed(100 * n + m, k) for k in range(m - 1)] + [(1 << 64) - 1]
     count = 2 * n * n - 1  # odd, so the last Box-Muller pair is cut
-    cases = (
-        (lambda s: random_psd(n, s), lambda s: ref_psd(n, s)),
-        (lambda s: gaussian_stream(s, count), lambda s: ref_gaussian(s, count)),
-    )
-    for draw, oracle in cases:
-        stack = draw(seeds)
-        assert stack.shape[0] == m
-        for row, seed in zip(stack, seeds):
-            assert np.array_equal(row, oracle(seed))
-            assert np.array_equal(row, draw(seed))
+    stack = random_psd(n, seeds)
+    assert stack.shape == (m, n, n)
+    for row, seed in zip(stack, seeds):
+        assert np.array_equal(row, ref_psd(n, seed))
+        assert np.array_equal(row, random_psd(n, seed))
+    gauss = _gaussian_rows(np.array(seeds, dtype=np.uint64), count)
+    assert gauss.shape == (m, count)
+    for row, seed in zip(gauss, seeds):
+        assert np.array_equal(row, ref_gaussian(seed, count))
+        assert np.array_equal(row, gaussian_stream(seed, count))
     rows = _splitmix_rows(np.array(seeds, dtype=np.uint64), count)
     assert rows.tolist() == [ref_splitmix64(seed, count) for seed in seeds]
     assert random_psd(n, tuple(seeds)).shape == (m, n, n)
@@ -180,23 +189,28 @@ def test_stacked_draws_match_one_seed_oracle(n, m):
 
 
 def test_stacked_samplers_reject_bad_seeds():
-    samplers = (
-        lambda s: random_psd(2, s),
-        lambda s: gaussian_stream(s, 4),
-    )
-    for draw in samplers:
-        for empty in ([], (), range(0)):
-            with pytest.raises(ValueError, match="seed sequence must be nonempty"):
-                draw(empty)
-        for bad in (-1, 2**64, 2**70, 1.5, True, False, "1", None, [1]):
-            message = rf"seed \(stack index 2\) must be an int in \[0, 2\*\*64\), got {re.escape(repr(bad))}"
-            with pytest.raises(ValueError, match=message):
-                draw([0, 5, bad, 7])
-        for bad in (-1, 2**64, True):
-            message = rf"seed must be an int in \[0, 2\*\*64\), got {bad!r}"
-            with pytest.raises(ValueError, match=message):
-                draw(bad)
-        assert draw([2**64 - 1, 0]).shape[0] == 2
+    for empty in ([], (), range(0)):
+        with pytest.raises(ValueError, match="seed sequence must be nonempty"):
+            random_psd(2, empty)
+    for bad in (-1, 2**64, 2**70, 1.5, True, False, "1", None, [1]):
+        message = rf"seed \(stack index 2\) must be an int in \[0, 2\*\*64\), got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            random_psd(2, [0, 5, bad, 7])
+    for bad in (-1, 2**64, True):
+        message = rf"seed must be an int in \[0, 2\*\*64\), got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            random_psd(2, bad)
+    assert random_psd(2, [2**64 - 1, 0]).shape[0] == 2
+
+
+def test_gaussian_stream_takes_one_seed():
+    # the search draws each start point from one seed; a sequence is an error
+    for bad in ([1, 2], (1, 2), -1, 2**64, True, 1.5):
+        message = rf"seed must be an int in \[0, 2\*\*64\), got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            gaussian_stream(bad, 4)
+    assert gaussian_stream(2**64 - 1, 4).shape == (4,)
+    assert gaussian_stream(0, 0).shape == (0,)
 
 
 # ------------------------------------------------------------------ eigensolver
@@ -552,7 +566,7 @@ def test_samplers_reject_bad_dimension_and_seed():
     for n in (0, -1, 1.5, 2.0, True, False, "2", None):
         with pytest.raises(ValueError, match="n must be a positive int"):
             random_psd(n, 1)
-    # mix64 reduces seeds modulo 2^64, so 2^64 would alias seed 0
+    # SplitMix64 works modulo 2^64, so seed 2^64 would alias seed 0
     for seed in (-1, 2**64, 2**70, 1.5, True, "1", None):
         with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
             random_psd(2, seed)

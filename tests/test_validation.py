@@ -39,7 +39,7 @@ def test_trial_config_validation():
     # an int beyond the float range has no float value to compare against
     with pytest.raises(ValueError, match="tol_rel"):
         TrialConfig(seed=3, tol_rel=10**400)
-    # mix64 reduces seeds modulo 2^64: every trial seed, seed up to
+    # SplitMix64 works modulo 2^64: every trial seed, seed up to
     # seed + len(dims) * trials - 1 for the certificate runner, must lie
     # below 2^64 or it would repeat the trial of a smaller seed
     last = 2**64 - 3 * 5
