@@ -11,9 +11,11 @@ search runs Douglas–Rachford splitting between the affine slice A
 keeps a point z, and each step takes the shadow x = P_K(z) and moves z
 to z + P_A(2x − z) − x.  The loop has no tuning constants; the target's
 coefficients are integers, so real iterates lose nothing.  Every
-``ROUND_EVERY`` steps and after the last one, it rounds the shadow to
-the grid 1/q at each rung q of the denominator ladder ``LADDER``,
-restores the class sums exactly, and keeps a candidate only if
+``ROUND_EVERY`` steps and after the last one, and once at the first
+power-of-two step where z has settled (max|z_next − z| ≤
+``SETTLED_TOL``·scale, so the shadow no longer moves), it rounds the
+shadow to the grid 1/q at each rung q of the denominator ladder
+``LADDER``, restores the class sums exactly, and keeps a candidate only if
 ``verify_against`` accepts the assembled certificate: the search's one
 exact verdict, here and on the determined path.  Infeasible
 underdetermined systems therefore come back as unknown.
@@ -83,6 +85,13 @@ from .words import CyclicClass, TracePolynomial, check_positive_int, hurwitz_exp
 
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
+# Relative step length below which z counts as settled: at a fixed point
+# the shadow x = P_K(z) no longer moves, so once max|z_next - z| is at
+# most SETTLED_TOL·scale, rounding x now gives what the next clock round
+# would.  1e-10 sits far above the ~1e-15·scale float noise of a settled
+# step and far below the steady ~1e-2·scale steps of a run whose two sets
+# do not meet.
+SETTLED_TOL = 1e-10
 # Relative slack of the float rounding test (see the module docstring).
 FILTER_SLACK = 1e-9
 # Rounding denominators, smallest first: rung q rounds every Gram entry
@@ -440,8 +449,11 @@ def feasibility_search(
     Determined systems are decided exactly (certificate or infeasibility
     witness).  Underdetermined systems run ``max_iters`` Douglas–Rachford
     steps from the affine projection of a seeded random symmetric point,
-    rounding the shadow every ``ROUND_EVERY`` steps and after the last;
-    the first candidate that passes exact verification is returned,
+    rounding the shadow every ``ROUND_EVERY`` steps and after the last,
+    and once more at the first power-of-two step whose move
+    max|z_next − z| is at most ``SETTLED_TOL``·scale; rounding never
+    changes z, so a settled run whose round fails steps on as before.
+    The first candidate that passes exact verification is returned,
     otherwise the outcome is UNKNOWN.
     """
     opts = options or SearchOptions()
@@ -462,10 +474,17 @@ def feasibility_search(
     z = _project_affine((start + start[cmap.mirror]) / 2.0, cmap, goal)
 
     tally: Counter = Counter()
+    settled = False
     for iterations in range(1, opts.max_iters + 1):
-        x, z = _dr_step(z, cmap, goal)
+        x, z_next = _dr_step(z, cmap, goal)
         # the last shadow of the search is rounded whatever its count
-        if iterations % ROUND_EVERY == 0 or iterations == opts.max_iters:
+        round_now = iterations % ROUND_EVERY == 0 or iterations == opts.max_iters
+        # tested at power-of-two steps only, so an unsettled run pays at
+        # most log2(max_iters) norms, until the first test passes
+        if not (round_now or settled) and iterations & (iterations - 1) == 0:
+            settled = round_now = float(np.abs(z_next - z).max()) <= SETTLED_TOL * scale
+        z = z_next
+        if round_now:
             cert = _round_iterate(x, cmap, target, goal, tally)
             if cert is not None:
                 return SearchOutcome(

@@ -21,6 +21,7 @@ from hurwitz_sos.rational import ZERO, GaussianRational, grat
 from hurwitz_sos.search import (
     FILTER_SLACK,
     LADDER,
+    ROUND_EVERY,
     SearchOptions,
     SearchStatus,
     UnderdeterminedAnsatzError,
@@ -633,14 +634,68 @@ def test_filters_leave_the_outcome_unchanged(monkeypatch, p, r, blocks, max_iter
 
 def test_last_iterate_is_rounded():
     """With a budget that is not a multiple of ROUND_EVERY the point the
-    search stops at is still rounded; here it rounds to a certificate."""
-    outcome = feasibility_search(10, 2, BLOCKS_102, SearchOptions(seed=1, max_iters=49))
+    search stops at is still rounded; here, on a run that has not settled
+    by then, it rounds to a certificate."""
+    outcome = feasibility_search(10, 2, BLOCKS_102, SearchOptions(seed=1, max_iters=7))
     assert outcome.status is SearchStatus.CERTIFICATE
-    assert outcome.iterations == 49
+    assert outcome.iterations == 7
     assert verify_certificate(outcome.certificate).ok
     # one rounding round, over the whole ladder at most
-    visited = outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
-    assert 0 < visited <= len(LADDER)
+    assert 0 < visited_rungs(outcome) <= len(LADDER)
+
+
+def visited_rungs(outcome):
+    return outcome.rungs_skipped + outcome.rungs_float_rejected + outcome.rungs_exact
+
+
+def clock_only(monkeypatch, p, r, blocks, opts):
+    """The search with the settled round switched off: no step is settled."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "SETTLED_TOL", -1.0)
+        return feasibility_search(p, r, blocks, opts)
+
+
+@pytest.mark.parametrize("p, r, blocks", [
+    pytest.param(7, 3, (BLOCK_73,), id="p7r3"),
+    pytest.param(10, 2, BLOCKS_102, id="p10r2"),
+])
+def test_settled_round_certifies_before_the_clock(monkeypatch, p, r, blocks):
+    """These runs settle before step ROUND_EVERY, and rounding the settled
+    shadow gives the certificate the first clock round gives."""
+    for seed in range(5):
+        opts = SearchOptions(seed=seed)
+        settled = feasibility_search(p, r, blocks, opts)
+        clock = clock_only(monkeypatch, p, r, blocks, opts)
+        assert settled.status is clock.status is SearchStatus.CERTIFICATE
+        assert settled.certificate == clock.certificate
+        assert (settled.rungs_skipped, settled.rungs_float_rejected, settled.rungs_exact) == (
+            clock.rungs_skipped, clock.rungs_float_rejected, clock.rungs_exact
+        )
+        assert settled.iterations < ROUND_EVERY <= clock.iterations
+
+
+@pytest.mark.parametrize("p, r, blocks", [
+    pytest.param(8, 4, BLOCKS_84, id="p8r4"),
+    pytest.param(9, 3, BLOCKS_93, id="p9r3"),
+])
+def test_moving_runs_round_on_the_clock_only(monkeypatch, p, r, blocks):
+    """Runs whose steps stay long never settle, so nothing changes."""
+    for seed in range(5):
+        opts = SearchOptions(seed=seed, max_iters=100)
+        assert outcome_to_json(feasibility_search(p, r, blocks, opts)) == outcome_to_json(
+            clock_only(monkeypatch, p, r, blocks, opts)
+        )
+
+
+def test_settled_round_happens_once(monkeypatch):
+    """A settled run whose round fails keeps stepping and rounding on the
+    clock; the settled round adds exactly one round over the ladder."""
+    blocks, opts = full_ansatz(9, 4), SearchOptions(seed=0, max_iters=300)
+    settled = feasibility_search(9, 4, blocks, opts)
+    clock = clock_only(monkeypatch, 9, 4, blocks, opts)
+    assert settled.status is clock.status is SearchStatus.UNKNOWN
+    assert settled.iterations == clock.iterations == 300
+    assert visited_rungs(settled) == visited_rungs(clock) + len(LADDER)
 
 
 # ------------------------------------------------------------------ determined path
