@@ -479,8 +479,8 @@ def feasibility_search(
         x, z_next = _dr_step(z, cmap, goal)
         # the last shadow of the search is rounded whatever its count
         round_now = iterations % ROUND_EVERY == 0 or iterations == opts.max_iters
-        # tested at power-of-two steps only, so an unsettled run pays at
-        # most log2(max_iters) norms, until the first test passes
+        # settling is tested at power-of-two steps only, until one test
+        # passes, so a run that never settles pays ~log2(max_iters) norms
         if not (round_now or settled) and iterations & (iterations - 1) == 0:
             settled = round_now = float(np.abs(z_next - z).max()) <= SETTLED_TOL * scale
         z = z_next
