@@ -3,22 +3,25 @@
 The linear side is exact and simple: every ordered basis pair of every
 block contributes to exactly one cyclic class, and one table of class
 ids (``ConstraintMap``) records which.  Matching a target polynomial
-prescribes the sum of the Gram entries of each class.  When every class
-has a single member the whole Gram matrix is forced and both
-feasibility and infeasibility are decided exactly.  Otherwise the
-search runs Douglas–Rachford splitting between the affine slice A
-(class-sum constraints) and the PSD cone K in real floating point: it
-keeps a point z, and each step takes the shadow x = P_K(z) and moves z
-to z + P_A(2x − z) − x.  The loop has no tuning constants; the target's
-coefficients are integers, so real iterates lose nothing.  Every
-``ROUND_EVERY`` steps and after the last one, and once at the first
-power-of-two step where z has settled (max|z_next − z| ≤
-``SETTLED_TOL``·scale, so the shadow no longer moves), it rounds the
-shadow to the grid 1/q at each rung q of the denominator ladder
-``LADDER``, restores the class sums exactly, and keeps a candidate only if
-``verify_against`` accepts the assembled certificate: the search's one
-exact verdict, here and on the determined path.  Infeasible
-underdetermined systems therefore come back as unknown.
+prescribes the sum of the Gram entries of each class: the affine slice
+A.  When every class has a single member, A is one point, the forced Gram
+matrices, and the search takes no step: its q = 1 candidate of that
+point (the zero point with its class sums restored, as at every rung)
+holds the forced entries, and ``verify_against`` either accepts it or
+names a block and a witness vector on which it is negative.  Otherwise
+the search runs Douglas–Rachford splitting between A and the PSD cone K
+in real floating point: it keeps a point z, and each step takes the
+shadow x = P_K(z) and moves z to z + P_A(2x − z) − x.  The loop has no
+tuning constants; the target's coefficients are integers, so real
+iterates lose nothing.  Every ``ROUND_EVERY`` steps and after the last
+one, and once at the first power-of-two step where z has settled
+(max|z_next − z| ≤ ``SETTLED_TOL``·scale, so the shadow no longer
+moves), it rounds the shadow to the grid 1/q at each rung q of the
+denominator ladder ``LADDER``, restores the class sums exactly, and
+keeps a candidate only if ``verify_against`` accepts the assembled
+certificate: the search's one exact verdict, here and on the determined
+path.  Infeasible underdetermined systems therefore come back as
+unknown.
 
 Every point of the search is one flat vector v in the map's (block, j,
 k) order, the order of ``ConstraintMap.ids``.  With A the class
@@ -100,17 +103,12 @@ LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096, 10_000
 
 
 class UnreachableTargetError(ValueError):
-    """The ansatz cannot produce some class of the target, or the forced
-    Gram entries are inconsistent, so no Gram matrix over it matches."""
+    """The ansatz cannot produce some class of the target, so no Gram
+    matrix over it matches."""
 
     def __init__(self, message: str, missing: Sequence[CyclicClass] = ()) -> None:
         super().__init__(message)
         self.missing = tuple(missing)
-
-
-class UnderdeterminedAnsatzError(ValueError):
-    """An operation requiring a fully determined constraint system was
-    applied to an underdetermined one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,36 +192,6 @@ def _check_reachable(cmap: ConstraintMap, target: TracePolynomial) -> None:
         )
 
 
-def determined_gram(
-    cmap: ConstraintMap, target: TracePolynomial
-) -> Optional[List[GramMatrix]]:
-    """Forced per-block Gram matrices when every class has one contributor.
-
-    Returns None when the system is underdetermined.  Raises
-    UnreachableTargetError when the target hits classes the ansatz cannot
-    produce, or when the forced entries fail to form Hermitian matrices.
-    """
-    if target.degree != cmap.p:
-        raise ValueError(
-            f"target degree {target.degree} does not match constraint map p={cmap.p}"
-        )
-    _check_reachable(cmap, target)
-    if not cmap.determined:
-        return None
-    grams: List[GramMatrix] = []
-    for bi, ids in enumerate(_blocks(cmap.ids, cmap.runs)):
-        rows = [
-            [target.coefficient(cmap.classes[i]) for i in row] for row in ids.tolist()
-        ]
-        try:
-            grams.append(GramMatrix.from_rows(rows))
-        except ValueError as exc:
-            raise UnreachableTargetError(
-                f"block {bi}: forced Gram entries are inconsistent ({exc})"
-            ) from exc
-    return grams
-
-
 class SearchStatus(enum.Enum):
     CERTIFICATE = "certificate"
     INFEASIBLE = "infeasible"
@@ -251,9 +219,11 @@ class SearchOptions:
 class SearchOutcome:
     """Result of a feasibility search.
 
-    Exactly one of the payloads is populated: a verified Certificate for
+    At most one of the payloads is populated: a verified Certificate for
     CERTIFICATE, a (witness vector, block index, form value) triple for
-    INFEASIBLE, nothing for UNKNOWN.  The three ``rungs_*`` counts say
+    an INFEASIBLE determined system, nothing for UNKNOWN.  The CLI also
+    reports an ``UnreachableTargetError`` as INFEASIBLE, with no witness:
+    the missing classes prove it.  The three ``rungs_*`` counts say
     what happened to each denominator rung the search visited: skipped
     by the Weyl margin, rejected by the float twin of its rounded
     point, or checked exactly.  They add up to the number of rungs
@@ -269,37 +239,6 @@ class SearchOutcome:
     rungs_skipped: int = 0
     rungs_float_rejected: int = 0
     rungs_exact: int = 0
-
-
-def prove_infeasible_determined(
-    cmap: ConstraintMap, target: TracePolynomial
-) -> SearchOutcome:
-    """Decide a fully determined system exactly.
-
-    The forced Gram matrices are assembled into a certificate and
-    verified.  Either it passes, or ``verify_against`` names the first
-    block that fails the exact PSD check with a witness vector whose
-    quadratic form against the forced matrix is negative, which proves
-    no PSD solution exists over this ansatz.
-    """
-    forced = determined_gram(cmap, target)
-    if forced is None:
-        raise UnderdeterminedAnsatzError(
-            "constraint system is underdetermined; use feasibility_search"
-        )
-    cert = Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, forced)))
-    report = verify_against(cert, target)
-    if not report.matched:
-        raise AssertionError("forced Gram matrices failed exact re-verification")
-    if report.psd:
-        return SearchOutcome(SearchStatus.CERTIFICATE, iterations=0, certificate=cert)
-    return SearchOutcome(
-        status=SearchStatus.INFEASIBLE,
-        iterations=0,
-        witness=report.witness,
-        witness_block=report.witness_block,
-        witness_form=quadratic_form(forced[report.witness_block], report.witness),
-    )
 
 
 # ------------------------------------------------------------------
@@ -446,10 +385,11 @@ def feasibility_search(
 ) -> SearchOutcome:
     """Search for an exact certificate of the (p, r) word sum over ``blocks``.
 
-    Determined systems are decided exactly (certificate or infeasibility
-    witness).  Underdetermined systems run ``max_iters`` Douglas–Rachford
-    steps from the affine projection of a seeded random symmetric point,
-    rounding the shadow every ``ROUND_EVERY`` steps and after the last,
+    Determined systems are decided exactly, with no step: the q = 1
+    candidate of the one point of the affine slice is verified, giving a
+    certificate or an infeasibility witness.  Underdetermined systems
+    run ``max_iters`` Douglas–Rachford steps from the affine projection
+    of a seeded random symmetric point, rounding the shadow every ``ROUND_EVERY`` steps and after the last,
     and once more at the first power-of-two step whose move
     max|z_next − z| is at most ``SETTLED_TOL``·scale; rounding never
     changes z, so a settled run whose round fails steps on as before.
@@ -459,12 +399,27 @@ def feasibility_search(
     opts = options or SearchOptions()
     cmap = build_constraint_map(p, r, blocks)
     target = hurwitz_expand(p, r)
-    if cmap.determined:
-        return prove_infeasible_determined(cmap, target)
     _check_reachable(cmap, target)
-
     # hurwitz_expand counts words, so every class coefficient is an integer
     goal = np.array([int(target.coefficient(cls).re) for cls in cmap.classes])
+
+    if cmap.determined:
+        # entry (j, k) of the candidate is (t_c + t_rev c)/2, which is the
+        # forced t_c: the word sum is closed under reversal
+        cert = _exact_candidate(np.zeros(cmap.ids.size), cmap, goal, 1)
+        report = verify_against(cert, target)
+        if not report.matched:
+            raise AssertionError("forced Gram matrices failed exact re-verification")
+        if report.psd:
+            return SearchOutcome(SearchStatus.CERTIFICATE, iterations=0, certificate=cert)
+        return SearchOutcome(
+            status=SearchStatus.INFEASIBLE,
+            iterations=0,
+            witness=report.witness,
+            witness_block=report.witness_block,
+            witness_form=quadratic_form(cert.blocks[report.witness_block][1], report.witness),
+        )
+
     scale = max([1.0] + np.abs(goal).tolist())
 
     start = scale * np.concatenate([

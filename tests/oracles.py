@@ -3,8 +3,10 @@
 The ``ref_*`` and ``oracle_*`` functions redo a package job by another
 route, written out step by step: the scalar SplitMix64 and seed
 derivation, the one-seed samplers, the by-hand reduction of a sandwich
-pair and the letter swap of a polynomial.  The Gram builders assemble test inputs.  The package
-calls none of them; the tests compare its results against them.
+pair, the Gram matrices a target forces on a determined ansatz and the
+letter swap of a polynomial.  The Gram builders assemble test inputs.
+The package calls none of them; the tests compare its results against
+them.
 """
 
 import math
@@ -90,6 +92,20 @@ def oracle_pair_class(block, j, k):
     if block.prefix:
         word += block.prefix.upper()
     return oracle_least_rotation(word)
+
+
+def oracle_forced_grams(blocks, target):
+    """Each block's Gram matrix when every pair is its class's only one:
+    entry (j, k) is the target coefficient of the by-hand class of pair
+    (j, k), or zero if the target lacks that class."""
+    terms = {cls.representative: value for cls, value in target.items()}
+    return [
+        GramMatrix.from_rows([
+            [terms.get(oracle_pair_class(block, j, k), ZERO) for k in range(block.dimension)]
+            for j in range(block.dimension)
+        ])
+        for block in blocks
+    ]
 
 
 def swap_letters(poly):

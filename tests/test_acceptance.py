@@ -32,13 +32,12 @@ from hurwitz_sos.search import (
     SearchOptions,
     SearchStatus,
     build_constraint_map,
-    determined_gram,
     feasibility_search,
-    prove_infeasible_determined,
 )
 from hurwitz_sos.validation import TrialConfig, bmv_check_trials, validate_certificate_trials
 from hurwitz_sos.words import CyclicClass, hurwitz_expand
 
+from oracles import oracle_forced_grams
 from oracles import ref_hermitian as random_hermitian
 from oracles import swap_letters
 
@@ -114,17 +113,17 @@ def test_criterion_4_p6_restricted_ansatz_infeasible():
     def check():
         cmap = build_constraint_map(6, 3, (P6_BLOCK,))
         assert cmap.determined
-        forced = determined_gram(cmap, hurwitz_expand(6, 3))
-        assert len(forced) == 1
-        assert [[forced[0].at(j, k) for k in range(2)] for j in range(2)] == [
+        (forced,) = oracle_forced_grams((P6_BLOCK,), hurwitz_expand(6, 3))
+        assert [[forced.at(j, k) for k in range(2)] for j in range(2)] == [
             [grat(6), grat(6)],
             [grat(6), grat(2)],
         ]
-        outcome = prove_infeasible_determined(cmap, hurwitz_expand(6, 3))
+        outcome = feasibility_search(6, 3, (P6_BLOCK,))
         assert outcome.status is SearchStatus.INFEASIBLE
+        assert outcome.iterations == 0
         assert outcome.witness == (grat(1), grat(-1))
         assert outcome.witness_form == grat(-4)
-        assert quadratic_form(forced[0], outcome.witness) == grat(-4)
+        assert quadratic_form(forced, outcome.witness) == grat(-4)
 
     _report(
         4,

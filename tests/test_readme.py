@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import hurwitz_sos
-from hurwitz_sos import certificate, cli, numeric, words
+from hurwitz_sos import certificate, cli, numeric, search, words
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -79,25 +79,27 @@ PUBLIC_API = (
     "CertificateStructureError", "ConstraintMap", "ConvergenceError", "CyclicClass",
     "EigResult", "GaussianRational", "GramMatrix", "NotPsdError", "PsdCheckResult",
     "SandwichBlock", "SearchOptions", "SearchOutcome", "SearchStatus",
-    "TracePolynomial", "TrialConfig", "TrialReport", "UnderdeterminedAnsatzError",
-    "UnreachableTargetError", "VerifyReport", "__version__", "bmv_check_trials",
-    "bmv_coefficients", "build_constraint_map", "bundled_certificate", "bundled_path",
+    "TracePolynomial", "TrialConfig", "TrialReport", "UnreachableTargetError",
+    "VerifyReport", "__version__", "bmv_check_trials", "bmv_coefficients",
+    "build_constraint_map", "bundled_certificate", "bundled_path",
     "canonical_rotation", "certificate_expansion", "certificate_from_json",
-    "certificate_to_json", "derive_seed", "determined_gram", "eval_certificate_numeric",
+    "certificate_to_json", "derive_seed", "eval_certificate_numeric",
     "expand_gram", "feasibility_search", "gaussian_stream", "grat", "hermitian_eig",
     "hurwitz_expand", "least_rotation", "load_ansatz", "load_certificate",
-    "pair_classes", "prove_infeasible_determined", "psd_check_exact", "psd_sqrt",
-    "quadratic_form", "random_psd", "reverse_class", "reverse_word",
+    "pair_classes", "psd_check_exact", "psd_sqrt", "quadratic_form",
+    "random_psd", "reverse_class", "reverse_word",
     "save_certificate", "swap_certificate", "swap_word", "trace_hurwitz_numeric",
     "validate_certificate_trials", "verify_against", "verify_certificate",
 )
 
-# Test-only code that left the package; the tests take what they still
-# need of it from tests/oracles.py.
+# Code that left the package; the tests take what they still need of it
+# from tests/oracles.py, and a determined ansatz goes through
+# feasibility_search.
 REMOVED = (
     (certificate, ("reduce_pair", "gram_from_vectors")),
     (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__")),
     (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream")),
+    (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError")),
     (words, ("swap_letters",)),
 )
 

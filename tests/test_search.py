@@ -24,24 +24,22 @@ from hurwitz_sos.search import (
     ROUND_EVERY,
     SearchOptions,
     SearchStatus,
-    UnderdeterminedAnsatzError,
     UnreachableTargetError,
     _blocks,
     _dr_step,
+    _exact_candidate,
     _margin_cutoff,
     _project_affine,
     _project_psd,
     _round_candidate,
     _round_iterate,
     build_constraint_map,
-    determined_gram,
     feasibility_search,
     outcome_to_json,
-    prove_infeasible_determined,
 )
-from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
+from hurwitz_sos.words import CyclicClass, hurwitz_expand
 
-from oracles import oracle_pair_class
+from oracles import oracle_forced_grams, oracle_pair_class
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
@@ -213,13 +211,17 @@ def test_constraint_map_shape_mismatch():
 def test_unreachable_target_classes():
     # a single word cannot produce every class of the target
     block = SandwichBlock(prefix="b", suffix=None, basis=("AAB",))
-    cmap = build_constraint_map(7, 3, (block,))
+    assert build_constraint_map(7, 3, (block,)).determined
     with pytest.raises(UnreachableTargetError) as info:
-        determined_gram(cmap, hurwitz_expand(7, 3))
+        feasibility_search(7, 3, (block,))
     missing = {str(c) for c in info.value.missing}
     assert "AAAABBB" in missing
-    with pytest.raises(UnreachableTargetError):
-        feasibility_search(7, 3, (block,))
+    # an underdetermined map checks the same classes before any step
+    blocks = (block, block)
+    assert not build_constraint_map(7, 3, blocks).determined
+    with pytest.raises(UnreachableTargetError) as info:
+        feasibility_search(7, 3, blocks)
+    assert "AAAABBB" in {str(c) for c in info.value.missing}
 
 
 # ------------------------------------------------------------------ search internals
@@ -701,53 +703,23 @@ def test_settled_round_happens_once(monkeypatch):
 # ------------------------------------------------------------------ determined path
 
 def test_determined_gram_p6_frozen():
+    """The determined path's candidate is the zero point restored to the
+    class sums at q = 1: the forced [[6, 6], [6, 2]], as the oracle reads it."""
     cmap = build_constraint_map(6, 3, (P6_BLOCK,))
-    grams = determined_gram(cmap, hurwitz_expand(6, 3))
-    assert len(grams) == 1
-    G = grams[0]
+    goal = np.array([6, 6, 6, 2])
+    assert [str(c) for c in cmap.classes] == ["AAABBB", "AABABB", "AABBAB", "ABABAB"]
+    cert = _exact_candidate(np.zeros(cmap.ids.size), cmap, goal, 1)
+    ((block, G),) = cert.blocks
+    assert block == P6_BLOCK
     assert [[G.at(j, k) for k in range(2)] for j in range(2)] == [
         [grat(6), grat(6)],
         [grat(6), grat(2)],
     ]
-
-
-def test_determined_gram_none_when_underdetermined():
-    cmap = build_constraint_map(7, 3, (BLOCK_73,))
-    assert determined_gram(cmap, hurwitz_expand(7, 3)) is None
-    with pytest.raises(UnderdeterminedAnsatzError):
-        prove_infeasible_determined(cmap, hurwitz_expand(7, 3))
-
-
-def test_determined_gram_rejects_unmatched_support():
-    cmap = build_constraint_map(6, 3, (P6_BLOCK,))
-    target = hurwitz_expand(6, 3) + TracePolynomial(
-        6, {CyclicClass("AABABB"): grat(1)}
-    ).scaled(0)  # no-op, still fine
-    determined_gram(cmap, target)
-    bad = TracePolynomial(6, {CyclicClass("AAAAAB"): grat(1)})
-    with pytest.raises(UnreachableTargetError):
-        determined_gram(cmap, hurwitz_expand(6, 3) + bad)
-
-
-def test_determined_gram_non_hermitian_forced():
-    # a target whose forced matrix cannot be Hermitian is unreachable
-    cmap = build_constraint_map(6, 3, (P6_BLOCK,))
-    asym = TracePolynomial(
-        6,
-        {
-            CyclicClass("AABABB"): grat(1),
-            CyclicClass("AABBAB"): grat(2),
-            CyclicClass("AAABBB"): grat(1),
-            CyclicClass("ABABAB"): grat(1),
-        },
-    )
-    with pytest.raises(UnreachableTargetError):
-        determined_gram(cmap, asym)
+    assert [G] == oracle_forced_grams((P6_BLOCK,), hurwitz_expand(6, 3))
 
 
 def test_prove_infeasible_p6():
-    cmap = build_constraint_map(6, 3, (P6_BLOCK,))
-    outcome = prove_infeasible_determined(cmap, hurwitz_expand(6, 3))
+    outcome = feasibility_search(6, 3, (P6_BLOCK,))
     assert outcome.status is SearchStatus.INFEASIBLE
     assert outcome.iterations == 0
     assert outcome.certificate is None
@@ -759,45 +731,75 @@ def test_prove_infeasible_p6():
     assert quadratic_form(forced, outcome.witness) == outcome.witness_form
 
 
-def test_prove_infeasible_names_a_later_block():
-    """Block 0 is forced PSD, block 1 is forced to [[1, 2], [2, 1]]: the
-    witness comes from block 1 and its form is read on that block."""
-    blocks = (
-        SandwichBlock(None, "b", ("BAA",)),
-        SandwichBlock(None, "b", ("ABA", "AAB")),
-    )
-    cmap = build_constraint_map(7, 3, blocks)
-    assert cmap.determined
-    target = TracePolynomial(
-        7,
-        {
-            CyclicClass("AABAABB"): grat(1),  # block 0's one pair
-            CyclicClass("AABABAB"): grat(1),
-            CyclicClass("AAABABB"): grat(2),
-            CyclicClass("AAABBAB"): grat(2),
-            CyclicClass("AAAABBB"): grat(1),
-        },
-    )
-    forced = determined_gram(cmap, target)
-    assert forced[0] == GramMatrix.from_rows([[1]])
-    assert forced[1] == GramMatrix.from_rows([[1, 2], [2, 1]])
-    outcome = prove_infeasible_determined(cmap, target)
-    assert outcome.status is SearchStatus.INFEASIBLE
-    assert outcome.witness_block == 1
-    assert outcome.witness == (grat(2), grat(-1))
-    assert outcome.witness_form == grat(-3)
-    assert quadratic_form(forced[1], outcome.witness) == outcome.witness_form
-
-
 def test_prove_infeasible_feasible_determined_case():
     # p=7 r=1: single word AAA with suffix b, forced gram [[7]]
     block = SandwichBlock(prefix=None, suffix="b", basis=("AAA",))
-    cmap = build_constraint_map(7, 1, (block,))
-    outcome = prove_infeasible_determined(cmap, hurwitz_expand(7, 1))
+    outcome = feasibility_search(7, 1, (block,))
     assert outcome.status is SearchStatus.CERTIFICATE
-    assert outcome.certificate is not None
+    assert outcome.iterations == 0
+    assert outcome.certificate.blocks == ((block, GramMatrix.from_rows([[7]])),)
     assert verify_certificate(outcome.certificate).ok
     assert outcome.witness is None
+
+
+def determined_ansatzes():
+    """Every one- or two-word single-block ansatz with 2 <= p <= 9 whose
+    pairs fall in distinct classes (by hand) covering the word sum."""
+    found = []
+    for p in range(2, 10):
+        for prefix, suffix in itertools.product((None, "a", "b"), repeat=2):
+            halves = [x for x in (prefix, suffix) if x is not None]
+            length = p - len(halves)
+            if length < 2 or length % 2:
+                continue
+            for b_count in range(length // 2 + 1):
+                r = 2 * b_count + halves.count("b")
+                target = {cls.representative for cls, _ in hurwitz_expand(p, r).items()}
+                for size in (1, 2):
+                    for basis in itertools.combinations(words_with(length // 2, b_count), size):
+                        block = SandwichBlock(prefix, suffix, basis)
+                        pairs = [oracle_pair_class(block, j, k)
+                                 for j in range(size) for k in range(size)]
+                        if len(set(pairs)) == len(pairs) and target <= set(pairs):
+                            found.append(pytest.param(
+                                p, r, block,
+                                id=f"p{p}r{r}-{prefix or ''}|{','.join(basis)}|{suffix or ''}",
+                            ))
+    return found
+
+
+DETERMINED = determined_ansatzes()
+
+
+def test_determined_sweep_size():
+    """The sweep holds 60 ansatzes; only the bundled (6,3) shape and its
+    mirror are infeasible."""
+    assert len(DETERMINED) == 60
+    infeasible = []
+    for param in DETERMINED:
+        p, r, block = param.values
+        if feasibility_search(p, r, (block,)).status is SearchStatus.INFEASIBLE:
+            infeasible.append(param.id)
+    assert infeasible == ["p6r3-a|BA,AB|b", "p6r3-b|BA,AB|a"]
+
+
+@pytest.mark.parametrize("p, r, block", DETERMINED)
+def test_determined_ansatz_decided_by_forced_grams(p, r, block):
+    """A determined ansatz is decided with no step and no rung: its
+    certificate holds the forced Grams, or its witness is negative on them."""
+    outcome = feasibility_search(p, r, (block,))
+    (forced,) = oracle_forced_grams((block,), hurwitz_expand(p, r))
+    assert outcome.iterations == 0
+    assert outcome.rungs_skipped == outcome.rungs_float_rejected == outcome.rungs_exact == 0
+    if outcome.status is SearchStatus.CERTIFICATE:
+        assert outcome.certificate.blocks == ((block, forced),)
+        assert outcome.witness is None
+    else:
+        assert outcome.status is SearchStatus.INFEASIBLE
+        assert outcome.certificate is None
+        assert outcome.witness_block == 0
+        assert outcome.witness_form == quadratic_form(forced, outcome.witness)
+        assert outcome.witness_form.im == 0 and outcome.witness_form.re < 0
 
 
 # ------------------------------------------------------------------ search
@@ -922,8 +924,7 @@ def test_outcome_json_certificate():
 
 
 def test_outcome_json_infeasible():
-    cmap = build_constraint_map(6, 3, (P6_BLOCK,))
-    doc = outcome_to_json(prove_infeasible_determined(cmap, hurwitz_expand(6, 3)))
+    doc = outcome_to_json(feasibility_search(6, 3, (P6_BLOCK,)))
     assert doc["status"] == "infeasible"
     assert doc["witness"] == {
         "block": 0,
