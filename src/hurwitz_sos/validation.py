@@ -299,9 +299,7 @@ def _coefficient_row(
     )
 
 
-def bmv_check_trials(
-    p: int, config: Optional[TrialConfig] = None, tol: float = 1e-9
-) -> CoefficientReport:
+def bmv_check_trials(p: int, config: TrialConfig, tol: float = 1e-9) -> CoefficientReport:
     """Run ``config.trials`` coefficient nonnegativity trials for degree p.
 
     Dimensions cycle through ``config.dims`` so the trial count is the
@@ -311,7 +309,6 @@ def bmv_check_trials(
     """
     check_degrees(p, 0)
     _check_tolerance("tol", tol)
-    config = config or TrialConfig(dims=(2, 3, 4))
     _check_trial_seeds(config.seed, config.trials)
     dims = [config.dims[t % len(config.dims)] for t in range(config.trials)]
     rows: List[Optional[CoefficientRow]] = [None] * config.trials

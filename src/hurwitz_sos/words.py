@@ -2,14 +2,14 @@
 
 A word stands for the product of the matrices it spells.  Because the
 trace is invariant under cyclic rotation, words of a fixed length fall
-into classes keyed by the lexicographically least rotation (with A < B),
-and linear combinations of those classes are the currency the rest of
-the package trades in.
+into classes, and a class *is* the string of its lexicographically least
+rotation (with A < B): ``CyclicClass`` is a ``str`` subclass holding that
+rotation.  Linear combinations of those classes are the currency the
+rest of the package trades in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -50,13 +50,8 @@ def check_degrees(p: int, r: int) -> None:
         raise ValueError(f"r must lie in [0, {p}], got {r!r}")
 
 
-def least_rotation(word: str) -> str:
-    """Lexicographically least rotation of a word."""
-    return _least_rotation(check_word(word))
-
-
 def _least_rotation(word: str) -> str:
-    """``least_rotation`` without the letter check, for words built from checked ones."""
+    """Lexicographically least rotation of a word already known to be over {A, B}."""
     n = len(word)
     doubled = word + word
     # a plain loop: min() over a generator of the slices is about 20% slower
@@ -78,38 +73,41 @@ def swap_word(word: str) -> str:
     return check_word(word).translate(_SWAP_TABLE)
 
 
-@dataclass(frozen=True, order=True)
-class CyclicClass:
+class CyclicClass(str):
     """Equivalence class of a word under cyclic rotation.
 
-    The stored representative is always the least rotation, so two
-    classes compare equal exactly when their words are rotations of one
-    another.  ``length`` and ``b_count`` are derived from it.
+    A class is the string of its least rotation, so two classes compare
+    equal exactly when their words are rotations of one another.
+    Equality, hashing, ordering, ``str()`` and JSON encoding are the
+    string's own: a class also equals, and hashes like, the plain string
+    of its least rotation, so ``CyclicClass("BA") == "AB"``, while
+    ``CyclicClass("BA") != "BA"``.  ``CyclicClass(cls)`` returns an
+    existing class unchanged.
     """
 
-    representative: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "representative", least_rotation(self.representative))
+    def __new__(cls, word: str) -> "CyclicClass":
+        if type(word) is cls:
+            return word
+        return str.__new__(cls, _least_rotation(check_word(word)))
 
     @classmethod
     def _trusted(cls, representative: str) -> "CyclicClass":
         """Class of a word that is already its own least rotation: no check, no rotation."""
-        obj = object.__new__(cls)
-        # filled through __dict__, past the frozen __setattr__, once per class
-        obj.__dict__["representative"] = representative
-        return obj
+        return str.__new__(cls, representative)
+
+    @property
+    def representative(self) -> str:
+        return str(self)
 
     @property
     def length(self) -> int:
-        return len(self.representative)
+        return len(self)
 
     @property
     def b_count(self) -> int:
-        return self.representative.count("B")
-
-    def __str__(self) -> str:
-        return self.representative
+        return self.count("B")
 
 
 def _class_of(word: str) -> CyclicClass:
@@ -117,20 +115,12 @@ def _class_of(word: str) -> CyclicClass:
     return CyclicClass._trusted(_least_rotation(word))
 
 
-ClassLike = Union[str, CyclicClass]
 CoefficientLike = Union[int, Fraction, GaussianRational]
 
 
-def canonical_rotation(word: ClassLike) -> CyclicClass:
-    """Cyclic class of a word (identity on classes)."""
-    if isinstance(word, CyclicClass):
-        return word
-    return CyclicClass(word)
-
-
-def reverse_class(cls: ClassLike) -> CyclicClass:
+def reverse_class(cls: str) -> CyclicClass:
     """Class of the reversed word.  Well defined: reversal maps rotations to rotations."""
-    return CyclicClass(reverse_word(canonical_rotation(cls).representative))
+    return CyclicClass(CyclicClass(cls)[::-1])
 
 
 class TracePolynomial:
@@ -146,14 +136,14 @@ class TracePolynomial:
     def __init__(
         self,
         degree: int,
-        terms: Optional[Mapping[ClassLike, CoefficientLike]] = None,
+        terms: Optional[Mapping[str, CoefficientLike]] = None,
     ) -> None:
         check_positive_int(degree, "degree")
         self._degree = degree
         data: Dict[CyclicClass, GaussianRational] = {}
         if terms:
             for key, value in terms.items():
-                cls = canonical_rotation(key)
+                cls = CyclicClass(key)
                 if cls.length != degree:
                     raise ValueError(
                         f"class {cls} has length {cls.length}, expected {degree}"
@@ -190,12 +180,12 @@ class TracePolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, key: ClassLike) -> GaussianRational:
-        return self._terms.get(canonical_rotation(key), ZERO)
+    def coefficient(self, key: str) -> GaussianRational:
+        return self._terms.get(CyclicClass(key), ZERO)
 
     def items(self) -> Tuple[Tuple[CyclicClass, GaussianRational], ...]:
         """Terms sorted by representative."""
-        return tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))
+        return tuple(sorted(self._terms.items()))
 
     def support(self) -> Tuple[CyclicClass, ...]:
         return tuple(sorted(self._terms))

@@ -82,10 +82,10 @@ PUBLIC_API = (
     "TracePolynomial", "TrialConfig", "TrialReport", "UnreachableTargetError",
     "VerifyReport", "__version__", "bmv_check_trials", "bmv_coefficients",
     "build_constraint_map", "bundled_certificate", "bundled_path",
-    "canonical_rotation", "certificate_expansion", "certificate_from_json",
+    "certificate_expansion", "certificate_from_json",
     "certificate_to_json", "derive_seed", "eval_certificate_numeric",
     "expand_gram", "feasibility_search", "gaussian_stream", "grat", "hermitian_eig",
-    "hurwitz_expand", "least_rotation", "load_ansatz", "load_certificate",
+    "hurwitz_expand", "load_ansatz", "load_certificate",
     "pair_classes", "psd_check_exact", "psd_sqrt", "quadratic_form",
     "random_psd", "reverse_class", "reverse_word",
     "save_certificate", "swap_certificate", "swap_word", "trace_hurwitz_numeric",
@@ -100,7 +100,7 @@ REMOVED = (
     (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__")),
     (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream")),
     (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError")),
-    (words, ("swap_letters",)),
+    (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike")),
 )
 
 

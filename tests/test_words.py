@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -10,11 +12,9 @@ from hurwitz_sos.rational import grat
 from hurwitz_sos.words import (
     CyclicClass,
     TracePolynomial,
-    canonical_rotation,
     check_word,
     hurwitz_expand,
     is_int,
-    least_rotation,
     reverse_class,
     reverse_word,
     swap_word,
@@ -55,24 +55,23 @@ def test_check_word_validation():
 
 
 def test_least_rotation_frozen():
-    assert least_rotation("BBA") == "ABB"
-    assert least_rotation("AABBAAB") == "AABAABB"
-    assert least_rotation("BABABA") == "ABABAB"
-    assert least_rotation("A") == "A"
-    assert least_rotation("BBBB") == "BBBB"
+    assert CyclicClass("BBA") == "ABB"
+    assert CyclicClass("AABBAAB") == "AABAABB"
+    assert CyclicClass("BABABA") == "ABABAB"
+    assert CyclicClass("A") == "A"
+    assert CyclicClass("BBBB") == "BBBB"
 
 
 @given(words)
 def test_least_rotation_matches_oracle(word):
-    assert least_rotation(word) == oracle_least_rotation(word)
+    assert CyclicClass(word) == oracle_least_rotation(word)
 
 
 @given(words, st.integers(min_value=0, max_value=11))
 def test_rotation_invariance(word, k):
     k %= len(word)
     rotated = word[k:] + word[:k]
-    assert least_rotation(rotated) == least_rotation(word)
-    assert canonical_rotation(rotated) == canonical_rotation(word)
+    assert CyclicClass(rotated) == CyclicClass(word)
 
 
 def test_cyclic_class_fields():
@@ -85,15 +84,41 @@ def test_cyclic_class_fields():
     assert sorted([CyclicClass("B"), CyclicClass("A")])[0].representative == "A"
 
 
+def test_class_is_its_least_rotation_string():
+    cls = CyclicClass("BAB")
+    assert isinstance(cls, str) and type(cls) is CyclicClass
+    assert cls == "ABB" and hash(cls) == hash("ABB")
+    assert cls != "BAB"
+    assert {"ABB": 1}[cls] == 1 and {cls: 1}["ABB"] == 1
+    assert CyclicClass(cls) is cls
+    assert type(cls.representative) is str
+    spellings = ["BBA", "AB", "BAAB", "A", "BA", "ABAB", "B", "AAB"]
+    classes = [CyclicClass(w) for w in spellings]
+    assert [str(c) for c in sorted(classes)] == sorted(str(c) for c in classes)
+    for copied in (
+        pickle.loads(pickle.dumps(cls)),
+        pickle.loads(pickle.dumps(cls, protocol=0)),
+        copy.copy(cls),
+        copy.deepcopy(cls),
+    ):
+        assert type(copied) is CyclicClass and copied == cls
+    with pytest.raises(TypeError):
+        CyclicClass(7)
+    with pytest.raises(ValueError):
+        CyclicClass("")
+    with pytest.raises(ValueError):
+        CyclicClass("AC")
+
+
 def test_reverse_and_swap_words():
     assert reverse_word("AAB") == "BAA"
     assert swap_word("AAB") == "BBA"
-    assert reverse_class("AAB") == canonical_rotation("BAA")
+    assert reverse_class("AAB") == CyclicClass("BAA")
 
 
 @given(words)
 def test_reverse_class_is_involution(word):
-    cls = canonical_rotation(word)
+    cls = CyclicClass(word)
     assert reverse_class(reverse_class(cls)) == cls
 
 
@@ -281,12 +306,12 @@ def test_hurwitz_expand_against_direct_enumeration():
 
 def test_hurwitz_expand_emits_least_rotations():
     # the necklaces become classes without a rotation or a check: each
-    # must be its own least rotation, with the fields the checked path sets
+    # must be its own least rotation, of the type the checked path builds
     for p in range(1, 21):
         for r in range(p + 1):
             for cls in hurwitz_expand(p, r).support():
                 assert cls.representative == oracle_least_rotation(cls.representative)
-                assert vars(cls) == vars(CyclicClass(cls.representative))
+                assert type(cls) is CyclicClass and cls == CyclicClass(str(cls))
 
 
 def test_hurwitz_expand_long_word_is_not_recursive():
