@@ -16,7 +16,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rational import ZERO, GaussianRational
@@ -148,35 +148,64 @@ EntryLike = Union[int, Fraction, GaussianRational]
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Square Hermitian matrix with GaussianRational entries."""
+    """Square Hermitian matrix over the Gaussian rationals, held as integers.
 
-    entries: Tuple[Tuple[GaussianRational, ...], ...]
+    Entry (j, k) is (re[j][k] + i im[j][k]) / scale, with ``scale`` a
+    positive int and every part an int (not a bool or numpy scalar).  The
+    constructor checks Hermitian symmetry on the integers and divides
+    ``scale`` and every part by their gcd, so ``scale`` is the lcm L of
+    the entry denominators, ``re`` + i ``im`` is L G, and equal matrices
+    have equal fields.
+    """
+
+    scale: int
+    re: Tuple[Tuple[int, ...], ...]
+    im: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(GaussianRational.of(x) for x in row) for row in self.entries
-        )
-        n = len(rows)
+        re = tuple(tuple(row) for row in self.re)
+        im = tuple(tuple(row) for row in self.im)
+        parts = [x for part in (re, im) for row in part for x in row]
+        if type(self.scale) is not int:
+            raise TypeError(f"scale must be an int, got {type(self.scale).__name__}")
+        if self.scale <= 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        for x in parts:
+            if type(x) is not int:
+                raise TypeError(f"Gram parts must be ints, got {type(x).__name__}")
+        n = len(re)
         if n == 0:
             raise ValueError("Gram matrix must be nonempty")
-        if any(len(row) != n for row in rows):
+        if len(im) != n or any(len(row) != n for part in (re, im) for row in part):
             raise ValueError("Gram matrix must be square")
         for j in range(n):
             for k in range(j, n):
-                if rows[j][k] != rows[k][j].conjugate():
+                if re[j][k] != re[k][j] or im[j][k] != -im[k][j]:
                     raise ValueError(f"matrix is not Hermitian at ({j}, {k})")
-        object.__setattr__(self, "entries", rows)
+        g = gcd(self.scale, *parts)
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "re", tuple(tuple(x // g for x in row) for row in re))
+        object.__setattr__(self, "im", tuple(tuple(x // g for x in row) for row in im))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[EntryLike]]) -> "GramMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        """The matrix with these entries, over the lcm of their denominators."""
+        z = [[GaussianRational.of(x) for x in row] for row in rows]
+        scale = lcm(*(x.denominator for row in z for e in row for x in (e.re, e.im)))
+        return cls(
+            scale,
+            [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in z],
+            [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in z],
+        )
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return len(self.re)
 
     def at(self, j: int, k: int) -> GaussianRational:
-        return self.entries[j][k]
+        return GaussianRational(
+            Fraction(self.re[j][k], self.scale), Fraction(self.im[j][k], self.scale)
+        )
 
 
 def quadratic_form(gram: GramMatrix, vector: Sequence[EntryLike]) -> GaussianRational:
@@ -214,19 +243,6 @@ class PsdCheckResult:
     pivots: Tuple[Fraction, ...]
 
 
-def _gram_integers(gram: GramMatrix) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """``(L, Tre, Tim)``: L the lcm of the entry denominators, Tre + i Tim = L G.
-
-    Each part is ``numerator * (L // denominator)``, so no Fraction is
-    multiplied.
-    """
-    rows = gram.entries
-    scale = lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
-    Tre = [[z.re.numerator * (scale // z.re.denominator) for z in row] for row in rows]
-    Tim = [[z.im.numerator * (scale // z.im.denominator) for z in row] for row in rows]
-    return scale, Tre, Tim
-
-
 def _witness(
     start: Dict[int, Tuple[int, int]], den: int, done: List[int],
     Tre: List[List[int]], Tim: List[List[int]],
@@ -257,10 +273,10 @@ def _witness(
 def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
     """Exact PSD test by pivoted, fraction-free elimination over the Gaussian integers.
 
-    The Gram matrix is scaled by L, the lcm of its entry denominators,
-    to an integer matrix T = L G (held as separate real and imaginary
-    parts); a positive scale changes neither the answer, the pivot
-    order nor the witness.  Pivoting on the largest remaining diagonal
+    It runs on a copy of the Gram matrix's integer form T = L G, with L
+    = ``gram.scale`` the lcm of its entry denominators (separate real and
+    imaginary parts); a positive scale changes neither the answer, the
+    pivot order nor the witness.  Pivoting on the largest remaining diagonal
     entry d (first index on a tie), each step replaces the remaining
     entries by T'[i][j] = (d T[i][j] - T[i][q] T[q][j]) / delta, with
     delta the previous pivot (1 at first): Bareiss' fraction-free form
@@ -277,7 +293,7 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
     zero diagonal with a nonzero off-diagonal entry s = S[i][j] gives
     u_j - s u_i, whose form value is exactly -2 |s|^2.
     """
-    scale, Tre, Tim = _gram_integers(gram)
+    scale, Tre, Tim = gram.scale, [list(r) for r in gram.re], [list(r) for r in gram.im]
     delta = 1
     remaining = list(range(gram.dimension))
     done: List[int] = []
@@ -362,16 +378,16 @@ class Certificate:
 
 
 def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
-    """Trace polynomial sum over j, k of G[j][k] times class(u_j u_k*)."""
+    """Trace polynomial sum over j, k of G[j][k] times class(u_j u_k*), summed
+    on the integers of L G (L = ``gram.scale``) and divided by L once per class."""
     if gram.dimension != block.dimension:
         raise ValueError(
             f"Gram dimension {gram.dimension} does not match basis size "
             f"{block.dimension}"
         )
-    scale, Tre, Tim = _gram_integers(gram)
     # each class's sum of L G entries, as integer [re, im]
     sums: Dict[CyclicClass, List[int]] = {}
-    for classes, row_re, row_im in zip(pair_classes(block), Tre, Tim):
+    for classes, row_re, row_im in zip(pair_classes(block), gram.re, gram.im):
         for cls, x, y in zip(classes, row_re, row_im):
             if not (x or y):
                 continue
@@ -382,7 +398,7 @@ def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
                 acc[0] += x
                 acc[1] += y
     terms = {
-        cls: GaussianRational(Fraction(x, scale), Fraction(y, scale))
+        cls: GaussianRational(Fraction(x, gram.scale), Fraction(y, gram.scale))
         for cls, (x, y) in sums.items()
         if x or y
     }

@@ -412,8 +412,10 @@ def bmv_coefficients(A, B, p: int) -> np.ndarray:
 
 
 def gram_to_complex(gram: GramMatrix) -> np.ndarray:
-    """Gram matrix as a complex128 array."""
-    rows = [[complex(z) for z in row] for row in gram.entries]
+    """Gram matrix as a complex128 array; each part is int / int, correctly rounded."""
+    s = gram.scale
+    rows = [[complex(x / s, y / s) for x, y in zip(a, b)]
+            for a, b in zip(gram.re, gram.im)]
     return np.array(rows, dtype=np.complex128)
 
 

@@ -109,7 +109,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals, so must hash like, its int or Fraction
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         """Numerator/denominator quadruple (re_num, re_den, im_num, im_den)."""

@@ -55,8 +55,8 @@ which rung is accepted.  The slack is ``FILTER_SLACK·(1 + Σ|T|)``, with
   LAPACK's backward error is O(d·eps·Σ|T|); both are far below the
   slack, so a twin eigenvalue below −slack means G_q fails too.
 
-Only a rung whose twin has no eigenvalue below −slack builds Python ints
-and Fractions, for ``verify_against``.
+Only a rung whose twin has no eigenvalue below −slack builds Python
+ints, the integer Gram matrices, for ``verify_against``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,8 +309,8 @@ def _exact_candidate(
     rounded sum s is added to each of its n entries, and each entry is
     replaced by the average of it and its transposed entry.  Over
     D = 2·q·lcm(counts) every share and every average is an integer, so
-    the flat numerators K hold Python ints and the Gram entries are
-    exactly K/D; ``goal`` must hold integers.
+    the flat numerators K hold Python ints and each block's Gram matrix
+    is ``GramMatrix(D, K_block, 0)``, exactly K/D; ``goal`` must hold integers.
     """
     lcm = math.lcm(*cmap.counts.tolist())
     ints = np.array([int(x) for x in rounded.tolist()], dtype=object)
@@ -322,7 +321,7 @@ def _exact_candidate(
     half = lcm * ints + shares[cmap.ids]
     K, denom = half + half[cmap.mirror], 2 * q * lcm
     grams = [
-        GramMatrix.from_rows([[Fraction(x, denom) for x in row] for row in M.tolist()])
+        GramMatrix(denom, M.tolist(), [[0] * len(M)] * len(M))
         for M in _blocks(K, cmap.runs)
     ]
     return Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
@@ -341,7 +340,7 @@ def _round_candidate(
     The float twin of the rounded point is checked first; a rung it
     rejects cannot pass the exact PSD check (see the module docstring)
     and is tallied under ``rungs_float_rejected``.  Any other rung is
-    tallied under ``rungs_exact``, and its certificate, with Fraction
+    tallied under ``rungs_exact``, and its certificate, with exact
     entries, is returned iff ``verify_against`` accepts it.
     """
     rounded = np.rint(q * v)

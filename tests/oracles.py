@@ -146,14 +146,21 @@ def scaled_identity(n, value):
     )
 
 
+def oracle_entries(gram):
+    """Every entry of ``gram`` as a GaussianRational, row by row, read through ``at``."""
+    n = gram.dimension
+    return [[gram.at(j, k) for k in range(n)] for j in range(n)]
+
+
 def scaled(gram, factor):
     """``factor`` times ``gram``; a non-real factor fails GramMatrix's Hermitian check."""
     factor = GaussianRational.of(factor)
-    return GramMatrix.from_rows([[x * factor for x in row] for row in gram.entries])
+    return GramMatrix.from_rows([[x * factor for x in row] for row in oracle_entries(gram)])
 
 
 def add(first, second):
     """Entrywise sum of two Gram matrices of one dimension."""
     return GramMatrix.from_rows(
-        [[x + y for x, y in zip(a, b)] for a, b in zip(first.entries, second.entries)]
+        [[x + y for x, y in zip(a, b)]
+         for a, b in zip(oracle_entries(first), oracle_entries(second))]
     )

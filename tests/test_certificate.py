@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from hurwitz_sos.certificate import (
     GramMatrix,
     PsdCheckResult,
     SandwichBlock,
-    _gram_integers,
     ansatz_from_json,
     bundled_certificate,
     bundled_path,
@@ -357,8 +357,8 @@ small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_entries = st.builds(GaussianRational, small_fracs, small_fracs)
 
 
-def draw_hermitian(draw, n, fracs=small_fracs):
-    """An n x n Hermitian Gram whose parts are drawn from ``fracs``."""
+def draw_hermitian_rows(draw, n, fracs=small_fracs):
+    """The rows of an n x n Hermitian matrix whose parts are drawn from ``fracs``."""
     rows = [[None] * n for _ in range(n)]
     for j in range(n):
         rows[j][j] = GaussianRational(draw(fracs))
@@ -366,7 +366,12 @@ def draw_hermitian(draw, n, fracs=small_fracs):
             x = GaussianRational(draw(fracs), draw(fracs))
             rows[j][k] = x
             rows[k][j] = x.conjugate()
-    return GramMatrix.from_rows(rows)
+    return rows
+
+
+def draw_hermitian(draw, n, fracs=small_fracs):
+    """An n x n Hermitian Gram whose parts are drawn from ``fracs``."""
+    return GramMatrix.from_rows(draw_hermitian_rows(draw, n, fracs))
 
 
 @st.composite
@@ -596,7 +601,57 @@ def test_gram_integers_scale_by_the_lcm():
         [[Fraction(1, 2), grat(Fraction(1, 3), Fraction(-1, 4))],
          [grat(Fraction(1, 3), Fraction(1, 4)), 5]]
     )
-    assert _gram_integers(G) == (12, [[6, 4], [4, 60]], [[0, -3], [3, 0]])
+    assert (G.scale, G.re, G.im) == (12, ((6, 4), (4, 60)), ((0, -3), (3, 0)))
+
+
+def test_gram_is_held_in_lowest_terms():
+    G = GramMatrix(2, [[14]], [[0]])
+    assert G == GramMatrix.from_rows([[7]]) and hash(G) == hash(GramMatrix.from_rows([[7]]))
+    assert (G.scale, G.re, G.im) == (1, ((7,),), ((0,),))
+    # the gcd runs over the scale and every part, imaginary ones included
+    H = GramMatrix(12, [[6, 4], [4, 60]], [[0, -3], [3, 0]])
+    assert (H.scale, H.re, H.im) == (12, ((6, 4), (4, 60)), ((0, -3), (3, 0)))
+    Z = GramMatrix(35, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert (Z.scale, Z.re, Z.im) == (1, ((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    assert Z == zeros(2)
+
+
+@st.composite
+def mixed_hermitian_rows(draw):
+    return draw_hermitian_rows(draw, draw(st.integers(min_value=1, max_value=4)), mixed_fracs)
+
+
+@given(mixed_hermitian_rows())
+def test_gram_at_round_trips_its_rows(rows):
+    G = GramMatrix.from_rows(rows)
+    n = len(rows)
+    assert G.dimension == n
+    for j in range(n):
+        for k in range(n):
+            assert G.at(j, k) == GaussianRational.of(rows[j][k])
+    assert GramMatrix(G.scale, G.re, G.im) == G
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, [[1]], [[0]]), ValueError, "scale must be positive"),
+    ((-1, [[1]], [[0]]), ValueError, "scale must be positive"),
+    ((True, [[1]], [[0]]), TypeError, "scale must be an int"),
+    ((1.5, [[1]], [[0]]), TypeError, "scale must be an int"),
+    ((1, [[1.0]], [[0]]), TypeError, "Gram parts must be ints"),
+    ((1, [[1]], [[False]]), TypeError, "Gram parts must be ints"),
+    ((1, [[1, 0]], [[0, 0]]), ValueError, "must be square"),
+    ((1, [[1, 0], [0, 1]], [[0]]), ValueError, "must be square"),
+    ((1, [[1, 2], [3, 1]], [[0, 0], [0, 0]]), ValueError, r"not Hermitian at \(0, 1\)"),
+    ((1, [[1, 0], [0, 1]], [[0, 0], [0, 1]]), ValueError, r"not Hermitian at \(1, 1\)"),
+    ((1, [], []), ValueError, "must be nonempty"),
+    ((np.int64(2), [[1]], [[0]]), TypeError, "scale must be an int"),
+    ((1, np.array([[1]]), [[0]]), TypeError, "Gram parts must be ints"),
+], ids=["scale-0", "scale-neg", "scale-bool", "scale-float", "float-part", "bool-part",
+        "re-not-square", "im-other-size", "re-asymmetric", "im-diagonal", "empty",
+        "numpy-scale", "numpy-part"])
+def test_gram_constructor_rejects(args, error, message):
+    with pytest.raises(error, match=message):
+        GramMatrix(*args)
 
 
 def test_expand_gram_dimension_mismatch():

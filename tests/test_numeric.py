@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -29,6 +30,7 @@ from hurwitz_sos.numeric import (
     random_psd,
     trace_hurwitz_numeric,
 )
+from hurwitz_sos.rational import grat
 from hurwitz_sos.words import check_word
 
 from oracles import ref_derive_seed, ref_gaussian, ref_hermitian, ref_psd, ref_splitmix64
@@ -524,6 +526,22 @@ def test_gram_to_complex():
     M = gram_to_complex(G)
     assert M.dtype == np.complex128
     assert np.allclose(M, np.array([[6, 6], [6, 2]], dtype=complex))
+
+
+def test_gram_to_complex_rounds_each_part_as_float_of_fraction():
+    big = Fraction(10**30 + 1, 3**40)
+    G = GramMatrix.from_rows([
+        [big, grat(Fraction(1, 3), Fraction(-2, 7)), 10**200],
+        [grat(Fraction(1, 3), Fraction(2, 7)), Fraction(-5, 3**40), 0],
+        [10**200, 0, Fraction(1, 10**300)],
+    ])
+    M = gram_to_complex(G)
+    for j in range(3):
+        for k in range(3):
+            z = G.at(j, k)
+            want = complex(float(z.re), float(z.im))
+            assert M[j, k].real.hex() == want.real.hex()
+            assert M[j, k].imag.hex() == want.imag.hex()
 
 
 def test_eval_certificate_matches_trace():

@@ -81,6 +81,15 @@ def test_hashable_key():
     assert d[grat(1, 2)] == "x"
 
 
+@pytest.mark.parametrize("x", [0, 1, -7, 10**30, Fraction(1, 3), Fraction(-22, 7)])
+def test_real_value_hashes_like_its_int_or_fraction(x):
+    z = GaussianRational.of(x)
+    assert z == x and hash(z) == hash(x)
+    assert len({z, x}) == 1
+    assert {x: "x"}[z] == "x" and {z: "z"}[x] == "z"
+    assert x in {z} and z in {x}
+
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
 )

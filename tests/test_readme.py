@@ -96,8 +96,8 @@ PUBLIC_API = (
 # from tests/oracles.py, and a determined ansatz goes through
 # feasibility_search.
 REMOVED = (
-    (certificate, ("reduce_pair", "gram_from_vectors")),
-    (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__")),
+    (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers")),
+    (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__", "entries")),
     (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream")),
     (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike")),

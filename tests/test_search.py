@@ -39,7 +39,7 @@ from hurwitz_sos.search import (
 )
 from hurwitz_sos.words import CyclicClass, hurwitz_expand
 
-from oracles import oracle_forced_grams, oracle_pair_class
+from oracles import oracle_entries, oracle_forced_grams, oracle_pair_class
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
@@ -349,7 +349,7 @@ def test_round_candidate_matches_verify_rule(p, r, blocks):
         # around a certificate the search finds, so some rungs accept
         found = feasibility_search(p, r, blocks, SearchOptions(seed=0)).certificate
         centre = [
-            np.array([[complex(x).real for x in row] for row in gram.entries])
+            np.array([[complex(x).real for x in row] for row in oracle_entries(gram)])
             for _block, gram in found.blocks
         ]
     else:
@@ -397,7 +397,7 @@ def test_twin_is_the_exact_candidate_up_to_float_error(p, r, blocks):
         for q in LADDER:
             twin = _project_affine(np.rint(q * flat(mats)), cmap, q * goal) / q
             exact = flat([
-                np.array([[float(x.re) for x in row] for row in gram.entries])
+                np.array([[float(x.re) for x in row] for row in oracle_entries(gram)])
                 for gram in oracle_grams(mats, cmap, target, q)
             ])
             bound = 16 * np.finfo(float).eps * (1.0 + np.abs(twin).sum())
@@ -534,7 +534,7 @@ def weyl_margin_setup():
     (block, gram), = cert.blocks
     cmap = build_constraint_map(7, 3, (block,))
     target = hurwitz_expand(7, 3)
-    G = np.array([[complex(x).real for x in row] for row in gram.entries])
+    G = np.array([[complex(x).real for x in row] for row in oracle_entries(gram)])
     return cert, cmap, target, G
 
 
@@ -698,6 +698,51 @@ def test_settled_round_happens_once(monkeypatch):
     assert settled.status is clock.status is SearchStatus.UNKNOWN
     assert settled.iterations == clock.iterations == 300
     assert visited_rungs(settled) == visited_rungs(clock) + len(LADDER)
+
+
+def fraction_grid_candidate(rounded, cmap, goal, q):
+    """The rung-q certificate built one Fraction per entry, in plain Python:
+    numerator K[i] = h[i] + h[mirror[i]] over D = 2·q·lcm(counts), with
+    h[i] = lcm·n_i + (lcm / counts[c])·(q·goal[c] − sum of class c's n),
+    n = rounded and c = ids[i]."""
+    ids, counts = cmap.ids.tolist(), cmap.counts.tolist()
+    lcm = math.lcm(*counts)
+    ints = [int(x) for x in rounded.tolist()]
+    sums = [0] * len(counts)
+    for c, x in zip(ids, ints):
+        sums[c] += x
+    half = [lcm * x + (lcm // counts[c]) * (q * int(goal[c]) - sums[c])
+            for c, x in zip(ids, ints)]
+    K = [h + half[m] for h, m in zip(half, cmap.mirror.tolist())]
+    D = 2 * q * lcm
+    grams, at = [], 0
+    for block in cmap.blocks:
+        d = block.dimension
+        grams.append(GramMatrix.from_rows(
+            [[Fraction(K[at + j * d + k], D) for k in range(d)] for j in range(d)]
+        ))
+        at += d * d
+    return Certificate(cmap.p, cmap.r, tuple(zip(cmap.blocks, grams)))
+
+
+@pytest.mark.parametrize("p, r, blocks", [
+    pytest.param(7, 3, (BLOCK_73,), id="p7r3"),
+    pytest.param(8, 4, full_ansatz(8, 4), id="p8r4-full"),
+])
+def test_exact_candidate_matches_the_fraction_grid(p, r, blocks):
+    cmap = build_constraint_map(p, r, blocks)
+    goal = class_goals(cmap, hurwitz_expand(p, r))
+    rng = np.random.default_rng(5)
+    points = [np.zeros(cmap.ids.size)] + [
+        rng.normal(scale=4.0, size=cmap.ids.size) for _ in range(3)
+    ]
+    for v in points:
+        v = (v + v[cmap.mirror]) / 2.0
+        for q in (1, 3, 16, 10_000):
+            rounded = np.rint(q * v)
+            got = _exact_candidate(rounded, cmap, goal, q)
+            want = fraction_grid_candidate(rounded, cmap, goal, q)
+            assert got == want and hash(got) == hash(want)
 
 
 # ------------------------------------------------------------------ determined path
