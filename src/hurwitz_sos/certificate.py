@@ -19,11 +19,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .rational import ZERO, GaussianRational
+from .rational import GaussianRational, _over_lcm
 from .words import (
     CyclicClass,
     TracePolynomial,
     _class_of,
+    _normal,
     check_degrees,
     check_word,
     hurwitz_expand,
@@ -209,22 +210,29 @@ class GramMatrix:
 
 
 def quadratic_form(gram: GramMatrix, vector: Sequence[EntryLike]) -> GaussianRational:
-    """Exact value of v* G v."""
+    """Exact value of v* G v.
+
+    With D the lcm of the denominators of v, w = D v has Gaussian
+    integer entries, so v* G v is w* (L G) w / (D^2 L), L = ``gram.scale``:
+    summed on ``gram.re`` and ``gram.im`` and divided once.
+    """
     v = tuple(GaussianRational.of(x) for x in vector)
     if len(v) != gram.dimension:
         raise ValueError(
             f"vector length {len(v)} does not match dimension {gram.dimension}"
         )
-    total = ZERO
-    for j in range(gram.dimension):
-        if v[j].is_zero:
-            continue
-        lhs = v[j].conjugate()
-        for k in range(gram.dimension):
-            if v[k].is_zero:
-                continue
-            total = total + lhs * gram.at(j, k) * v[k]
-    return total
+    D, parts = _over_lcm(v)
+    w = [(k, a, b) for k, (a, b) in enumerate(parts) if a or b]
+    re = im = 0
+    for j, a, b in w:
+        row_re, row_im = gram.re[j], gram.im[j]
+        # s = (L G w)_j, then conj(w_j) s = (a - i b) s
+        s_re = sum(row_re[k] * c - row_im[k] * e for k, c, e in w)
+        s_im = sum(row_re[k] * e + row_im[k] * c for k, c, e in w)
+        re += a * s_re + b * s_im
+        im += a * s_im - b * s_re
+    den = D * D * gram.scale
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @dataclass(frozen=True)
@@ -378,31 +386,21 @@ class Certificate:
 
 
 def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
-    """Trace polynomial sum over j, k of G[j][k] times class(u_j u_k*), summed
-    on the integers of L G (L = ``gram.scale``) and divided by L once per class."""
+    """Trace polynomial sum over j, k of G[j][k] times class(u_j u_k*): each
+    class's sum of the integer parts of L G (L = ``gram.scale``), over L."""
     if gram.dimension != block.dimension:
         raise ValueError(
             f"Gram dimension {gram.dimension} does not match basis size "
             f"{block.dimension}"
         )
-    # each class's sum of L G entries, as integer [re, im]
-    sums: Dict[CyclicClass, List[int]] = {}
+    # each class's sum of L G entries, as integer (re, im)
+    sums: Dict[CyclicClass, Tuple[int, int]] = {}
     for classes, row_re, row_im in zip(pair_classes(block), gram.re, gram.im):
         for cls, x, y in zip(classes, row_re, row_im):
-            if not (x or y):
-                continue
-            acc = sums.get(cls)
-            if acc is None:
-                sums[cls] = [x, y]
-            else:
-                acc[0] += x
-                acc[1] += y
-    terms = {
-        cls: GaussianRational(Fraction(x, gram.scale), Fraction(y, gram.scale))
-        for cls, (x, y) in sums.items()
-        if x or y
-    }
-    return TracePolynomial._from_canonical(block.product_degree, terms)
+            if x or y:
+                u, v = sums.get(cls, (0, 0))
+                sums[cls] = (u + x, v + y)
+    return TracePolynomial._wrap(block.product_degree, *_normal(gram.scale, sums))
 
 
 def certificate_expansion(cert: Certificate) -> TracePolynomial:

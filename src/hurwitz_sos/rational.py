@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -134,9 +135,18 @@ class GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
 
 
 def grat(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
     """Shorthand constructor."""
     return GaussianRational(_frac(re), _frac(im))
+
+
+def _over_lcm(values: Sequence[GaussianRational]) -> Tuple[int, List[Tuple[int, int]]]:
+    """L, the lcm of the denominators of ``values``, and L times each value as int parts."""
+    scale = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    return scale, [
+        (v.re.numerator * (scale // v.re.denominator),
+         v.im.numerator * (scale // v.im.denominator))
+        for v in values
+    ]

@@ -183,7 +183,7 @@ def build_constraint_map(
 
 def _check_reachable(cmap: ConstraintMap, target: TracePolynomial) -> None:
     reachable = set(cmap.classes)
-    missing = sorted(cls for cls, _ in target.items() if cls not in reachable)
+    missing = [cls for cls in target.support() if cls not in reachable]
     if missing:
         names = ", ".join(str(c) for c in missing)
         raise UnreachableTargetError(

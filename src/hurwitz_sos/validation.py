@@ -40,6 +40,9 @@ from .numeric import (
     trace_hurwitz_numeric,
 )
 
+# the coefficient runner's relative roundoff allowance, reported as ``tol``
+_COEFFICIENT_TOL = 1e-9
+
 
 def _check_tolerance(name: str, tol: object) -> None:
     """Accept an int or float whose float value is finite and positive."""
@@ -78,8 +81,8 @@ class TrialConfig:
     counts random trials per dimension for the certificate runner and
     total trials (cycled over the dimensions) for the coefficient
     runner.  Only the certificate runner reads ``tol_rel``;
-    ``bmv_check_trials`` takes its own ``tol``.  ``trials`` and each of
-    the nonempty ``dims`` must be positive ints and ``seed`` must lie in
+    ``bmv_check_trials`` uses a fixed 1e-9.  ``trials`` and each of the
+    nonempty ``dims`` must be positive ints and ``seed`` must lie in
     [0, 2**64); a bad value raises ``ValueError`` naming it.  Each runner
     also rejects a seed whose trial seeds, seed, seed + 1, ..., one per
     random trial it runs, would reach 2**64.
@@ -283,10 +286,10 @@ class CoefficientReport(_Report):
 
 
 def _coefficient_row(
-    p: int, n: int, trial_seed: int, coeffs: List[float], tol: float
+    p: int, n: int, trial_seed: int, coeffs: List[float]
 ) -> CoefficientRow:
     """Check one pair's p+1 coefficients, as Python floats, for nonnegativity."""
-    threshold = tol * (1.0 + max(map(abs, coeffs)))
+    threshold = _COEFFICIENT_TOL * (1.0 + max(map(abs, coeffs)))
     smallest = min(coeffs)
     return CoefficientRow(
         p=p,
@@ -299,16 +302,16 @@ def _coefficient_row(
     )
 
 
-def bmv_check_trials(p: int, config: TrialConfig, tol: float = 1e-9) -> CoefficientReport:
+def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
     """Run ``config.trials`` coefficient nonnegativity trials for degree p.
 
     Dimensions cycle through ``config.dims`` so the trial count is the
     total, not per dimension.  Each row records the seed that generated
-    its PSD pair, so any failure can be replayed exactly.  ``tol`` must
-    be a finite positive number.
+    its PSD pair, so any failure can be replayed exactly.  A row passes
+    when its smallest coefficient is at least -``_COEFFICIENT_TOL`` times
+    (1 + its largest magnitude).
     """
     check_degrees(p, 0)
-    _check_tolerance("tol", tol)
     _check_trial_seeds(config.seed, config.trials)
     dims = [config.dims[t % len(config.dims)] for t in range(config.trials)]
     rows: List[Optional[CoefficientRow]] = [None] * config.trials
@@ -316,5 +319,5 @@ def bmv_check_trials(p: int, config: TrialConfig, tol: float = 1e-9) -> Coeffici
         seeds = [config.seed + t for t in indices]
         A, B = trial_pair(n, seeds)
         for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p).tolist()):
-            rows[t] = _coefficient_row(p, n, seed, coeffs, tol)
-    return CoefficientReport(rows=tuple(rows), tol=tol)
+            rows[t] = _coefficient_row(p, n, seed, coeffs)
+    return CoefficientReport(rows=tuple(rows), tol=_COEFFICIENT_TOL)

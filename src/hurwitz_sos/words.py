@@ -4,17 +4,18 @@ A word stands for the product of the matrices it spells.  Because the
 trace is invariant under cyclic rotation, words of a fixed length fall
 into classes, and a class *is* the string of its lexicographically least
 rotation (with A < B): ``CyclicClass`` is a ``str`` subclass holding that
-rotation.  Linear combinations of those classes are the currency the
-rest of the package trades in.
+rotation.  Linear combinations of those classes, ``TracePolynomial``,
+are the currency the rest of the package trades in; like a Gram matrix,
+one is held as integers over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
-from .rational import ONE, GaussianRational, ZERO
+from .rational import GaussianRational, ZERO, _over_lcm
 
 ALPHABET = "AB"
 _SWAP_TABLE = str.maketrans("AB", "BA")
@@ -116,6 +117,8 @@ def _class_of(word: str) -> CyclicClass:
 
 
 CoefficientLike = Union[int, Fraction, GaussianRational]
+# each class's integer parts (re, im) over a polynomial's scale
+_Parts = Dict[CyclicClass, Tuple[int, int]]
 
 
 def reverse_class(cls: str) -> CyclicClass:
@@ -126,12 +129,15 @@ def reverse_class(cls: str) -> CyclicClass:
 class TracePolynomial:
     """Exact linear combination of cyclic classes sharing one word length.
 
-    Immutable in practice: arithmetic returns new instances and zero
-    coefficients are pruned, so equality is coefficient-by-coefficient
-    equality of the stored maps.
+    Held like a ``GramMatrix``: a class's coefficient is (re + i im) /
+    scale, with int parts (re, im) and one positive int scale.  The form
+    is normal: no parts (0, 0), and no factor shared by the scale and
+    all parts, so equal polynomials have equal fields and hashes.
+    Arithmetic works on the integers and returns new instances; a
+    coefficient becomes a GaussianRational when it is read.
     """
 
-    __slots__ = ("_degree", "_terms")
+    __slots__ = ("_degree", "_scale", "_parts")
 
     def __init__(
         self,
@@ -139,37 +145,26 @@ class TracePolynomial:
         terms: Optional[Mapping[str, CoefficientLike]] = None,
     ) -> None:
         check_positive_int(degree, "degree")
+        coeffs: Dict[CyclicClass, GaussianRational] = {}
+        for key, value in (terms or {}).items():
+            cls = CyclicClass(key)
+            if cls.length != degree:
+                raise ValueError(
+                    f"class {cls} has length {cls.length}, expected {degree}"
+                )
+            coeffs[cls] = coeffs.get(cls, ZERO) + GaussianRational.of(value)
+        scale, parts = _over_lcm(list(coeffs.values()))
         self._degree = degree
-        data: Dict[CyclicClass, GaussianRational] = {}
-        if terms:
-            for key, value in terms.items():
-                cls = CyclicClass(key)
-                if cls.length != degree:
-                    raise ValueError(
-                        f"class {cls} has length {cls.length}, expected {degree}"
-                    )
-                coeff = GaussianRational.of(value)
-                if cls in data:
-                    coeff = data[cls] + coeff
-                if coeff.is_zero:
-                    data.pop(cls, None)
-                else:
-                    data[cls] = coeff
-        self._terms = data
+        self._scale, self._parts = _normal(scale, dict(zip(coeffs, parts)))
 
     @classmethod
-    def _from_canonical(
-        cls, degree: int, terms: Dict[CyclicClass, GaussianRational]
-    ) -> "TracePolynomial":
-        """Wrap ``terms`` as they are, without the checks of ``__init__``.
-
-        Every key must be a class of length ``degree`` and every value a
-        nonzero GaussianRational.  The dict is kept, not copied, so the
-        caller hands over a fresh one.
-        """
+    def _wrap(cls, degree: int, scale: int, parts: _Parts) -> "TracePolynomial":
+        """Wrap normal integer parts (see ``_normal``) of classes of length
+        ``degree`` as they are, unchecked; the dict is kept, not copied."""
         poly = object.__new__(cls)
         poly._degree = degree
-        poly._terms = terms
+        poly._scale = scale
+        poly._parts = parts
         return poly
 
     @property
@@ -178,44 +173,40 @@ class TracePolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
+
+    def _value(self, x: int, y: int) -> GaussianRational:
+        return GaussianRational(Fraction(x, self._scale), Fraction(y, self._scale))
 
     def coefficient(self, key: str) -> GaussianRational:
-        return self._terms.get(CyclicClass(key), ZERO)
+        xy = self._parts.get(CyclicClass(key))
+        return ZERO if xy is None else self._value(*xy)
 
     def items(self) -> Tuple[Tuple[CyclicClass, GaussianRational], ...]:
-        """Terms sorted by representative."""
-        return tuple(sorted(self._terms.items()))
+        """Terms sorted by representative; classes with equal parts share one value."""
+        value = {xy: self._value(*xy) for xy in set(self._parts.values())}
+        return tuple((cls, value[xy]) for cls, xy in sorted(self._parts.items()))
 
     def support(self) -> Tuple[CyclicClass, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._parts))
 
     def total(self) -> GaussianRational:
-        """Sum of all coefficients.
-
-        Each of the real and imaginary parts is summed over integers:
-        with L the lcm of its denominators, it is the sum of every
-        ``numerator * (L // denominator)``, divided by L once.
-        """
-        values = self._terms.values()
-        parts = []
-        for part in ([v.re for v in values], [v.im for v in values]):
-            scale = lcm(*(x.denominator for x in part))
-            parts.append(
-                Fraction(sum(x.numerator * (scale // x.denominator) for x in part), scale)
-            )
-        return GaussianRational(*parts)
+        """Sum of all coefficients: the integer parts summed, over the scale once."""
+        values = self._parts.values()
+        return self._value(sum(x for x, _ in values), sum(y for _, y in values))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TracePolynomial):
             return NotImplemented
-        return self._degree == other._degree and self._terms == other._terms
+        return (self._degree, self._scale, self._parts) == (
+            other._degree, other._scale, other._parts
+        )
 
     def __hash__(self) -> int:
-        return hash((self._degree, frozenset(self._terms.items())))
+        return hash((self._degree, self._scale, frozenset(self._parts.items())))
 
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
         if not isinstance(other, TracePolynomial):
@@ -224,23 +215,16 @@ class TracePolynomial:
             raise ValueError(
                 f"degree mismatch: {self._degree} vs {other._degree}"
             )
-        merged: Dict[CyclicClass, GaussianRational] = dict(self._terms)
-        for cls, value in other._terms.items():
-            previous = merged.get(cls)
-            if previous is None:
-                merged[cls] = value
-                continue
-            total = previous + value
-            if total.is_zero:
-                del merged[cls]
-            else:
-                merged[cls] = total
-        return TracePolynomial._from_canonical(self._degree, merged)
+        scale = lcm(self._scale, other._scale)
+        a, b = scale // self._scale, scale // other._scale
+        parts = {cls: (x * a, y * a) for cls, (x, y) in self._parts.items()}
+        for cls, (x, y) in other._parts.items():
+            u, v = parts.get(cls, (0, 0))
+            parts[cls] = (u + x * b, v + y * b)
+        return TracePolynomial._wrap(self._degree, *_normal(scale, parts))
 
     def __neg__(self) -> "TracePolynomial":
-        return TracePolynomial._from_canonical(
-            self._degree, {cls: -value for cls, value in self._terms.items()}
-        )
+        return self.scaled(-1)
 
     def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
         if not isinstance(other, TracePolynomial):
@@ -248,18 +232,26 @@ class TracePolynomial:
         return self + (-other)
 
     def scaled(self, factor: CoefficientLike) -> "TracePolynomial":
-        factor = GaussianRational.of(factor)
-        if factor.is_zero:
-            return TracePolynomial(self._degree)
-        # a product of nonzero Gaussian rationals is nonzero
-        return TracePolynomial._from_canonical(
-            self._degree,
-            {cls: value * factor for cls, value in self._terms.items()},
-        )
+        # factor = (u + i v) / w over the lcm w of its denominators
+        w, ((u, v),) = _over_lcm([GaussianRational.of(factor)])
+        parts = {
+            cls: (x * u - y * v, x * v + y * u) for cls, (x, y) in self._parts.items()
+        }
+        return TracePolynomial._wrap(self._degree, *_normal(self._scale * w, parts))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{cls}: {value}" for cls, value in self.items())
         return f"TracePolynomial({self._degree}, {{{body}}})"
+
+
+def _normal(scale: int, parts: _Parts) -> Tuple[int, _Parts]:
+    """The normal form of integer parts over ``scale``: zero terms dropped,
+    then the scale and the parts divided by their gcd."""
+    kept = {cls: (x, y) for cls, (x, y) in parts.items() if x or y}
+    g = gcd(scale, *(x for xy in kept.values() for x in xy))
+    if g == 1:
+        return scale, kept
+    return scale // g, {cls: (x // g, y // g) for cls, (x, y) in kept.items()}
 
 
 def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
@@ -337,18 +329,13 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
 
     The walk spells each class's least rotation as it goes, so every
     word becomes a class as it is, and the classes sharing a period q
-    share one coefficient object.
+    share one (multiplicity, 0) pair of integer parts over scale 1.
     """
     check_degrees(p, r)
     if r == 0:
-        return TracePolynomial._from_canonical(p, {CyclicClass._trusted("A" * p): ONE})
-    weights = {
-        q: GaussianRational(Fraction(p * q // r)) for q in range(1, r + 1) if r % q == 0
-    }
-    return TracePolynomial._from_canonical(
-        p,
-        {
-            CyclicClass._trusted(word): weights[q]
-            for word, q in _necklace_words(r, p - r)
-        },
-    )
+        return TracePolynomial._wrap(p, 1, {CyclicClass._trusted("A" * p): (1, 0)})
+    # already normal: scale 1 and every multiplicity positive
+    weights = {q: (p * q // r, 0) for q in range(1, r + 1) if r % q == 0}
+    words = _necklace_words(r, p - r)
+    parts = {CyclicClass._trusted(word): weights[q] for word, q in words}
+    return TracePolynomial._wrap(p, 1, parts)

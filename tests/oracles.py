@@ -3,10 +3,10 @@
 The ``ref_*`` and ``oracle_*`` functions redo a package job by another
 route, written out step by step: the scalar SplitMix64 and seed
 derivation, the one-seed samplers, the by-hand reduction of a sandwich
-pair, the Gram matrices a target forces on a determined ansatz and the
-letter swap of a polynomial.  The Gram builders assemble test inputs.
-The package calls none of them; the tests compare its results against
-them.
+pair, the Gram matrices a target forces on a determined ansatz, the
+letter swap of a polynomial and the entrywise quadratic form.  The Gram
+builders assemble test inputs.  The package calls none of them; the
+tests compare its results against them.
 """
 
 import math
@@ -133,6 +133,16 @@ def gram_from_vectors(vectors):
             for k in range(dim):
                 rows[j][k] = rows[j][k] + v[j] * v[k].conjugate()
     return GramMatrix.from_rows(rows)
+
+
+def oracle_quadratic_form(gram, vector):
+    """v* G v as a sum of d^2 GaussianRational products, one entry at a time."""
+    v = tuple(GaussianRational.of(x) for x in vector)
+    total = ZERO
+    for j in range(gram.dimension):
+        for k in range(gram.dimension):
+            total = total + v[j].conjugate() * gram.at(j, k) * v[k]
+    return total
 
 
 def zeros(n):

@@ -187,9 +187,7 @@ def test_criterion_6_certificates_match_brute_force():
 def test_criterion_7_coefficient_nonnegativity():
     def check():
         for p in (5, 6, 7):
-            report = bmv_check_trials(
-                p, TrialConfig(seed=p, dims=(2, 3, 4), trials=500), tol=1e-9
-            )
+            report = bmv_check_trials(p, TrialConfig(seed=p, dims=(2, 3, 4), trials=500))
             assert report.all_passed, (
                 f"p={p}: {[row.format_line() for row in report.failures[:3]]}"
             )

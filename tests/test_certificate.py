@@ -40,6 +40,7 @@ from oracles import (
     add,
     gram_from_vectors,
     oracle_pair_class,
+    oracle_quadratic_form,
     scaled,
     scaled_identity,
     swap_letters,
@@ -297,7 +298,7 @@ def test_quadratic_form_frozen():
     assert quadratic_form(G, (1, -1)) == grat(-4)
     assert quadratic_form(G, (1, 0)) == grat(6)
     assert quadratic_form(G, (grat(0, 1), 0)) == grat(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector length 3 does not match dimension 2"):
         quadratic_form(G, (1, 0, 0))
 
 
@@ -619,6 +620,17 @@ def test_gram_is_held_in_lowest_terms():
 @st.composite
 def mixed_hermitian_rows(draw):
     return draw_hermitian_rows(draw, draw(st.integers(min_value=1, max_value=4)), mixed_fracs)
+
+
+@given(st.data())
+def test_quadratic_form_matches_entrywise_oracle(data):
+    # complex Hermitian Grams, complex vectors over mixed denominators; zero
+    # entries come up often, and an all-zero vector now and then
+    rows = data.draw(mixed_hermitian_rows())
+    gram = GramMatrix.from_rows(rows)
+    entry = st.one_of(st.just(ZERO), st.builds(GaussianRational, mixed_fracs, mixed_fracs))
+    vector = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    assert quadratic_form(gram, vector) == oracle_quadratic_form(gram, vector)
 
 
 @given(mixed_hermitian_rows())

@@ -120,6 +120,20 @@ def test_verify_residual_failure(tmp_path, capsys):
     assert out.strip().endswith("FAILED")
 
 
+def test_verify_json_pins_a_fractional_complex_residual(tmp_path, capsys):
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    # pair (1, 2) reduces to AAABBAB and pair (2, 1) to its reverse
+    # AAABABB, so the imaginary parts land in two classes and do not cancel
+    doc["blocks"][0]["gram"][1][2] = {"re": [15, 2], "im": [1, 3]}
+    doc["blocks"][0]["gram"][2][1] = {"re": [15, 2], "im": [-1, 3]}
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--cert", str(path), "--format", "json"]) == EXIT_FAIL
+    out = json.loads(capsys.readouterr().out)
+    assert out["matched"] is False
+    assert out["residual"] == {"AAABABB": [1, 2, -1, 3], "AAABBAB": [1, 2, 1, 3]}
+
+
 def test_verify_non_psd_failure(tmp_path, capsys):
     doc = certificate_to_json(bundled_certificate("p7r1.json"))
     doc["blocks"][0]["gram"][0][0] = {"re": [-7, 1], "im": [0, 1]}

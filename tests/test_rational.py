@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hurwitz_sos.rational import ONE, ZERO, GaussianRational, grat
+from hurwitz_sos.rational import ZERO, GaussianRational, grat
 
 
 def test_construction_and_coercion():
@@ -26,7 +26,7 @@ def test_rejects_floats():
 
 def test_predicates():
     assert ZERO.is_zero and ZERO.is_real
-    assert ONE.is_real and not ONE.is_zero
+    assert grat(1).is_real and not grat(1).is_zero
     assert not grat(0, 1).is_real
     assert bool(grat(0, 1)) and not bool(ZERO)
 

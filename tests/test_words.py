@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hurwitz_sos.certificate import GramMatrix, SandwichBlock, expand_gram
 from hurwitz_sos.rational import grat
 from hurwitz_sos.words import (
     CyclicClass,
@@ -189,14 +190,31 @@ def rebuilt(pairs):
 @given(length_4_terms, length_4_terms, small_coeffs)
 def test_trace_polynomial_arithmetic_matches_checked_constructor(a_terms, b_terms, factor):
     # +, - and scaled build their results unchecked; equality with the
-    # checked constructor, which prunes zeros, also rules out a kept zero
+    # checked constructor, whose form is normal, also rules out a kept
+    # zero or a common factor left in the scale
     a, b = TracePolynomial(4, a_terms), TracePolynomial(4, b_terms)
     assert a == rebuilt(a_terms.items())
     assert a + b == rebuilt(list(a.items()) + list(b.items()))
     assert a - b == rebuilt(list(a.items()) + [(c, -v) for c, v in b.items()])
     assert -a == rebuilt((c, -v) for c, v in a.items())
     assert a.scaled(factor) == rebuilt((c, v * factor) for c, v in a.items())
-    assert all(not v.is_zero for v in (a + b).scaled(factor)._terms.values())
+    total = a + b
+    assert total - b == a and hash(total - b) == hash(a)
+
+
+def test_trace_polynomial_normal_form():
+    # equal coefficients written over different denominators and words
+    a = TracePolynomial(2, {"AB": Fraction(2, 4)})
+    b = TracePolynomial(2, {"BA": Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b)
+    # scale 4 stays after the Gram's own reduction, but both class sums
+    # are even: AABB gets G00 + G11 = 1 and ABAB gets G01 + G10 = 1/2
+    block = SandwichBlock(None, None, ("AB", "BA"))
+    gram = GramMatrix(4, [[1, 1], [1, 3]], [[0, 1], [-1, 0]])
+    assert gram.scale == 4
+    expanded = expand_gram(block, gram)
+    checked = TracePolynomial(4, {"AABB": 1, "ABAB": Fraction(1, 2)})
+    assert expanded == checked and hash(expanded) == hash(checked)
 
 
 def test_trace_polynomial_total():
