@@ -16,7 +16,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rational import GaussianRational, _over_lcm
@@ -56,8 +56,11 @@ class SandwichBlock:
     """A sandwich shape: optional half letters around a basis of core words.
 
     Basis entry ``W`` stands for the matrix product prefix * W * suffix
-    (half letters included), so the trace of one sandwich against the
-    adjoint of another is a single full-letter word.
+    (half letters included).  The trace of sandwich j against the adjoint
+    of sandwich k is the single full-letter word
+    W_j [suffix^2] reverse(W_k) [prefix^2], and this one rule fixes both
+    the pair classes and the shape: the block fits (p, r) when every such
+    word has length p and r B letters.
     """
 
     prefix: Optional[str]
@@ -85,46 +88,41 @@ class SandwichBlock:
     def dimension(self) -> int:
         return len(self.basis)
 
-    @property
-    def core_length(self) -> int:
-        return len(self.basis[0])
-
-    @property
-    def half_count(self) -> int:
-        return (self.prefix is not None) + (self.suffix is not None)
+    def _pair_parts(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The heads W_j [suffix^2] and tails reverse(W_k) [prefix^2]: pair
+        (j, k) reduces to the word heads[j] + tails[k]."""
+        suffix, prefix = _HALF_SQUARED[self.suffix], _HALF_SQUARED[self.prefix]
+        heads = tuple(word + suffix for word in self.basis)
+        tails = tuple(word[::-1] + prefix for word in self.basis)
+        return heads, tails
 
     @property
     def product_degree(self) -> int:
         """Length of the full-letter word each sandwich pair reduces to."""
-        return 2 * self.core_length + self.half_count
-
-    def product_b_count(self, word: str) -> int:
-        """B letters in the reduction of ``word`` against itself."""
-        halves = (self.prefix == "b") + (self.suffix == "b")
-        return 2 * word.count("B") + halves
+        heads, tails = self._pair_parts()
+        return len(heads[0] + tails[0])
 
     def check_shape(self, p: int, r: int, name: str = "block") -> None:
-        """Raise AnsatzMismatchError unless every pair reduces to degree p with r B's."""
-        if self.product_degree != p:
+        """Raise AnsatzMismatchError unless every pair reduces to degree p with r B's.
+
+        The basis words share one length, so every pair word has the
+        length of the first, and the B count of pair (j, k) is the mean of
+        those of pairs (j, j) and (k, k): the diagonal pairs decide it.
+        """
+        heads, tails = self._pair_parts()
+        degree = len(heads[0] + tails[0])
+        if degree != p:
             raise AnsatzMismatchError(
-                f"{name}: sandwich products have length {self.product_degree}, "
+                f"{name}: sandwich products have length {degree}, "
                 f"target degree is {p}"
             )
-        for word in self.basis:
-            got = self.product_b_count(word)
+        for word, head, tail in zip(self.basis, heads, tails):
+            got = (head + tail).count("B")
             if got != r:
                 raise AnsatzMismatchError(
                     f"{name}: word {word!r} yields products with {got} B letters, "
                     f"target needs {r}"
                 )
-
-
-def _pair_head(block: SandwichBlock, word: str) -> str:
-    return word + _HALF_SQUARED[block.suffix]
-
-
-def _pair_tail(block: SandwichBlock, word: str) -> str:
-    return word[::-1] + _HALF_SQUARED[block.prefix]
 
 
 def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
@@ -133,14 +131,13 @@ def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
 
     With u = prefix W suffix, cyclicity moves the trailing prefix* = prefix
     of the adjoint factor to the front, and adjacent identical half
-    letters square to the full letter, leaving
-    W_j [suffix^2] reverse(W_k) [prefix^2].  The reversed basis words
-    are built once, and each pair word goes through one least rotation
-    without the letter check: the block checked its basis words when it
-    was built.
+    letters square to the full letter, leaving the pair word
+    W_j [suffix^2] reverse(W_k) [prefix^2], the block's one pair rule,
+    built as heads[j] + tails[k] from ``SandwichBlock._pair_parts``.  Each
+    pair word goes through one least rotation without the letter check:
+    the block checked its basis words when it was built.
     """
-    heads = [_pair_head(block, word) for word in block.basis]
-    tails = [_pair_tail(block, word) for word in block.basis]
+    heads, tails = block._pair_parts()
     return tuple(tuple(_class_of(head + tail) for tail in tails) for head in heads)
 
 
@@ -192,11 +189,13 @@ class GramMatrix:
     def from_rows(cls, rows: Iterable[Iterable[EntryLike]]) -> "GramMatrix":
         """The matrix with these entries, over the lcm of their denominators."""
         z = [[GaussianRational.of(x) for x in row] for row in rows]
-        scale = lcm(*(x.denominator for row in z for e in row for x in (e.re, e.im)))
+        scale, parts = _over_lcm([e for row in z for e in row])
+        cells = iter(parts)
+        grid = [[next(cells) for _ in row] for row in z]
         return cls(
             scale,
-            [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in z],
-            [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in z],
+            [[re for re, _ in row] for row in grid],
+            [[im for _, im in row] for row in grid],
         )
 
     @property

@@ -2,14 +2,16 @@
 
 The ``ref_*`` and ``oracle_*`` functions redo a package job by another
 route, written out step by step: the scalar SplitMix64 and seed
-derivation, the one-seed samplers, the by-hand reduction of a sandwich
-pair, the Gram matrices a target forces on a determined ansatz, the
-letter swap of a polynomial and the entrywise quadratic form.  The Gram
-builders assemble test inputs.  The package calls none of them; the
-tests compare its results against them.
+derivation, the one-seed samplers, the word-sum trace over every word,
+the by-hand reduction of a sandwich pair, the Gram matrices a target
+forces on a determined ansatz, the letter swap of a polynomial and the
+entrywise quadratic form.  ``words_with`` and the Gram builders assemble
+test inputs.  The package calls none of them; the tests compare its
+results against them.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -78,6 +80,26 @@ def ref_psd(n, seed):
 
 
 # ------------------------------------------------------------------ words
+
+def words_with(length, b_count):
+    """All words of ``length`` letters with ``b_count`` B's."""
+    return tuple(
+        "".join("B" if i in pos else "A" for i in range(length))
+        for pos in combinations(range(length), b_count)
+    )
+
+
+def oracle_trace(A, B, p, r):
+    """The word-sum trace by brute force: the sum of Tr(W) over the words
+    W of length p with r B's, each a product of matrices, as a complex."""
+    total = 0.0 + 0.0j
+    for word in words_with(p, r):
+        M = np.eye(A.shape[0], dtype=complex)
+        for letter in word:
+            M = M @ (B if letter == "B" else A)
+        total += np.trace(M)
+    return total
+
 
 def oracle_least_rotation(word):
     return sorted(word[i:] + word[:i] for i in range(len(word)))[0]

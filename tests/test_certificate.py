@@ -44,19 +44,12 @@ from oracles import (
     scaled,
     scaled_identity,
     swap_letters,
+    words_with,
     zeros,
 )
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 GRAM_73 = GramMatrix.from_rows([[7, 0, 0], [0, 7, 7], [0, 7, 7]])
-
-
-def words_with(length, b_count):
-    """All words of ``length`` letters with ``b_count`` B's."""
-    return tuple(
-        "".join("B" if i in pos else "A" for i in range(length))
-        for pos in combinations(range(length), b_count)
-    )
 
 
 CORE_4 = words_with(4, 1)
@@ -160,18 +153,50 @@ def test_block_validation():
 
 def test_block_shape_accounting():
     assert BLOCK_73.dimension == 3
-    assert BLOCK_73.core_length == 3
     assert BLOCK_73.product_degree == 7
-    assert BLOCK_73.product_b_count("AAB") == 3
     BLOCK_73.check_shape(7, 3)
-    with pytest.raises(AnsatzMismatchError):
+    with pytest.raises(
+        AnsatzMismatchError,
+        match=r"^block: sandwich products have length 7, target degree is 6$",
+    ):
         BLOCK_73.check_shape(6, 3)
-    with pytest.raises(AnsatzMismatchError):
+    with pytest.raises(
+        AnsatzMismatchError,
+        match=r"^block: word 'AAB' yields products with 3 B letters, target needs 2$",
+    ):
         BLOCK_73.check_shape(7, 2)
     both = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
     assert both.product_degree == 6
-    assert both.product_b_count("AB") == 3
     both.check_shape(6, 3)
+
+
+@st.composite
+def shaped_blocks(draw):
+    # 1-4 distinct words of one length, of one B count or, half the time,
+    # possibly of two
+    length = draw(st.integers(min_value=1, max_value=4))
+    pool = list(words_with(length, draw(st.integers(min_value=0, max_value=length))))
+    if draw(st.booleans()):
+        pool += words_with(length, draw(st.integers(min_value=0, max_value=length)))
+    basis = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    half = st.sampled_from((None, "a", "b"))
+    return SandwichBlock(draw(half), draw(half), tuple(basis))
+
+
+@given(shaped_blocks(), st.integers(min_value=-1, max_value=1), st.integers(min_value=-1, max_value=1))
+def test_check_shape_agrees_with_pair_words(block, dp, dr):
+    # the shape check passes exactly when every by-hand pair word has
+    # length p and r B's; (p, r) lies next to the shape of pair (0, 0)
+    d = block.dimension
+    words = [oracle_pair_class(block, j, k) for j in range(d) for k in range(d)]
+    p, r = len(words[0]) + dp, words[0].count("B") + dr
+    fits = all(len(word) == p and word.count("B") == r for word in words)
+    try:
+        block.check_shape(p, r)
+    except AnsatzMismatchError:
+        assert not fits
+    else:
+        assert fits
 
 
 def test_pair_classes_frozen_three_word_block():

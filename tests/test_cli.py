@@ -377,6 +377,28 @@ def test_search_shape_mismatch(tmp_path, capsys):
     assert main(["search", "--ansatz", str(path), "-p", "6", "-r", "3"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "p,basis,message",
+    [
+        (8, ["AAB", "ABA", "BAA"],
+         "block 0: sandwich products have length 7, target degree is 8"),
+        (7, ["AAB", "ABB"],
+         "block 0: word 'ABB' yields products with 5 B letters, target needs 3"),
+    ],
+    ids=["degree", "b-count"],
+)
+def test_search_shape_mismatch_message(tmp_path, capsys, p, basis, message):
+    # each shape error is one line naming the block, before any search
+    path = tmp_path / "misshaped.json"
+    path.write_text(
+        json.dumps({"p": p, "r": 3, "blocks": [{"prefix": "b", "suffix": None, "basis": basis}]})
+    )
+    assert main(["search", "--ansatz", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed(three_word_ansatz, capsys, seed):
     for command in (

@@ -1,5 +1,3 @@
-from itertools import product
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +7,7 @@ from hurwitz_sos.kernels import hurwitz_trace
 from hurwitz_sos.numeric import gaussian_stream, random_psd
 from hurwitz_sos.words import hurwitz_expand
 
-
-def oracle_trace(A, B, p, r):
-    total = 0.0 + 0.0j
-    for bits in product((0, 1), repeat=p):
-        if sum(bits) != r:
-            continue
-        M = np.eye(A.shape[0], dtype=complex)
-        for b in bits:
-            M = M @ (B if b else A)
-        total += np.trace(M)
-    return total
+from oracles import oracle_trace
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import math
 import re
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -33,7 +32,14 @@ from hurwitz_sos.numeric import (
 from hurwitz_sos.rational import grat
 from hurwitz_sos.words import check_word
 
-from oracles import ref_derive_seed, ref_gaussian, ref_hermitian, ref_psd, ref_splitmix64
+from oracles import (
+    oracle_trace,
+    ref_derive_seed,
+    ref_gaussian,
+    ref_hermitian,
+    ref_psd,
+    ref_splitmix64,
+)
 
 
 def splitmix_row(seed, count):
@@ -53,15 +59,6 @@ def word_matrix(A, B, word):
 def trace_word_product(A, B, word):
     """Trace of the product spelled by ``word``."""
     return complex(np.trace(word_matrix(A, B, word)))
-
-
-def oracle_trace_hurwitz(A, B, p, r):
-    # brute force: sum over all words of length p with r B's
-    total = 0.0 + 0.0j
-    for letters in product("AB", repeat=p):
-        if letters.count("B") == r:
-            total += trace_word_product(A, B, "".join(letters))
-    return total.real
 
 
 # ------------------------------------------------------------------ rng
@@ -336,7 +333,7 @@ def test_trace_hurwitz_matches_brute_force(p, r):
     A = random_psd(3, seed=p * 10 + r)
     B = random_psd(3, seed=p * 10 + r + 1)
     value = trace_hurwitz_numeric(A, B, p, r)
-    oracle = oracle_trace_hurwitz(A, B, p, r)
+    oracle = oracle_trace(A, B, p, r).real
     assert abs(value - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
@@ -493,7 +490,7 @@ def test_bmv_coefficients():
         assert coeffs.shape == (3, p + 1)
         for a, b, row in zip(A, B, coeffs):
             for r, c in enumerate(row):
-                want = oracle_trace_hurwitz(a, b, p, r)
+                want = oracle_trace(a, b, p, r).real
                 assert abs(c - want) <= 1e-9 * (1.0 + abs(want))
     # a degree no brute force reaches: the coefficients sum to Tr[(A+B)^40]
     A = random_psd(3, seed=24)

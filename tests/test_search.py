@@ -39,20 +39,12 @@ from hurwitz_sos.search import (
 )
 from hurwitz_sos.words import CyclicClass, hurwitz_expand
 
-from oracles import oracle_entries, oracle_forced_grams, oracle_pair_class
+from oracles import oracle_entries, oracle_forced_grams, oracle_pair_class, words_with
 
 BLOCK_73 = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA", "BAA"))
 P6_BLOCK = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
 CORE_4 = ("BAAA", "ABAA", "AABA", "AAAB")
 BLOCKS_93 = (SandwichBlock("b", None, CORE_4), SandwichBlock(None, "b", CORE_4))
-
-
-def words_with(length, b_count):
-    """All words of ``length`` letters with ``b_count`` B's."""
-    return tuple(
-        "".join("B" if i in pos else "A" for i in range(length))
-        for pos in itertools.combinations(range(length), b_count)
-    )
 
 
 def full_ansatz(p, r):
