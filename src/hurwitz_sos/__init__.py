@@ -51,7 +51,6 @@ from .search import (
     SearchOptions,
     SearchOutcome,
     SearchStatus,
-    UnreachableTargetError,
     build_constraint_map,
     feasibility_search,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "TracePolynomial",
     "TrialConfig",
     "TrialReport",
-    "UnreachableTargetError",
     "VerifyReport",
     "bmv_check_trials",
     "bmv_coefficients",

@@ -23,6 +23,7 @@ from .rational import GaussianRational, _over_lcm
 from .words import (
     CyclicClass,
     TracePolynomial,
+    _SWAP_TABLE,
     _class_of,
     _normal,
     check_degrees,
@@ -46,9 +47,6 @@ class AnsatzMismatchError(ValueError):
 
 
 HALF_LETTERS = ("a", "b")
-# the full letter two adjacent copies of a half letter square to; none without one
-_HALF_SQUARED = {"a": "A", "b": "B", None: ""}
-_HALF_SWAP = {"a": "b", "b": "a", None: None}
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class SandwichBlock:
     def _pair_parts(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The heads W_j [suffix^2] and tails reverse(W_k) [prefix^2]: pair
         (j, k) reduces to the word heads[j] + tails[k]."""
-        suffix, prefix = _HALF_SQUARED[self.suffix], _HALF_SQUARED[self.prefix]
+        suffix, prefix = (self.suffix or "").upper(), (self.prefix or "").upper()
         heads = tuple(word + suffix for word in self.basis)
         tails = tuple(word[::-1] + prefix for word in self.basis)
         return heads, tails
@@ -478,8 +476,8 @@ def swap_certificate(cert: Certificate) -> Certificate:
     blocks = []
     for block, gram in cert.blocks:
         swapped = SandwichBlock(
-            prefix=_HALF_SWAP[block.prefix],
-            suffix=_HALF_SWAP[block.suffix],
+            prefix=block.prefix and block.prefix.translate(_SWAP_TABLE),
+            suffix=block.suffix and block.suffix.translate(_SWAP_TABLE),
             basis=tuple(swap_word(w) for w in block.basis),
         )
         blocks.append((swapped, gram))

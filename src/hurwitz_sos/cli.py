@@ -27,9 +27,7 @@ from .certificate import (
 from .numeric import ConvergenceError, _check_seed
 from .search import (
     SearchOptions,
-    SearchOutcome,
     SearchStatus,
-    UnreachableTargetError,
     feasibility_search,
     outcome_to_json,
 )
@@ -136,22 +134,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     options = SearchOptions(seed=args.seed, max_iters=args.max_iter)
     if args.cert is not None:
         _check_cert_path(args.cert)
-    try:
-        outcome = feasibility_search(p, r, blocks, options)
-    except UnreachableTargetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        outcome = SearchOutcome(SearchStatus.INFEASIBLE, 0)
-        doc = {**outcome_to_json(outcome), "missing": [str(c) for c in exc.missing]}
-        lines: List[str] = []
-    else:
-        doc = outcome_to_json(outcome)
-        lines = [
-            f"status: {outcome.status.value}",
-            f"iterations: {outcome.iterations}",
-            f"rounding: {outcome.rungs_skipped} rungs skipped by the margin, "
-            f"{outcome.rungs_float_rejected} rejected by the float twin, "
-            f"{outcome.rungs_exact} checked exactly",
-        ]
+    outcome = feasibility_search(p, r, blocks, options)
+    lines = [
+        f"status: {outcome.status.value}",
+        f"iterations: {outcome.iterations}",
+        f"rounding: {outcome.rungs_skipped} rungs skipped by the margin, "
+        f"{outcome.rungs_float_rejected} rejected by the float twin, "
+        f"{outcome.rungs_exact} checked exactly",
+    ]
+    if outcome.missing:
+        lines.append("missing: " + ", ".join(outcome.missing))
     if outcome.certificate is not None:
         for idx, (block, gram) in enumerate(outcome.certificate.blocks):
             shape = f"{block.prefix or ''}|{','.join(block.basis)}|{block.suffix or ''}"
@@ -166,7 +158,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"with form value {outcome.witness_form}"
         )
     # print before writing, so a failed write does not lose the certificate
-    _emit(doc, lines, args.format)
+    _emit(outcome_to_json(outcome), lines, args.format)
     if outcome.certificate is not None and args.cert is not None:
         try:
             save_certificate(outcome.certificate, args.cert)

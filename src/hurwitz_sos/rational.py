@@ -16,10 +16,15 @@ Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _frac(value: Rationalish) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if is_int(value):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
@@ -103,9 +108,9 @@ class GaussianRational:
         return GaussianRational.of(other) / self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(_frac(other))
-        if not isinstance(other, GaussianRational):
+        try:
+            other = GaussianRational.of(other)
+        except TypeError:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 

@@ -20,8 +20,8 @@ moves), it rounds the shadow to the grid 1/q at each rung q of the
 denominator ladder ``LADDER``, restores the class sums exactly, and
 keeps a candidate only if ``verify_against`` accepts the assembled
 certificate: the search's one exact verdict, here and on the determined
-path.  Infeasible underdetermined systems therefore come back as
-unknown.
+path.  Infeasible underdetermined systems that reach every target class
+therefore come back as unknown.
 
 Every point of the search is one flat vector v in the map's (block, j,
 k) order, the order of ``ConstraintMap.ids``.  With A the class
@@ -101,15 +101,6 @@ FILTER_SLACK = 1e-9
 LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 1024, 4096, 10_000)
 
 
-class UnreachableTargetError(ValueError):
-    """The ansatz cannot produce some class of the target, so no Gram
-    matrix over it matches."""
-
-    def __init__(self, message: str, missing: Sequence[CyclicClass] = ()) -> None:
-        super().__init__(message)
-        self.missing = tuple(missing)
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintMap:
     """The cyclic class of every ordered basis pair, as ids into one table.
@@ -181,16 +172,6 @@ def build_constraint_map(
     )
 
 
-def _check_reachable(cmap: ConstraintMap, target: TracePolynomial) -> None:
-    reachable = set(cmap.classes)
-    missing = [cls for cls in target.support() if cls not in reachable]
-    if missing:
-        names = ", ".join(str(c) for c in missing)
-        raise UnreachableTargetError(
-            f"ansatz produces no contribution to target classes: {names}", missing
-        )
-
-
 class SearchStatus(enum.Enum):
     CERTIFICATE = "certificate"
     INFEASIBLE = "infeasible"
@@ -219,14 +200,15 @@ class SearchOutcome:
     """Result of a feasibility search.
 
     At most one of the payloads is populated: a verified Certificate for
-    CERTIFICATE, a (witness vector, block index, form value) triple for
-    an INFEASIBLE determined system, nothing for UNKNOWN.  The CLI also
-    reports an ``UnreachableTargetError`` as INFEASIBLE, with no witness:
-    the missing classes prove it.  The three ``rungs_*`` counts say
-    what happened to each denominator rung the search visited: skipped
-    by the Weyl margin, rejected by the float twin of its rounded
-    point, or checked exactly.  They add up to the number of rungs
-    visited.
+    CERTIFICATE, nothing for UNKNOWN, and one of two proofs for
+    INFEASIBLE.  Either ``missing`` holds the target classes that no
+    pair of the ansatz produces, in ``target.support()`` order, or a
+    (witness vector, block index, form value) triple shows that the
+    forced Gram matrices of a determined system are not PSD.  The three
+    ``rungs_*`` counts say what happened to each denominator rung the
+    search visited: skipped by the Weyl margin, rejected by the float
+    twin of its rounded point, or checked exactly.  They add up to the
+    number of rungs visited.
     """
 
     status: SearchStatus
@@ -235,6 +217,7 @@ class SearchOutcome:
     witness: Optional[Tuple[GaussianRational, ...]] = None
     witness_block: Optional[int] = None
     witness_form: Optional[GaussianRational] = None
+    missing: Tuple[CyclicClass, ...] = ()
     rungs_skipped: int = 0
     rungs_float_rejected: int = 0
     rungs_exact: int = 0
@@ -384,6 +367,8 @@ def feasibility_search(
 ) -> SearchOutcome:
     """Search for an exact certificate of the (p, r) word sum over ``blocks``.
 
+    A target class that no pair of the ansatz produces makes the outcome
+    INFEASIBLE before any step, with those classes as ``missing``.
     Determined systems are decided exactly, with no step: the q = 1
     candidate of the one point of the affine slice is verified, giving a
     certificate or an infeasibility witness.  Underdetermined systems
@@ -398,7 +383,10 @@ def feasibility_search(
     opts = options or SearchOptions()
     cmap = build_constraint_map(p, r, blocks)
     target = hurwitz_expand(p, r)
-    _check_reachable(cmap, target)
+    reachable = set(cmap.classes)
+    missing = tuple(cls for cls in target.support() if cls not in reachable)
+    if missing:
+        return SearchOutcome(SearchStatus.INFEASIBLE, iterations=0, missing=missing)
     # hurwitz_expand counts words, so every class coefficient is an integer
     goal = np.array([int(target.coefficient(cls).re) for cls in cmap.classes])
 
@@ -470,4 +458,6 @@ def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:
         "float_rejected": outcome.rungs_float_rejected,
         "exact": outcome.rungs_exact,
     }
+    if outcome.missing:
+        doc["missing"] = [str(cls) for cls in outcome.missing]
     return doc

@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
-from .rational import GaussianRational, ZERO, _over_lcm
+from .rational import GaussianRational, ZERO, _over_lcm, is_int
 
 ALPHABET = "AB"
-_SWAP_TABLE = str.maketrans("AB", "BA")
+# swaps the full letters of a word and the half letters of a sandwich block
+_SWAP_TABLE = str.maketrans("ABab", "BAba")
 
 
 def check_word(word: str) -> str:
@@ -31,11 +32,6 @@ def check_word(word: str) -> str:
         if ch not in ALPHABET:
             raise ValueError(f"invalid letter {ch!r} in word {word!r}")
     return word
-
-
-def is_int(value: object) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_positive_int(value: object, name: str) -> None:
@@ -98,18 +94,6 @@ class CyclicClass(str):
         """Class of a word that is already its own least rotation: no check, no rotation."""
         return str.__new__(cls, representative)
 
-    @property
-    def representative(self) -> str:
-        return str(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def b_count(self) -> int:
-        return self.count("B")
-
 
 def _class_of(word: str) -> CyclicClass:
     """Class of a word known to be over {A, B}: one unchecked least rotation."""
@@ -148,10 +132,8 @@ class TracePolynomial:
         coeffs: Dict[CyclicClass, GaussianRational] = {}
         for key, value in (terms or {}).items():
             cls = CyclicClass(key)
-            if cls.length != degree:
-                raise ValueError(
-                    f"class {cls} has length {cls.length}, expected {degree}"
-                )
+            if len(cls) != degree:
+                raise ValueError(f"class {cls} has length {len(cls)}, expected {degree}")
             coeffs[cls] = coeffs.get(cls, ZERO) + GaussianRational.of(value)
         scale, parts = _over_lcm(list(coeffs.values()))
         self._degree = degree

@@ -120,7 +120,7 @@ def oracle_forced_grams(blocks, target):
     """Each block's Gram matrix when every pair is its class's only one:
     entry (j, k) is the target coefficient of the by-hand class of pair
     (j, k), or zero if the target lacks that class."""
-    terms = {cls.representative: value for cls, value in target.items()}
+    terms = {str(cls): value for cls, value in target.items()}
     return [
         GramMatrix.from_rows([
             [terms.get(oracle_pair_class(block, j, k), ZERO) for k in range(block.dimension)]
@@ -135,7 +135,7 @@ def swap_letters(poly):
     swap = str.maketrans("AB", "BA")
     return TracePolynomial(
         poly.degree,
-        {cls.representative.translate(swap): value for cls, value in poly.items()},
+        {str(cls).translate(swap): value for cls, value in poly.items()},
     )
 
 

@@ -107,7 +107,7 @@ def test_hurwitz_trace_matches_exact_class_expansion(case):
     n, p, r, a_flat, b_flat = case
     A_exact, B_exact = _exact_matrix(a_flat, n), _exact_matrix(b_flat, n)
     want = sum(
-        int(mult.re) * _exact_trace_word(A_exact, B_exact, cls.representative)
+        int(mult.re) * _exact_trace_word(A_exact, B_exact, str(cls))
         for cls, mult in hurwitz_expand(p, r).items()
     )
     A = (np.array(a_flat[: n * n]) + 1j * np.array(a_flat[n * n :])).reshape(n, n)

@@ -24,6 +24,17 @@ def test_rejects_floats():
         GaussianRational.of(0.5)
 
 
+def test_rejects_bools():
+    # a bool is not an int here, as in every other int check of the package
+    with pytest.raises(TypeError, match="got bool"):
+        GaussianRational(True)
+    with pytest.raises(TypeError, match="got bool"):
+        GaussianRational.of(False)
+    with pytest.raises(TypeError):
+        grat(1) + True
+    assert grat(1) != True and grat(0) != False
+
+
 def test_predicates():
     assert ZERO.is_zero and ZERO.is_real
     assert grat(1).is_real and not grat(1).is_zero

@@ -79,7 +79,7 @@ PUBLIC_API = (
     "CertificateStructureError", "ConstraintMap", "ConvergenceError", "CyclicClass",
     "EigResult", "GaussianRational", "GramMatrix", "NotPsdError", "PsdCheckResult",
     "SandwichBlock", "SearchOptions", "SearchOutcome", "SearchStatus",
-    "TracePolynomial", "TrialConfig", "TrialReport", "UnreachableTargetError",
+    "TracePolynomial", "TrialConfig", "TrialReport",
     "VerifyReport", "__version__", "bmv_check_trials", "bmv_coefficients",
     "build_constraint_map", "bundled_certificate", "bundled_path",
     "certificate_expansion", "certificate_from_json",
@@ -93,14 +93,17 @@ PUBLIC_API = (
 )
 
 # Code that left the package; the tests take what they still need of it
-# from tests/oracles.py, and a determined ansatz goes through
-# feasibility_search.
+# from tests/oracles.py, a determined ansatz goes through
+# feasibility_search, and an unreachable target is an INFEASIBLE outcome.
 REMOVED = (
-    (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers")),
+    (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers",
+                   "_HALF_SQUARED", "_HALF_SWAP")),
     (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__", "entries")),
     (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream")),
-    (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError")),
+    (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError",
+              "UnreachableTargetError", "_check_reachable")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike")),
+    (words.CyclicClass, ("representative", "length", "b_count")),
 )
 
 

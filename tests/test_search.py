@@ -24,7 +24,6 @@ from hurwitz_sos.search import (
     ROUND_EVERY,
     SearchOptions,
     SearchStatus,
-    UnreachableTargetError,
     _blocks,
     _dr_step,
     _exact_candidate,
@@ -204,16 +203,37 @@ def test_unreachable_target_classes():
     # a single word cannot produce every class of the target
     block = SandwichBlock(prefix="b", suffix=None, basis=("AAB",))
     assert build_constraint_map(7, 3, (block,)).determined
-    with pytest.raises(UnreachableTargetError) as info:
-        feasibility_search(7, 3, (block,))
-    missing = {str(c) for c in info.value.missing}
-    assert "AAAABBB" in missing
+    outcome = feasibility_search(7, 3, (block,))
+    assert outcome.status is SearchStatus.INFEASIBLE
+    assert "AAAABBB" in {str(c) for c in outcome.missing}
     # an underdetermined map checks the same classes before any step
     blocks = (block, block)
     assert not build_constraint_map(7, 3, blocks).determined
-    with pytest.raises(UnreachableTargetError) as info:
-        feasibility_search(7, 3, blocks)
-    assert "AAAABBB" in {str(c) for c in info.value.missing}
+    assert feasibility_search(7, 3, blocks).missing == outcome.missing
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [basis for size in (1, 2, 3) for basis in itertools.combinations(BLOCK_73.basis, size)],
+    ids=",".join,
+)
+def test_missing_classes_of_every_sub_basis(basis):
+    # the classes no pair produces, and nothing else, prove INFEASIBLE
+    blocks = (SandwichBlock("b", None, basis),)
+    reached = set(build_constraint_map(7, 3, blocks).classes)
+    expected = tuple(sorted(set(hurwitz_expand(7, 3).support()) - reached))
+    outcome = feasibility_search(7, 3, blocks)
+    assert outcome.missing == expected
+    bare_infeasible = (
+        outcome.status is SearchStatus.INFEASIBLE
+        and outcome.iterations == 0
+        and outcome.certificate is None
+        and outcome.witness is None
+        and outcome.rungs_skipped == outcome.rungs_float_rejected == outcome.rungs_exact == 0
+    )
+    assert bare_infeasible == bool(expected)
+    doc = outcome_to_json(outcome)
+    assert doc.get("missing") == ([str(c) for c in expected] or None)
 
 
 # ------------------------------------------------------------------ search internals
@@ -791,7 +811,7 @@ def determined_ansatzes():
                 continue
             for b_count in range(length // 2 + 1):
                 r = 2 * b_count + halves.count("b")
-                target = {cls.representative for cls, _ in hurwitz_expand(p, r).items()}
+                target = {str(cls) for cls, _ in hurwitz_expand(p, r).items()}
                 for size in (1, 2):
                     for basis in itertools.combinations(words_with(length // 2, b_count), size):
                         block = SandwichBlock(prefix, suffix, basis)
