@@ -34,7 +34,6 @@ from .certificate import (
 )
 from .numeric import (
     ConvergenceError,
-    EigResult,
     NotPsdError,
     bmv_coefficients,
     derive_seed,
@@ -79,7 +78,6 @@ __all__ = [
     "ConstraintMap",
     "ConvergenceError",
     "CyclicClass",
-    "EigResult",
     "GaussianRational",
     "GramMatrix",
     "NotPsdError",

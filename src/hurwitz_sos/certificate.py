@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
+import stat
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .rational import GaussianRational, _over_lcm
+from .rational import GaussianRational, Scalarish, _over_lcm
 from .words import (
     CyclicClass,
     TracePolynomial,
@@ -71,6 +74,8 @@ class SandwichBlock:
                 raise ValueError(
                     f"{side} must be one of {HALF_LETTERS} or None, got {value!r}"
                 )
+        if isinstance(self.basis, str):
+            raise ValueError(f"basis must be a sequence of words, got str {self.basis!r}")
         basis = tuple(self.basis)
         if not basis:
             raise ValueError("basis must contain at least one word")
@@ -93,12 +98,6 @@ class SandwichBlock:
         heads = tuple(word + suffix for word in self.basis)
         tails = tuple(word[::-1] + prefix for word in self.basis)
         return heads, tails
-
-    @property
-    def product_degree(self) -> int:
-        """Length of the full-letter word each sandwich pair reduces to."""
-        heads, tails = self._pair_parts()
-        return len(heads[0] + tails[0])
 
     def check_shape(self, p: int, r: int, name: str = "block") -> None:
         """Raise AnsatzMismatchError unless every pair reduces to degree p with r B's.
@@ -137,9 +136,6 @@ def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
     """
     heads, tails = block._pair_parts()
     return tuple(tuple(_class_of(head + tail) for tail in tails) for head in heads)
-
-
-EntryLike = Union[int, Fraction, GaussianRational]
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ class GramMatrix:
         object.__setattr__(self, "im", tuple(tuple(x // g for x in row) for row in im))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[EntryLike]]) -> "GramMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[Scalarish]]) -> "GramMatrix":
         """The matrix with these entries, over the lcm of their denominators."""
         z = [[GaussianRational.of(x) for x in row] for row in rows]
         scale, parts = _over_lcm([e for row in z for e in row])
@@ -206,7 +202,7 @@ class GramMatrix:
         )
 
 
-def quadratic_form(gram: GramMatrix, vector: Sequence[EntryLike]) -> GaussianRational:
+def quadratic_form(gram: GramMatrix, vector: Sequence[Scalarish]) -> GaussianRational:
     """Exact value of v* G v.
 
     With D the lcm of the denominators of v, w = D v has Gaussian
@@ -365,10 +361,12 @@ class Certificate:
             check_degrees(self.p, self.r)
         except ValueError as exc:
             raise CertificateStructureError(str(exc)) from exc
-        blocks = tuple((block, gram) for block, gram in self.blocks)
+        blocks = tuple(self.blocks)
         if not blocks:
             raise CertificateStructureError("certificate must contain at least one block")
-        for idx, (block, gram) in enumerate(blocks):
+        for idx, pair in enumerate(blocks):
+            is_pair = isinstance(pair, (tuple, list)) and len(pair) == 2
+            block, gram = pair if is_pair else (None, None)
             if not isinstance(block, SandwichBlock) or not isinstance(gram, GramMatrix):
                 raise CertificateStructureError(
                     f"block {idx}: expected (SandwichBlock, GramMatrix) pair"
@@ -379,7 +377,7 @@ class Certificate:
                     f"basis size {block.dimension}"
                 )
             block.check_shape(self.p, self.r, name=f"block {idx}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
 
 def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
@@ -390,14 +388,16 @@ def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
             f"Gram dimension {gram.dimension} does not match basis size "
             f"{block.dimension}"
         )
+    table = pair_classes(block)
     # each class's sum of L G entries, as integer (re, im)
     sums: Dict[CyclicClass, Tuple[int, int]] = {}
-    for classes, row_re, row_im in zip(pair_classes(block), gram.re, gram.im):
+    for classes, row_re, row_im in zip(table, gram.re, gram.im):
         for cls, x, y in zip(classes, row_re, row_im):
             if x or y:
                 u, v = sums.get(cls, (0, 0))
                 sums[cls] = (u + x, v + y)
-    return TracePolynomial._wrap(block.product_degree, *_normal(gram.scale, sums))
+    # the basis words share one length, so every pair word has the first's
+    return TracePolynomial._wrap(len(table[0][0]), *_normal(gram.scale, sums))
 
 
 def certificate_expansion(cert: Certificate) -> TracePolynomial:
@@ -511,10 +511,6 @@ def _pair_to_fraction(obj: object, what: str) -> Fraction:
     return Fraction(obj[0], obj[1])
 
 
-def entry_to_json(value: GaussianRational) -> Dict[str, List[int]]:
-    return {"re": _fraction_to_pair(value.re), "im": _fraction_to_pair(value.im)}
-
-
 def entry_from_json(obj: object, what: str = "entry") -> GaussianRational:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise CertificateFormatError(f"{what}: expected an object with re and im")
@@ -526,15 +522,7 @@ def entry_from_json(obj: object, what: str = "entry") -> GaussianRational:
 
 def rational_quad(value: GaussianRational) -> List[int]:
     """Flat [re_num, re_den, im_num, im_den] form used in reports."""
-    return list(value.as_tuple())
-
-
-def block_to_json(block: SandwichBlock) -> Dict[str, object]:
-    return {
-        "prefix": block.prefix,
-        "suffix": block.suffix,
-        "basis": list(block.basis),
-    }
+    return [*_fraction_to_pair(value.re), *_fraction_to_pair(value.im)]
 
 
 def _block_from_json(obj: object, what: str) -> SandwichBlock:
@@ -585,12 +573,15 @@ def _blocks_from_json(data: dict, parse: Callable[[object, str], object]) -> tup
 def certificate_to_json(cert: Certificate) -> Dict[str, object]:
     blocks = []
     for block, gram in cert.blocks:
-        doc = block_to_json(block)
-        doc["gram"] = [
-            [entry_to_json(gram.at(j, k)) for k in range(gram.dimension)]
-            for j in range(gram.dimension)
-        ]
-        blocks.append(doc)
+        entries = [[gram.at(j, k) for k in range(gram.dimension)]
+                   for j in range(gram.dimension)]
+        blocks.append({
+            "prefix": block.prefix,
+            "suffix": block.suffix,
+            "basis": list(block.basis),
+            "gram": [[{"re": _fraction_to_pair(z.re), "im": _fraction_to_pair(z.im)}
+                      for z in row] for row in entries],
+        })
     return {"p": cert.p, "r": cert.r, "blocks": blocks}
 
 
@@ -629,9 +620,24 @@ def load_certificate(path: str) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``cert`` to ``path`` as JSON, all or nothing: a temporary file
+    beside ``path`` (or its symlink target) is renamed over it, so a failed
+    write leaves an existing file as it was.  The mode is what ``open(path,
+    "w")`` gives: an existing file's own, else 0o666 less the umask."""
+    path = os.path.realpath(path)
+    umask = os.umask(0o022)  # os.umask reads only by setting; it is put back
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".certificate-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def ansatz_from_json(

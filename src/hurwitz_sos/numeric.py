@@ -46,7 +46,6 @@ a product over every word and against exact cyclic-class expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -194,17 +193,6 @@ def random_psd(n: int, seed) -> np.ndarray:
 # Hermitian eigensolver and PSD square root
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigenvalues ascending, eigenvector columns aligned with them.
-
-    For a stack (m, n, n) both carry a leading axis of length m.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
 def _checked_square(M, name: str = "matrix") -> np.ndarray:
     """M as a finite square matrix or a stack of them (m, n, n).
 
@@ -271,15 +259,16 @@ def _eigh(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
-def hermitian_eig(H) -> EigResult:
-    """Eigensystem of a Hermitian matrix, or of each matrix of a stack (m, n, n).
+def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (w, V) of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
     Computed by LAPACK ``eigh`` on H, or on H/2 + H*/2 when H is not
     exactly Hermitian; a real input gets a real eigensystem.  An input
     far from Hermitian is rejected, naming its stack index.  Raises
     ConvergenceError if LAPACK does not converge, and ArithmeticError,
     naming the stack index, if an eigenvalue exceeds double precision.
-    A stack gives eigenvalues of shape (m, n) and vectors (m, n, n).
+    As from ``eigh``, w is ascending and column j of V goes with w[j]; a
+    stack gives w of shape (m, n) and V of shape (m, n, n).
     """
     H = _checked_square(H)
     adjoint = _adjoint(H)
@@ -303,7 +292,7 @@ def hermitian_eig(H) -> EigResult:
             f"matrix{_which(H.ndim == 2, k)} has an eigenvalue that is not finite; "
             "it exceeds double precision"
         )
-    return EigResult(w, V)
+    return w, V
 
 
 def psd_sqrt(A) -> np.ndarray:
@@ -314,8 +303,7 @@ def psd_sqrt(A) -> np.ndarray:
     The input is checked and diagonalized by :func:`hermitian_eig`, and
     ||A||_F is read off its eigenvalues.
     """
-    eig = hermitian_eig(A)
-    w, V = eig.eigenvalues, eig.vectors
+    w, V = hermitian_eig(A)
     single = w.ndim == 1
     lowest = np.ravel(w[..., 0])
     low = np.ravel(_clearly_negative(w))
@@ -440,13 +428,13 @@ def eval_certificate_numeric(cert: Certificate, A, B):
     total = np.zeros(A.shape[0])
     for block_index, (block, gram) in enumerate(cert.blocks):
         G = gram_to_complex(gram)
-        eig = hermitian_eig(G)
-        if _clearly_negative(eig.eigenvalues):
+        w, V = hermitian_eig(G)
+        if _clearly_negative(w):
             raise NotPsdError(
                 f"block {block_index}: Gram matrix is numerically indefinite "
-                f"(min eigenvalue {eig.eigenvalues[0]:.3e}); verify exactly first"
+                f"(min eigenvalue {w[0]:.3e}); verify exactly first"
             )
-        positive = eig.eigenvalues > 0.0
+        positive = w > 0.0
         sandwiches = []
         for word in block.basis:
             M = _word_product(A, B, word)
@@ -456,9 +444,9 @@ def eval_certificate_numeric(cert: Certificate, A, B):
                 M = M @ half[block.suffix]
             sandwiches.append(M.reshape(M.shape[0], -1))
         # (k, d) @ (m, d, n*n): row l of slice i is C_l for pair i, flattened
-        C = eig.vectors[:, positive].T @ np.stack(sandwiches, axis=1)
+        C = V[:, positive].T @ np.stack(sandwiches, axis=1)
         norms = (C.real ** 2 + C.imag ** 2).sum(axis=-1)
-        total = total + (norms * eig.eigenvalues[positive]).sum(axis=-1)
+        total = total + (norms * w[positive]).sum(axis=-1)
         bad = ~np.isfinite(total)
         if bad.any():
             k = int(np.argmax(bad))

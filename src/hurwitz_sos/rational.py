@@ -118,15 +118,6 @@ class GaussianRational:
         # a real value equals, so must hash like, its int or Fraction
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        """Numerator/denominator quadruple (re_num, re_den, im_num, im_den)."""
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -142,9 +133,8 @@ class GaussianRational:
 ZERO = GaussianRational()
 
 
-def grat(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
-    """Shorthand constructor."""
-    return GaussianRational(_frac(re), _frac(im))
+# shorthand: the constructor coerces both parts itself
+grat = GaussianRational
 
 
 def _over_lcm(values: Sequence[GaussianRational]) -> Tuple[int, List[Tuple[int, int]]]:

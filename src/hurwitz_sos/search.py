@@ -276,7 +276,7 @@ def _margin_cutoff(v: np.ndarray, runs: Sequence[Tuple[int, int, int]]) -> float
     slack = FILTER_SLACK * (1.0 + float(np.abs(v).sum()))
     cutoff = math.inf
     for start, count, d in runs:
-        w = hermitian_eig(v[start:start + count * d * d].reshape(count, d, d)).eigenvalues
+        w, _ = hermitian_eig(v[start:start + count * d * d].reshape(count, d, d))
         gap = -float(w[:, 0].min()) - slack
         if gap > 0:
             cutoff = min(cutoff, d * math.sqrt(2.0) / gap)

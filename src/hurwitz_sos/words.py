@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from .rational import GaussianRational, ZERO, _over_lcm, is_int
+from .rational import GaussianRational, Scalarish, ZERO, _over_lcm, is_int
 
 ALPHABET = "AB"
 # swaps the full letters of a word and the half letters of a sandwich block
@@ -100,7 +100,6 @@ def _class_of(word: str) -> CyclicClass:
     return CyclicClass._trusted(_least_rotation(word))
 
 
-CoefficientLike = Union[int, Fraction, GaussianRational]
 # each class's integer parts (re, im) over a polynomial's scale
 _Parts = Dict[CyclicClass, Tuple[int, int]]
 
@@ -126,7 +125,7 @@ class TracePolynomial:
     def __init__(
         self,
         degree: int,
-        terms: Optional[Mapping[str, CoefficientLike]] = None,
+        terms: Optional[Mapping[str, Scalarish]] = None,
     ) -> None:
         check_positive_int(degree, "degree")
         coeffs: Dict[CyclicClass, GaussianRational] = {}
@@ -213,7 +212,7 @@ class TracePolynomial:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, factor: CoefficientLike) -> "TracePolynomial":
+    def scaled(self, factor: Scalarish) -> "TracePolynomial":
         # factor = (u + i v) / w over the lcm w of its denominators
         w, ((u, v),) = _over_lcm([GaussianRational.of(factor)])
         parts = {

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction
 from itertools import combinations
 
@@ -149,11 +151,13 @@ def test_block_validation():
         SandwichBlock(prefix=None, suffix=None, basis=("AB", "ABA"))
     with pytest.raises(ValueError):
         SandwichBlock(prefix=None, suffix=None, basis=("AXB",))
+    # a str is a sequence of one-letter words: it would pass as ("A", "B")
+    with pytest.raises(ValueError, match="got str 'AB'"):
+        SandwichBlock(prefix=None, suffix=None, basis="AB")
 
 
 def test_block_shape_accounting():
     assert BLOCK_73.dimension == 3
-    assert BLOCK_73.product_degree == 7
     BLOCK_73.check_shape(7, 3)
     with pytest.raises(
         AnsatzMismatchError,
@@ -166,7 +170,6 @@ def test_block_shape_accounting():
     ):
         BLOCK_73.check_shape(7, 2)
     both = SandwichBlock(prefix="a", suffix="b", basis=("AB", "BA"))
-    assert both.product_degree == 6
     both.check_shape(6, 3)
 
 
@@ -600,7 +603,7 @@ def oracle_expand_gram(block, gram):
         for k in range(block.dimension):
             key = oracle_pair_class(block, j, k)
             acc[key] = acc.get(key, grat(0)) + gram.at(j, k)
-    return TracePolynomial(block.product_degree, acc)
+    return TracePolynomial(len(next(iter(acc))), acc)
 
 
 # denominators up to 12, so the entries of one Gram mix denominators
@@ -709,6 +712,29 @@ def test_certificate_structural_errors():
         Certificate(7, 3, ((BLOCK_73, scaled_identity(2, 1)),))
     with pytest.raises(AnsatzMismatchError):
         Certificate(7, 2, ((BLOCK_73, GRAM_73),))
+    # a list pair is a pair, stored as a tuple
+    assert Certificate(7, 3, [[BLOCK_73, GRAM_73]]).blocks == ((BLOCK_73, GRAM_73),)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (BLOCK_73,),
+        (BLOCK_73, GRAM_73, GRAM_73),
+        1,
+        None,
+        "ab",
+        (GRAM_73, BLOCK_73),
+        (BLOCK_73, [[1]]),
+        ("b|AAB|", GRAM_73),
+    ],
+    ids=["1-tuple", "3-tuple", "int", "None", "str", "swapped", "rows", "block-name"],
+)
+def test_certificate_rejects_malformed_block_entries(entry):
+    # every entry that is not a (SandwichBlock, GramMatrix) pair is named by index
+    message = r"^block 1: expected \(SandwichBlock, GramMatrix\) pair$"
+    with pytest.raises(CertificateStructureError, match=message):
+        Certificate(7, 3, ((BLOCK_73, GRAM_73), entry))
 
 
 def test_certificate_rejects_boolean_degrees():
@@ -835,6 +861,50 @@ def test_certificate_json_round_trip(tmp_path):
     assert hs.load_certificate(str(path)) == cert
 
 
+def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    # json.dump writes part of the document, then the write fails
+    path = tmp_path / "cert.json"
+    path.write_text("old contents\n")
+
+    def dump_half(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:100])
+        fh.flush()
+        raise OSError(27, "File too large")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="File too large"):
+        hs.save_certificate(bundled_certificate("p7r3.json"), str(path))
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+    # with no file there before, a failed write leaves no file at all
+    with pytest.raises(OSError, match="File too large"):
+        hs.save_certificate(bundled_certificate("p7r3.json"), str(tmp_path / "new.json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+    monkeypatch.undo()
+    hs.save_certificate(bundled_certificate("p7r3.json"), str(path))
+    assert hs.load_certificate(str(path)) == bundled_certificate("p7r3.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
+def test_save_gives_the_mode_open_would(tmp_path):
+    cert = bundled_certificate("p7r3.json")
+    umask = os.umask(0o027)
+    try:
+        hs.save_certificate(cert, str(tmp_path / "new.json"))
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+    # an existing file keeps its own mode, and a symlink is written through
+    old = tmp_path / "old.json"
+    old.write_text("{}")
+    old.chmod(0o604)
+    link = tmp_path / "link.json"
+    link.symlink_to(old)
+    hs.save_certificate(cert, str(link))
+    assert link.is_symlink() and hs.load_certificate(str(old)) == cert
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+
+
 def test_certificate_json_complex_entries(tmp_path):
     G = gram_from_vectors([(grat(1), grat(Fraction(1, 2), Fraction(-1, 3)))])
     block = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA"))
@@ -916,6 +986,8 @@ def test_ansatz_json():
         ansatz_from_json({"blocks": [{"prefix": None, "suffix": None}]})
     with pytest.raises(CertificateFormatError):
         ansatz_from_json([1, 2])
+    with pytest.raises(CertificateFormatError, match="^ansatz document missing key 'blocks'"):
+        ansatz_from_json({"p": 6, "r": 3})
     p, r, blocks = ansatz_from_json(
         {"blocks": [{"prefix": None, "suffix": None, "basis": ["AB"]}]}
     )

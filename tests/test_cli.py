@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz_sos.certificate import (
@@ -718,6 +718,8 @@ def doc_path(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(text=mutated_documents())
+# a document without "blocks": the mutations replace nodes, never drop a key
+@example(text='{"p": 6, "r": 3}')
 def test_malformed_documents_exit_with_a_documented_code(doc_path, text):
     """A mutated or deeply nested file never raises out of the CLI, exits with a
     documented code, and exits 2 only with an ``error:`` line."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hurwitz_sos.certificate import rational_quad
 from hurwitz_sos.rational import ZERO, GaussianRational, grat
 
 
@@ -15,6 +16,8 @@ def test_construction_and_coercion():
     assert GaussianRational.of(Fraction(2, 3)).re == Fraction(2, 3)
     y = GaussianRational.of(x)
     assert y is x
+    # the shorthand is the class itself, not a second coercion
+    assert grat is GaussianRational
 
 
 def test_rejects_floats():
@@ -79,8 +82,9 @@ def test_conjugate_and_norm():
     assert a.norm2() == Fraction(4, 9) + Fraction(25, 49)
 
 
-def test_as_tuple_and_str():
-    assert grat(Fraction(1, 2), Fraction(-3, 4)).as_tuple() == (1, 2, -3, 4)
+def test_rational_quad_and_str():
+    assert rational_quad(grat(Fraction(1, 2), Fraction(-3, 4))) == [1, 2, -3, 4]
+    assert rational_quad(grat(-6)) == [-6, 1, 0, 1]
     assert str(grat(7)) == "7"
     assert str(grat(0, Fraction(1, 2))) == "1/2i"
     assert str(grat(1, -2)) == "1-2i"

@@ -498,7 +498,7 @@ def reference_cutoff(mats):
     slack = FILTER_SLACK * (1.0 + float(np.abs(flat(mats)).sum()))
     cutoff = math.inf
     for M in mats:
-        gap = -hermitian_eig(M).eigenvalues[0] - slack
+        gap = -hermitian_eig(M)[0][0] - slack
         if gap > 0:
             cutoff = min(cutoff, M.shape[0] * math.sqrt(2.0) / gap)
     return cutoff

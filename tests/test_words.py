@@ -147,11 +147,27 @@ def test_trace_polynomial_validation():
         TracePolynomial(3, {"AB": 1})
     with pytest.raises(ValueError):
         TracePolynomial(2, {"AB": 1}) + TracePolynomial(3)
+    # a polynomial adds and subtracts only polynomials, and equals no scalar
+    poly = TracePolynomial(2, {"AB": 1})
+    for other in (1, grat(1), "AB", None):
+        with pytest.raises(TypeError):
+            poly + other
+        with pytest.raises(TypeError):
+            poly - other
+        with pytest.raises(TypeError):
+            other - poly
+        assert poly != other
 
 
 def test_trace_polynomial_rejects_boolean_degree():
     with pytest.raises(ValueError, match="degree must be"):
         TracePolynomial(True, {"A": 1})
+
+
+def test_trace_polynomial_repr():
+    poly = TracePolynomial(3, {"ABA": grat(1, 2), "ABB": Fraction(-3, 4)})
+    assert repr(poly) == "TracePolynomial(3, {AAB: 1+2i, ABB: -3/4})"
+    assert repr(TracePolynomial(1)) == "TracePolynomial(1, {})"
 
 
 def test_trace_polynomial_arithmetic():
