@@ -16,11 +16,10 @@ import importlib.resources
 import json
 import os
 import stat
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rational import GaussianRational, Scalarish, _over_lcm
 from .words import (
@@ -440,23 +439,20 @@ def verify_against(cert: Certificate, target: TracePolynomial) -> VerifyReport:
             f"target degree {target.degree} does not match certificate p={cert.p}"
         )
     residual = certificate_expansion(cert) - target
-    psd = True
-    witness: Optional[Tuple[GaussianRational, ...]] = None
     witness_block: Optional[int] = None
     min_pivots: List[Optional[Fraction]] = []
     for idx, (_block, gram) in enumerate(cert.blocks):
         result = psd_check_exact(gram)
         min_pivots.append(min(result.pivots, default=None))
         if not result.psd:
-            psd = False
-            witness = result.witness
             witness_block = idx
             break
+    # a certificate has a block, and a PSD result's witness is None
     return VerifyReport(
         matched=residual.is_zero,
-        psd=psd,
+        psd=witness_block is None,
         residual=residual,
-        witness=witness,
+        witness=result.witness,
         witness_block=witness_block,
         min_pivots=tuple(min_pivots),
     )
@@ -571,17 +567,14 @@ def _blocks_from_json(data: dict, parse: Callable[[object, str], object]) -> tup
 
 
 def certificate_to_json(cert: Certificate) -> Dict[str, object]:
-    blocks = []
-    for block, gram in cert.blocks:
-        entries = [[gram.at(j, k) for k in range(gram.dimension)]
-                   for j in range(gram.dimension)]
-        blocks.append({
-            "prefix": block.prefix,
-            "suffix": block.suffix,
-            "basis": list(block.basis),
-            "gram": [[{"re": _fraction_to_pair(z.re), "im": _fraction_to_pair(z.im)}
-                      for z in row] for row in entries],
-        })
+    blocks = [{
+        "prefix": block.prefix,
+        "suffix": block.suffix,
+        "basis": list(block.basis),
+        "gram": [[{"re": _fraction_to_pair(z.re), "im": _fraction_to_pair(z.im)}
+                  for z in (gram.at(j, k) for k in range(gram.dimension))]
+                 for j in range(gram.dimension)],
+    } for block, gram in cert.blocks]
     return {"p": cert.p, "r": cert.r, "blocks": blocks}
 
 
@@ -619,22 +612,34 @@ def load_certificate(path: str) -> Certificate:
     return certificate_from_json(_load_json(path))
 
 
+def _dump(cert: Certificate, target: Union[str, int]) -> None:
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_certificate(cert: Certificate, path: str) -> None:
-    """Write ``cert`` to ``path`` as JSON, all or nothing: a temporary file
-    beside ``path`` (or its symlink target) is renamed over it, so a failed
-    write leaves an existing file as it was.  The mode is what ``open(path,
-    "w")`` gives: an existing file's own, else 0o666 less the umask."""
-    path = os.path.realpath(path)
-    umask = os.umask(0o022)  # os.umask reads only by setting; it is put back
-    os.umask(umask)
-    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".certificate-")
+    """Write ``cert`` to ``path`` as JSON.  A regular or new file is written
+    all or nothing: a temporary file beside it (or its symlink target), made
+    as ``open(path, "w")`` would make it and written with O_SYNC, is renamed
+    over it, so a failed write leaves an existing file as it was.  A device,
+    FIFO or file whose directory admits no new file is written in place."""
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".certificate-{os.urandom(6).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_SYNC
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        fd = os.open(tmp, flags, 0o666) if mode is None or stat.S_ISREG(mode) else -1
+    except PermissionError:
+        fd = -1
+    if fd < 0:
+        _dump(cert, path)
+        return
+    try:
+        _dump(cert, fd)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -682,21 +687,17 @@ def bundled_certificate(name: str) -> Certificate:
 
 
 def verify_report_to_json(report: VerifyReport) -> Dict[str, object]:
-    doc: Dict[str, object] = {
+    witness = report.witness
+    return {
         "matched": report.matched,
         "psd": report.psd,
         "ok": report.ok,
         "residual": {
             str(cls): rational_quad(value) for cls, value in report.residual.items()
         },
+        "witness_block": None if witness is None else report.witness_block,
+        "witness": None if witness is None else [rational_quad(x) for x in witness],
+        "min_pivots": [
+            None if x is None else _fraction_to_pair(x) for x in report.min_pivots
+        ],
     }
-    if report.witness is not None:
-        doc["witness_block"] = report.witness_block
-        doc["witness"] = [rational_quad(x) for x in report.witness]
-    else:
-        doc["witness_block"] = None
-        doc["witness"] = None
-    doc["min_pivots"] = [
-        None if x is None else _fraction_to_pair(x) for x in report.min_pivots
-    ]
-    return doc

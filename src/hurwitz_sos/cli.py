@@ -105,8 +105,8 @@ def _check_cert_path(path: str) -> None:
     """Reject a --cert path that cannot be written, before any search runs."""
     if not path:
         raise _UsageError("--cert must be a nonempty path")
-    if os.path.isdir(path):
-        raise _UsageError(f"--cert {path} is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise _UsageError(f"--cert {path} is not a regular file")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise _UsageError(f"--cert {path}: directory {parent} does not exist")

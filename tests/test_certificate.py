@@ -905,6 +905,51 @@ def test_save_gives_the_mode_open_would(tmp_path):
     assert stat.S_IMODE(old.stat().st_mode) == 0o604
 
 
+def test_save_writes_a_fifo_in_place(tmp_path):
+    # a FIFO (like a device) has no contents to keep: it is opened and
+    # written, never replaced by a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        cert = bundled_certificate("p7r0.json")
+        hs.save_certificate(cert, str(fifo))
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert certificate_from_json(json.loads(text)) == cert
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_save_syncs_the_temporary_file_or_writes_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "cert.json"
+    path.write_text("old contents\n")
+    cert = bundled_certificate("p7r3.json")
+    real_open, opened = os.open, []
+
+    def spy(name, flags, mode=0o777, **kwargs):
+        opened.append((name, flags, mode))
+        return real_open(name, flags, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    hs.save_certificate(cert, str(path))
+    [(name, flags, mode)] = opened
+    assert os.path.dirname(name) == str(tmp_path) and mode == 0o666
+    assert flags & os.O_SYNC and flags & os.O_EXCL
+    # a directory that admits no new file: the file is written in place
+    path.write_text("old contents\n")
+
+    def refuse(name, flags, mode=0o777, **kwargs):
+        raise PermissionError(13, "Permission denied", name)
+
+    monkeypatch.setattr(os, "open", refuse)
+    hs.save_certificate(cert, str(path))
+    monkeypatch.undo()
+    assert hs.load_certificate(str(path)) == cert
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
 def test_certificate_json_complex_entries(tmp_path):
     G = gram_from_vectors([(grat(1), grat(Fraction(1, 2), Fraction(-1, 3)))])
     block = SandwichBlock(prefix="b", suffix=None, basis=("AAB", "ABA"))

@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -211,22 +213,28 @@ def test_search_json_certificate(tmp_path, three_word_ansatz, capsys):
     assert found == load_certificate(str(out_path))
 
 
-@pytest.mark.parametrize("where", ["missing/found.json", "."])
+@pytest.mark.parametrize("where", ["missing/found.json", ".", "pipe"])
 def test_search_rejects_unwritable_cert_before_searching(
     tmp_path, three_word_ansatz, monkeypatch, capsys, where
 ):
-    # a path whose directory is missing, or a directory: the search, which
-    # may run for minutes, must not start when its result cannot be saved
+    # a path whose directory is missing, or that is not a regular file (the
+    # rename would swap a FIFO or a device for a regular file): the search,
+    # which may run for minutes, must not start when its result cannot be saved
     def fail(*_args):
         raise AssertionError("feasibility_search ran")
 
     monkeypatch.setattr(cli, "feasibility_search", fail)
     cert = str(tmp_path / where)
+    if where == "pipe":
+        os.mkfifo(cert)
     code = main(["search", "--ansatz", three_word_ansatz, "--cert", cert])
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --cert ") and cert in captured.err
+    if where != "missing/found.json":
+        assert captured.err == f"error: --cert {cert} is not a regular file\n"
+    assert where != "pipe" or stat.S_ISFIFO(os.stat(cert).st_mode)
 
 
 def test_search_rejects_empty_cert_before_searching(three_word_ansatz, monkeypatch, capsys):
