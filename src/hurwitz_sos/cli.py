@@ -2,11 +2,11 @@
 
 Subcommands: expand, verify, search, validate, bmv-check.  Exit codes:
 0 success, 1 a verification or trial failed, the eigensolver did not
-converge, a numeric result was not finite or the run ran out of memory,
-2 usage or malformed input, 3 exact infeasibility proven, 4 search
-exhausted without an answer.  Every run is deterministic given its
-flags: the seed comes from ``--seed`` alone, defaults to 0 and must lie
-in [0, 2**64).
+converge, a numeric result was not finite, the run ran out of memory or
+stdout was closed (with nothing on stderr), 2 usage or malformed input,
+3 exact infeasibility proven, 4 search exhausted without an answer.
+Every run is deterministic given its flags: the seed comes from
+``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -342,7 +342,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: drop the rest of stdout quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

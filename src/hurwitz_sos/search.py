@@ -83,7 +83,9 @@ from .certificate import (
 )
 from .numeric import _check_seed, _eigh, derive_seed, gaussian_stream, hermitian_eig
 from .rational import GaussianRational
-from .words import CyclicClass, TracePolynomial, check_positive_int, hurwitz_expand
+from .words import (
+    CyclicClass, TracePolynomial, check_degrees, check_positive_int, hurwitz_expand,
+)
 
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
@@ -143,6 +145,7 @@ def _blocks(v: np.ndarray, runs: Sequence[Tuple[int, int, int]]) -> List[np.ndar
 def build_constraint_map(
     p: int, r: int, blocks: Sequence[SandwichBlock]
 ) -> ConstraintMap:
+    check_degrees(p, r)
     blocks = tuple(blocks)
     if not blocks:
         raise AnsatzMismatchError("ansatz must contain at least one block")

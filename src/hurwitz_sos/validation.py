@@ -170,23 +170,6 @@ class TrialReport(_Report):
         }
 
 
-def _trial_row(
-    cert: Certificate, n: int, label: str, oracle: float, value: float, tol_rel: float
-) -> TrialRow:
-    diff = abs(value - oracle)
-    passed = diff <= tol_rel * (1.0 + abs(oracle))
-    return TrialRow(
-        p=cert.p,
-        r=cert.r,
-        n=n,
-        label=label,
-        oracle=oracle,
-        value=value,
-        abs_diff=diff,
-        passed=passed,
-    )
-
-
 def trial_pair(n: int, trial_seeds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """The stacks (A, B) of random PSD pairs of dimension n, one per trial seed.
 
@@ -234,7 +217,9 @@ def validate_certificate_trials(
         oracles = trace_hurwitz_numeric(A, B, cert.p, cert.r).tolist()
         values = eval_certificate_numeric(cert, A, B).tolist()
         for i, label, oracle, value in zip(indices, labels, oracles, values):
-            rows[i] = _trial_row(cert, n, label, oracle, value, config.tol_rel)
+            diff = abs(value - oracle)
+            passed = diff <= config.tol_rel * (1.0 + abs(oracle))
+            rows[i] = TrialRow(cert.p, cert.r, n, label, oracle, value, diff, passed)
     return TrialReport(rows=tuple(rows), tol_rel=config.tol_rel)
 
 
@@ -285,23 +270,6 @@ class CoefficientReport(_Report):
         }
 
 
-def _coefficient_row(
-    p: int, n: int, trial_seed: int, coeffs: List[float]
-) -> CoefficientRow:
-    """Check one pair's p+1 coefficients, as Python floats, for nonnegativity."""
-    threshold = _COEFFICIENT_TOL * (1.0 + max(map(abs, coeffs)))
-    smallest = min(coeffs)
-    return CoefficientRow(
-        p=p,
-        n=n,
-        trial_seed=trial_seed,
-        coefficients=tuple(coeffs),
-        min_coefficient=smallest,
-        threshold=threshold,
-        passed=smallest >= -threshold,
-    )
-
-
 def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
     """Run ``config.trials`` coefficient nonnegativity trials for degree p.
 
@@ -319,5 +287,8 @@ def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
         seeds = [config.seed + t for t in indices]
         A, B = trial_pair(n, seeds)
         for t, seed, coeffs in zip(indices, seeds, bmv_coefficients(A, B, p).tolist()):
-            rows[t] = _coefficient_row(p, n, seed, coeffs)
+            threshold = _COEFFICIENT_TOL * (1.0 + max(map(abs, coeffs)))
+            smallest = min(coeffs)
+            passed = smallest >= -threshold
+            rows[t] = CoefficientRow(p, n, seed, tuple(coeffs), smallest, threshold, passed)
     return CoefficientReport(rows=tuple(rows), tol=_COEFFICIENT_TOL)

@@ -392,22 +392,25 @@ def test_search_shape_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "p,basis,message",
+    "p,r,basis,message",
     [
-        (8, ["AAB", "ABA", "BAA"],
+        (8, 3, ["AAB", "ABA", "BAA"],
          "block 0: sandwich products have length 7, target degree is 8"),
-        (7, ["AAB", "ABB"],
+        (7, 3, ["AAB", "ABB"],
          "block 0: word 'ABB' yields products with 5 B letters, target needs 3"),
+        (7, -1, ["AAB", "ABA", "BAA"], "r must lie in [0, 7], got -1"),
+        (7, 8, ["AAB", "ABA", "BAA"], "r must lie in [0, 7], got 8"),
     ],
-    ids=["degree", "b-count"],
+    ids=["degree", "b-count", "r-below-0", "r-above-p"],
 )
-def test_search_shape_mismatch_message(tmp_path, capsys, p, basis, message):
-    # each shape error is one line naming the block, before any search
+def test_search_shape_mismatch_message(tmp_path, capsys, p, r, basis, message):
+    # each shape error is one line naming the block, before any search; an
+    # r outside [0, p] is named as such, before any block shape is checked.
+    # The file has no p/r keys, so -p and -r give them.
     path = tmp_path / "misshaped.json"
-    path.write_text(
-        json.dumps({"p": p, "r": 3, "blocks": [{"prefix": "b", "suffix": None, "basis": basis}]})
-    )
-    assert main(["search", "--ansatz", str(path)]) == EXIT_USAGE
+    path.write_text(json.dumps({"blocks": [{"prefix": "b", "suffix": None, "basis": basis}]}))
+    flags = ["-p", str(p), "-r", str(r)]
+    assert main(["search", "--ansatz", str(path), *flags]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
@@ -800,6 +803,23 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"AABAB": 5, "AAABB": 5}
+
+
+def test_closed_stdout_exits_fail_quietly():
+    """A reader that closes stdout early, as ``| head -n 1`` does, ends the
+    run with exit code 1 and nothing on stderr: not a usage error, no
+    traceback and no complaint at interpreter exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hurwitz_sos.cli", "expand", "-p", "20", "-r", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # about 220 KB of output, more than any pipe buffer holds
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_FAIL
+    assert err == b""
 
 
 @pytest.mark.skipif(shutil.which("hurwitz-sos") is None, reason="script not on PATH")

@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import hurwitz_sos
-from hurwitz_sos import certificate, cli, numeric, rational, search, words
+from hurwitz_sos import certificate, cli, numeric, rational, search, validation, words
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -107,6 +107,7 @@ REMOVED = (
     (rational.GaussianRational, ("as_tuple",)),
     (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError",
               "UnreachableTargetError", "_check_reachable")),
+    (validation, ("_trial_row", "_coefficient_row")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike",
              "CoefficientLike")),
     (words.CyclicClass, ("representative", "length", "b_count")),

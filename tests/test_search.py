@@ -197,6 +197,15 @@ def test_constraint_map_shape_mismatch():
         build_constraint_map(7, 2, (BLOCK_73,))
     with pytest.raises(ValueError):
         build_constraint_map(7, 3, ())
+    # (p, r) is checked first, as a Certificate checks it: a bool r or an r
+    # outside [0, p] is named as such, even where the block shapes would fit
+    one_b = SandwichBlock(None, "b", ("A",))
+    for p, r, blocks in ((3, True, (one_b,)), (7, -1, (BLOCK_73,)), (7, 8, (BLOCK_73,))):
+        with pytest.raises(ValueError) as info:
+            build_constraint_map(p, r, blocks)
+        assert str(info.value) == f"r must lie in [0, {p}], got {r!r}"
+    with pytest.raises(ValueError, match="p must be a positive int"):
+        build_constraint_map(0, 0, (BLOCK_73,))
 
 
 def test_unreachable_target_classes():

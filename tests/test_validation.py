@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz_sos import validation
 from hurwitz_sos.certificate import bundled_certificate, swap_certificate
 from hurwitz_sos.validation import (
     CoefficientReport,
@@ -148,6 +149,39 @@ def test_bmv_trials_positive():
         assert len(row.coefficients) == 6
         assert row.min_coefficient >= -row.threshold
     json.dumps(report.rows[0].to_json())
+
+
+def test_trial_row_passes_exactly_at_its_bound(monkeypatch):
+    """A row passes when |sos - oracle| <= tol_rel * (1 + |oracle|): at the
+    bound on either side of the oracle, and not one float step beyond it."""
+    tol, oracle = 2.0**-22, 3.0
+    bound = tol * (1.0 + abs(oracle))
+    values = [oracle + bound, math.nextafter(oracle + bound, math.inf),
+              oracle - bound, math.nextafter(oracle - bound, -math.inf)]
+    assert [abs(v - oracle) == bound for v in values] == [True, False, True, False]
+    monkeypatch.setattr(validation, "trace_hurwitz_numeric",
+                        lambda A, B, p, r: np.full(len(A), oracle))
+    monkeypatch.setattr(validation, "eval_certificate_numeric",
+                        lambda cert, A, B: np.array(values[:len(A)]))
+    # the scalar, identity and two random rows all have n = 1: one stack of 4
+    config = TrialConfig(dims=(1,), trials=2, tol_rel=tol)
+    report = validate_certificate_trials(bundled_certificate("p7r3.json"), config)
+    assert [row.value for row in report.rows] == values
+    assert [row.passed for row in report.rows] == [True, False, True, False]
+
+
+def test_coefficient_row_passes_exactly_at_its_threshold(monkeypatch):
+    """A row passes when its smallest coefficient is >= -tol * (1 + max |c|):
+    at the threshold, and not one float step below it."""
+    largest = 3.0
+    threshold = validation._COEFFICIENT_TOL * (1.0 + largest)
+    smallest = [-threshold, math.nextafter(-threshold, -math.inf)]
+    monkeypatch.setattr(validation, "bmv_coefficients",
+                        lambda A, B, p: np.array([[largest, 1.0, 0.0, s] for s in smallest]))
+    report = bmv_check_trials(3, TrialConfig(dims=(2,), trials=2))
+    assert [row.threshold for row in report.rows] == [threshold, threshold]
+    assert [row.min_coefficient for row in report.rows] == smallest
+    assert [row.passed for row in report.rows] == [True, False]
 
 
 def test_bmv_trials_reject_boolean_p():
