@@ -64,7 +64,6 @@ from .words import (
     TracePolynomial,
     hurwitz_expand,
     reverse_class,
-    reverse_word,
     swap_word,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "quadratic_form",
     "random_psd",
     "reverse_class",
-    "reverse_word",
     "save_certificate",
     "swap_certificate",
     "swap_word",

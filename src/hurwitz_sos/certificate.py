@@ -595,14 +595,14 @@ def certificate_from_json(data: object) -> Certificate:
 
 
 def _load_json(path: str) -> object:
-    """Parse a JSON file; text that is not UTF-8, malformed JSON or JSON
-    nested too deeply is a format error naming the path."""
+    """Parse a JSON file; text that is not UTF-8, malformed JSON, an int too
+    long to convert or JSON nested too deeply is a format error naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError too, so it comes first
             raise CertificateFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or the int digit limit
             raise CertificateFormatError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise CertificateFormatError(f"{path}: JSON nested too deeply") from exc

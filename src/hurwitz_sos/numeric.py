@@ -46,7 +46,7 @@ a product over every word and against exact cyclic-class expansions.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -168,8 +168,8 @@ def _complex_gaussian_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def gaussian_stream(seed: int, count: int) -> np.ndarray:
     """``count`` IID standard normals from one seed via the Box-Muller transform."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    if not is_int(count) or count < 0:
+        raise ValueError(f"count must be a nonnegative int, got {count!r}")
     _check_seed(seed)
     return _gaussian_rows(np.array([seed], dtype=np.uint64), count)[0]
 
@@ -259,7 +259,7 @@ def _eigh(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
-def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(H, name: str = "matrix") -> Tuple[np.ndarray, np.ndarray]:
     """Eigensystem (w, V) of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
     Computed by LAPACK ``eigh`` on H, or on H/2 + H*/2 when H is not
@@ -267,10 +267,11 @@ def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
     far from Hermitian is rejected, naming its stack index.  Raises
     ConvergenceError if LAPACK does not converge, and ArithmeticError,
     naming the stack index, if an eigenvalue exceeds double precision.
+    Error messages call the input ``name``.
     As from ``eigh``, w is ascending and column j of V goes with w[j]; a
     stack gives w of shape (m, n) and V of shape (m, n, n).
     """
-    H = _checked_square(H)
+    H = _checked_square(H, name)
     adjoint = _adjoint(H)
     # H == H* passes the tolerance below exactly and needs no average, so
     # skip both; the norms run on H u, u = 1 / max(1, max |H|), and the
@@ -281,7 +282,7 @@ def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
         off = _frobenius(Hs - _adjoint(Hs)) > 1e-8 * (u[..., 0, 0] + _frobenius(Hs))
         if off.any():
             k = int(np.argmax(off))
-            raise ValueError(f"matrix{_which(H.ndim == 2, k)} is not Hermitian")
+            raise ValueError(f"{name}{_which(H.ndim == 2, k)} is not Hermitian")
         H = H / 2.0 + adjoint / 2.0
     w, V = _eigh(H)
     # a Python pass costs less than a numpy reduction on the short
@@ -289,28 +290,28 @@ def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
     if not all(map(math.isfinite, w.ravel().tolist())):
         k = int(np.argmin(np.isfinite(w).all(axis=-1)))
         raise ArithmeticError(
-            f"matrix{_which(H.ndim == 2, k)} has an eigenvalue that is not finite; "
+            f"{name}{_which(H.ndim == 2, k)} has an eigenvalue that is not finite; "
             "it exceeds double precision"
         )
     return w, V
 
 
-def psd_sqrt(A) -> np.ndarray:
+def psd_sqrt(A, name: str = "matrix") -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix of a stack (m, n, n).
 
     Eigenvalues below zero by more than ``PSD_NEG_TOL * (1 + ||A||_F)``
     are an error; smaller dips are treated as roundoff and clamped to zero.
     The input is checked and diagonalized by :func:`hermitian_eig`, and
-    ||A||_F is read off its eigenvalues.
+    ||A||_F is read off its eigenvalues.  Error messages call the input ``name``.
     """
-    w, V = hermitian_eig(A)
+    w, V = hermitian_eig(A, name)
     single = w.ndim == 1
     lowest = np.ravel(w[..., 0])
     low = np.ravel(_clearly_negative(w))
     if low.any():
         k = int(np.argmax(low))
         raise NotPsdError(
-            f"matrix{_which(single, k)} has negative eigenvalue {lowest[k]:.6e}"
+            f"{name}{_which(single, k)} has negative eigenvalue {lowest[k]:.6e}"
         )
     S = (V * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _adjoint(V)
     return (S + _adjoint(S)) / 2.0
@@ -421,10 +422,13 @@ def eval_certificate_numeric(cert: Certificate, A, B):
     A pair gives a float; a stack of m pairs gives a float vector of
     length m, with each Gram eigensystem computed once for the stack.
     A total that overflows to inf or NaN raises ArithmeticError naming
-    the block and, for a stack, the pair.
+    the block and, for a stack, the pair; an error about A or B names it.
     """
     A, B, single = _pair_stack(A, B)
-    half: Dict[str, np.ndarray] = {"a": psd_sqrt(A), "b": psd_sqrt(B)}
+    # a pair's roots stay (n, n), so an error names A or B with no stack
+    # index; the matmuls below broadcast them over the stack of one
+    half = {"a": psd_sqrt(A[0] if single else A, "A"),
+            "b": psd_sqrt(B[0] if single else B, "B")}
     total = np.zeros(A.shape[0])
     for block_index, (block, gram) in enumerate(cert.blocks):
         G = gram_to_complex(gram)

@@ -1,8 +1,11 @@
 """Exact complex rational scalars (Gaussian rationals).
 
-Everything on the certificate side of the package is computed in this
-field so matching a target expansion and checking positive
-semidefiniteness are exact statements, not floating-point ones.
+The exact layer computes on integers: a Gram matrix and a trace
+polynomial hold int real and imaginary parts over one positive scale, so
+matching a target expansion and checking positive semidefiniteness are
+exact statements, not floating-point ones.  A ``GaussianRational`` is how
+an exact value is written in and read out; ``_over_lcm`` puts a list of
+them over one scale.
 """
 
 from __future__ import annotations

@@ -94,6 +94,8 @@ class TrialConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
+        # a tuple: a list is unhashable, and the checks would use up a generator
+        object.__setattr__(self, "dims", tuple(self.dims))
         _check_seed(self.seed)
         check_positive_int(self.trials, "trials")
         _check_tolerance("tol_rel", self.tol_rel)
@@ -256,8 +258,6 @@ class CoefficientRow:
 
 @dataclass(frozen=True)
 class CoefficientReport(_Report):
-    tol: float
-
     def summary(self) -> Dict[str, object]:
         return {
             "trials": len(self.rows),
@@ -266,7 +266,7 @@ class CoefficientReport(_Report):
             "min_coefficient": min(
                 (row.min_coefficient for row in self.rows), default=0.0
             ),
-            "tol": self.tol,
+            "tol": _COEFFICIENT_TOL,
         }
 
 
@@ -291,4 +291,4 @@ def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
             smallest = min(coeffs)
             passed = smallest >= -threshold
             rows[t] = CoefficientRow(p, n, seed, tuple(coeffs), smallest, threshold, passed)
-    return CoefficientReport(rows=tuple(rows), tol=_COEFFICIENT_TOL)
+    return CoefficientReport(rows=tuple(rows))

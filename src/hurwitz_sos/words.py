@@ -60,11 +60,6 @@ def _least_rotation(word: str) -> str:
     return best
 
 
-def reverse_word(word: str) -> str:
-    """Reverse a word; for Hermitian letter matrices this spells the adjoint."""
-    return check_word(word)[::-1]
-
-
 def swap_word(word: str) -> str:
     """Exchange every A with B and vice versa."""
     return check_word(word).translate(_SWAP_TABLE)
@@ -205,20 +200,14 @@ class TracePolynomial:
         return TracePolynomial._wrap(self._degree, *_normal(scale, parts))
 
     def __neg__(self) -> "TracePolynomial":
-        return self.scaled(-1)
+        # flipping the signs keeps the form normal: no part becomes 0, the gcd stays
+        parts = {cls: (-x, -y) for cls, (x, y) in self._parts.items()}
+        return TracePolynomial._wrap(self._degree, self._scale, parts)
 
     def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
         if not isinstance(other, TracePolynomial):
             return NotImplemented
         return self + (-other)
-
-    def scaled(self, factor: Scalarish) -> "TracePolynomial":
-        # factor = (u + i v) / w over the lcm w of its denominators
-        w, ((u, v),) = _over_lcm([GaussianRational.of(factor)])
-        parts = {
-            cls: (x * u - y * v, x * v + y * u) for cls, (x, y) in self._parts.items()
-        }
-        return TracePolynomial._wrap(self._degree, *_normal(self._scale * w, parts))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{cls}: {value}" for cls, value in self.items())

@@ -161,6 +161,21 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "p and r must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_over_long_integer_is_a_format_error(tmp_path, capsys, command):
+    """An int past Python's digit limit for str -> int is malformed input,
+    reported with the path like any other invalid JSON."""
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["blocks"][0]["gram"][0][0]["re"] = ["NUMERATOR", 1]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"NUMERATOR"', "1" * 5000))
+    assert main([command, "--cert", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: invalid JSON (Exceeds the limit ")
+
+
 @pytest.mark.parametrize(
     "command", ["verify --cert", "validate --cert", "search --ansatz"]
 )
@@ -653,7 +668,7 @@ def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
         threshold=1e-9,
         passed=False,
     )
-    report = CoefficientReport(rows=(row,), tol=1e-9)
+    report = CoefficientReport(rows=(row,))
     monkeypatch.setattr(cli, "bmv_check_trials", lambda p, config: report)
     assert main(["bmv-check", "-p", "7", "--trials", "1"]) == EXIT_FAIL
     err = capsys.readouterr().err

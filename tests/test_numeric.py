@@ -210,8 +210,11 @@ def test_gaussian_stream_takes_one_seed():
             gaussian_stream(bad, 4)
     assert gaussian_stream(2**64 - 1, 4).shape == (4,)
     assert gaussian_stream(0, 0).shape == (0,)
-    with pytest.raises(ValueError, match="^count must be nonnegative$"):
-        gaussian_stream(0, -1)
+    # a count is a non-bool int like every other size
+    for bad in (-1, True, False, 2.5, 4.0, "3", None):
+        message = rf"^count must be a nonnegative int, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            gaussian_stream(0, bad)
 
 
 # ------------------------------------------------------------------ eigensolver

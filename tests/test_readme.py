@@ -87,7 +87,7 @@ PUBLIC_API = (
     "expand_gram", "feasibility_search", "gaussian_stream", "grat", "hermitian_eig",
     "hurwitz_expand", "load_ansatz", "load_certificate",
     "pair_classes", "psd_check_exact", "psd_sqrt", "quadratic_form",
-    "random_psd", "reverse_class", "reverse_word",
+    "random_psd", "reverse_class",
     "save_certificate", "swap_certificate", "swap_word", "trace_hurwitz_numeric",
     "validate_certificate_trials", "verify_against", "verify_certificate",
 )
@@ -109,7 +109,8 @@ REMOVED = (
               "UnreachableTargetError", "_check_reachable")),
     (validation, ("_trial_row", "_coefficient_row")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike",
-             "CoefficientLike")),
+             "CoefficientLike", "reverse_word")),
+    (words.TracePolynomial, ("scaled",)),
     (words.CyclicClass, ("representative", "length", "b_count")),
 )
 

@@ -249,6 +249,30 @@ def test_bad_slice_message_names_its_index():
             entry(A)
 
 
+def test_certificate_error_names_a_or_b():
+    # the message calls the input A or B, with a stack index only for a stack
+    cert = bundled_certificate("p7r3.json")
+    I = np.eye(2)
+    with pytest.raises(NotPsdError, match=r"^B has negative eigenvalue -1\.000000e\+00$"):
+        eval_certificate_numeric(cert, I, -I)
+    with pytest.raises(NotPsdError, match=r"^A has negative eigenvalue -1\.000000e\+00$"):
+        eval_certificate_numeric(cert, -I, I)
+    with pytest.raises(ValueError, match=r"^A is not Hermitian$"):
+        eval_certificate_numeric(cert, NON_HERMITIAN[0], I)
+    A, B = psd_stack(2, 5, 1), psd_stack(2, 5, 2)
+    B[3] = -I
+    with pytest.raises(NotPsdError, match=r"^B \(stack index 3\) has negative eigenvalue -1\.0"):
+        eval_certificate_numeric(cert, A, B)
+    A[1] = NON_HERMITIAN[0]
+    with pytest.raises(ValueError, match=r"^A \(stack index 1\) is not Hermitian$"):
+        eval_certificate_numeric(cert, A, B)
+    # psd_sqrt and hermitian_eig call their input "matrix" unless given a name
+    with pytest.raises(ValueError, match=r"^B contains non-finite entries$"):
+        psd_sqrt(np.array([[np.nan]]), "B")
+    with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        hermitian_eig(np.array([[np.inf]]))
+
+
 # ------------------------------------------------------------------ runners replay
 
 def test_certificate_rows_replay_alone():

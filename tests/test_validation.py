@@ -58,6 +58,15 @@ def test_trial_config_validation():
     assert [row.trial_seed for row in rows] == [2**64 - 2, 2**64 - 1]
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 3\] so that its 3 "):
         bmv_check_trials(3, TrialConfig(seed=2**64 - 2, dims=(2,), trials=3))
+    # dims is kept as a tuple: a list config stays hashable, and a
+    # generator is read once, by the config, not used up by its checks
+    listed = TrialConfig(dims=[2, 3], trials=2)
+    assert listed.dims == (2, 3) and hash(listed) == hash(TrialConfig(dims=(2, 3), trials=2))
+    generated = TrialConfig(dims=(n for n in [2, 3]), trials=2)
+    assert generated.dims == (2, 3)
+    assert [row.n for row in bmv_check_trials(3, generated).rows] == [2, 3]
+    with pytest.raises(ValueError, match="dims must be nonempty"):
+        TrialConfig(dims=iter([]))
 
 
 def test_trial_config_rejects_booleans():
