@@ -26,7 +26,7 @@ from .words import (
     CyclicClass,
     TracePolynomial,
     _SWAP_TABLE,
-    _class_of,
+    _least_rotation,
     _normal,
     check_degrees,
     check_word,
@@ -129,12 +129,31 @@ def pair_classes(block: SandwichBlock) -> Tuple[Tuple[CyclicClass, ...], ...]:
     of the adjoint factor to the front, and adjacent identical half
     letters square to the full letter, leaving the pair word
     W_j [suffix^2] reverse(W_k) [prefix^2], the block's one pair rule,
-    built as heads[j] + tails[k] from ``SandwichBlock._pair_parts``.  Each
-    pair word goes through one least rotation without the letter check:
-    the block checked its basis words when it was built.
+    built as heads[j] + tails[k] from ``SandwichBlock._pair_parts``.
+
+    The first pair word of a class goes through one least rotation,
+    without the letter check (the block checked its basis words when it
+    was built), and its class is recorded under every rotation of the
+    word.  A later pair word that is a rotation of an earlier one is then
+    one dict probe.  The table lives for this call only.
     """
     heads, tails = block._pair_parts()
-    return tuple(tuple(_class_of(head + tail) for tail in tails) for head in heads)
+    n = len(heads[0] + tails[0])
+    seen: Dict[str, CyclicClass] = {}
+    rows = []
+    for head in heads:
+        row = []
+        for tail in tails:
+            word = head + tail
+            cls = seen.get(word)
+            if cls is None:
+                cls = str.__new__(CyclicClass, _least_rotation(word))
+                doubled = word + word
+                for i in range(n):
+                    seen[doubled[i : i + n]] = cls
+            row.append(cls)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -250,10 +269,12 @@ def _witness(
     """The vector sum_k (start[k] / den) u_k, normalized as PsdCheckResult states.
 
     Each start[k] is a Gaussian integer (re, im).  Pivot q ran
-    u_k <- u_k - (T[q][k] / T[q][q]) u_q, and row q of T is not written
-    after its pivot, so back-substitution in reversed pivot order gives
-    y[q] = -sum_k y[k] T[q][k] / T[q][q], here on integer numerators
-    over one denominator that takes the factor T[q][q].
+    u_k <- u_k - (T[q][k] / T[q][q]) u_q.  Row q of T is whole at its
+    pivot, for every index then remaining (its cells left of the diagonal
+    are filled there), and is not written after it, so back-substitution
+    in reversed pivot order gives y[q] = -sum_k y[k] T[q][k] / T[q][q],
+    here on integer numerators over one denominator that takes the
+    factor T[q][q].  Only those cells of row q are read.
     """
     y = dict(start)
     for q in reversed(done):
@@ -288,10 +309,14 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
 
     Each remaining entry is S[i][j] = T[i][j] / (delta L) = u_i* G u_j,
     with u_i = e_i - sum over earlier pivots q of (T[q][i] / T[q][q]) u_q.
+    S is Hermitian, so only the upper triangle i <= j of the remaining
+    entries is updated.  At its pivot, row q gets its cells left of the
+    diagonal once, as the conjugates of column q above it, and so holds
+    T[q][i] for every remaining i when the update reads it.
     No u_i is kept while the check runs; on failure the witness is read
     off the stored pivot rows.  A negative diagonal entry gives u_i; a
-    zero diagonal with a nonzero off-diagonal entry s = S[i][j] gives
-    u_j - s u_i, whose form value is exactly -2 |s|^2.
+    zero diagonal with a nonzero off-diagonal entry s = S[i][j], i < j,
+    gives u_j - s u_i, whose form value is exactly -2 |s|^2.
     """
     scale, Tre, Tim = gram.scale, [list(r) for r in gram.re], [list(r) for r in gram.im]
     delta = 1
@@ -321,8 +346,11 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
         remaining.remove(q)
         done.append(q)
         rq, iq = Tre[q], Tim[q]
+        for i in remaining:
+            if i < q:  # row q left of its diagonal: T[q][i] = conj(T[i][q])
+                rq[i], iq[i] = Tre[i][q], -Tim[i][q]
         for pos, i in enumerate(remaining):
-            # T[q][i] = a + b i; row i gets T[i][q] = conj(T[q][i])
+            # T[q][i] = a + b i, and T[i][q] = conj(T[q][i])
             a, b = rq[i], iq[i]
             ri, ii = Tre[i], Tim[i]
             # the divisions are inline: this loop is the O(n^3) part
@@ -338,7 +366,6 @@ def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
                         f"fraction-free step: {delta} does not divide {x}"
                     )
                 ri[j], ii[j] = re, im
-                Tre[j][i], Tim[j][i] = re, -im
         delta = d
 
     return PsdCheckResult(True, None, tuple(pivots))
@@ -400,9 +427,10 @@ def expand_gram(block: SandwichBlock, gram: GramMatrix) -> TracePolynomial:
 
 
 def certificate_expansion(cert: Certificate) -> TracePolynomial:
-    """Exact expansion of all blocks combined."""
-    total = TracePolynomial(cert.p)
-    for block, gram in cert.blocks:
+    """Exact expansion of all blocks combined: the first block's, plus the rest."""
+    first, *rest = cert.blocks
+    total = expand_gram(*first)
+    for block, gram in rest:
         total = total + expand_gram(block, gram)
     return total
 

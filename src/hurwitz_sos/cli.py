@@ -15,9 +15,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificate import (
+    Certificate,
+    VerifyReport,
     load_ansatz,
     load_certificate,
     save_certificate,
@@ -63,12 +65,24 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
-def _emit(doc: dict, lines: List[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _emit(doc: dict, lines: Iterable[str], fmt: str) -> None:
+    """Print ``doc`` as JSON, or ``lines`` (which may be lazy) as text.
+
+    Both hold the command's own exact results, not parsed input, so
+    Python's digit limit for int -> str (3.10.7 on) is lifted while they
+    are written: an exact pivot or residual can pass it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -79,25 +93,27 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verify_lines(path: str, cert: Certificate, report: VerifyReport) -> Iterator[str]:
+    """The text report, spelled as ``_emit`` writes it."""
+    yield f"certificate {path} (p={cert.p}, r={cert.r})"
+    yield f"matched: {str(report.matched).lower()}"
+    yield f"psd: {str(report.psd).lower()}"
+    if not report.matched:
+        yield "residual (expansion minus target):"
+        for cls, value in report.residual.items():
+            yield f"  {cls} {value}"
+    if not report.psd:
+        vec = ", ".join(str(x) for x in report.witness)
+        yield f"negative witness in block {report.witness_block}: ({vec})"
+    yield "ok" if report.ok else "FAILED"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
     report = verify_certificate(cert)
     doc = {"path": args.cert, "p": cert.p, "r": cert.r}
     doc.update(verify_report_to_json(report))
-    lines = [
-        f"certificate {args.cert} (p={cert.p}, r={cert.r})",
-        f"matched: {str(report.matched).lower()}",
-        f"psd: {str(report.psd).lower()}",
-    ]
-    if not report.matched:
-        lines.append("residual (expansion minus target):")
-        for cls, value in report.residual.items():
-            lines.append(f"  {cls} {value}")
-    if not report.psd:
-        vec = ", ".join(str(x) for x in report.witness)
-        lines.append(f"negative witness in block {report.witness_block}: ({vec})")
-    lines.append("ok" if report.ok else "FAILED")
-    _emit(doc, lines, args.format)
+    _emit(doc, _verify_lines(args.cert, cert, report), args.format)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 

@@ -95,7 +95,12 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         # a tuple: a list is unhashable, and the checks would use up a generator
-        object.__setattr__(self, "dims", tuple(self.dims))
+        try:
+            object.__setattr__(self, "dims", tuple(self.dims))
+        except TypeError:
+            raise ValueError(
+                f"dims must be a sequence of positive ints, got {self.dims!r}"
+            ) from None
         _check_seed(self.seed)
         check_positive_int(self.trials, "trials")
         _check_tolerance("tol_rel", self.tol_rel)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .rational import GaussianRational, Scalarish, ZERO, _over_lcm, is_int
 
@@ -88,11 +88,6 @@ class CyclicClass(str):
     def _trusted(cls, representative: str) -> "CyclicClass":
         """Class of a word that is already its own least rotation: no check, no rotation."""
         return str.__new__(cls, representative)
-
-
-def _class_of(word: str) -> CyclicClass:
-    """Class of a word known to be over {A, B}: one unchecked least rotation."""
-    return CyclicClass._trusted(_least_rotation(word))
 
 
 # each class's integer parts (re, im) over a polynomial's scale
@@ -224,11 +219,12 @@ def _normal(scale: int, parts: _Parts) -> Tuple[int, _Parts]:
     return scale // g, {cls: (x // g, y // g) for cls, (x, y) in kept.items()}
 
 
-def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
-    """Least-rotation words A^g1 B A^g2 B ... A^gr B of the necklaces with r B's and m A's.
+def _necklace_classes(r: int, m: int, weights: Dict[int, Tuple[int, int]]) -> _Parts:
+    """The classes A^g1 B A^g2 B ... A^gr B of the necklaces with r B's and m A's.
 
-    Yields ``(word, q)`` with q the primitive period of the run lengths
-    (g1, ..., gr), which are greatest among their rotations.  This is
+    Maps each class, spelled by its least rotation, to ``weights[q]``,
+    with q the primitive period of the run lengths (g1, ..., gr), which
+    are greatest among their rotations.  This is
     the FKM necklace generator (Fredricksen, Kessler and Maiorana) on
     the run lengths, with the order of the integers reversed and the
     fixed sum pruned into the bounds of each position.  It walks the
@@ -239,12 +235,14 @@ def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
     The walk stops at position r - 1: the last run must take the rest
     of the sum, so it is placed in one step.  That leaf exists exactly
     when the rest is at most the value FKM bounds position r by, and
-    it keeps the prefix's period only when it meets that bound.  Words
-    come out in decreasing lexicographic order of their run lengths.
+    it keeps the prefix's period only when it meets that bound.  Each
+    leaf's word becomes its class as it is and goes straight into the
+    dict, which holds the classes in decreasing lexicographic order of
+    their run lengths.
     """
     if r == 1:
-        yield "A" * m + "B", 1
-        return
+        return {CyclicClass._trusted("A" * m + "B"): weights[1]}
+    parts: _Parts = {}
     pieces = ["A" * g + "B" for g in range(m + 1)]
     last = r - 1
     a = [m] * r  # a[0] = m is a sentinel bounding a[1] from above
@@ -270,7 +268,8 @@ def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
                 if rest < bound:
                     q = r
                 if r % q == 0:
-                    yield pre[t - 1] + pieces[value] + pieces[rest], q
+                    word = pre[t - 1] + pieces[value] + pieces[rest]
+                    parts[str.__new__(CyclicClass, word)] = weights[q]
             continue
         per[t] = q
         pre[t] = pre[t - 1] + pieces[value]
@@ -281,6 +280,7 @@ def _necklace_words(r: int, m: int) -> Iterator[Tuple[str, int]]:
         a[t] = (top if top < rest else rest) + 1
         floor = rest - (r - t) * a[1]
         low[t] = floor if floor > 0 else 0
+    return parts
 
 
 def hurwitz_expand(p: int, r: int) -> TracePolynomial:
@@ -297,15 +297,14 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     q; so ``ABABAB`` in (6, 3) has multiplicity 2.  The multiplicities
     add up to C(p, r).
 
-    The walk spells each class's least rotation as it goes, so every
-    word becomes a class as it is, and the classes sharing a period q
-    share one (multiplicity, 0) pair of integer parts over scale 1.
+    The walk spells each class's least rotation as it goes and writes
+    the class into the dict it returns, which is wrapped as it is: the
+    classes sharing a period q share one (multiplicity, 0) pair of
+    integer parts over scale 1.
     """
     check_degrees(p, r)
     if r == 0:
         return TracePolynomial._wrap(p, 1, {CyclicClass._trusted("A" * p): (1, 0)})
     # already normal: scale 1 and every multiplicity positive
     weights = {q: (p * q // r, 0) for q in range(1, r + 1) if r % q == 0}
-    words = _necklace_words(r, p - r)
-    parts = {CyclicClass._trusted(word): weights[q] for word, q in words}
-    return TracePolynomial._wrap(p, 1, parts)
+    return TracePolynomial._wrap(p, 1, _necklace_classes(r, p - r, weights))

@@ -105,15 +105,20 @@ def oracle_least_rotation(word):
     return sorted(word[i:] + word[:i] for i in range(len(word)))[0]
 
 
-def oracle_pair_class(block, j, k):
-    """Least rotation of sandwich j times the adjoint of sandwich k, by hand."""
+def oracle_pair_word(block, j, k):
+    """The word of sandwich j times the adjoint of sandwich k, by hand."""
     word = block.basis[j]
     if block.suffix:
         word += block.suffix.upper()
     word += block.basis[k][::-1]
     if block.prefix:
         word += block.prefix.upper()
-    return oracle_least_rotation(word)
+    return word
+
+
+def oracle_pair_class(block, j, k):
+    """Least rotation of sandwich j times the adjoint of sandwich k, by hand."""
+    return oracle_least_rotation(oracle_pair_word(block, j, k))
 
 
 def oracle_forced_grams(blocks, target):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hurwitz_sos as hs
@@ -41,7 +41,9 @@ from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
 from oracles import (
     add,
     gram_from_vectors,
+    oracle_least_rotation,
     oracle_pair_class,
+    oracle_pair_word,
     oracle_quadratic_form,
     scaled,
     scaled_identity,
@@ -234,24 +236,51 @@ def test_pair_classes_suffix_and_both_sides():
     assert str(both[1][1]) == "ABABAB"
 
 
+def assert_pair_classes_match_oracle(block):
+    """Every entry of the table equals the by-hand oracle and a checked
+    CyclicClass, type included: the table takes unchecked least rotations."""
+    table = pair_classes(block)
+    d = block.dimension
+    assert len(table) == d and all(len(row) == d for row in table)
+    for j in range(d):
+        for k in range(d):
+            cls = table[j][k]
+            assert str(cls) == oracle_pair_class(block, j, k)
+            assert type(cls) is CyclicClass and cls == CyclicClass(str(cls))
+
+
 def test_pair_classes_match_oracle():
-    # the table takes unchecked least rotations; every entry must equal
-    # the by-hand oracle and a checked CyclicClass, type included
     _p, _r, p6_blocks = hs.load_ansatz(bundled_path("p6r3_restricted_ansatz.json"))
     blocks = list(SEARCH_MIX_BLOCKS + p6_blocks)
     for name in ("p7r0.json", "p7r1.json", "p7r2.json", "p7r3.json"):
         cert = bundled_certificate(name)
         for c in (cert, swap_certificate(cert)):
             blocks.extend(block for block, _gram in c.blocks)
+    # the exact-scale benchmark's d = 20 and d = 35 blocks
+    blocks.extend(SandwichBlock(None, None, words_with(n, 3)) for n in (6, 7))
     for block in blocks:
-        table = pair_classes(block)
-        d = block.dimension
-        assert len(table) == d and all(len(row) == d for row in table)
-        for j in range(d):
-            for k in range(d):
-                cls = table[j][k]
-                assert str(cls) == oracle_pair_class(block, j, k)
-                assert type(cls) is CyclicClass and cls == CyclicClass(str(cls))
+        assert_pair_classes_match_oracle(block)
+
+
+@st.composite
+def rotation_rich_blocks(draw):
+    """Blocks with a random prefix and suffix whose basis words share one
+    length and B count, so that many pair words are rotations of another."""
+    length = draw(st.integers(min_value=2, max_value=5))
+    pool = words_with(length, draw(st.integers(min_value=1, max_value=length - 1)))
+    basis = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
+    half = st.sampled_from((None, "a", "b"))
+    return SandwichBlock(draw(half), draw(half), tuple(basis))
+
+
+@given(rotation_rich_blocks())
+def test_pair_classes_match_oracle_where_pair_words_repeat_as_rotations(block):
+    # a pair word that is a rotation of an earlier, different one takes the
+    # class recorded for the earlier word's rotations
+    d = block.dimension
+    words = {oracle_pair_word(block, j, k) for j in range(d) for k in range(d)}
+    assume(len(words) > len({oracle_least_rotation(word) for word in words}))
+    assert_pair_classes_match_oracle(block)
 
 
 def test_pair_classes_transpose_is_reversal():

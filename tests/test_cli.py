@@ -176,6 +176,67 @@ def test_over_long_integer_is_a_format_error(tmp_path, capsys, command):
     assert line.startswith(f"error: {path}: invalid JSON (Exceeds the limit ")
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift Python's digit limit for int <-> str conversions in the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _p7r3_with_long_entries(tmp_path, entries):
+    """Bundled p7r3 with Gram entries (j, k) -> [num, den] replaced, both
+    ways round for an off-diagonal entry: each number stays under Python's
+    digit limit for str -> int, so the file parses."""
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    gram = doc["blocks"][0]["gram"]
+    for (j, k), value in entries.items():
+        gram[j][k]["re"] = gram[k][j]["re"] = value
+    path = tmp_path / "long_results.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_verify_json_prints_a_pivot_past_the_digit_limit(tmp_path, capsys):
+    """The report holds exact results, not parsed input, so it is printed in
+    full: with d0, d1 about 10^2500, the smallest pivot's numerator and
+    denominator have 7501 digits each.  The limit is back in force once the
+    command returns."""
+    d0, d1 = 10**2500 + 1, 10**2500 + 3
+    path = _p7r3_with_long_entries(
+        tmp_path, {(0, 0): [7 * d0 + 1, d0], (0, 1): [1, d1], (2, 2): [8, 1]}
+    )
+    limit = sys.get_int_max_str_digits()
+    assert main(["verify", "--cert", path, "--format", "json"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        json.loads(captured.out)
+    with _no_digit_limit():
+        doc = json.loads(captured.out)
+        assert (doc["matched"], doc["psd"]) == (False, True)
+        ((num, den),) = doc["min_pivots"]
+        assert (len(str(num)), len(str(den))) == (7501, 7501)
+
+
+def test_verify_text_prints_a_residual_past_the_digit_limit(tmp_path, capsys):
+    """Pairs (0, 1), (1, 0) and (1, 1) all reduce to AABABAB, so its residual
+    2/d0 + 1/d1 has a denominator of 5001 digits; the text report prints it."""
+    d0, d1 = 10**2500 + 1, 10**2500 + 3
+    path = _p7r3_with_long_entries(tmp_path, {(0, 1): [1, d0], (1, 1): [7 * d1 + 1, d1]})
+    assert main(["verify", "--cert", path]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("FAILED\n")
+    (line,) = [x for x in captured.out.splitlines() if x.startswith("  AABABAB ")]
+    with _no_digit_limit():
+        assert line == f"  AABABAB {2 * d1 + d0}/{d0 * d1}"
+
+
 @pytest.mark.parametrize(
     "command", ["verify --cert", "validate --cert", "search --ansatz"]
 )

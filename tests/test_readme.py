@@ -109,7 +109,7 @@ REMOVED = (
               "UnreachableTargetError", "_check_reachable")),
     (validation, ("_trial_row", "_coefficient_row")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike",
-             "CoefficientLike", "reverse_word")),
+             "CoefficientLike", "reverse_word", "_class_of", "_necklace_words")),
     (words.TracePolynomial, ("scaled",)),
     (words.CyclicClass, ("representative", "length", "b_count")),
 )

@@ -28,6 +28,10 @@ def test_trial_config_validation():
     with pytest.raises(ValueError) as info:
         TrialConfig(dims=(0,))
     assert str(info.value) == "dims[0] must be a positive int, got 0"
+    # one dimension as a bare int is not a sequence of them
+    with pytest.raises(ValueError) as info:
+        TrialConfig(dims=5)
+    assert str(info.value) == "dims must be a sequence of positive ints, got 5"
     with pytest.raises(ValueError):
         TrialConfig(tol_rel=-1.0)
     for seed in (1.5, "7", None, 2.0):
