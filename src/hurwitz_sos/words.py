@@ -224,10 +224,10 @@ def _necklace_classes(r: int, m: int, weights: Dict[int, Tuple[int, int]]) -> _P
 
     Maps each class, spelled by its least rotation, to ``weights[q]``,
     with q the primitive period of the run lengths (g1, ..., gr), which
-    are greatest among their rotations.  This is
-    the FKM necklace generator (Fredricksen, Kessler and Maiorana) on
-    the run lengths, with the order of the integers reversed and the
-    fixed sum pruned into the bounds of each position.  It walks the
+    are greatest among their rotations.  This is the FKM necklace
+    generator (Fredricksen, Kessler and Maiorana) on the run lengths,
+    with the order of the integers reversed and the fixed sum pruned
+    into the bounds of each position.  It walks the
     prefix tree with an explicit position counter instead of recursion,
     so its depth is not tied to the interpreter's recursion limit, and
     it keeps the word spelled by each prefix, one string per depth.
