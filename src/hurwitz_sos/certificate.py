@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .rational import GaussianRational, Scalarish, _over_lcm
+from .rational import GaussianRational, Scalarish, _over_lcm, _ratio, rational_quad
 from .words import (
     CyclicClass,
     TracePolynomial,
@@ -200,10 +200,17 @@ class GramMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Scalarish]]) -> "GramMatrix":
         """The matrix with these entries, over the lcm of their denominators."""
-        z = [[GaussianRational.of(x) for x in row] for row in rows]
-        scale, parts = _over_lcm([e for row in z for e in row])
+        quads = [[rational_quad(GaussianRational.of(x)) for x in row] for row in rows]
+        return cls._lift(quads)
+
+    @classmethod
+    def _lift(cls, quads: List[List[Sequence[int]]]) -> "GramMatrix":
+        """The matrix of these ``rational_quad`` forms, over the lcm L of their
+        denominators as written.  With L' that of the reduced ones, gcd(L, L v_1,
+        ..., L v_n) = L / L': the constructor ends at the same fields."""
+        scale, parts = _over_lcm([q for row in quads for q in row])
         cells = iter(parts)
-        grid = [[next(cells) for _ in row] for row in z]
+        grid = [[next(cells) for _ in row] for row in quads]
         return cls(
             scale,
             [[re for re, _ in row] for row in grid],
@@ -215,9 +222,7 @@ class GramMatrix:
         return len(self.re)
 
     def at(self, j: int, k: int) -> GaussianRational:
-        return GaussianRational(
-            Fraction(self.re[j][k], self.scale), Fraction(self.im[j][k], self.scale)
-        )
+        return _ratio(self.re[j][k], self.im[j][k], self.scale)
 
 
 def quadratic_form(gram: GramMatrix, vector: Sequence[Scalarish]) -> GaussianRational:
@@ -232,7 +237,7 @@ def quadratic_form(gram: GramMatrix, vector: Sequence[Scalarish]) -> GaussianRat
         raise ValueError(
             f"vector length {len(v)} does not match dimension {gram.dimension}"
         )
-    D, parts = _over_lcm(v)
+    D, parts = _over_lcm([rational_quad(x) for x in v])
     w = [(k, a, b) for k, (a, b) in enumerate(parts) if a or b]
     re = im = 0
     for j, a, b in w:
@@ -242,8 +247,7 @@ def quadratic_form(gram: GramMatrix, vector: Sequence[Scalarish]) -> GaussianRat
         s_im = sum(row_re[k] * e + row_im[k] * c for k, c, e in w)
         re += a * s_re + b * s_im
         im += a * s_im - b * s_re
-    den = D * D * gram.scale
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return _ratio(re, im, D * D * gram.scale)
 
 
 @dataclass(frozen=True)
@@ -288,7 +292,7 @@ def _witness(
     a, b = next((z for z in vec if z != (0, 0)), (0, 0))
     if a < 0 or (a == 0 and b < 0):
         den = -den
-    return tuple(GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in vec)
+    return tuple(_ratio(a, b, den) for a, b in vec)
 
 
 def psd_check_exact(gram: GramMatrix) -> PsdCheckResult:
@@ -515,38 +519,23 @@ def swap_certificate(cert: Certificate) -> Certificate:
 #   {"p": int, "r": int,
 #    "blocks": [{"prefix": "a"|"b"|null, "suffix": ..., "basis": [str, ...],
 #                "gram": [[entry, ...], ...]}]}
-# with entry = {"re": [num, den], "im": [num, den]}.
+# with entry = {"re": [num, den], "im": [num, den]}, den any nonzero int, in
+# lowest terms or not; files are written in lowest terms with den > 0.
 # ansatz files are the same without the "gram" keys (p and r optional).
 # ------------------------------------------------------------------
 
-def _fraction_to_pair(x: Fraction) -> List[int]:
-    return [x.numerator, x.denominator]
-
-
-def _pair_to_fraction(obj: object, what: str) -> Fraction:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(is_int(v) for v in obj)
-    ):
-        raise CertificateFormatError(f"{what}: expected [numerator, denominator]")
-    if obj[1] == 0:
-        raise CertificateFormatError(f"{what}: zero denominator")
-    return Fraction(obj[0], obj[1])
-
-
-def entry_from_json(obj: object, what: str = "entry") -> GaussianRational:
+def _quad_from_json(obj: object, what: str) -> List[int]:
+    """A cell {"re": [num, den], "im": [num, den]} as its four checked ints."""
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise CertificateFormatError(f"{what}: expected an object with re and im")
-    return GaussianRational(
-        _pair_to_fraction(obj["re"], f"{what}.re"),
-        _pair_to_fraction(obj["im"], f"{what}.im"),
-    )
-
-
-def rational_quad(value: GaussianRational) -> List[int]:
-    """Flat [re_num, re_den, im_num, im_den] form used in reports."""
-    return [*_fraction_to_pair(value.re), *_fraction_to_pair(value.im)]
+    for part in ("re", "im"):
+        pair = obj[part]
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(is_int, pair))):
+            raise CertificateFormatError(f"{what}.{part}: expected [numerator, denominator]")
+        if pair[1] == 0:
+            raise CertificateFormatError(f"{what}.{part}: zero denominator")
+    return [*obj["re"], *obj["im"]]
 
 
 def _block_from_json(obj: object, what: str) -> SandwichBlock:
@@ -569,12 +558,12 @@ def _block_from_json(obj: object, what: str) -> SandwichBlock:
 def _gram_from_json(obj: object, what: str) -> GramMatrix:
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise CertificateFormatError(f"{what}: gram must be a list of rows")
-    rows = [
-        [entry_from_json(cell, f"{what}[{j}][{k}]") for k, cell in enumerate(row)]
+    quads = [
+        [_quad_from_json(cell, f"{what}[{j}][{k}]") for k, cell in enumerate(row)]
         for j, row in enumerate(obj)
     ]
     try:
-        return GramMatrix.from_rows(rows)
+        return GramMatrix._lift(quads)
     except ValueError as exc:
         raise CertificateFormatError(f"{what}: {exc}") from exc
 
@@ -599,8 +588,8 @@ def certificate_to_json(cert: Certificate) -> Dict[str, object]:
         "prefix": block.prefix,
         "suffix": block.suffix,
         "basis": list(block.basis),
-        "gram": [[{"re": _fraction_to_pair(z.re), "im": _fraction_to_pair(z.im)}
-                  for z in (gram.at(j, k) for k in range(gram.dimension))]
+        "gram": [[{"re": q[:2], "im": q[2:]}
+                  for q in (rational_quad(gram.at(j, k)) for k in range(gram.dimension))]
                  for j in range(gram.dimension)],
     } for block, gram in cert.blocks]
     return {"p": cert.p, "r": cert.r, "blocks": blocks}
@@ -726,6 +715,7 @@ def verify_report_to_json(report: VerifyReport) -> Dict[str, object]:
         "witness_block": None if witness is None else report.witness_block,
         "witness": None if witness is None else [rational_quad(x) for x in witness],
         "min_pivots": [
-            None if x is None else _fraction_to_pair(x) for x in report.min_pivots
+            None if x is None else [x.numerator, x.denominator]
+            for x in report.min_pivots
         ],
     }

@@ -185,18 +185,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     return _SEARCH_EXIT[outcome.status]
 
 
+def _trial_config(args: argparse.Namespace) -> TrialConfig:
+    """The --seed, --trials and --dims of a trial command, each checked by name."""
+    _check_seed(args.seed, "--seed")
+    check_positive_int(args.trials, "--trials")
+    return TrialConfig(seed=args.seed, dims=_parse_dims(args.dims), trials=args.trials)
+
+
 def _run_trials(
     args: argparse.Namespace, head: dict, tail: str, run: Callable, explain: Callable
 ) -> int:
-    """Print the report of ``run(config)``; ``tail`` ends its summary line."""
-    _check_seed(args.seed, "--seed")
-    check_positive_int(args.trials, "--trials")
-    config = TrialConfig(
-        seed=args.seed,
-        dims=_parse_dims(args.dims),
-        trials=args.trials,
-    )
-    report = run(config)
+    """Print the report of ``run()``; ``tail`` ends its summary line."""
+    report = run()
     summary = report.summary()
     doc = {**head, "summary": summary, "rows": [row.to_json() for row in report.rows]}
     lines = [row.format_line() for row in report.rows]
@@ -208,6 +208,7 @@ def _run_trials(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    config = _trial_config(args)  # a bad flag exits 2 before the exact check
     cert = load_certificate(args.cert)
     if not verify_certificate(cert).ok:
         print(
@@ -219,7 +220,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         args,
         head={"path": args.cert},
         tail="max diff {max_abs_diff:.3e}",
-        run=lambda config: validate_certificate_trials(cert, config),
+        run=lambda: validate_certificate_trials(cert, config),
         explain=lambda row: f"FAILED trial: n={row.n} trial={row.label} "
         "(rerun with --seed as recorded)",
     )
@@ -239,11 +240,12 @@ def _candidate_line(row: CoefficientRow) -> str:
 
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
+    config = _trial_config(args)
     return _run_trials(
         args,
         head={"p": args.p},
         tail="min coefficient {min_coefficient:.6e}",
-        run=lambda config: bmv_check_trials(args.p, config),
+        run=lambda: bmv_check_trials(args.p, config),
         explain=_candidate_line,
     )
 

@@ -4,8 +4,9 @@ The exact layer computes on integers: a Gram matrix and a trace
 polynomial hold int real and imaginary parts over one positive scale, so
 matching a target expansion and checking positive semidefiniteness are
 exact statements, not floating-point ones.  A ``GaussianRational`` is how
-an exact value is written in and read out; ``_over_lcm`` puts a list of
-them over one scale.
+an exact value is written in and read out.  The codec is here, one
+helper per direction: ``_over_lcm`` lifts ``rational_quad`` forms, with
+any nonzero denominators, over one scale, and ``_ratio`` reads parts out.
 """
 
 from __future__ import annotations
@@ -140,11 +141,20 @@ ZERO = GaussianRational()
 grat = GaussianRational
 
 
-def _over_lcm(values: Sequence[GaussianRational]) -> Tuple[int, List[Tuple[int, int]]]:
-    """L, the lcm of the denominators of ``values``, and L times each value as int parts."""
-    scale = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-    return scale, [
-        (v.re.numerator * (scale // v.re.denominator),
-         v.im.numerator * (scale // v.im.denominator))
-        for v in values
-    ]
+def rational_quad(value: GaussianRational) -> List[int]:
+    """[re_num, re_den, im_num, im_den] in lowest terms, as files and reports write it."""
+    re, im = value.re, value.im
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+def _over_lcm(quads: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]]]:
+    """L, the lcm of the denominators of ``quads``, and L times each value as int parts.
+
+    A denominator is any nonzero int: L is positive and L // den carries its sign."""
+    scale = lcm(*(q[1] for q in quads), *(q[3] for q in quads))
+    return scale, [(a * (scale // b), c * (scale // d)) for a, b, c, d in quads]
+
+
+def _ratio(x: int, y: int, scale: int) -> GaussianRational:
+    """The value (x + i y) / scale of int parts over a nonzero int scale."""
+    return GaussianRational(Fraction(x, scale), Fraction(y, scale))

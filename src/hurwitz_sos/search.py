@@ -78,11 +78,10 @@ from .certificate import (
     certificate_to_json,
     pair_classes,
     quadratic_form,
-    rational_quad,
     verify_against,
 )
 from .numeric import _check_seed, _eigh, derive_seed, gaussian_stream, hermitian_eig
-from .rational import GaussianRational
+from .rational import GaussianRational, rational_quad
 from .words import (
     CyclicClass, TracePolynomial, check_degrees, check_positive_int, hurwitz_expand,
 )

@@ -11,11 +11,12 @@ one is held as integers over one denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Mapping, Optional, Tuple
 
-from .rational import GaussianRational, Scalarish, ZERO, _over_lcm, is_int
+from .rational import (
+    GaussianRational, Scalarish, ZERO, _over_lcm, _ratio, is_int, rational_quad,
+)
 
 ALPHABET = "AB"
 # swaps the full letters of a word and the half letters of a sandwich block
@@ -124,7 +125,7 @@ class TracePolynomial:
             if len(cls) != degree:
                 raise ValueError(f"class {cls} has length {len(cls)}, expected {degree}")
             coeffs[cls] = coeffs.get(cls, ZERO) + GaussianRational.of(value)
-        scale, parts = _over_lcm(list(coeffs.values()))
+        scale, parts = _over_lcm([rational_quad(v) for v in coeffs.values()])
         self._degree = degree
         self._scale, self._parts = _normal(scale, dict(zip(coeffs, parts)))
 
@@ -146,16 +147,13 @@ class TracePolynomial:
     def is_zero(self) -> bool:
         return not self._parts
 
-    def _value(self, x: int, y: int) -> GaussianRational:
-        return GaussianRational(Fraction(x, self._scale), Fraction(y, self._scale))
-
     def coefficient(self, key: str) -> GaussianRational:
         xy = self._parts.get(CyclicClass(key))
-        return ZERO if xy is None else self._value(*xy)
+        return ZERO if xy is None else _ratio(*xy, self._scale)
 
     def items(self) -> Tuple[Tuple[CyclicClass, GaussianRational], ...]:
         """Terms sorted by representative; classes with equal parts share one value."""
-        value = {xy: self._value(*xy) for xy in set(self._parts.values())}
+        value = {xy: _ratio(*xy, self._scale) for xy in set(self._parts.values())}
         return tuple((cls, value[xy]) for cls, xy in sorted(self._parts.items()))
 
     def support(self) -> Tuple[CyclicClass, ...]:
@@ -164,7 +162,7 @@ class TracePolynomial:
     def total(self) -> GaussianRational:
         """Sum of all coefficients: the integer parts summed, over the scale once."""
         values = self._parts.values()
-        return self._value(sum(x for x, _ in values), sum(y for _, y in values))
+        return _ratio(sum(x for x, _ in values), sum(y for _, y in values), self._scale)
 
     def __len__(self) -> int:
         return len(self._parts)

@@ -1012,6 +1012,50 @@ def test_certificate_json_round_trip_property(cert):
     assert certificate_from_json(doc) == cert
 
 
+@given(small_certificates(), st.data())
+def test_certificate_json_reads_pairs_not_in_lowest_terms(cert, data):
+    # each [num, den] pair times its own nonzero k, negative k included
+    doc = certificate_to_json(cert)
+    factors = st.integers(min_value=-12, max_value=12).filter(bool)
+    for raw in doc["blocks"]:
+        for cell in (cell for row in raw["gram"] for cell in row):
+            for part in ("re", "im"):
+                k = data.draw(factors)
+                cell[part] = [x * k for x in cell[part]]
+    again = certificate_from_json(json.loads(json.dumps(doc)))
+    assert again == cert
+    for raw, (_block, gram) in zip(doc["blocks"], again.blocks):
+        rows = [[grat(Fraction(*cell["re"]), Fraction(*cell["im"])) for cell in row]
+                for row in raw["gram"]]
+        assert gram == GramMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"re": [1, 1]}, ": expected an object with re and im"),
+        ({"re": [1, 0], "im": "x"}, ".re: zero denominator"),
+        ({"re": [1], "im": [1, 0]}, ".re: expected [numerator, denominator]"),
+        ({"re": [1, 1], "im": [True, 1]}, ".im: expected [numerator, denominator]"),
+        ({"re": [1, 1], "im": [1, 0]}, ".im: zero denominator"),
+    ],
+)
+def test_certificate_json_names_the_first_bad_part(cell, message):
+    # re is checked whole before im, so a cell bad in both names re
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["blocks"][0]["gram"][1][2] = cell
+    with pytest.raises(CertificateFormatError) as info:
+        certificate_from_json(doc)
+    assert str(info.value) == "block 0[1][2]" + message
+
+
+def test_certificate_json_accepts_tuple_pairs():
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    for cell in (cell for row in doc["blocks"][0]["gram"] for cell in row):
+        cell["re"], cell["im"] = tuple(cell["re"]), tuple(cell["im"])
+    assert certificate_from_json(doc) == bundled_certificate("p7r3.json")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

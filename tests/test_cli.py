@@ -586,6 +586,26 @@ def test_validate_rejects_broken_certificate(tmp_path, capsys):
     assert "failed exact verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--dims", "0"], ["--trials", "0"]], ids=lambda f: f[0]
+)
+def test_validate_rejects_a_bad_flag_before_verifying(tmp_path, monkeypatch, capsys, flags):
+    # p7r3 with G00 = 13/2 parses but fails exact verification; the flag is
+    # the usage error, reported before the certificate is checked
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["blocks"][0]["gram"][0][0]["re"] = [13, 2]
+    path = tmp_path / "p7r3_13_2.json"
+    path.write_text(json.dumps(doc))
+
+    def fail(cert):
+        raise AssertionError("verify_certificate ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "verify_certificate", fail)
+    assert main(["validate", "--cert", str(path)] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]}") and err.count("\n") == 1
+
+
 def test_validate_eigensolver_failure_exits_fail(monkeypatch, capsys):
     def fail(_H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

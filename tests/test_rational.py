@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hurwitz_sos.certificate import rational_quad
-from hurwitz_sos.rational import ZERO, GaussianRational, grat
+from hurwitz_sos.rational import ZERO, GaussianRational, grat, rational_quad
 
 
 def test_construction_and_coercion():

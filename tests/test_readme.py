@@ -99,7 +99,8 @@ PUBLIC_API = (
 REMOVED = (
     (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers",
                    "_HALF_SQUARED", "_HALF_SWAP", "block_to_json", "entry_to_json",
-                   "EntryLike")),
+                   "EntryLike", "entry_from_json", "_pair_to_fraction",
+                   "_fraction_to_pair")),
     (certificate.GramMatrix, ("zeros", "scaled_identity", "scaled", "__add__", "entries")),
     (certificate.SandwichBlock, ("product_degree",)),
     (numeric, ("splitmix64_stream", "uniform_stream", "random_hermitian", "_stream",
