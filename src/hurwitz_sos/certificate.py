@@ -21,7 +21,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .rational import GaussianRational, Scalarish, _over_lcm, _ratio, rational_quad
+from .rational import (
+    GaussianRational,
+    Scalarish,
+    _over_lcm,
+    _parts_quad,
+    _ratio,
+    rational_quad,
+)
 from .words import (
     CyclicClass,
     TracePolynomial,
@@ -589,8 +596,8 @@ def certificate_to_json(cert: Certificate) -> Dict[str, object]:
         "suffix": block.suffix,
         "basis": list(block.basis),
         "gram": [[{"re": q[:2], "im": q[2:]}
-                  for q in (rational_quad(gram.at(j, k)) for k in range(gram.dimension))]
-                 for j in range(gram.dimension)],
+                  for q in (_parts_quad(x, y, gram.scale) for x, y in zip(re_row, im_row))]
+                 for re_row, im_row in zip(gram.re, gram.im)],
     } for block, gram in cert.blocks]
     return {"p": cert.p, "r": cert.r, "blocks": blocks}
 

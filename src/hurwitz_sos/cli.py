@@ -185,11 +185,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     return _SEARCH_EXIT[outcome.status]
 
 
-def _trial_config(args: argparse.Namespace) -> TrialConfig:
-    """The --seed, --trials and --dims of a trial command, each checked by name."""
+def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:
+    """The --seed, --trials and --dims of a trial command, each checked by
+    name, and the seed checked against the trial seeds its runner draws."""
     _check_seed(args.seed, "--seed")
     check_positive_int(args.trials, "--trials")
-    return TrialConfig(seed=args.seed, dims=_parse_dims(args.dims), trials=args.trials)
+    config = TrialConfig(seed=args.seed, dims=_parse_dims(args.dims), trials=args.trials)
+    config.check_trial_seeds(per_dimension)
+    return config
 
 
 def _run_trials(
@@ -208,7 +211,8 @@ def _run_trials(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _trial_config(args)  # a bad flag exits 2 before the exact check
+    # a bad flag, or a seed too close to 2**64, exits 2 before the exact check
+    config = _trial_config(args, per_dimension=True)
     cert = load_certificate(args.cert)
     if not verify_certificate(cert).ok:
         print(
@@ -240,7 +244,7 @@ def _candidate_line(row: CoefficientRow) -> str:
 
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
-    config = _trial_config(args)
+    config = _trial_config(args, per_dimension=False)
     return _run_trials(
         args,
         head={"p": args.p},

@@ -36,11 +36,12 @@ along a fixed axis, so a slice's value does not depend on the other
 slices of its stack.
 ``eval_certificate_numeric`` diagonalizes each Gram matrix once per call
 and contracts the sandwiches of all pairs against its eigenvectors in
-one matmul.  The word-sum trace here
-(the coefficient recurrence of ``kernels.hurwitz_trace``) is the
-oracle that exact certificates are cross-checked against; it shares no
-code with the sum-of-squares evaluator, and the tests check it against
-a product over every word and against exact cyclic-class expansions.
+one matmul.  The word-sum trace here (``kernels.hurwitz_trace``: the
+coefficient recurrence of (A + tB)^p run to ceil(p/2), its two halves
+contracted in one more matmul) is the oracle that exact certificates are
+cross-checked against; it shares no code with the sum-of-squares
+evaluator, and the tests check it against a product over every word, the
+full-length recurrence and exact cyclic-class expansions.
 """
 
 from __future__ import annotations
@@ -362,9 +363,11 @@ def trace_hurwitz_numeric(A, B, p: int, r):
     """Sum of Tr(W) over all length-p words with r B's, for one r or a range of them.
 
     Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
-    in :mod:`hurwitz_sos.kernels`.  For Hermitian inputs the result is
-    real; a significant imaginary part indicates bad input and raises
-    ArithmeticError, as does a total that overflowed to inf or NaN.
+    in :mod:`hurwitz_sos.kernels`, run only to h = ceil(p/2): degree r
+    sums Tr(P_h[i] P_{p-h}[r - i]) over the two halves of the product.
+    For Hermitian inputs the result is real; a significant imaginary part
+    indicates bad input and raises ArithmeticError, as does a total that
+    overflowed to inf or NaN.
 
     ``r`` is an int or a nonempty ``range`` of degrees in [0, p], and an
     int r is the one-degree case of a range.  The recurrence runs once,

@@ -4,16 +4,18 @@ The exact layer computes on integers: a Gram matrix and a trace
 polynomial hold int real and imaginary parts over one positive scale, so
 matching a target expansion and checking positive semidefiniteness are
 exact statements, not floating-point ones.  A ``GaussianRational`` is how
-an exact value is written in and read out.  The codec is here, one
-helper per direction: ``_over_lcm`` lifts ``rational_quad`` forms, with
-any nonzero denominators, over one scale, and ``_ratio`` reads parts out.
+an exact value is written in and read out.  The codec is here:
+``_over_lcm`` lifts ``rational_quad`` forms, with any nonzero
+denominators, over one scale; ``_ratio`` reads parts out as a
+``GaussianRational``, and ``_parts_quad`` as the ``rational_quad`` form
+that files hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
 Rationalish = Union[int, Fraction]
@@ -158,3 +160,10 @@ def _over_lcm(quads: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]
 def _ratio(x: int, y: int, scale: int) -> GaussianRational:
     """The value (x + i y) / scale of int parts over a nonzero int scale."""
     return GaussianRational(Fraction(x, scale), Fraction(y, scale))
+
+
+def _parts_quad(x: int, y: int, scale: int) -> List[int]:
+    """``rational_quad`` of (x + i y) / scale for int parts over a positive
+    scale, reduced with one gcd per part and no ``GaussianRational``."""
+    g, h = gcd(x, scale), gcd(y, scale)
+    return [x // g, scale // g, y // h, scale // h]

@@ -63,16 +63,6 @@ def _indices_by_dimension(dims: List[int]) -> Dict[int, List[int]]:
     return groups
 
 
-def _check_trial_seeds(seed: int, count: int) -> None:
-    """Reject a seed whose ``count`` trial seeds seed, seed + 1, ... would
-    not all be distinct 64-bit seeds."""
-    if seed > SEED_LIMIT - count:
-        raise ValueError(
-            f"seed must lie in [0, 2**64 - {count}] so that its {count} "
-            f"trial seeds stay below 2**64, got {seed}"
-        )
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Seed, dimensions, trial count and tolerance of a trial run.
@@ -84,8 +74,8 @@ class TrialConfig:
     ``bmv_check_trials`` uses a fixed 1e-9.  ``trials`` and each of the
     nonempty ``dims`` must be positive ints and ``seed`` must lie in
     [0, 2**64); a bad value raises ``ValueError`` naming it.  Each runner
-    also rejects a seed whose trial seeds, seed, seed + 1, ..., one per
-    random trial it runs, would reach 2**64.
+    also rejects, by :meth:`check_trial_seeds`, a seed whose trial seeds,
+    seed, seed + 1, ..., one per random trial it runs, would reach 2**64.
     """
 
     seed: int = 0
@@ -108,6 +98,20 @@ class TrialConfig:
             raise ValueError("dims must be nonempty")
         for k, n in enumerate(self.dims):
             check_positive_int(n, f"dims[{k}]")
+
+    def check_trial_seeds(self, per_dimension: bool) -> None:
+        """Reject a seed whose trial seeds would not all be distinct 64-bit seeds.
+
+        A runner draws one seed per random trial: ``trials`` per dimension
+        when ``per_dimension`` (the certificate runner), ``trials`` in all
+        otherwise (the coefficient runner).
+        """
+        count = self.trials * (len(self.dims) if per_dimension else 1)
+        if self.seed > SEED_LIMIT - count:
+            raise ValueError(
+                f"seed must lie in [0, 2**64 - {count}] so that its {count} "
+                f"trial seeds stay below 2**64, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def validate_certificate_trials(
     float discrepancy between the two evaluation routes.
     """
     config = config or TrialConfig()
-    _check_trial_seeds(config.seed, len(config.dims) * config.trials)
+    config.check_trial_seeds(per_dimension=True)
     # (n, label, A, B) of the fixed pairs, which come first in row order;
     # the random trials follow, config.trials per dimension, seeded
     # config.seed, config.seed + 1, ... in row order
@@ -285,7 +289,7 @@ def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
     (1 + its largest magnitude).
     """
     check_degrees(p, 0)
-    _check_trial_seeds(config.seed, config.trials)
+    config.check_trial_seeds(per_dimension=False)
     dims = [config.dims[t % len(config.dims)] for t in range(config.trials)]
     rows: List[Optional[CoefficientRow]] = [None] * config.trials
     for n, indices in _indices_by_dimension(dims).items():

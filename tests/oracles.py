@@ -2,12 +2,12 @@
 
 The ``ref_*`` and ``oracle_*`` functions redo a package job by another
 route, written out step by step: the scalar SplitMix64 and seed
-derivation, the one-seed samplers, the word-sum trace over every word,
-the by-hand reduction of a sandwich pair, the Gram matrices a target
-forces on a determined ansatz, the letter swap of a polynomial and the
-entrywise quadratic form.  ``words_with`` and the Gram builders assemble
-test inputs.  The package calls none of them; the tests compare its
-results against them.
+derivation, the one-seed samplers, the word-sum trace over every word
+and by the full-length recurrence, the by-hand reduction of a sandwich
+pair, the Gram matrices a target forces on a determined ansatz, the
+letter swap of a polynomial and the entrywise quadratic form.
+``words_with`` and the Gram builders assemble test inputs.  The package
+calls none of them; the tests compare its results against them.
 """
 
 import math
@@ -99,6 +99,23 @@ def oracle_trace(A, B, p, r):
             M = M @ (B if letter == "B" else A)
         total += np.trace(M)
     return total
+
+
+def oracle_recurrence(A, B, p, r):
+    """The word-sum traces of every degree 0..r by the full-length recurrence:
+    P_1 = (A, B) and P_{k+1}[j] = P_k[j] A + P_k[j-1] B for all p - 1 steps,
+    then Tr P_p[j], for stacks of shape (m, n, n), as an (m, r + 1) array."""
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    m, n, _ = A.shape
+    P = np.zeros((m, r + 1, n, n), dtype=np.complex128)
+    P[:, 0] = A
+    P[:, 1:2] = B[:, np.newaxis]  # an empty slice when r = 0
+    for _ in range(p - 1):
+        Q = (P.reshape(m, -1, n) @ A).reshape(P.shape)
+        Q[:, 1:] += (P[:, :-1].reshape(m, -1, n) @ B).reshape(m, r, n, n)
+        P = Q
+    return np.trace(P, axis1=-2, axis2=-1)
 
 
 def oracle_least_rotation(word):

@@ -35,7 +35,7 @@ from hurwitz_sos.certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from hurwitz_sos.rational import ZERO, GaussianRational, grat
+from hurwitz_sos.rational import ZERO, GaussianRational, _parts_quad, grat, rational_quad
 from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
 
 from oracles import (
@@ -698,6 +698,25 @@ def test_gram_at_round_trips_its_rows(rows):
         for k in range(n):
             assert G.at(j, k) == GaussianRational.of(rows[j][k])
     assert GramMatrix(G.scale, G.re, G.im) == G
+
+
+def _assert_parts_quads(gram):
+    for j in range(gram.dimension):
+        for k in range(gram.dimension):
+            want = rational_quad(gram.at(j, k))
+            assert _parts_quad(gram.re[j][k], gram.im[j][k], gram.scale) == want
+
+
+@pytest.mark.parametrize("name", ["p7r0.json", "p7r1.json", "p7r2.json", "p7r3.json"])
+def test_parts_quad_reads_the_bundled_grams(name):
+    for _, gram in bundled_certificate(name).blocks:
+        _assert_parts_quads(gram)
+
+
+@given(mixed_hermitian_rows())
+def test_parts_quad_is_the_quad_of_each_entry(rows):
+    # mixed fractions give zero, negative and unreduced-over-the-scale parts
+    _assert_parts_quads(GramMatrix.from_rows(rows))
 
 
 @pytest.mark.parametrize("args, error, message", [

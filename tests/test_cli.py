@@ -606,6 +606,25 @@ def test_validate_rejects_a_bad_flag_before_verifying(tmp_path, monkeypatch, cap
     assert err.startswith(f"error: {flags[0]}") and err.count("\n") == 1
 
 
+def test_validate_rejects_a_seed_without_room_before_verifying(tmp_path, capsys):
+    # the seed's room for its trial seeds is a flag check too: on p7r3 with
+    # G00 = 13/2, which fails exact verification, it is the one error
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["blocks"][0]["gram"][0][0]["re"] = [13, 2]
+    path = tmp_path / "p7r3_13_2.json"
+    path.write_text(json.dumps(doc))
+    args = ["validate", "--cert", str(path), "--trials", "2", "--dims", "1"]
+    assert main(args + ["--seed", str(2**64 - 1)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must lie in [0, 2**64 - 2]") and err.count("\n") == 1
+    # validate draws --trials seeds per dimension: two dimensions need room for 4
+    args = ["validate", "--cert", str(path), "--trials", "2", "--dims", "1,2"]
+    assert main(args + ["--seed", str(2**64 - 3)]) == EXIT_USAGE
+    assert "error: seed must lie in [0, 2**64 - 4]" in capsys.readouterr().err
+    assert main(args + ["--seed", str(2**64 - 4)]) == EXIT_FAIL
+    assert "failed exact verification" in capsys.readouterr().err
+
+
 def test_validate_eigensolver_failure_exits_fail(monkeypatch, capsys):
     def fail(_H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

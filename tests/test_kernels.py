@@ -7,7 +7,7 @@ from hurwitz_sos.kernels import hurwitz_trace
 from hurwitz_sos.numeric import gaussian_stream, random_psd
 from hurwitz_sos.words import hurwitz_expand
 
-from oracles import oracle_trace
+from oracles import oracle_recurrence, oracle_trace
 
 
 @pytest.mark.parametrize(
@@ -68,6 +68,33 @@ def test_hurwitz_trace_returns_every_degree():
             want = hurwitz_trace(A, B, p, j)[:, j]
             assert np.abs(got[:, j] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
+
+
+def _split_cases():
+    """(p, r) of every p <= 16 and r <= p, and of p in {40, 60} at r in
+    {0, floor(p/2), ceil(p/2), p}; the id names the edge case it is."""
+    cases = [(p, r) for p in range(1, 17) for r in range(p + 1)]
+    cases += [(p, r) for p in (40, 60) for r in (0, p // 2, (p + 1) // 2, p)]
+    for p, r in dict.fromkeys(cases):  # p // 2 == (p + 1) // 2 for even p
+        tags = ["no_lower_half"] if p == 1 else ["one_letter_halves"] if p == 2 else []
+        if r > (p + 1) // 2:
+            tags.append("r_above_ceil_half")
+        yield pytest.param(p, r, id="-".join([f"p{p}", f"r{r}", *tags]))
+
+
+@pytest.mark.parametrize("p,r", _split_cases())
+def test_split_kernel_matches_full_recurrence(p, r):
+    # the kernel meets (A + tB)^p in the middle; the oracle runs all p - 1 steps
+    for m in (1, 3):
+        for n in (1, 2, 3):
+            seeds = [1000 * p + 10 * r + 3 * n + k for k in range(2 * m)]
+            drawn = random_psd(n, seeds)
+            A, B = drawn[:m], drawn[m:]
+            got = hurwitz_trace(A, B, p, r)
+            want = oracle_recurrence(A, B, p, r)
+            assert got.shape == want.shape == (m, r + 1) and got.dtype == np.complex128
+            for row_got, row_want in zip(got, want):
+                assert np.abs(row_got - row_want).max() <= 1e-12 * np.abs(row_want).max()
 
 # ------------------------------------------------------------------ exact oracle
 
