@@ -69,7 +69,6 @@ def test_hurwitz_trace_returns_every_degree():
             assert np.abs(got[:, j] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
-
 def _split_cases():
     """(p, r) of every p <= 16 and r <= p, and of p in {40, 60} at r in
     {0, floor(p/2), ceil(p/2), p}; the id names the edge case it is."""
@@ -95,6 +94,7 @@ def test_split_kernel_matches_full_recurrence(p, r):
             assert got.shape == want.shape == (m, r + 1) and got.dtype == np.complex128
             for row_got, row_want in zip(got, want):
                 assert np.abs(row_got - row_want).max() <= 1e-12 * np.abs(row_want).max()
+
 
 # ------------------------------------------------------------------ exact oracle
 
