@@ -42,6 +42,32 @@ from .words import (
     swap_word,
 )
 
+__all__ = [
+    "AnsatzMismatchError",
+    "Certificate",
+    "CertificateFormatError",
+    "CertificateStructureError",
+    "GramMatrix",
+    "PsdCheckResult",
+    "SandwichBlock",
+    "VerifyReport",
+    "bundled_certificate",
+    "bundled_path",
+    "certificate_expansion",
+    "certificate_from_json",
+    "certificate_to_json",
+    "expand_gram",
+    "load_ansatz",
+    "load_certificate",
+    "pair_classes",
+    "psd_check_exact",
+    "quadratic_form",
+    "save_certificate",
+    "swap_certificate",
+    "verify_against",
+    "verify_certificate",
+]
+
 
 class CertificateFormatError(ValueError):
     """A certificate or ansatz document does not follow the JSON schema."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -54,12 +55,18 @@ class _UsageError(Exception):
 
 
 def _parse_dims(text: str) -> tuple:
-    try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise _UsageError(f"--dims must be comma-separated integers, got {text!r}")
-    if not dims:
+    """The --dims entries: each, with its spaces stripped, an optional minus
+    sign and ASCII digits, and then a positive int."""
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
         raise _UsageError(f"--dims must name at least one dimension, got {text!r}")
+    malformed = f"--dims must be comma-separated integers, got {text!r}"
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        raise _UsageError(malformed)
+    try:
+        dims = tuple(map(int, parts))
+    except ValueError:  # an entry past int()'s digit limit
+        raise _UsageError(malformed) from None
     for dim in dims:
         check_positive_int(dim, "--dims entry")
     return dims
@@ -200,7 +207,7 @@ def _run_trials(
 ) -> int:
     """Print the report of ``run()``; ``tail`` ends its summary line."""
     report = run()
-    summary = report.summary()
+    summary = report.summary
     doc = {**head, "summary": summary, "rows": [row.to_json() for row in report.rows]}
     lines = [row.format_line() for row in report.rows]
     lines.append(("{passed}/{trials} trials passed, " + tail).format(**summary))

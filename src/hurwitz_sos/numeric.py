@@ -55,6 +55,19 @@ from . import kernels
 from .certificate import Certificate, GramMatrix
 from .words import check_degrees, check_positive_int, is_int
 
+__all__ = [
+    "ConvergenceError",
+    "NotPsdError",
+    "bmv_coefficients",
+    "derive_seed",
+    "eval_certificate_numeric",
+    "gaussian_stream",
+    "hermitian_eig",
+    "psd_sqrt",
+    "random_psd",
+    "trace_hurwitz_numeric",
+]
+
 
 # Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
 PSD_NEG_TOL = 1e-9

@@ -18,6 +18,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
+__all__ = [
+    "GaussianRational",
+    "grat",
+]
+
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
 

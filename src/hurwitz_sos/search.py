@@ -86,6 +86,15 @@ from .words import (
     CyclicClass, TracePolynomial, check_degrees, check_positive_int, hurwitz_expand,
 )
 
+__all__ = [
+    "ConstraintMap",
+    "SearchOptions",
+    "SearchOutcome",
+    "SearchStatus",
+    "build_constraint_map",
+    "feasibility_search",
+]
+
 # Iterations between rounding rounds.
 ROUND_EVERY = 50
 # Relative step length below which z counts as settled: at a fixed point

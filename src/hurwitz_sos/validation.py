@@ -40,6 +40,13 @@ from .numeric import (
     trace_hurwitz_numeric,
 )
 
+__all__ = [
+    "TrialConfig",
+    "TrialReport",
+    "bmv_check_trials",
+    "validate_certificate_trials",
+]
+
 # the coefficient runner's relative roundoff allowance, reported as ``tol``
 _COEFFICIENT_TOL = 1e-9
 
@@ -149,10 +156,19 @@ class TrialRow:
 
 
 @dataclass(frozen=True)
-class _Report:
-    """The rows of one trial run, each carrying a ``passed`` flag."""
+class TrialReport:
+    """The rows of one trial run, each carrying a ``passed`` flag, and their summary.
+
+    ``summary`` is the dict the command line prints.  Both runners give it
+    ``trials``, ``passed`` and ``failed``, the counts of the rows;
+    ``validate_certificate_trials`` adds ``max_abs_diff``, the largest
+    row ``abs_diff``, and ``tol_rel``, the config's; ``bmv_check_trials``
+    adds ``min_coefficient``, the smallest row ``min_coefficient``, and
+    ``tol``, its fixed 1e-9.
+    """
 
     rows: Tuple[Union[TrialRow, CoefficientRow], ...]
+    summary: Dict[str, object]
 
     @property
     def all_passed(self) -> bool:
@@ -163,22 +179,11 @@ class _Report:
         return tuple(row for row in self.rows if not row.passed)
 
 
-@dataclass(frozen=True)
-class TrialReport(_Report):
-    tol_rel: float
-
-    @property
-    def max_abs_diff(self) -> float:
-        return max((row.abs_diff for row in self.rows), default=0.0)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "trials": len(self.rows),
-            "passed": sum(row.passed for row in self.rows),
-            "failed": len(self.failures),
-            "max_abs_diff": self.max_abs_diff,
-            "tol_rel": self.tol_rel,
-        }
+def _report(rows: Sequence, **extra: object) -> TrialReport:
+    """The report of ``rows``: their counts, then the runner's ``extra`` summary keys."""
+    passed = sum(row.passed for row in rows)
+    counts = {"trials": len(rows), "passed": passed, "failed": len(rows) - passed}
+    return TrialReport(tuple(rows), {**counts, **extra})
 
 
 def trial_pair(n: int, trial_seeds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -231,7 +236,8 @@ def validate_certificate_trials(
             diff = abs(value - oracle)
             passed = diff <= config.tol_rel * (1.0 + abs(oracle))
             rows[i] = TrialRow(cert.p, cert.r, n, label, oracle, value, diff, passed)
-    return TrialReport(rows=tuple(rows), tol_rel=config.tol_rel)
+    max_abs_diff = max(row.abs_diff for row in rows)
+    return _report(rows, max_abs_diff=max_abs_diff, tol_rel=config.tol_rel)
 
 
 @dataclass(frozen=True)
@@ -265,21 +271,7 @@ class CoefficientRow:
         }
 
 
-@dataclass(frozen=True)
-class CoefficientReport(_Report):
-    def summary(self) -> Dict[str, object]:
-        return {
-            "trials": len(self.rows),
-            "passed": sum(row.passed for row in self.rows),
-            "failed": len(self.failures),
-            "min_coefficient": min(
-                (row.min_coefficient for row in self.rows), default=0.0
-            ),
-            "tol": _COEFFICIENT_TOL,
-        }
-
-
-def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
+def bmv_check_trials(p: int, config: TrialConfig) -> TrialReport:
     """Run ``config.trials`` coefficient nonnegativity trials for degree p.
 
     Dimensions cycle through ``config.dims`` so the trial count is the
@@ -300,4 +292,5 @@ def bmv_check_trials(p: int, config: TrialConfig) -> CoefficientReport:
             smallest = min(coeffs)
             passed = smallest >= -threshold
             rows[t] = CoefficientRow(p, n, seed, tuple(coeffs), smallest, threshold, passed)
-    return CoefficientReport(rows=tuple(rows))
+    min_coefficient = min(row.min_coefficient for row in rows)
+    return _report(rows, min_coefficient=min_coefficient, tol=_COEFFICIENT_TOL)

@@ -18,6 +18,14 @@ from .rational import (
     GaussianRational, Scalarish, ZERO, _over_lcm, _ratio, is_int, rational_quad,
 )
 
+__all__ = [
+    "CyclicClass",
+    "TracePolynomial",
+    "hurwitz_expand",
+    "reverse_class",
+    "swap_word",
+]
+
 ALPHABET = "AB"
 # swaps the full letters of a word and the half letters of a sandwich block
 _SWAP_TABLE = str.maketrans("ABab", "BAba")
@@ -84,11 +92,6 @@ class CyclicClass(str):
         if type(word) is cls:
             return word
         return str.__new__(cls, _least_rotation(check_word(word)))
-
-    @classmethod
-    def _trusted(cls, representative: str) -> "CyclicClass":
-        """Class of a word that is already its own least rotation: no check, no rotation."""
-        return str.__new__(cls, representative)
 
 
 # each class's integer parts (re, im) over a polynomial's scale
@@ -239,7 +242,7 @@ def _necklace_classes(r: int, m: int, weights: Dict[int, Tuple[int, int]]) -> _P
     their run lengths.
     """
     if r == 1:
-        return {CyclicClass._trusted("A" * m + "B"): weights[1]}
+        return {str.__new__(CyclicClass, "A" * m + "B"): weights[1]}
     parts: _Parts = {}
     pieces = ["A" * g + "B" for g in range(m + 1)]
     last = r - 1
@@ -302,7 +305,7 @@ def hurwitz_expand(p: int, r: int) -> TracePolynomial:
     """
     check_degrees(p, r)
     if r == 0:
-        return TracePolynomial._wrap(p, 1, {CyclicClass._trusted("A" * p): (1, 0)})
+        return TracePolynomial._wrap(p, 1, {str.__new__(CyclicClass, "A" * p): (1, 0)})
     # already normal: scale 1 and every multiplicity positive
     weights = {q: (p * q // r, 0) for q in range(1, r + 1) if r % q == 0}
     return TracePolynomial._wrap(p, 1, _necklace_classes(r, p - r, weights))

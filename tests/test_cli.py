@@ -33,13 +33,7 @@ from hurwitz_sos.cli import (
 )
 from hurwitz_sos.numeric import derive_seed, random_psd
 from hurwitz_sos.search import SearchOptions
-from hurwitz_sos.validation import (
-    CoefficientReport,
-    CoefficientRow,
-    TrialConfig,
-    TrialReport,
-    TrialRow,
-)
+from hurwitz_sos.validation import CoefficientRow, TrialConfig, TrialRow
 
 THREE_WORD_ANSATZ = {
     "p": 7,
@@ -674,7 +668,7 @@ def test_validate_prints_the_failing_trial(monkeypatch, capsys):
         abs_diff=1.0,
         passed=False,
     )
-    report = TrialReport(rows=(row,), tol_rel=1e-8)
+    report = validation._report((row,), max_abs_diff=1.0, tol_rel=1e-8)
     monkeypatch.setattr(cli, "validate_certificate_trials", lambda cert, config: report)
     args = ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"]
     assert main(args) == EXIT_FAIL
@@ -728,11 +722,49 @@ def test_empty_dims_names_the_flag(capsys, argv):
     )
 
 
-def test_validate_bad_dims(capsys):
-    code = main(
-        ["validate", "--cert", bundled_path("p7r3.json"), "--dims", "2,x"]
+@pytest.mark.parametrize("dims", ["2,x", "2,,3", "2,", ",2", "1_0", "+3", "2 3", "0x2"])
+@pytest.mark.parametrize(
+    "command",
+    [["validate", "--cert", bundled_path("p7r3.json")], ["bmv-check", "-p", "3"]],
+    ids=["validate", "bmv-check"],
+)
+def test_validate_bad_dims(capsys, command, dims):
+    """Each --dims entry, stripped of its spaces, is an optional minus sign
+    and digits: an empty entry or another int() spelling is rejected."""
+    assert main(command + ["--dims", dims]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --dims must be comma-separated integers, got {dims!r}\n"
     )
-    assert code == EXIT_USAGE
+
+
+def test_dims_entries_may_carry_spaces(capsys):
+    assert main(["bmv-check", "-p", "3", "--trials", "2", "--dims", " 2 , 3 "]) == EXIT_OK
+    assert "2/2 trials passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (
+            ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "2", "--dims", "1,2"],
+            lambda rows: {"max_abs_diff": max(row["abs_diff"] for row in rows), "tol_rel": 1e-8},
+        ),
+        (
+            ["bmv-check", "-p", "5", "--trials", "4", "--dims", "2,3"],
+            lambda rows: {"min_coefficient": min(row["min"] for row in rows), "tol": 1e-9},
+        ),
+    ],
+    ids=["validate", "bmv-check"],
+)
+def test_trial_summary_follows_from_its_rows(capsys, argv, extra):
+    """The JSON summary has exactly the counts and the command's own two
+    keys, and each value is computed again here from the printed rows."""
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["rows"]
+    passed = sum(row["passed"] for row in rows)
+    counts = {"trials": len(rows), "passed": passed, "failed": len(rows) - passed}
+    assert doc["summary"] == {**counts, **extra(rows)}
 
 
 # ------------------------------------------------------------------ bmv-check
@@ -768,7 +800,7 @@ def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
         threshold=1e-9,
         passed=False,
     )
-    report = CoefficientReport(rows=(row,))
+    report = validation._report((row,), min_coefficient=-0.5, tol=1e-9)
     monkeypatch.setattr(cli, "bmv_check_trials", lambda p, config: report)
     assert main(["bmv-check", "-p", "7", "--trials", "1"]) == EXIT_FAIL
     err = capsys.readouterr().err

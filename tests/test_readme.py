@@ -95,7 +95,8 @@ PUBLIC_API = (
 # Code that left the package; the tests take what they still need of it
 # from tests/oracles.py, a determined ansatz goes through
 # feasibility_search, an unreachable target is an INFEASIBLE outcome, and
-# callers read what a retired pass-through wrapper handed on.
+# callers read what a retired pass-through wrapper handed on; one
+# TrialReport, its summary a dict, serves both trial runners.
 REMOVED = (
     (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers",
                    "_HALF_SQUARED", "_HALF_SWAP", "block_to_json", "entry_to_json",
@@ -108,11 +109,12 @@ REMOVED = (
     (rational.GaussianRational, ("as_tuple",)),
     (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError",
               "UnreachableTargetError", "_check_reachable")),
-    (validation, ("_trial_row", "_coefficient_row")),
+    (validation, ("_trial_row", "_coefficient_row", "_Report", "CoefficientReport")),
+    (validation.TrialReport, ("max_abs_diff", "tol_rel")),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike",
              "CoefficientLike", "reverse_word", "_class_of", "_necklace_words")),
     (words.TracePolynomial, ("scaled",)),
-    (words.CyclicClass, ("representative", "length", "b_count")),
+    (words.CyclicClass, ("representative", "length", "b_count", "_trusted")),
 )
 
 
@@ -124,6 +126,25 @@ def test_public_surface_is_pinned():
         for name in names:
             assert not hasattr(hurwitz_sos, name), name
             assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_each_public_name_is_listed_where_it_is_defined():
+    """Every public name but __version__ is in exactly one module's
+    ``__all__``, and that module defines it rather than importing it."""
+    owners = {}
+    for module in (certificate, numeric, rational, search, validation, words):
+        defined = set()
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for name in module.__all__:
+            assert name in defined, (module.__name__, name)
+            assert getattr(hurwitz_sos, name) is getattr(module, name), name
+            owners.setdefault(name, []).append(module.__name__)
+    assert sorted(owners) == sorted(set(hurwitz_sos.__all__) - {"__version__"})
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}
 
 
 def test_readme_imports_only_public_names():

@@ -7,7 +7,6 @@ import pytest
 from hurwitz_sos import validation
 from hurwitz_sos.certificate import bundled_certificate, swap_certificate
 from hurwitz_sos.validation import (
-    CoefficientReport,
     TrialConfig,
     TrialReport,
     bmv_check_trials,
@@ -90,7 +89,7 @@ def test_validate_bundled_certificate_small():
     assert report.all_passed
     assert report.failures == ()
     biggest_oracle = max(abs(row.oracle) for row in report.rows)
-    assert report.max_abs_diff <= SMALL.tol_rel * (1.0 + biggest_oracle)
+    assert report.summary["max_abs_diff"] <= SMALL.tol_rel * (1.0 + biggest_oracle)
     rows = report.rows
     # special rows first: scalar then one identity row per dimension
     assert rows[0].label == "scalar(2,3)"
@@ -135,8 +134,7 @@ def test_trial_row_formatting_and_json():
     json.dumps(doc)
     assert doc["passed"] is True
     assert doc["p"] == 7 and doc["r"] == 0
-    summary = report.summary()
-    assert "passed" in summary
+    assert "passed" in report.summary
 
 
 def test_report_failure_surface():
@@ -147,12 +145,12 @@ def test_report_failure_surface():
     assert not report.all_passed
     assert report.failures
     assert all(row.format_line().endswith("FAIL") for row in report.failures)
-    assert report.summary()["failed"] == len(report.failures)
+    assert report.summary["failed"] == len(report.failures)
 
 
 def test_bmv_trials_positive():
     report = bmv_check_trials(5, TrialConfig(seed=0, dims=(2, 3), trials=10))
-    assert isinstance(report, CoefficientReport)
+    assert isinstance(report, TrialReport)
     assert report.all_passed
     assert len(report.rows) == 10
     # dims cycle round-robin
