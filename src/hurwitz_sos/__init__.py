@@ -10,7 +10,7 @@ Each module lists its public names in its own ``__all__``; the package
 republishes them.
 """
 
-from . import certificate, numeric, rational, search, validation, words
+from . import certificate, kernels, numeric, rational, search, validation, words
 from .certificate import *
 from .numeric import *
 from .rational import *

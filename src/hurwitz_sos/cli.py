@@ -27,7 +27,7 @@ from .certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from .numeric import ConvergenceError, _check_seed
+from .numeric import ConvergenceError, _check_dimension, _check_seed
 from .search import (
     SearchOptions,
     SearchStatus,
@@ -56,7 +56,7 @@ class _UsageError(Exception):
 
 def _parse_dims(text: str) -> tuple:
     """The --dims entries: each, with its spaces stripped, an optional minus
-    sign and ASCII digits, and then a positive int."""
+    sign and ASCII digits, then a positive int whose matrix numpy can index."""
     parts = [part.strip() for part in text.split(",")]
     if not any(parts):
         raise _UsageError(f"--dims must name at least one dimension, got {text!r}")
@@ -68,7 +68,7 @@ def _parse_dims(text: str) -> tuple:
     except ValueError:  # an entry past int()'s digit limit
         raise _UsageError(malformed) from None
     for dim in dims:
-        check_positive_int(dim, "--dims entry")
+        _check_dimension(dim, "--dims entry")
     return dims
 
 

@@ -24,24 +24,16 @@ and ``derive_seed`` is its one-row case.
 The evaluators take one pair of (n, n) matrices or a stack of m pairs of
 shape (m, n, n); a single pair is a stack of one inside.  The validation
 runners stack all trials of one dimension, so each call costs one batched
-recurrence, not one Python-level call per trial.  One run of the
-recurrence up to degree r holds every degree 0..r, so
-``trace_hurwitz_numeric`` also takes a range of degrees and
-``bmv_coefficients`` gets all p + 1 coefficients from a single run.
-The requested degrees of the whole stack are checked in one pass, one
-finiteness test and one imaginary-part test over every column; only
-when one fails is the lowest bad degree looked for.
-Every product is a matmul batched over the stack and every sum runs
-along a fixed axis, so a slice's value does not depend on the other
-slices of its stack.
-``eval_certificate_numeric`` diagonalizes each Gram matrix once per call
-and contracts the sandwiches of all pairs against its eigenvectors in
-one matmul.  The word-sum trace here (``kernels.hurwitz_trace``: the
-coefficient recurrence of (A + tB)^p run to ceil(p/2), its two halves
-contracted in one more matmul) is the oracle that exact certificates are
-cross-checked against; it shares no code with the sum-of-squares
-evaluator, and the tests check it against a product over every word, the
-full-length recurrence and exact cyclic-class expansions.
+recurrence, not one Python-level call per trial.  Every product is a
+matmul batched over the stack and every sum runs along a fixed axis, so a
+slice's value does not depend on the other slices of its stack.
+The word-sum trace (``_hurwitz_trace``, whose docstring gives the
+recurrence) is the oracle that exact certificates are cross-checked
+against.  It shares no code with the sum-of-squares evaluator
+``eval_certificate_numeric``, which diagonalizes each Gram matrix once per
+call and contracts the sandwiches of all pairs against its eigenvectors
+in one matmul.  The tests check the trace against a product over every
+word, the full-length recurrence and exact cyclic-class expansions.
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .certificate import Certificate, GramMatrix
 from .words import check_degrees, check_positive_int, is_int
 
@@ -188,15 +179,29 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     return _gaussian_rows(np.array([seed], dtype=np.uint64), count)[0]
 
 
+def _check_dimension(n, name: str, count: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``n`` is a positive int and
+    numpy can index ``count`` complex (n, n) matrices in one array (16 n^2
+    ``count`` bytes fit in an intp), the largest that ``count`` draws make."""
+    check_positive_int(n, name)
+    limit = math.isqrt(np.iinfo(np.intp).max // (16 * count))
+    if n > limit:
+        what = "a complex matrix" if count == 1 else f"a stack of {count} complex matrices"
+        raise ValueError(
+            f"{name} must be at most {limit}, so that numpy can index {what} "
+            f"of that size, got {n!r}"
+        )
+
+
 def random_psd(n: int, seed) -> np.ndarray:
     """Random positive semidefinite matrix R* R with complex Gaussian R.
 
     An int seed gives an (n, n) matrix; a sequence of m seeds gives an
     (m, n, n) stack, drawn in one pass, whose slice k is what seed k
-    alone gives.
+    alone gives.  An n too large for numpy to index the stack is rejected.
     """
-    check_positive_int(n, "n")
     seeds, single = _seed_vector(seed)
+    _check_dimension(n, "n", len(seeds))
     R = _complex_gaussian_rows(seeds, n)
     M = _adjoint(R) @ R
     M = (M + _adjoint(M)) / 2.0
@@ -372,15 +377,60 @@ def _check_traces(
     )
 
 
+def _hurwitz_trace(A, B, p: int, r: int):
+    """Word-sum traces Tr P_p[j] for every degree j = 0..r, met in the middle.
+
+    Write (A + tB)^k = sum_j t^j P_k[j].  Then P_1 = (A, B) and
+    P_{k+1}[j] = P_k[j] A + P_k[j-1] B, and the sum of Tr(W) over all
+    length-p words W with j B's is Tr P_p[j].  With h = ceil(p/2), the split
+    (A + tB)^p = (A + tB)^h (A + tB)^(p-h) gives
+    Tr P_p[j] = sum_{i+l=j} Tr(P_h[i] P_{p-h}[l]), so the recurrence runs
+    only h - 1 steps, each two matmuls on the blocks P_k[0..min(r, h)], and
+    keeps P_{p-h} as it passes.  As Tr(XY) = sum_ab X_ab Y_ba, one matmul of
+    the flattened blocks gives every Tr(P_h[i] P_{p-h}[l]).  Degree j sums
+    those with i + l = j, which read only blocks 0..j, so its trace is the
+    same whatever r the run keeps.
+
+    A and B are stacks of shape (m, n, n), unchecked (the caller is
+    :func:`trace_hurwitz_numeric`), run as one recurrence with m block
+    columns; numpy evaluates a batched matmul one slice at a time, so a
+    pair's trace does not depend on the rest of its stack.  Entry (k, j)
+    of the complex (m, r + 1) result is Tr P_p[j] for pair k.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    m, n, _ = A.shape
+    hi, lo = (p + 1) // 2, p // 2
+    k = min(r, hi) + 1  # P_hi[j] = 0 for j > hi
+    P = np.zeros((m, k, n, n), dtype=np.complex128)
+    P[:, 0] = A
+    P[:, 1:2] = B[:, np.newaxis]  # an empty slice when r = 0
+    if lo == 0:  # p = 1: no lower half
+        return np.trace(P, axis1=-2, axis2=-1)
+    low = P
+    for step in range(2, hi + 1):
+        Q = (P.reshape(m, -1, n) @ A).reshape(P.shape)
+        Q[:, 1:] += (P[:, :-1].reshape(m, -1, n) @ B).reshape(m, k - 1, n, n)
+        P = Q
+        if step == lo:
+            low = P
+    # Tr(P_hi[i] P_lo[l]) in column l of row i of width w + 1; read at
+    # width w >= r + 1, row i shifts right by i, so column j sums i + l = j
+    kl = min(r, lo) + 1
+    w = k + kl - 1
+    S = np.zeros((m, k, w + 1), dtype=np.complex128)
+    lo_t = low[:, :kl].transpose(0, 3, 2, 1).reshape(m, n * n, kl)
+    np.matmul(P.reshape(m, k, n * n), lo_t, out=S[:, :, :kl])
+    return S.reshape(m, -1)[:, : k * w].reshape(m, k, w).sum(axis=1)[:, : r + 1]
+
+
 def trace_hurwitz_numeric(A, B, p: int, r):
     """Sum of Tr(W) over all length-p words with r B's, for one r or a range of them.
 
-    Computed as the t^r coefficient of Tr (A + tB)^p by the recurrence
-    in :mod:`hurwitz_sos.kernels`, run only to h = ceil(p/2): degree r
-    sums Tr(P_h[i] P_{p-h}[r - i]) over the two halves of the product.
-    For Hermitian inputs the result is real; a significant imaginary part
-    indicates bad input and raises ArithmeticError, as does a total that
-    overflowed to inf or NaN.
+    Computed as the t^r coefficient of Tr (A + tB)^p by
+    :func:`_hurwitz_trace`.  For Hermitian inputs the result is real; a
+    significant imaginary part indicates bad input and raises
+    ArithmeticError, as does a total that overflowed to inf or NaN.
 
     ``r`` is an int or a nonempty ``range`` of degrees in [0, p], and an
     int r is the one-degree case of a range.  The recurrence runs once,
@@ -399,7 +449,7 @@ def trace_hurwitz_numeric(A, B, p: int, r):
     A, B, single = _pair_stack(A, B)
     # overflow is reported below as an ArithmeticError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = kernels.hurwitz_trace(A, B, p, degrees[-1])
+        columns = _hurwitz_trace(A, B, p, degrees[-1])
         _check_traces(columns[:, degrees], p, degrees, single)
     totals = (columns[0] if single else columns)[..., r].real.copy()
     return float(totals) if totals.ndim == 0 else totals

@@ -31,6 +31,7 @@ from .certificate import Certificate
 from .words import check_degrees, check_positive_int
 from .numeric import (
     SEED_LIMIT,
+    _check_dimension,
     _check_seed,
     _derive_seeds,
     _seed_vector,
@@ -79,8 +80,9 @@ class TrialConfig:
     total trials (cycled over the dimensions) for the coefficient
     runner.  Only the certificate runner reads ``tol_rel``;
     ``bmv_check_trials`` uses a fixed 1e-9.  ``trials`` and each of the
-    nonempty ``dims`` must be positive ints and ``seed`` must lie in
-    [0, 2**64); a bad value raises ``ValueError`` naming it.  Each runner
+    nonempty ``dims`` must be positive ints, each dimension small enough for
+    numpy to index its complex matrix, and ``seed`` must lie in [0, 2**64);
+    a bad value raises ``ValueError`` naming it.  Each runner
     also rejects, by :meth:`check_trial_seeds`, a seed whose trial seeds,
     seed, seed + 1, ..., one per random trial it runs, would reach 2**64.
     """
@@ -104,7 +106,7 @@ class TrialConfig:
         if not self.dims:
             raise ValueError("dims must be nonempty")
         for k, n in enumerate(self.dims):
-            check_positive_int(n, f"dims[{k}]")
+            _check_dimension(n, f"dims[{k}]")
 
     def check_trial_seeds(self, per_dimension: bool) -> None:
         """Reject a seed whose trial seeds would not all be distinct 64-bit seeds.

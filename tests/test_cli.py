@@ -737,6 +737,38 @@ def test_validate_bad_dims(capsys, command, dims):
     )
 
 
+# the largest n whose complex (n, n) matrix, 16 n^2 bytes, numpy can index
+LARGEST_DIMENSION = math.isqrt(np.iinfo(np.intp).max // 16)
+
+
+@pytest.mark.parametrize(
+    "entry", [str(LARGEST_DIMENSION + 1), "9" * 20, "9" * 5000], ids=["limit", "20", "5000"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["validate", "--cert", bundled_path("p7r3.json")], ["bmv-check", "-p", "3"]],
+    ids=["validate", "bmv-check"],
+)
+def test_oversized_dims_entry_names_the_flag(monkeypatch, capsys, command, entry):
+    """An entry too large for numpy to index its matrix is a --dims error;
+    validate reports it before it loads the certificate.  Past the
+    interpreter's digit limit for str -> int, if it has one, the entry is
+    malformed instead, a --dims error too."""
+
+    def fail(path):
+        raise AssertionError("load_certificate ran before --dims was checked")
+
+    monkeypatch.setattr(cli, "load_certificate", fail)
+    assert main(command + ["--trials", "1", "--dims", f"2,{entry}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dims") and err.count("\n") == 1
+    if len(entry) < 100:
+        assert err == (
+            f"error: --dims entry must be at most {LARGEST_DIMENSION}, so that numpy "
+            f"can index a complex matrix of that size, got {entry}\n"
+        )
+
+
 def test_dims_entries_may_carry_spaces(capsys):
     assert main(["bmv-check", "-p", "3", "--trials", "2", "--dims", " 2 , 3 "]) == EXIT_OK
     assert "2/2 trials passed" in capsys.readouterr().out

@@ -10,10 +10,10 @@ its recorded seed.
 import numpy as np
 import pytest
 
-from hurwitz_sos import kernels
 from hurwitz_sos.certificate import bundled_certificate, swap_certificate
 from hurwitz_sos.numeric import (
     NotPsdError,
+    _hurwitz_trace,
     bmv_coefficients,
     derive_seed,
     eval_certificate_numeric,
@@ -25,6 +25,8 @@ from hurwitz_sos.numeric import (
     trace_hurwitz_numeric,
 )
 from hurwitz_sos.validation import TrialConfig, bmv_check_trials, validate_certificate_trials
+
+from oracles import oracle_recurrence
 
 REL = 1e-12
 CERTS = ("p7r2.json", "p7r3.json")  # a suffix block and a prefix block
@@ -40,18 +42,6 @@ def close(got, want):
 
 
 # ------------------------------------------------------------------ per-pair oracles
-
-def per_pair_trace(A, B, p, r):
-    """The recurrence one pair at a time, with a stack of r + 1 coefficient matrices."""
-    P = np.zeros((r + 1,) + A.shape, dtype=np.complex128)
-    P[0] = A
-    P[1:2] = B
-    for _ in range(p - 1):
-        Q = P @ A
-        Q[1:] += P[:-1] @ B
-        P = Q
-    return complex(np.trace(P[r]))
-
 
 def per_pair_certificate(cert, A, B):
     """The sum of squares one pair and one eigenvector at a time."""
@@ -84,14 +74,15 @@ def per_pair_certificate(cert, A, B):
 def test_stacked_traces_equal_slices(n, m):
     A, B = psd_stack(n, m, 10 * n + m), psd_stack(n, m, 100 + 10 * n + m)
     for p, r in ((1, 0), (1, 1), (5, 2), (7, 3), (7, 7), (10, 4)):
-        got = kernels.hurwitz_trace(A, B, p, r)[:, r]
+        got = _hurwitz_trace(A, B, p, r)[:, r]
         assert got.shape == (m,) and got.dtype == np.complex128
-        assert close(got, [kernels.hurwitz_trace(a[None], b[None], p, r)[0, r] for a, b in zip(A, B)])
+        assert close(got, [_hurwitz_trace(a[None], b[None], p, r)[0, r] for a, b in zip(A, B)])
         got = trace_hurwitz_numeric(A, B, p, r)
         assert got.shape == (m,) and got.dtype == np.float64
         want = [trace_hurwitz_numeric(a, b, p, r) for a, b in zip(A, B)]
         assert close(got, want)
-        assert close(got, [per_pair_trace(a, b, p, r).real for a, b in zip(A, B)])
+        want = [oracle_recurrence(a[None], b[None], p, r)[0, r].real for a, b in zip(A, B)]
+        assert close(got, want)
     got = bmv_coefficients(A, B, 7)
     assert got.shape == (m, 8)
     assert close(got, [bmv_coefficients(a, b, 7) for a, b in zip(A, B)])
@@ -104,8 +95,8 @@ def test_stacked_kernel_equals_slices_off_hermitian(n, m):
     g = gaussian_stream(n + 10 * m, 4 * m * n * n).reshape(4, m, n, n)
     A, B = g[0] + 1j * g[1], g[2] + 1j * g[3]
     for r in range(7):
-        got = kernels.hurwitz_trace(A, B, 6, r)[:, r]
-        assert close(got, [kernels.hurwitz_trace(a[None], b[None], 6, r)[0, r] for a, b in zip(A, B)])
+        got = _hurwitz_trace(A, B, 6, r)[:, r]
+        assert close(got, [_hurwitz_trace(a[None], b[None], 6, r)[0, r] for a, b in zip(A, B)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -290,7 +281,7 @@ def test_certificate_rows_replay_alone():
             assert (alone.rows[-1].oracle, alone.rows[-1].value) == (row.oracle, row.value)
             A = random_psd(row.n, derive_seed(seed, 0))
             B = random_psd(row.n, derive_seed(seed, 1))
-            oracle = per_pair_trace(A, B, cert.p, cert.r).real
+            oracle = oracle_recurrence(A[None], B[None], cert.p, cert.r)[0, -1].real
             value = per_pair_certificate(cert, A, B)
             assert close(row.oracle, oracle) and close(row.value, value)
             assert row.passed == (abs(value - oracle) <= config.tol_rel * (1.0 + abs(oracle)))
@@ -307,7 +298,7 @@ def test_coefficient_rows_replay_alone(p):
         assert alone.rows[0] == row
         A = random_psd(row.n, derive_seed(row.trial_seed, 0))
         B = random_psd(row.n, derive_seed(row.trial_seed, 1))
-        want = [per_pair_trace(A, B, p, r).real for r in range(p + 1)]
+        want = oracle_recurrence(A[None], B[None], p, p)[0].real
         assert close(row.coefficients, want)
         assert row.passed
 

@@ -27,6 +27,15 @@ def test_trial_config_validation():
     with pytest.raises(ValueError) as info:
         TrialConfig(dims=(0,))
     assert str(info.value) == "dims[0] must be a positive int, got 0"
+    # a dimension whose complex matrix numpy cannot index is named too
+    largest = math.isqrt(np.iinfo(np.intp).max // 16)
+    assert TrialConfig(dims=(2, largest)).dims == (2, largest)
+    with pytest.raises(ValueError) as info:
+        TrialConfig(dims=(2, largest + 1))
+    assert str(info.value) == (
+        f"dims[1] must be at most {largest}, so that numpy can index a complex "
+        f"matrix of that size, got {largest + 1}"
+    )
     # one dimension as a bare int is not a sequence of them
     with pytest.raises(ValueError) as info:
         TrialConfig(dims=5)
