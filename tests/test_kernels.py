@@ -1,10 +1,13 @@
+"""Tests of the word-sum trace kernel ``numeric._hurwitz_trace`` and of
+``hurwitz_sos.kernels``, which holds only the benchmark's alias of it."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_sos.kernels import hurwitz_trace
-from hurwitz_sos.numeric import gaussian_stream, random_psd
+from hurwitz_sos import kernels, numeric
+from hurwitz_sos.numeric import _hurwitz_trace, gaussian_stream, random_psd
 from hurwitz_sos.words import hurwitz_expand
 
 from oracles import oracle_recurrence, oracle_trace
@@ -29,7 +32,7 @@ from oracles import oracle_recurrence, oracle_trace
 def test_numpy_kernel_matches_oracle(p, r, n):
     A = random_psd(n, seed=p)
     B = random_psd(n, seed=r + 100)
-    got = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
+    got = _hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
     want = oracle_trace(A, B, p, r)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -39,7 +42,7 @@ def test_hurwitz_trace_non_hermitian_pair():
     A = (g[0:9] + 1j * g[9:18]).reshape(3, 3)
     B = (g[18:27] + 1j * g[27:36]).reshape(3, 3)
     for r in range(7):
-        got = hurwitz_trace(A[np.newaxis], B[np.newaxis], 6, r)[0, r]
+        got = _hurwitz_trace(A[np.newaxis], B[np.newaxis], 6, r)[0, r]
         want = oracle_trace(A, B, 6, r)
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -49,10 +52,10 @@ def test_numpy_kernel_edge_counts():
     B = random_psd(2, seed=2)
     # r=0 and r=p are single words
     assert np.isclose(
-        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 0)[0, 0], np.trace(A @ A @ A)
+        _hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 0)[0, 0], np.trace(A @ A @ A)
     )
     assert np.isclose(
-        hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 3)[0, 3], np.trace(B @ B @ B)
+        _hurwitz_trace(A[np.newaxis], B[np.newaxis], 3, 3)[0, 3], np.trace(B @ B @ B)
     )
 
 
@@ -62,10 +65,10 @@ def test_hurwitz_trace_returns_every_degree():
     A = random_psd(3, [1, 2, 3])
     B = random_psd(3, [4, 5, 6])
     for p, r in ((1, 1), (6, 3), (7, 7), (10, 4)):
-        got = hurwitz_trace(A, B, p, r)
+        got = _hurwitz_trace(A, B, p, r)
         assert got.shape == (3, r + 1) and got.dtype == np.complex128
         for j in range(r + 1):
-            want = hurwitz_trace(A, B, p, j)[:, j]
+            want = _hurwitz_trace(A, B, p, j)[:, j]
             assert np.abs(got[:, j] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
@@ -89,7 +92,7 @@ def test_split_kernel_matches_full_recurrence(p, r):
             seeds = [1000 * p + 10 * r + 3 * n + k for k in range(2 * m)]
             drawn = random_psd(n, seeds)
             A, B = drawn[:m], drawn[m:]
-            got = hurwitz_trace(A, B, p, r)
+            got = _hurwitz_trace(A, B, p, r)
             want = oracle_recurrence(A, B, p, r)
             assert got.shape == want.shape == (m, r + 1) and got.dtype == np.complex128
             for row_got, row_want in zip(got, want):
@@ -105,17 +108,17 @@ def _gaussian_integer_matrices(n):
 
 def _exact_matrix(flat, n):
     """(real part, imaginary part) as object arrays of Python ints."""
-    re = np.array(flat[: n * n], dtype=object).reshape(n, n)
-    im = np.array(flat[n * n :], dtype=object).reshape(n, n)
-    return re, im
+    real = np.array(flat[: n * n], dtype=object).reshape(n, n)
+    imag = np.array(flat[n * n :], dtype=object).reshape(n, n)
+    return real, imag
 
 
 def _exact_trace_word(A, B, word):
-    re, im = A if word[0] == "A" else B
+    real, imag = A if word[0] == "A" else B
     for ch in word[1:]:
         yr, yi = A if ch == "A" else B
-        re, im = re @ yr - im @ yi, re @ yi + im @ yr
-    return complex(int(np.trace(re)), int(np.trace(im)))
+        real, imag = real @ yr - imag @ yi, real @ yi + imag @ yr
+    return complex(int(np.trace(real)), int(np.trace(imag)))
 
 
 @st.composite
@@ -139,5 +142,16 @@ def test_hurwitz_trace_matches_exact_class_expansion(case):
     )
     A = (np.array(a_flat[: n * n]) + 1j * np.array(a_flat[n * n :])).reshape(n, n)
     B = (np.array(b_flat[: n * n]) + 1j * np.array(b_flat[n * n :])).reshape(n, n)
-    got = hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
+    got = _hurwitz_trace(A[np.newaxis], B[np.newaxis], p, r)[0, r]
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_kernels_module_only_aliases_the_numeric_kernel():
+    # the benchmark reads these two names, and they are all the module
+    # holds, so it defines no function of its own: no second kernel
+    assert {name for name in vars(kernels) if not name.startswith("__")} == {
+        "hurwitz_trace",
+        "USING_NUMBA",
+    }
+    assert kernels.hurwitz_trace is numeric._hurwitz_trace
+    assert kernels.USING_NUMBA is False
