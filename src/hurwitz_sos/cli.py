@@ -194,11 +194,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:
     """The --seed, --trials and --dims of a trial command, each checked by
-    name, and the seed checked against the trial seeds its runner draws."""
+    name, and the seed and each --dims entry checked against the trials its
+    runner draws."""
     _check_seed(args.seed, "--seed")
     check_positive_int(args.trials, "--trials")
     config = TrialConfig(seed=args.seed, dims=_parse_dims(args.dims), trials=args.trials)
-    config.check_trial_seeds(per_dimension)
+    config.check_trial_seeds(per_dimension, "--dims entry")
     return config
 
 

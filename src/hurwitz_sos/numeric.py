@@ -32,7 +32,10 @@ recurrence) is the oracle that exact certificates are cross-checked
 against.  It shares no code with the sum-of-squares evaluator
 ``eval_certificate_numeric``, which diagonalizes each Gram matrix once per
 call and contracts the sandwiches of all pairs against its eigenvectors
-in one matmul.  The tests check the trace against a product over every
+in one matmul.  It computes ``psd_sqrt`` only of the half letters its
+blocks use; the other matrix is checked by a Cholesky factorization, and
+falls back to ``psd_sqrt`` only when that fails, so it raises what its
+root would.  The tests check the trace against a product over every
 word, the full-length recurrence and exact cyclic-class expansions.
 """
 
@@ -179,12 +182,15 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     return _gaussian_rows(np.array([seed], dtype=np.uint64), count)[0]
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _check_dimension(n, name: str, count: int = 1) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``n`` is a positive int and
     numpy can index ``count`` complex (n, n) matrices in one array (16 n^2
     ``count`` bytes fit in an intp), the largest that ``count`` draws make."""
     check_positive_int(n, name)
-    limit = math.isqrt(np.iinfo(np.intp).max // (16 * count))
+    limit = math.isqrt(_INTP_MAX // (16 * count))
     if n > limit:
         what = "a complex matrix" if count == 1 else f"a stack of {count} complex matrices"
         raise ValueError(
@@ -278,6 +284,27 @@ def _eigh(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _hermitian(H, name: str) -> np.ndarray:
+    """H as a checked square matrix or stack (see :func:`_checked_square`)
+    made exactly Hermitian: H itself if it is, else H/2 + H*/2.  An input
+    far from Hermitian raises ``ValueError`` naming ``name`` and its stack
+    index."""
+    H = _checked_square(H, name)
+    adjoint = _adjoint(H)
+    # H == H* passes the tolerance below exactly and needs no average, so
+    # skip both; the norms run on H u, u = 1 / max(1, max |H|), and the
+    # average halves before it adds, so a huge entry overflows neither
+    if (H == adjoint).all():
+        return H
+    u = 1.0 / np.abs(H).max(axis=(-2, -1), keepdims=True, initial=1.0)
+    Hs = H * u
+    off = _frobenius(Hs - _adjoint(Hs)) > 1e-8 * (u[..., 0, 0] + _frobenius(Hs))
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"{name}{_which(H.ndim == 2, k)} is not Hermitian")
+    return H / 2.0 + adjoint / 2.0
+
+
 def hermitian_eig(H, name: str = "matrix") -> Tuple[np.ndarray, np.ndarray]:
     """Eigensystem (w, V) of a Hermitian matrix, or of each matrix of a stack (m, n, n).
 
@@ -290,19 +317,7 @@ def hermitian_eig(H, name: str = "matrix") -> Tuple[np.ndarray, np.ndarray]:
     As from ``eigh``, w is ascending and column j of V goes with w[j]; a
     stack gives w of shape (m, n) and V of shape (m, n, n).
     """
-    H = _checked_square(H, name)
-    adjoint = _adjoint(H)
-    # H == H* passes the tolerance below exactly and needs no average, so
-    # skip both; the norms run on H u, u = 1 / max(1, max |H|), and the
-    # average halves before it adds, so a huge entry overflows neither
-    if not (H == adjoint).all():
-        u = 1.0 / np.abs(H).max(axis=(-2, -1), keepdims=True, initial=1.0)
-        Hs = H * u
-        off = _frobenius(Hs - _adjoint(Hs)) > 1e-8 * (u[..., 0, 0] + _frobenius(Hs))
-        if off.any():
-            k = int(np.argmax(off))
-            raise ValueError(f"{name}{_which(H.ndim == 2, k)} is not Hermitian")
-        H = H / 2.0 + adjoint / 2.0
+    H = _hermitian(H, name)
     w, V = _eigh(H)
     # a Python pass costs less than a numpy reduction on the short
     # stacks of small matrices of the search's Weyl margin and float twin
@@ -334,6 +349,37 @@ def psd_sqrt(A, name: str = "matrix") -> np.ndarray:
         )
     S = (V * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _adjoint(V)
     return (S + _adjoint(S)) / 2.0
+
+
+def _check_psd(A, name: str) -> None:
+    """Accept or reject A as ``psd_sqrt(A, name)`` does, usually without its eigensolve.
+
+    A is made Hermitian as :func:`hermitian_eig` makes it, then factored
+    by Cholesky.  A finite factor L passes A.  By Cholesky's backward
+    error (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., §10.1, Thm 10.3), L L* = A + dA with ||dA||_2 <= n (n + 1) u
+    ||A||_2 to first order, u the unit roundoff; L L* is PSD, so
+    lambda_min(A) >= -n (n + 1) u ||A||_2.  That is far above psd_sqrt's
+    bound -PSD_NEG_TOL (1 + ||A||_F) while n (n + 1) u << PSD_NEG_TOL,
+    for n up to about 3000, and the n^2 is a worst case.  ||L||_F^2 =
+    Tr(L L*) bounds every eigenvalue of L L*, so a finite ||L||_F^2 also
+    means that no eigenvalue of A exceeds double precision.  Anything else
+    (a failed or non-finite factorization, of a singular PSD A among
+    others) goes to ``psd_sqrt`` itself, whose root is dropped: it raises
+    its NotPsdError, ArithmeticError or ConvergenceError, or accepts A.
+    """
+    H = _hermitian(A, name)
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # vdot flattens the whole stack: an overflow there only costs the
+        # eigensolve below, never a wrong pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(np.vdot(L, L).real):
+                return
+    psd_sqrt(H, name)
 
 
 # ------------------------------------------------------------------
@@ -481,20 +527,30 @@ def eval_certificate_numeric(cert: Certificate, A, B):
 
     Each block's Gram matrix is factored through its (floating point)
     eigensystem into vectors c_l, every c_l is contracted against the
-    sandwich matrices built from psd_sqrt(A) and psd_sqrt(B), and the
-    squared norms ||C_l||_F^2 are summed over the positive eigenvalues.
-    This follows the sum-of-squares reading of the certificate, not the
-    exact expansion, which is what makes it a meaningful cross-check.
+    sandwich matrices, whose half letters are psd_sqrt(A) and
+    psd_sqrt(B), and the squared norms ||C_l||_F^2 are summed over the
+    positive eigenvalues.  Only the roots of the half letters that some
+    block uses (as prefix or suffix) are computed; a matrix no block
+    halves is checked by Cholesky (:func:`_check_psd`), which raises what
+    its psd_sqrt would.  This follows the sum-of-squares reading of the
+    certificate, not the exact expansion, which is what makes it a
+    meaningful cross-check.
     A pair gives a float; a stack of m pairs gives a float vector of
     length m, with each Gram eigensystem computed once for the stack.
     A total that overflows to inf or NaN raises ArithmeticError naming
     the block and, for a stack, the pair; an error about A or B names it.
     """
     A, B, single = _pair_stack(A, B)
+    used = {x for block, _ in cert.blocks for x in (block.prefix, block.suffix)}
     # a pair's roots stay (n, n), so an error names A or B with no stack
     # index; the matmuls below broadcast them over the stack of one
-    half = {"a": psd_sqrt(A[0] if single else A, "A"),
-            "b": psd_sqrt(B[0] if single else B, "B")}
+    half = {}
+    for letter, M in (("a", A), ("b", B)):
+        M = M[0] if single else M
+        if letter in used:
+            half[letter] = psd_sqrt(M, letter.upper())
+        else:
+            _check_psd(M, letter.upper())
     total = np.zeros(A.shape[0])
     for block_index, (block, gram) in enumerate(cert.blocks):
         G = gram_to_complex(gram)

@@ -84,7 +84,8 @@ class TrialConfig:
     numpy to index its complex matrix, and ``seed`` must lie in [0, 2**64);
     a bad value raises ``ValueError`` naming it.  Each runner
     also rejects, by :meth:`check_trial_seeds`, a seed whose trial seeds,
-    seed, seed + 1, ..., one per random trial it runs, would reach 2**64.
+    seed, seed + 1, ..., one per random trial it runs, would reach 2**64,
+    and a dimension too large for the stack of pairs it draws there.
     """
 
     seed: int = 0
@@ -108,12 +109,16 @@ class TrialConfig:
         for k, n in enumerate(self.dims):
             _check_dimension(n, f"dims[{k}]")
 
-    def check_trial_seeds(self, per_dimension: bool) -> None:
-        """Reject a seed whose trial seeds would not all be distinct 64-bit seeds.
+    def check_trial_seeds(self, per_dimension: bool, name: Optional[str] = None) -> None:
+        """Reject a seed or a dimension that the runner's random trials cannot use.
 
         A runner draws one seed per random trial: ``trials`` per dimension
-        when ``per_dimension`` (the certificate runner), ``trials`` in all
-        otherwise (the coefficient runner).
+        when ``per_dimension`` (the certificate runner), ``trials`` in all,
+        cycled over ``dims``, otherwise (the coefficient runner).  Those
+        seeds must all be distinct 64-bit seeds, and numpy must be able to
+        index the stack of two matrices a trial that each dimension draws
+        in one ``random_psd`` call.  A bad dimension is called ``name``, by
+        default ``dims[k]``.  Nothing is allocated.
         """
         count = self.trials * (len(self.dims) if per_dimension else 1)
         if self.seed > SEED_LIMIT - count:
@@ -121,6 +126,14 @@ class TrialConfig:
                 f"seed must lie in [0, 2**64 - {count}] so that its {count} "
                 f"trial seeds stay below 2**64, got {self.seed}"
             )
+        # trials per dimension, keyed in order of first use
+        drawn: Dict[int, int] = {}
+        for k, n in enumerate(self.dims):
+            share = self.trials if per_dimension else len(range(k, self.trials, len(self.dims)))
+            drawn[n] = drawn.get(n, 0) + share
+        for n, trials in drawn.items():
+            if trials:  # a dimension no trial reaches draws nothing
+                _check_dimension(n, name or f"dims[{self.dims.index(n)}]", 2 * trials)
 
 
 @dataclass(frozen=True)

@@ -769,6 +769,28 @@ def test_oversized_dims_entry_names_the_flag(monkeypatch, capsys, command, entry
         )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["validate", "--cert", bundled_path("p7r3.json")], ["bmv-check", "-p", "3"]],
+    ids=["validate", "bmv-check"],
+)
+def test_dims_entry_too_large_for_its_trials_names_the_flag(monkeypatch, capsys, command):
+    """An entry whose matrix numpy can index, but not the stack of two
+    matrices a trial drawn there, is a --dims error before any load or draw."""
+
+    def fail(*args):
+        raise AssertionError("ran before --dims was checked against --trials")
+
+    for name in ("load_certificate", "validate_certificate_trials", "bmv_check_trials"):
+        monkeypatch.setattr(cli, name, fail)
+    in_four = math.isqrt(np.iinfo(np.intp).max // 64)
+    assert main(command + ["--trials", "2", "--dims", "600000000"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --dims entry must be at most {in_four}, so that numpy can index "
+        "a stack of 4 complex matrices of that size, got 600000000\n"
+    )
+
+
 def test_dims_entries_may_carry_spaces(capsys):
     assert main(["bmv-check", "-p", "3", "--trials", "2", "--dims", " 2 , 3 "]) == EXIT_OK
     assert "2/2 trials passed" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from hurwitz_sos.certificate import (
     GramMatrix,
     SandwichBlock,
     bundled_certificate,
+    swap_certificate,
 )
 from hurwitz_sos.numeric import (
     ConvergenceError,
@@ -554,6 +555,57 @@ def test_eval_certificate_rejects_huge_indefinite_gram():
     bad = Certificate(4, 2, ((block, gram),))
     with pytest.raises(NotPsdError, match="block 0"):
         eval_certificate_numeric(bad, np.eye(2), np.eye(2))
+
+
+# the eight p = 7 certificates: r = 0..3 bundled, r = 4..7 their letter swaps
+P7_CERTS = [bundled_certificate(f"p7r{r}.json") for r in range(4)]
+P7_CERTS += [swap_certificate(cert) for cert in P7_CERTS]
+
+
+@pytest.mark.parametrize("cert", P7_CERTS, ids=[f"p7r{c.r}" for c in P7_CERTS])
+def test_eval_certificate_roots_only_the_half_letter_it_uses(monkeypatch, cert):
+    (letter,) = {x for block, _ in cert.blocks for x in (block.prefix, block.suffix) if x}
+    names = []
+
+    def spy(M, name="matrix"):
+        names.append(name)
+        return psd_sqrt(M, name)
+
+    monkeypatch.setattr(numeric, "psd_sqrt", spy)
+    A, B = random_psd(3, 80), random_psd(3, 81)
+    sos = eval_certificate_numeric(cert, A, B)
+    assert names == [letter.upper()]
+    oracle = trace_hurwitz_numeric(A, B, 7, cert.r)
+    assert abs(sos - oracle) <= 1e-8 * (1.0 + abs(oracle))
+
+
+def test_eval_certificate_accepts_a_singular_unused_matrix():
+    # p7r3 halves only B; a rank-one A fails Cholesky and is accepted by psd_sqrt
+    cert = bundled_certificate("p7r3.json")
+    v = gaussian_stream(90, 6)
+    v = (v[:3] + 1j * v[3:])[:, np.newaxis]
+    A, B = v @ v.conj().T, random_psd(3, 91)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(A)
+    sos = eval_certificate_numeric(cert, A, B)
+    oracle = trace_hurwitz_numeric(A, B, 7, 3)
+    assert abs(sos - oracle) <= 1e-8 * (1.0 + abs(oracle))
+
+
+def test_eval_certificate_rejects_an_unused_matrix_as_psd_sqrt_does():
+    cert = bundled_certificate("p7r3.json")  # halves only B
+    A, B = random_psd(2, list(range(5))), random_psd(2, list(range(10, 15)))
+    A[2] = np.diag([1.0, -1.0])
+    with pytest.raises(NotPsdError, match=r"^A \(stack index 2\) has negative eigenvalue -1\.000000e\+00$"):
+        eval_certificate_numeric(cert, A, B)
+    with pytest.raises(NotPsdError, match=r"^A has negative eigenvalue -1\.000000e\+00$"):
+        eval_certificate_numeric(cert, A[2], B[2])
+    # Cholesky factors this one with finite entries, but its eigenvalue 2.7e308
+    # overflows, so the unused A still raises what psd_sqrt raises
+    huge = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+    assert np.isfinite(np.linalg.cholesky(huge)).all()
+    with pytest.raises(ArithmeticError, match=r"^A has an eigenvalue that is not finite"):
+        eval_certificate_numeric(cert, huge, np.eye(2))
 
 
 def test_samplers_reject_bad_dimension_and_seed():

@@ -129,6 +129,19 @@ def test_stacked_hermitian_eig_equals_slices(n, m):
             assert close((V * w) @ V.conj().T, h)
 
 
+@pytest.mark.parametrize("name", CERTS)
+def test_a_singular_unused_slice_keeps_every_solo_value(name):
+    # the unused letter of the stack fails Cholesky as a whole and goes to
+    # psd_sqrt, whose root is dropped: no slice's value moves
+    cert = bundled_certificate(name)
+    (letter,) = {x for block, _ in cert.blocks for x in (block.prefix, block.suffix) if x}
+    A, B = psd_stack(3, 7, 5), psd_stack(3, 7, 6)
+    unused = B if letter == "a" else A
+    unused[4] = np.diag([2.0, 1.0, 0.0])
+    got = eval_certificate_numeric(cert, A, B).tolist()
+    assert got == [eval_certificate_numeric(cert, a, b) for a, b in zip(A, B)]
+
+
 def test_certificate_overflow_names_block_and_slice():
     cert = bundled_certificate("p7r3.json")
     I = np.eye(2)

@@ -81,6 +81,34 @@ def test_trial_config_validation():
         TrialConfig(dims=iter([]))
 
 
+def test_runners_check_each_dimension_against_the_pairs_they_draw(monkeypatch):
+    """A dimension whose one matrix numpy can index, but not the stack of
+    two matrices a trial that its runner draws, is named by its dims index
+    before anything is drawn."""
+
+    def fail(*args):
+        raise AssertionError("random_psd ran before the dimensions were checked")
+
+    monkeypatch.setattr(validation, "random_psd", fail)
+    in_two, in_four = (math.isqrt(np.iinfo(np.intp).max // (16 * k)) for k in (2, 4))
+    cert = bundled_certificate("p7r3.json")
+    config = TrialConfig(dims=(2, in_two + 1), trials=2)
+    with pytest.raises(ValueError, match=rf"^dims\[1\] must be at most {in_four}, .* stack of 4 "):
+        validate_certificate_trials(cert, config)
+    # the cycle gives dims[1] one of the two trials
+    with pytest.raises(ValueError, match=rf"^dims\[1\] must be at most {in_two}, .* stack of 2 "):
+        bmv_check_trials(3, config)
+    # the certificate runner draws trials per entry, so a repeated entry doubles its stack
+    in_eight = math.isqrt(np.iinfo(np.intp).max // 128)
+    with pytest.raises(ValueError, match=rf"^dims\[0\] must be at most {in_eight}, .* stack of 8 "):
+        validate_certificate_trials(cert, TrialConfig(dims=(in_four, in_four), trials=2))
+    # a dimension that the coefficient runner's cycle never reaches draws nothing
+    largest = math.isqrt(np.iinfo(np.intp).max // 16)
+    TrialConfig(dims=(2, largest), trials=1).check_trial_seeds(per_dimension=False)
+    with pytest.raises(ValueError, match=r"^--dims entry must be at most "):
+        config.check_trial_seeds(per_dimension=True, name="--dims entry")
+
+
 def test_trial_config_rejects_booleans():
     with pytest.raises(ValueError, match="dims"):
         TrialConfig(dims=(True,))
