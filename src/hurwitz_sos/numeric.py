@@ -30,18 +30,23 @@ slice's value does not depend on the other slices of its stack.
 The word-sum trace (``_hurwitz_trace``, whose docstring gives the
 recurrence) is the oracle that exact certificates are cross-checked
 against.  It shares no code with the sum-of-squares evaluator
-``eval_certificate_numeric``, which diagonalizes each Gram matrix once per
-call and contracts the sandwiches of all pairs against its eigenvectors
-in one matmul.  It computes ``psd_sqrt`` only of the half letters its
-blocks use; the other matrix is checked by a Cholesky factorization, and
-falls back to ``psd_sqrt`` only when that fails, so it raises what its
-root would.  The tests check the trace against a product over every
-word, the full-length recurrence and exact cyclic-class expansions.
+``eval_certificate_numeric``, which contracts the sandwiches of all pairs
+against the eigenvectors of each Gram matrix in one matmul.  It
+diagonalizes each ``GramMatrix`` once, not once per call, and keeps the
+factor while that object lives: a ``GramMatrix`` is immutable, so the
+factor is a function of it, and the stored arrays are read-only, so no
+caller can change them.  It computes ``psd_sqrt`` only of the half
+letters its blocks use; the other matrix is checked by a Cholesky
+factorization, and falls back to ``psd_sqrt`` only when that fails, so
+it raises what its root would.  The tests check the trace against a
+product over every word, the full-length recurrence and exact
+cyclic-class expansions.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -520,6 +525,47 @@ def gram_to_complex(gram: GramMatrix) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+# GramMatrix -> the (rows, weights) of :func:`_gram_factor`.  Weak keys: an
+# entry dies with its Gram, and an equal Gram, whose factor is the same, finds it
+_GRAM_FACTORS: "weakref.WeakKeyDictionary[GramMatrix, Tuple[np.ndarray, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _gram_factor(gram: GramMatrix, block_index: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The positive part of the float eigensystem (w, V) of a Gram matrix:
+    the rows ``V[:, w > 0].T`` and the weights ``w[w > 0]``, both read-only.
+
+    Computed on the first call for an equal Gram and then reused; a Gram
+    that fails (an entry or eigenvalue beyond double precision raises
+    ArithmeticError, a clearly negative eigenvalue NotPsdError, each
+    naming ``block_index``) is not stored, so it raises on every call.
+    """
+    factor = _GRAM_FACTORS.get(gram)
+    if factor is not None:
+        return factor
+    name = f"block {block_index}: Gram matrix"
+    try:
+        G = gram_to_complex(gram)
+    except OverflowError as exc:  # int / int beyond the float range
+        raise ArithmeticError(
+            f"{name} has an entry that is not finite as a float; "
+            "it exceeds double precision"
+        ) from exc
+    w, V = hermitian_eig(G, name)
+    if _clearly_negative(w):
+        raise NotPsdError(
+            f"{name} is numerically indefinite "
+            f"(min eigenvalue {w[0]:.3e}); verify exactly first"
+        )
+    positive = w > 0.0
+    factor = (V[:, positive].T, w[positive])
+    for array in factor:
+        array.flags.writeable = False
+    _GRAM_FACTORS[gram] = factor
+    return factor
+
+
 # overflow is reported as an ArithmeticError, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def eval_certificate_numeric(cert: Certificate, A, B):
@@ -529,16 +575,20 @@ def eval_certificate_numeric(cert: Certificate, A, B):
     eigensystem into vectors c_l, every c_l is contracted against the
     sandwich matrices, whose half letters are psd_sqrt(A) and
     psd_sqrt(B), and the squared norms ||C_l||_F^2 are summed over the
-    positive eigenvalues.  Only the roots of the half letters that some
-    block uses (as prefix or suffix) are computed; a matrix no block
-    halves is checked by Cholesky (:func:`_check_psd`), which raises what
-    its psd_sqrt would.  This follows the sum-of-squares reading of the
-    certificate, not the exact expansion, which is what makes it a
-    meaningful cross-check.
+    positive eigenvalues.  The factor is computed once per ``GramMatrix``
+    (:func:`_gram_factor`) and reused by every later call: the object is
+    immutable and the stored arrays are read-only, so a reused factor is
+    bit for bit the one a fresh call would compute.  Only the roots of
+    the half letters that some block uses (as prefix or suffix) are
+    computed; a matrix no block halves is checked by Cholesky
+    (:func:`_check_psd`), which raises what its psd_sqrt would.  This
+    follows the sum-of-squares reading of the certificate, not the exact
+    expansion, which is what makes it a meaningful cross-check.
     A pair gives a float; a stack of m pairs gives a float vector of
-    length m, with each Gram eigensystem computed once for the stack.
+    length m.
     A total that overflows to inf or NaN raises ArithmeticError naming
-    the block and, for a stack, the pair; an error about A or B names it.
+    the block and, for a stack, the pair, as does a Gram matrix beyond
+    double precision; an error about A or B names it.
     """
     A, B, single = _pair_stack(A, B)
     used = {x for block, _ in cert.blocks for x in (block.prefix, block.suffix)}
@@ -553,14 +603,7 @@ def eval_certificate_numeric(cert: Certificate, A, B):
             _check_psd(M, letter.upper())
     total = np.zeros(A.shape[0])
     for block_index, (block, gram) in enumerate(cert.blocks):
-        G = gram_to_complex(gram)
-        w, V = hermitian_eig(G)
-        if _clearly_negative(w):
-            raise NotPsdError(
-                f"block {block_index}: Gram matrix is numerically indefinite "
-                f"(min eigenvalue {w[0]:.3e}); verify exactly first"
-            )
-        positive = w > 0.0
+        rows, weights = _gram_factor(gram, block_index)
         sandwiches = []
         for word in block.basis:
             M = _word_product(A, B, word)
@@ -570,9 +613,9 @@ def eval_certificate_numeric(cert: Certificate, A, B):
                 M = M @ half[block.suffix]
             sandwiches.append(M.reshape(M.shape[0], -1))
         # (k, d) @ (m, d, n*n): row l of slice i is C_l for pair i, flattened
-        C = V[:, positive].T @ np.stack(sandwiches, axis=1)
+        C = rows @ np.stack(sandwiches, axis=1)
         norms = (C.real ** 2 + C.imag ** 2).sum(axis=-1)
-        total = total + (norms * w[positive]).sum(axis=-1)
+        total = total + (norms * weights).sum(axis=-1)
         bad = ~np.isfinite(total)
         if bad.any():
             k = int(np.argmax(bad))

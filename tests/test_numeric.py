@@ -11,6 +11,8 @@ from hurwitz_sos.certificate import (
     GramMatrix,
     SandwichBlock,
     bundled_certificate,
+    certificate_from_json,
+    certificate_to_json,
     swap_certificate,
 )
 from hurwitz_sos.numeric import (
@@ -31,6 +33,7 @@ from hurwitz_sos.numeric import (
     trace_hurwitz_numeric,
 )
 from hurwitz_sos.rational import grat
+from hurwitz_sos.validation import TrialConfig, validate_certificate_trials
 
 from oracles import (
     oracle_trace,
@@ -539,13 +542,24 @@ def test_eval_certificate_is_nonnegative():
     assert eval_certificate_numeric(cert, A, B) >= 0.0
 
 
+def raises_every_time(error, match, cert, A, B):
+    """Two calls raise the same text, and the failed Gram is never stored."""
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error, match=match) as info:
+            eval_certificate_numeric(cert, A, B)
+        messages.append(str(info.value))
+        assert not any(gram in numeric._GRAM_FACTORS for _, gram in cert.blocks)
+    assert messages[0] == messages[1]
+    return info.type
+
+
 def test_eval_certificate_rejects_indefinite_gram():
     block = SandwichBlock(prefix=None, suffix="b", basis=("AAA",))
     bad = Certificate(7, 1, ((block, GramMatrix.from_rows([[-1]])),))
     A = random_psd(2, seed=70)
     B = random_psd(2, seed=71)
-    with pytest.raises(NotPsdError):
-        eval_certificate_numeric(bad, A, B)
+    raises_every_time(NotPsdError, "^block 0: Gram matrix is numerically indefinite", bad, A, B)
 
 
 def test_eval_certificate_rejects_huge_indefinite_gram():
@@ -553,8 +567,23 @@ def test_eval_certificate_rejects_huge_indefinite_gram():
     block = SandwichBlock(prefix=None, suffix=None, basis=("AB", "BA"))
     gram = GramMatrix.from_rows([[10**200, 0], [0, -10**195]])
     bad = Certificate(4, 2, ((block, gram),))
-    with pytest.raises(NotPsdError, match="block 0"):
-        eval_certificate_numeric(bad, np.eye(2), np.eye(2))
+    raises_every_time(NotPsdError, "^block 0: Gram matrix is numerically indefinite",
+                      bad, np.eye(2), np.eye(2))
+
+
+def test_eval_certificate_names_the_block_of_a_gram_beyond_double_range():
+    block = SandwichBlock(None, None, ("AB", "BA"))
+    # an entry whose int quotient overflows a float, and one whose eigenvalue does
+    cases = [
+        (GramMatrix.from_rows([[10**400, 0], [0, 1]]), "has an entry that is not finite"),
+        (GramMatrix.from_rows([[10**308, 10**308], [10**308, 10**308]]),
+         "has an eigenvalue that is not finite"),
+    ]
+    for gram, what in cases:
+        bad = Certificate(4, 2, ((block, gram),))
+        error = raises_every_time(ArithmeticError, f"^block 0: Gram matrix {what}",
+                                  bad, np.eye(2), np.eye(2))
+        assert error is ArithmeticError  # not a bare OverflowError
 
 
 # the eight p = 7 certificates: r = 0..3 bundled, r = 4..7 their letter swaps
@@ -606,6 +635,63 @@ def test_eval_certificate_rejects_an_unused_matrix_as_psd_sqrt_does():
     assert np.isfinite(np.linalg.cholesky(huge)).all()
     with pytest.raises(ArithmeticError, match=r"^A has an eigenvalue that is not finite"):
         eval_certificate_numeric(cert, huge, np.eye(2))
+
+
+def test_each_gram_is_factored_once_across_calls_and_dimensions(monkeypatch):
+    # swap_certificate keeps the GramMatrix, so p7r3 and p7r4 share one factor
+    cert = bundled_certificate("p7r3.json")
+    swapped = swap_certificate(cert)
+    grams = {gram for c in (cert, swapped) for _, gram in c.blocks}
+    names, roots = [], []
+
+    def eig_spy(H, name="matrix"):
+        names.append(name)
+        return hermitian_eig(H, name)
+
+    def sqrt_spy(M, name="matrix"):
+        roots.append(name)
+        return psd_sqrt(M, name)
+
+    monkeypatch.setattr(numeric, "_GRAM_FACTORS", type(numeric._GRAM_FACTORS)())
+    monkeypatch.setattr(numeric, "hermitian_eig", eig_spy)
+    monkeypatch.setattr(numeric, "psd_sqrt", sqrt_spy)
+    config = TrialConfig(seed=5, dims=(1, 2, 3, 4, 5, 6), trials=3)
+    for c in (cert, swapped):
+        assert validate_certificate_trials(c, config).summary["failed"] == 0
+    gram_calls = [name for name in names if "Gram" in name]
+    assert len(gram_calls) == len(grams) == 1
+    # one root per dimension group and call: p7r3 halves B, its swap A
+    assert roots == ["B"] * 6 + ["A"] * 6
+    assert len(names) == len(roots) + len(grams)
+
+
+def test_stored_gram_factors_are_read_only():
+    cert = bundled_certificate("p7r2.json")
+    eval_certificate_numeric(cert, random_psd(2, 1), random_psd(2, 2))
+    for _, gram in cert.blocks:
+        for array in numeric._GRAM_FACTORS[gram]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
+def test_gram_factor_memo_leaves_rows_bit_for_bit(monkeypatch):
+    cert = bundled_certificate("p7r2.json")
+    copy = certificate_from_json(certificate_to_json(cert))
+    assert copy == cert and copy.blocks[0][1] is not cert.blocks[0][1]
+    config = TrialConfig(seed=9, dims=(1, 2, 3, 4, 5, 6), trials=4)
+
+    def rows(c):
+        report = validate_certificate_trials(c, config)
+        return [(row.oracle.hex(), row.value.hex()) for row in report.rows]
+
+    monkeypatch.setattr(numeric, "_GRAM_FACTORS", type(numeric._GRAM_FACTORS)())
+    cold = rows(cert)
+    assert cert.blocks[0][1] in numeric._GRAM_FACTORS
+    warm = rows(cert)
+    numeric._GRAM_FACTORS.clear()
+    distinct = rows(copy)
+    assert cold == warm == distinct
 
 
 def test_samplers_reject_bad_dimension_and_seed():
