@@ -525,11 +525,9 @@ def gram_to_complex(gram: GramMatrix) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-# GramMatrix -> the (rows, weights) of :func:`_gram_factor`.  Weak keys: an
+# GramMatrix -> its (rows, weights) from :func:`_gram_factor`.  Weak keys: an
 # entry dies with its Gram, and an equal Gram, whose factor is the same, finds it
-_GRAM_FACTORS: "weakref.WeakKeyDictionary[GramMatrix, Tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
+_GRAM_FACTORS = weakref.WeakKeyDictionary()
 
 
 def _gram_factor(gram: GramMatrix, block_index: int) -> Tuple[np.ndarray, np.ndarray]:
