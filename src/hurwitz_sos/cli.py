@@ -7,6 +7,13 @@ stdout was closed (with nothing on stderr), 2 usage or malformed input,
 3 exact infeasibility proven, 4 search exhausted without an answer.
 Every run is deterministic given its flags: the seed comes from
 ``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
+
+The module imports only the exact layer and ``options``, none of which
+imports numpy, so expand and verify never load it.  The handlers of
+search, validate and bmv-check import ``search`` or ``validation``, and
+with it numpy, when they run.  A ``ConvergenceError`` is an
+``ArithmeticError``, so one clause maps every numeric failure to exit
+code 1 without naming the numeric module.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificate import (
     Certificate,
@@ -27,21 +34,11 @@ from .certificate import (
     verify_certificate,
     verify_report_to_json,
 )
-from .numeric import ConvergenceError, _check_dimension, _check_seed
-from .search import (
-    SearchOptions,
-    SearchStatus,
-    feasibility_search,
-    outcome_to_json,
-)
-from .validation import (
-    CoefficientRow,
-    TrialConfig,
-    bmv_check_trials,
-    trial_pair,
-    validate_certificate_trials,
-)
+from .options import SearchOptions, TrialConfig, _check_dimension, _check_seed
 from .words import check_positive_int, hurwitz_expand
+
+if TYPE_CHECKING:
+    from .validation import CoefficientRow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,14 +132,17 @@ def _check_cert_path(path: str) -> None:
         raise _UsageError(f"--cert {path}: directory {parent} does not exist")
 
 
+# by SearchStatus value, so that this module does not import the search
 _SEARCH_EXIT = {
-    SearchStatus.CERTIFICATE: EXIT_OK,
-    SearchStatus.INFEASIBLE: EXIT_INFEASIBLE,
-    SearchStatus.UNKNOWN: EXIT_UNKNOWN,
+    "certificate": EXIT_OK,
+    "infeasible": EXIT_INFEASIBLE,
+    "unknown": EXIT_UNKNOWN,
 }
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import feasibility_search, outcome_to_json
+
     hint_p, hint_r, blocks = load_ansatz(args.ansatz)
     p = args.p if args.p is not None else hint_p
     r = args.r if args.r is not None else hint_r
@@ -189,7 +189,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise _UsageError(f"--cert {args.cert}: {exc}") from exc
         if args.format == "text":
             print(f"certificate written to {args.cert}")
-    return _SEARCH_EXIT[outcome.status]
+    return _SEARCH_EXIT[outcome.status.value]
 
 
 def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:
@@ -219,6 +219,8 @@ def _run_trials(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import validate_certificate_trials
+
     # a bad flag, or a seed too close to 2**64, exits 2 before the exact check
     config = _trial_config(args, per_dimension=True)
     cert = load_certificate(args.cert)
@@ -239,6 +241,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _candidate_line(row: CoefficientRow) -> str:
+    from .validation import trial_pair
+
     (A,), (B,) = trial_pair(row.n, [row.trial_seed])
     candidate = {
         "p": row.p,
@@ -252,6 +256,8 @@ def _candidate_line(row: CoefficientRow) -> str:
 
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
+    from .validation import bmv_check_trials
+
     config = _trial_config(args, per_dimension=False)
     return _run_trials(
         args,
@@ -378,7 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:  # the reader is gone: drop the rest of stdout quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except (ConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # ConvergenceError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except MemoryError as exc:

@@ -52,7 +52,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .certificate import Certificate, GramMatrix
-from .words import check_degrees, check_positive_int, is_int
+from .options import SEED_LIMIT, _check_dimension, _check_seed
+from .words import check_degrees, is_int
 
 __all__ = [
     "ConvergenceError",
@@ -72,7 +73,7 @@ __all__ = [
 PSD_NEG_TOL = 1e-9
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """The eigensolver failed to converge."""
 
 
@@ -84,18 +85,11 @@ class NotPsdError(ValueError):
 # SplitMix64 stream and Gaussian sampling
 # ------------------------------------------------------------------
 
-# SplitMix64 works modulo 2^64, so seeds that differ by a multiple of it
-# would alias; every seed the package accepts lies in [0, SEED_LIMIT).
-SEED_LIMIT = 1 << 64
+# SplitMix64 works modulo 2^64; every seed it takes lies in [0, SEED_LIMIT)
 _MASK64 = SEED_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def _check_seed(value, name: str = "seed") -> None:
-    if not is_int(value) or not 0 <= value < SEED_LIMIT:
-        raise ValueError(f"{name} must be an int in [0, 2**64), got {value!r}")
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -185,23 +179,6 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be a nonnegative int, got {count!r}")
     _check_seed(seed)
     return _gaussian_rows(np.array([seed], dtype=np.uint64), count)[0]
-
-
-_INTP_MAX = int(np.iinfo(np.intp).max)
-
-
-def _check_dimension(n, name: str, count: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``n`` is a positive int and
-    numpy can index ``count`` complex (n, n) matrices in one array (16 n^2
-    ``count`` bytes fit in an intp), the largest that ``count`` draws make."""
-    check_positive_int(n, name)
-    limit = math.isqrt(_INTP_MAX // (16 * count))
-    if n > limit:
-        what = "a complex matrix" if count == 1 else f"a stack of {count} complex matrices"
-        raise ValueError(
-            f"{name} must be at most {limit}, so that numpy can index {what} "
-            f"of that size, got {n!r}"
-        )
 
 
 def random_psd(n: int, seed) -> np.ndarray:
@@ -453,15 +430,17 @@ def _hurwitz_trace(A, B, p: int, r: int):
     m, n, _ = A.shape
     hi, lo = (p + 1) // 2, p // 2
     k = min(r, hi) + 1  # P_hi[j] = 0 for j > hi
-    P = np.zeros((m, k, n, n), dtype=np.complex128)
-    P[:, 0] = A
-    P[:, 1:2] = B[:, np.newaxis]  # an empty slice when r = 0
+    # the blocks stacked by rows: P[:, j*n:(j+1)*n] is P_k[j]
+    P = np.zeros((m, k * n, n), dtype=np.complex128)
+    P[:, :n] = A
+    if k > 1:  # at r = 0 there is no B block
+        P[:, n : 2 * n] = B
     if lo == 0:  # p = 1: no lower half
-        return np.trace(P, axis1=-2, axis2=-1)
+        return np.trace(P.reshape(m, k, n, n), axis1=-2, axis2=-1)
     low = P
     for step in range(2, hi + 1):
-        Q = (P.reshape(m, -1, n) @ A).reshape(P.shape)
-        Q[:, 1:] += (P[:, :-1].reshape(m, -1, n) @ B).reshape(m, k - 1, n, n)
+        Q = P @ A
+        Q[:, n:] += P[:, :-n] @ B
         P = Q
         if step == lo:
             low = P
@@ -470,7 +449,7 @@ def _hurwitz_trace(A, B, p: int, r: int):
     kl = min(r, lo) + 1
     w = k + kl - 1
     S = np.zeros((m, k, w + 1), dtype=np.complex128)
-    lo_t = low[:, :kl].transpose(0, 3, 2, 1).reshape(m, n * n, kl)
+    lo_t = low[:, : kl * n].reshape(m, kl, n, n).transpose(0, 3, 2, 1).reshape(m, n * n, kl)
     np.matmul(P.reshape(m, k, n * n), lo_t, out=S[:, :, :kl])
     return S.reshape(m, -1)[:, : k * w].reshape(m, k, w).sum(axis=1)[:, : r + 1]
 

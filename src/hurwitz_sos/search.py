@@ -80,15 +80,15 @@ from .certificate import (
     quadratic_form,
     verify_against,
 )
-from .numeric import _check_seed, _eigh, derive_seed, gaussian_stream, hermitian_eig
+from .numeric import _eigh, derive_seed, gaussian_stream, hermitian_eig
+from .options import SearchOptions
 from .rational import GaussianRational, rational_quad
 from .words import (
-    CyclicClass, TracePolynomial, check_degrees, check_positive_int, hurwitz_expand,
+    CyclicClass, TracePolynomial, check_degrees, hurwitz_expand,
 )
 
 __all__ = [
     "ConstraintMap",
-    "SearchOptions",
     "SearchOutcome",
     "SearchStatus",
     "build_constraint_map",
@@ -187,23 +187,6 @@ class SearchStatus(enum.Enum):
     CERTIFICATE = "certificate"
     INFEASIBLE = "infeasible"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs of ``feasibility_search``.
-
-    ``seed`` picks the random start and ``max_iters`` is the number of
-    Douglas–Rachford steps.  Each must be an int, ``seed`` in [0, 2**64)
-    and ``max_iters`` >= 1.  The rounding denominators are ``LADDER``.
-    """
-
-    seed: int = 0
-    max_iters: int = 5000
-
-    def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        check_positive_int(self.max_iters, "max_iters")
 
 
 @dataclass(frozen=True)

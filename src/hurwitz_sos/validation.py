@@ -22,17 +22,13 @@ group's traces, and its rows are built from one ``tolist()`` of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .certificate import Certificate
-from .words import check_degrees, check_positive_int
+from .words import check_degrees
 from .numeric import (
-    SEED_LIMIT,
-    _check_dimension,
-    _check_seed,
     _derive_seeds,
     _seed_vector,
     bmv_coefficients,
@@ -40,9 +36,9 @@ from .numeric import (
     random_psd,
     trace_hurwitz_numeric,
 )
+from .options import TrialConfig
 
 __all__ = [
-    "TrialConfig",
     "TrialReport",
     "bmv_check_trials",
     "validate_certificate_trials",
@@ -52,88 +48,12 @@ __all__ = [
 _COEFFICIENT_TOL = 1e-9
 
 
-def _check_tolerance(name: str, tol: object) -> None:
-    """Accept an int or float whose float value is finite and positive."""
-    ok = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-    try:
-        ok = ok and 0 < float(tol) < inf
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
-
-
 def _indices_by_dimension(dims: List[int]) -> Dict[int, List[int]]:
     """Row indices grouped by their matrix dimension, in order of first use."""
     groups: Dict[int, List[int]] = {}
     for index, n in enumerate(dims):
         groups.setdefault(n, []).append(index)
     return groups
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Seed, dimensions, trial count and tolerance of a trial run.
-
-    Both runners read ``seed``, ``dims`` and ``trials``.  ``trials``
-    counts random trials per dimension for the certificate runner and
-    total trials (cycled over the dimensions) for the coefficient
-    runner.  Only the certificate runner reads ``tol_rel``;
-    ``bmv_check_trials`` uses a fixed 1e-9.  ``trials`` and each of the
-    nonempty ``dims`` must be positive ints, each dimension small enough for
-    numpy to index its complex matrix, and ``seed`` must lie in [0, 2**64);
-    a bad value raises ``ValueError`` naming it.  Each runner
-    also rejects, by :meth:`check_trial_seeds`, a seed whose trial seeds,
-    seed, seed + 1, ..., one per random trial it runs, would reach 2**64,
-    and a dimension too large for the stack of pairs it draws there.
-    """
-
-    seed: int = 0
-    dims: Tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    trials: int = 100
-    tol_rel: float = 1e-8
-
-    def __post_init__(self) -> None:
-        # a tuple: a list is unhashable, and the checks would use up a generator
-        try:
-            object.__setattr__(self, "dims", tuple(self.dims))
-        except TypeError:
-            raise ValueError(
-                f"dims must be a sequence of positive ints, got {self.dims!r}"
-            ) from None
-        _check_seed(self.seed)
-        check_positive_int(self.trials, "trials")
-        _check_tolerance("tol_rel", self.tol_rel)
-        if not self.dims:
-            raise ValueError("dims must be nonempty")
-        for k, n in enumerate(self.dims):
-            _check_dimension(n, f"dims[{k}]")
-
-    def check_trial_seeds(self, per_dimension: bool, name: Optional[str] = None) -> None:
-        """Reject a seed or a dimension that the runner's random trials cannot use.
-
-        A runner draws one seed per random trial: ``trials`` per dimension
-        when ``per_dimension`` (the certificate runner), ``trials`` in all,
-        cycled over ``dims``, otherwise (the coefficient runner).  Those
-        seeds must all be distinct 64-bit seeds, and numpy must be able to
-        index the stack of two matrices a trial that each dimension draws
-        in one ``random_psd`` call.  A bad dimension is called ``name``, by
-        default ``dims[k]``.  Nothing is allocated.
-        """
-        count = self.trials * (len(self.dims) if per_dimension else 1)
-        if self.seed > SEED_LIMIT - count:
-            raise ValueError(
-                f"seed must lie in [0, 2**64 - {count}] so that its {count} "
-                f"trial seeds stay below 2**64, got {self.seed}"
-            )
-        # trials per dimension, keyed in order of first use
-        drawn: Dict[int, int] = {}
-        for k, n in enumerate(self.dims):
-            share = self.trials if per_dimension else len(range(k, self.trials, len(self.dims)))
-            drawn[n] = drawn.get(n, 0) + share
-        for n, trials in drawn.items():
-            if trials:  # a dimension no trial reaches draws nothing
-                _check_dimension(n, name or f"dims[{self.dims.index(n)}]", 2 * trials)
 
 
 @dataclass(frozen=True)

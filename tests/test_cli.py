@@ -22,7 +22,7 @@ from hurwitz_sos.certificate import (
     load_certificate,
     verify_certificate,
 )
-from hurwitz_sos import cli, validation
+from hurwitz_sos import cli, search, validation
 from hurwitz_sos.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -293,7 +293,7 @@ def test_search_rejects_unwritable_cert_before_searching(
     def fail(*_args):
         raise AssertionError("feasibility_search ran")
 
-    monkeypatch.setattr(cli, "feasibility_search", fail)
+    monkeypatch.setattr(search, "feasibility_search", fail)
     cert = str(tmp_path / where)
     if where == "pipe":
         os.mkfifo(cert)
@@ -312,7 +312,7 @@ def test_search_rejects_empty_cert_before_searching(three_word_ansatz, monkeypat
     def fail(*_args):
         raise AssertionError("feasibility_search ran")
 
-    monkeypatch.setattr(cli, "feasibility_search", fail)
+    monkeypatch.setattr(search, "feasibility_search", fail)
     assert main(["search", "--ansatz", three_word_ansatz, "--cert", ""]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -652,7 +652,7 @@ def test_out_of_memory_exits_fail_with_one_line(three_word_ansatz, monkeypatch, 
     monkeypatch.setattr(validation, "random_psd", fail)
     assert main(["bmv-check", "-p", "3", "--trials", "1"]) == EXIT_FAIL
     assert capsys.readouterr().err == want
-    monkeypatch.setattr(cli, "feasibility_search", fail)
+    monkeypatch.setattr(search, "feasibility_search", fail)
     assert main(["search", "--ansatz", three_word_ansatz]) == EXIT_FAIL
     assert capsys.readouterr().err == want
 
@@ -669,7 +669,7 @@ def test_validate_prints_the_failing_trial(monkeypatch, capsys):
         passed=False,
     )
     report = validation._report((row,), max_abs_diff=1.0, tol_rel=1e-8)
-    monkeypatch.setattr(cli, "validate_certificate_trials", lambda cert, config: report)
+    monkeypatch.setattr(validation, "validate_certificate_trials", lambda cert, config: report)
     args = ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"]
     assert main(args) == EXIT_FAIL
     captured = capsys.readouterr()
@@ -781,8 +781,9 @@ def test_dims_entry_too_large_for_its_trials_names_the_flag(monkeypatch, capsys,
     def fail(*args):
         raise AssertionError("ran before --dims was checked against --trials")
 
-    for name in ("load_certificate", "validate_certificate_trials", "bmv_check_trials"):
-        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(cli, "load_certificate", fail)
+    for name in ("validate_certificate_trials", "bmv_check_trials"):
+        monkeypatch.setattr(validation, name, fail)
     in_four = math.isqrt(np.iinfo(np.intp).max // 64)
     assert main(command + ["--trials", "2", "--dims", "600000000"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
@@ -855,7 +856,7 @@ def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
         passed=False,
     )
     report = validation._report((row,), min_coefficient=-0.5, tol=1e-9)
-    monkeypatch.setattr(cli, "bmv_check_trials", lambda p, config: report)
+    monkeypatch.setattr(validation, "bmv_check_trials", lambda p, config: report)
     assert main(["bmv-check", "-p", "7", "--trials", "1"]) == EXIT_FAIL
     err = capsys.readouterr().err
     prefix = "counterexample candidate: "
@@ -997,13 +998,24 @@ def test_parser_defaults_come_from_the_library(monkeypatch):
 
 
 def test_module_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "hurwitz_sos.cli", "expand", "-p", "5", "-r", "2", "--format", "json"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout) == {"AABAB": 5, "AAABB": 5}
+    """``python -m hurwitz_sos.cli`` runs, and expand and verify, which do
+    exact work only, never import numpy (-X importtime lists every import)."""
+
+    def run(*argv):
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hurwitz_sos.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0
+        imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()]
+        assert "hurwitz_sos.certificate" in imported
+        assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+        return json.loads(out.stdout)
+
+    assert run("expand", "-p", "5", "-r", "2", "--format", "json") == {"AABAB": 5, "AAABB": 5}
+    doc = run("verify", "--cert", bundled_path("p7r3.json"), "--format", "json")
+    assert (doc["matched"], doc["psd"]) == (True, True)
 
 
 def test_closed_stdout_exits_fail_quietly():

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,9 @@ def test_hermitian_eig_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
         hermitian_eig(ref_hermitian(4, seed=1))
+    # an arithmetic failure, as a non-finite result is: the command line
+    # reports both with one error line and exit code 1
+    assert issubclass(ConvergenceError, ArithmeticError)
 
 
 def test_psd_sqrt_residual():
@@ -712,3 +716,8 @@ def test_samplers_reject_bad_dimension_and_seed():
             random_psd(2, seed)
     assert random_psd(2, 2**64 - 1).shape == (2, 2)
     assert not np.array_equal(random_psd(2, 2**64 - 1), random_psd(2, 0))
+
+
+def test_dimension_bound_is_numpys_index_limit():
+    # the bound is computed without numpy: an intp is a C ssize_t
+    assert sys.maxsize == np.iinfo(np.intp).max

@@ -7,10 +7,14 @@ import ast
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hurwitz_sos
-from hurwitz_sos import certificate, cli, numeric, rational, search, validation, words
+from hurwitz_sos import (
+    certificate, cli, numeric, options, rational, search, validation, words,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -132,7 +136,7 @@ def test_each_public_name_is_listed_where_it_is_defined():
     """Every public name but __version__ is in exactly one module's
     ``__all__``, and that module defines it rather than importing it."""
     owners = {}
-    for module in (certificate, numeric, rational, search, validation, words):
+    for module in (certificate, numeric, options, rational, search, validation, words):
         defined = set()
         for node in ast.parse(Path(module.__file__).read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -145,6 +149,26 @@ def test_each_public_name_is_listed_where_it_is_defined():
             owners.setdefault(name, []).append(module.__name__)
     assert sorted(owners) == sorted(set(hurwitz_sos.__all__) - {"__version__"})
     assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
+def test_exact_layer_loads_no_numpy():
+    """In a fresh interpreter the package loads a module on first use of one
+    of its names: expanding and verifying load no numpy, a submodule name
+    imports its module, and dir() lists every public name."""
+    code = """if True:
+        import sys
+        import hurwitz_sos
+        from hurwitz_sos import bundled_certificate, hurwitz_expand, verify_certificate
+        assert {str(c): str(v) for c, v in hurwitz_expand(7, 3).items()}["AAAABBB"] == "7"
+        assert verify_certificate(bundled_certificate("p7r3.json")).ok
+        assert "numpy" not in sys.modules, "numpy was imported"
+        assert hurwitz_sos.kernels.USING_NUMBA is False
+        assert "numpy" in sys.modules and "hurwitz_sos.numeric" in sys.modules
+        listed = dir(hurwitz_sos)
+        assert set(hurwitz_sos.__all__) <= set(listed), set(hurwitz_sos.__all__) - set(listed)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_readme_imports_only_public_names():
