@@ -132,16 +132,8 @@ def _check_cert_path(path: str) -> None:
         raise _UsageError(f"--cert {path}: directory {parent} does not exist")
 
 
-# by SearchStatus value, so that this module does not import the search
-_SEARCH_EXIT = {
-    "certificate": EXIT_OK,
-    "infeasible": EXIT_INFEASIBLE,
-    "unknown": EXIT_UNKNOWN,
-}
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import feasibility_search, outcome_to_json
+    from .search import SearchStatus, feasibility_search, outcome_to_json
 
     hint_p, hint_r, blocks = load_ansatz(args.ansatz)
     p = args.p if args.p is not None else hint_p
@@ -189,7 +181,11 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise _UsageError(f"--cert {args.cert}: {exc}") from exc
         if args.format == "text":
             print(f"certificate written to {args.cert}")
-    return _SEARCH_EXIT[outcome.status.value]
+    return {
+        SearchStatus.CERTIFICATE: EXIT_OK,
+        SearchStatus.INFEASIBLE: EXIT_INFEASIBLE,
+        SearchStatus.UNKNOWN: EXIT_UNKNOWN,
+    }[outcome.status]
 
 
 def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:

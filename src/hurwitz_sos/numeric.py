@@ -85,7 +85,6 @@ class NotPsdError(ValueError):
 # SplitMix64 stream and Gaussian sampling
 # ------------------------------------------------------------------
 
-# SplitMix64 works modulo 2^64; every seed it takes lies in [0, SEED_LIMIT)
 _MASK64 = SEED_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
