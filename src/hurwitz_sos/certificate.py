@@ -734,21 +734,3 @@ def bundled_path(name: str) -> str:
 def bundled_certificate(name: str) -> Certificate:
     """Load one of the bundled certificates by file name."""
     return load_certificate(bundled_path(name))
-
-
-def verify_report_to_json(report: VerifyReport) -> Dict[str, object]:
-    witness = report.witness
-    return {
-        "matched": report.matched,
-        "psd": report.psd,
-        "ok": report.ok,
-        "residual": {
-            str(cls): rational_quad(value) for cls, value in report.residual.items()
-        },
-        "witness_block": None if witness is None else report.witness_block,
-        "witness": None if witness is None else [rational_quad(x) for x in witness],
-        "min_pivots": [
-            None if x is None else [x.numerator, x.denominator]
-            for x in report.min_pivots
-        ],
-    }

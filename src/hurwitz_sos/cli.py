@@ -8,6 +8,10 @@ stdout was closed (with nothing on stderr), 2 usage or malformed input,
 Every run is deterministic given its flags: the seed comes from
 ``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
 
+Each handler builds the JSON document it prints beside its text lines,
+from the same result; the library writes no command's output, and
+the exact layer's only JSON is the certificate file format.
+
 The module imports only the exact layer and ``options``, none of which
 imports numpy, so expand and verify never load it.  The handlers of
 search, validate and bmv-check import ``search`` or ``validation``, and
@@ -28,17 +32,18 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .certificate import (
     Certificate,
     VerifyReport,
+    certificate_to_json,
     load_ansatz,
     load_certificate,
     save_certificate,
     verify_certificate,
-    verify_report_to_json,
 )
 from .options import SearchOptions, TrialConfig, _check_dimension, _check_seed
+from .rational import rational_quad
 from .words import check_positive_int, hurwitz_expand
 
 if TYPE_CHECKING:
-    from .validation import CoefficientRow
+    from .validation import CoefficientRow, TrialReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,8 +120,20 @@ def _verify_lines(path: str, cert: Certificate, report: VerifyReport) -> Iterato
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
     report = verify_certificate(cert)
-    doc = {"path": args.cert, "p": cert.p, "r": cert.r}
-    doc.update(verify_report_to_json(report))
+    witness = report.witness
+    doc = {
+        "path": args.cert,
+        "p": cert.p,
+        "r": cert.r,
+        "matched": report.matched,
+        "psd": report.psd,
+        "ok": report.ok,
+        "residual": {str(cls): rational_quad(v) for cls, v in report.residual.items()},
+        "witness_block": report.witness_block,
+        "witness": None if witness is None else [rational_quad(x) for x in witness],
+        "min_pivots": [None if x is None else [x.numerator, x.denominator]
+                       for x in report.min_pivots],
+    }
     _emit(doc, _verify_lines(args.cert, cert, report), args.format)
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -133,7 +150,7 @@ def _check_cert_path(path: str) -> None:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchStatus, feasibility_search, outcome_to_json
+    from .search import SearchStatus, feasibility_search
 
     hint_p, hint_r, blocks = load_ansatz(args.ansatz)
     p = args.p if args.p is not None else hint_p
@@ -150,6 +167,17 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.cert is not None:
         _check_cert_path(args.cert)
     outcome = feasibility_search(p, r, blocks, options)
+    doc = {
+        "status": outcome.status.value,
+        "iterations": outcome.iterations,
+        "certificate": None,
+        "witness": None,
+        "rounding": {
+            "skipped": outcome.rungs_skipped,
+            "float_rejected": outcome.rungs_float_rejected,
+            "exact": outcome.rungs_exact,
+        },
+    }
     lines = [
         f"status: {outcome.status.value}",
         f"iterations: {outcome.iterations}",
@@ -158,8 +186,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"{outcome.rungs_exact} checked exactly",
     ]
     if outcome.missing:
+        doc["missing"] = [str(cls) for cls in outcome.missing]
         lines.append("missing: " + ", ".join(outcome.missing))
     if outcome.certificate is not None:
+        doc["certificate"] = certificate_to_json(outcome.certificate)
         for idx, (block, gram) in enumerate(outcome.certificate.blocks):
             shape = f"{block.prefix or ''}|{','.join(block.basis)}|{block.suffix or ''}"
             lines.append(f"block {idx} [{shape}]:")
@@ -167,13 +197,18 @@ def cmd_search(args: argparse.Namespace) -> int:
                 row = "  ".join(str(gram.at(j, k)) for k in range(gram.dimension))
                 lines.append(f"  {row}")
     if outcome.witness is not None:
+        doc["witness"] = {
+            "block": outcome.witness_block,
+            "vector": [rational_quad(x) for x in outcome.witness],
+            "form": rational_quad(outcome.witness_form),
+        }
         vec = ", ".join(str(x) for x in outcome.witness)
         lines.append(
             f"witness (block {outcome.witness_block}): ({vec}) "
             f"with form value {outcome.witness_form}"
         )
     # print before writing, so a failed write does not lose the certificate
-    _emit(outcome_to_json(outcome), lines, args.format)
+    _emit(doc, lines, args.format)
     if outcome.certificate is not None and args.cert is not None:
         try:
             save_certificate(outcome.certificate, args.cert)
@@ -200,10 +235,9 @@ def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:
 
 
 def _run_trials(
-    args: argparse.Namespace, head: dict, tail: str, run: Callable, explain: Callable
+    args: argparse.Namespace, head: dict, tail: str, report: TrialReport, explain: Callable
 ) -> int:
-    """Print the report of ``run()``; ``tail`` ends its summary line."""
-    report = run()
+    """Print ``report``; ``tail`` ends its summary line."""
     summary = report.summary
     doc = {**head, "summary": summary, "rows": [row.to_json() for row in report.rows]}
     lines = [row.format_line() for row in report.rows]
@@ -230,7 +264,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         args,
         head={"path": args.cert},
         tail="max diff {max_abs_diff:.3e}",
-        run=lambda: validate_certificate_trials(cert, config),
+        report=validate_certificate_trials(cert, config),
         explain=lambda row: f"FAILED trial: n={row.n} trial={row.label} "
         "(rerun with --seed as recorded)",
     )
@@ -259,7 +293,7 @@ def cmd_bmv_check(args: argparse.Namespace) -> int:
         args,
         head={"p": args.p},
         tail="min coefficient {min_coefficient:.6e}",
-        run=lambda: bmv_check_trials(args.p, config),
+        report=bmv_check_trials(args.p, config),
         explain=_candidate_line,
     )
 

@@ -37,10 +37,16 @@ factor while that object lives: a ``GramMatrix`` is immutable, so the
 factor is a function of it, and the stored arrays are read-only, so no
 caller can change them.  It computes ``psd_sqrt`` only of the half
 letters its blocks use; the other matrix is checked by a Cholesky
-factorization, and falls back to ``psd_sqrt`` only when that fails, so
-it raises what its root would.  The tests check the trace against a
-product over every word, the full-length recurrence and exact
-cyclic-class expansions.
+factorization, and only when that fails by the PSD test of ``psd_sqrt``
+with no root built.  The tests check the trace against a product over
+every word, the full-length recurrence and exact cyclic-class expansions.
+
+One function, ``_psd_eig``, decides whether a float matrix is PSD, a
+Gram matrix included: ``NotPsdError: {name}{stack index} has negative
+eigenvalue {value:.6e}``, as ``block 0: Gram matrix has negative eigenvalue
+-1.000000e+00``.  An entry that is not a finite number (inf, NaN, an int
+beyond double range, a string, a ragged row) raises ``ValueError: {name}
+contains non-finite entries`` at every entry point.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ __all__ = [
 ]
 
 
-# Relative size of a negative eigenvalue that psd_sqrt treats as roundoff.
+# Relative size of a negative eigenvalue that _psd_eig treats as roundoff.
 PSD_NEG_TOL = 1e-9
 
 
@@ -203,16 +209,23 @@ def _checked_square(M, name: str = "matrix") -> np.ndarray:
     """M as a finite square matrix or a stack of them (m, n, n).
 
     A real input (bool, integer or float) becomes float64, so its
-    eigensystem is real; any other input becomes complex128.
+    eigensystem is real; a complex or object one becomes complex128.
+    An entry that is not a finite number (inf, NaN, an int beyond double
+    range, a string, a ragged row) raises ValueError naming ``name``.
     """
-    M = np.asarray(M)
+    try:
+        M = np.asarray(M)
+        if M.dtype.kind not in "biufcO":  # text, bytes and dates are not numbers
+            raise TypeError(f"dtype {M.dtype}")
+        M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} contains non-finite entries") from exc
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(
             f"{name} must be square or a stack of square matrices, got shape {M.shape}"
         )
     if M.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {M.shape}")
-    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=False)
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
@@ -242,19 +255,6 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
 def _frobenius(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of a matrix, or of each matrix of a stack."""
     return np.sqrt(np.square(np.abs(M)).sum(axis=(-2, -1)))
-
-
-def _clearly_negative(w: np.ndarray) -> np.ndarray:
-    """Whether min(w) < -PSD_NEG_TOL (1 + ||w||) for ascending eigenvalues w, per row.
-
-    ||w|| is the Frobenius norm of the matrix whose eigenvalues are w.  The
-    check runs on w u, u = 1 / max(1, max |w|), as min(w u) < -PSD_NEG_TOL
-    (u + ||w u||), so a huge eigenvalue cannot overflow the norm.
-    """
-    u = 1.0 / np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
-    ws = w * u
-    norm = np.sqrt(np.square(ws).sum(axis=-1))
-    return ws[..., 0] < -PSD_NEG_TOL * (u[..., 0] + norm)
 
 
 def _eigh(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -311,23 +311,35 @@ def hermitian_eig(H, name: str = "matrix") -> Tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def psd_sqrt(A, name: str = "matrix") -> np.ndarray:
-    """Hermitian square root of a PSD matrix, or of each matrix of a stack (m, n, n).
-
-    Eigenvalues below zero by more than ``PSD_NEG_TOL * (1 + ||A||_F)``
-    are an error; smaller dips are treated as roundoff and clamped to zero.
-    The input is checked and diagonalized by :func:`hermitian_eig`, and
-    ||A||_F is read off its eigenvalues.  Error messages call the input ``name``.
+def _psd_eig(A, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eig` of A, which must be PSD.  An eigenvalue below
+    ``-PSD_NEG_TOL * (1 + ||A||_F)`` raises NotPsdError naming ``name`` and
+    the stack index; smaller dips are roundoff.  ||A||_F is read off the
+    eigenvalues w, and the test runs on w u, u = 1 / max(1, max |w|), as
+    min(w u) < -PSD_NEG_TOL (u + ||w u||), so a huge w cannot overflow it.
     """
     w, V = hermitian_eig(A, name)
-    single = w.ndim == 1
-    lowest = np.ravel(w[..., 0])
-    low = np.ravel(_clearly_negative(w))
+    u = 1.0 / np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
+    ws = w * u
+    norm = np.sqrt(np.square(ws).sum(axis=-1))
+    low = np.ravel(ws[..., 0] < -PSD_NEG_TOL * (u[..., 0] + norm))
     if low.any():
         k = int(np.argmax(low))
         raise NotPsdError(
-            f"{name}{_which(single, k)} has negative eigenvalue {lowest[k]:.6e}"
+            f"{name}{_which(w.ndim == 1, k)} has negative eigenvalue "
+            f"{np.ravel(w[..., 0])[k]:.6e}"
         )
+    return w, V
+
+
+def psd_sqrt(A, name: str = "matrix") -> np.ndarray:
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack (m, n, n).
+
+    The input is checked, diagonalized and judged PSD by :func:`_psd_eig`;
+    eigenvalue dips it treats as roundoff are clamped to zero.  Error
+    messages call the input ``name``.
+    """
+    w, V = _psd_eig(A, name)
     S = (V * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _adjoint(V)
     return (S + _adjoint(S)) / 2.0
 
@@ -346,8 +358,8 @@ def _check_psd(A, name: str) -> None:
     Tr(L L*) bounds every eigenvalue of L L*, so a finite ||L||_F^2 also
     means that no eigenvalue of A exceeds double precision.  Anything else
     (a failed or non-finite factorization, of a singular PSD A among
-    others) goes to ``psd_sqrt`` itself, whose root is dropped: it raises
-    its NotPsdError, ArithmeticError or ConvergenceError, or accepts A.
+    others) goes to psd_sqrt's test :func:`_psd_eig`, which builds no root:
+    it raises NotPsdError, ArithmeticError or ConvergenceError, or accepts A.
     """
     H = _hermitian(A, name)
     try:
@@ -360,7 +372,7 @@ def _check_psd(A, name: str) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             if math.isfinite(np.vdot(L, L).real):
                 return
-    psd_sqrt(H, name)
+    _psd_eig(H, name)
 
 
 # ------------------------------------------------------------------
@@ -528,12 +540,7 @@ def _gram_factor(gram: GramMatrix, block_index: int) -> Tuple[np.ndarray, np.nda
             f"{name} has an entry that is not finite as a float; "
             "it exceeds double precision"
         ) from exc
-    w, V = hermitian_eig(G, name)
-    if _clearly_negative(w):
-        raise NotPsdError(
-            f"{name} is numerically indefinite "
-            f"(min eigenvalue {w[0]:.3e}); verify exactly first"
-        )
+    w, V = _psd_eig(G, name)
     positive = w > 0.0
     factor = (V[:, positive].T, w[positive])
     for array in factor:

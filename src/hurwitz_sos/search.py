@@ -66,7 +66,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,14 +75,13 @@ from .certificate import (
     Certificate,
     GramMatrix,
     SandwichBlock,
-    certificate_to_json,
     pair_classes,
     quadratic_form,
     verify_against,
 )
 from .numeric import _eigh, derive_seed, gaussian_stream, hermitian_eig
 from .options import SearchOptions
-from .rational import GaussianRational, rational_quad
+from .rational import GaussianRational
 from .words import (
     CyclicClass, TracePolynomial, check_degrees, hurwitz_expand,
 )
@@ -430,28 +429,3 @@ def feasibility_search(
                     **tally,
                 )
     return SearchOutcome(status=SearchStatus.UNKNOWN, iterations=opts.max_iters, **tally)
-
-
-def outcome_to_json(outcome: SearchOutcome) -> Dict[str, object]:
-    doc: Dict[str, object] = {
-        "status": outcome.status.value,
-        "iterations": outcome.iterations,
-        "certificate": None,
-        "witness": None,
-    }
-    if outcome.certificate is not None:
-        doc["certificate"] = certificate_to_json(outcome.certificate)
-    if outcome.witness is not None:
-        doc["witness"] = {
-            "block": outcome.witness_block,
-            "vector": [rational_quad(x) for x in outcome.witness],
-            "form": rational_quad(outcome.witness_form),
-        }
-    doc["rounding"] = {
-        "skipped": outcome.rungs_skipped,
-        "float_rejected": outcome.rungs_float_rejected,
-        "exact": outcome.rungs_exact,
-    }
-    if outcome.missing:
-        doc["missing"] = [str(cls) for cls in outcome.missing]
-    return doc

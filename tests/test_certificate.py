@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hurwitz_sos as hs
 from hurwitz_sos import certificate
+from hurwitz_sos.cli import main
 from hurwitz_sos.certificate import (
     AnsatzMismatchError,
     Certificate,
@@ -33,7 +34,6 @@ from hurwitz_sos.certificate import (
     swap_certificate,
     verify_against,
     verify_certificate,
-    verify_report_to_json,
 )
 from hurwitz_sos.rational import ZERO, GaussianRational, _parts_quad, grat, rational_quad
 from hurwitz_sos.words import CyclicClass, TracePolynomial, hurwitz_expand
@@ -835,11 +835,17 @@ def test_verify_catches_non_psd():
     assert report.min_pivots == (None,)
 
 
-def test_verify_min_pivots_per_block_checked():
+def verify_json_min_pivots(path, capsys):
+    """The "min_pivots" of the ``verify --format json`` document of ``path``."""
+    main(["verify", "--cert", str(path), "--format", "json"])
+    return json.loads(capsys.readouterr().out)["min_pivots"]
+
+
+def test_verify_min_pivots_per_block_checked(tmp_path, capsys):
     report = verify_certificate(bundled_certificate("p7r3.json"))
     assert report.ok
     assert report.min_pivots == (Fraction(0),)
-    assert verify_report_to_json(report)["min_pivots"] == [[0, 1]]
+    assert verify_json_min_pivots(bundled_path("p7r3.json"), capsys) == [[0, 1]]
     # block 1 fails after two pivots of 7; block 2 is not checked
     bad = GramMatrix.from_rows([[7, 0, 0], [0, 7, 7], [0, 7, 1]])
     cert = Certificate(
@@ -854,7 +860,9 @@ def test_verify_min_pivots_per_block_checked():
     report = verify_certificate(cert)
     assert not report.psd and report.witness_block == 1
     assert report.min_pivots == (Fraction(7, 2), Fraction(7))
-    assert verify_report_to_json(report)["min_pivots"] == [[7, 2], [7, 1]]
+    path = tmp_path / "bad.json"
+    hs.save_certificate(cert, str(path))
+    assert verify_json_min_pivots(path, capsys) == [[7, 2], [7, 1]]
 
 
 def test_verify_against_zero_target():

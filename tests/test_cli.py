@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -370,21 +371,35 @@ def test_search_infeasible_json(capsys):
     assert code == EXIT_INFEASIBLE
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "infeasible"
-    assert doc["witness"]["vector"] == [[1, 1, 0, 1], [-1, 1, 0, 1]]
+    assert doc["witness"] == {
+        "block": 0,
+        "vector": [[1, 1, 0, 1], [-1, 1, 0, 1]],
+        "form": [-4, 1, 0, 1],
+    }
+    assert doc["certificate"] is None
+
+
+TWO_BLOCK_P6R3 = {
+    "p": 6,
+    "r": 3,
+    "blocks": [
+        {"prefix": "a", "suffix": "b", "basis": ["AB", "BA"]},
+        {"prefix": "b", "suffix": "a", "basis": ["AB", "BA"]},
+    ],
+}
+ONE_WORD_P7R3 = {"p": 7, "r": 3, "blocks": [{"prefix": "b", "suffix": None, "basis": ["AAB"]}]}
+DETERMINED_P7R0 = {"p": 7, "r": 0, "blocks": [{"prefix": None, "suffix": "a", "basis": ["AAA"]}]}
+
+
+def _ansatz_file(tmp_path, ansatz):
+    path = tmp_path / "ansatz.json"
+    path.write_text(json.dumps(ansatz))
+    return str(path)
 
 
 def test_search_unknown(tmp_path, capsys):
-    ansatz = {
-        "p": 6,
-        "r": 3,
-        "blocks": [
-            {"prefix": "a", "suffix": "b", "basis": ["AB", "BA"]},
-            {"prefix": "b", "suffix": "a", "basis": ["AB", "BA"]},
-        ],
-    }
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(ansatz))
-    code = main(["search", "--ansatz", str(path), "--max-iter", "6"])
+    path = _ansatz_file(tmp_path, TWO_BLOCK_P6R3)
+    code = main(["search", "--ansatz", path, "--max-iter", "6"])
     assert code == EXIT_UNKNOWN
     out = capsys.readouterr().out
     assert "status: unknown" in out
@@ -394,14 +409,8 @@ def test_search_unknown(tmp_path, capsys):
 
 
 def test_search_unreachable_is_infeasible(tmp_path, capsys):
-    ansatz = {
-        "p": 7,
-        "r": 3,
-        "blocks": [{"prefix": "b", "suffix": None, "basis": ["AAB"]}],
-    }
-    path = tmp_path / "thin.json"
-    path.write_text(json.dumps(ansatz))
-    assert main(["search", "--ansatz", str(path)]) == EXIT_INFEASIBLE
+    path = _ansatz_file(tmp_path, ONE_WORD_P7R3)
+    assert main(["search", "--ansatz", path]) == EXIT_INFEASIBLE
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines() == [
@@ -414,14 +423,8 @@ def test_search_unreachable_is_infeasible(tmp_path, capsys):
 
 
 def test_search_unreachable_json(tmp_path, capsys):
-    ansatz = {
-        "p": 7,
-        "r": 3,
-        "blocks": [{"prefix": "b", "suffix": None, "basis": ["AAB"]}],
-    }
-    path = tmp_path / "thin.json"
-    path.write_text(json.dumps(ansatz))
-    code = main(["search", "--ansatz", str(path), "--format", "json"])
+    path = _ansatz_file(tmp_path, ONE_WORD_P7R3)
+    code = main(["search", "--ansatz", path, "--format", "json"])
     assert code == EXIT_INFEASIBLE
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -433,6 +436,56 @@ def test_search_unreachable_json(tmp_path, capsys):
         "rounding": {"skipped": 0, "float_rejected": 0, "exact": 0},
         "missing": ["AAAABBB", "AAABABB", "AAABBAB", "AABABAB"],
     }
+
+
+def test_search_json_unknown(tmp_path, capsys):
+    path = _ansatz_file(tmp_path, TWO_BLOCK_P6R3)
+    code = main(["search", "--ansatz", path, "--max-iter", "3", "--format", "json"])
+    assert code == EXIT_UNKNOWN
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unknown"
+    assert doc["certificate"] is None and doc["witness"] is None
+    assert set(doc["rounding"]) == {"skipped", "float_rejected", "exact"}
+    assert sum(doc["rounding"].values()) == len(search.LADDER)
+
+
+def test_search_json_determined_certificate(tmp_path, capsys):
+    path = _ansatz_file(tmp_path, DETERMINED_P7R0)
+    assert main(["search", "--ansatz", path, "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "certificate"
+    assert doc["iterations"] == 0
+    assert doc["certificate"]["p"] == 7
+
+
+@pytest.mark.parametrize(
+    "ansatz, code, digest",
+    [
+        pytest.param(None, EXIT_INFEASIBLE,
+                     "eb437408cb54cda3c54dd829ec7d1203a829e8c48b173e7a5bea14ba461931ef",
+                     id="p6r3-witness"),
+        pytest.param(ONE_WORD_P7R3, EXIT_INFEASIBLE,
+                     "0e40d571e150fdda6c7ee5401b19356d1522ed2609f68e4e778eba8766afe86d",
+                     id="p7r3-missing"),
+        pytest.param(DETERMINED_P7R0, EXIT_OK,
+                     "736856bc6342d145180716a3d6229832360b56a06aea98b27d101fb260d291a1",
+                     id="p7r0-certificate"),
+    ],
+)
+def test_float_free_search_documents_are_pinned(tmp_path, capsys, ansatz, code, digest):
+    """The three searches that take no float step, one per payload branch:
+    the bundled p6r3 ansatz (``None``) ends in a witness, the one-word (7,3)
+    ansatz in missing classes and the determined (7,0) ansatz in a
+    certificate.  They print the same JSON text on every numpy, so its
+    sha256 pins every key, value and the key order, as the CI step does."""
+    if ansatz is None:
+        path = bundled_path("p6r3_restricted_ansatz.json")
+    else:
+        path = _ansatz_file(tmp_path, ansatz)
+    assert main(["search", "--ansatz", path, "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_search_flag_conflicts(three_word_ansatz, capsys):

@@ -237,6 +237,18 @@ def test_hermitian_eig_input_validation():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         hermitian_eig(bad)
+    # an int past double range, a string, even one numpy would parse, and a
+    # ragged row, as nested lists (np.array itself overflows on 10**400),
+    # are named like a NaN
+    for bad in (
+        [[10**400, 0], [0, 1]],
+        [["x", 0], [0, 1]],
+        [["1", 0], [0, 1]],
+        [[1.0, 0.0], [0.0]],
+    ):
+        for entry in (hermitian_eig, psd_sqrt):
+            with pytest.raises(ValueError, match="^H contains non-finite entries$"):
+                entry(bad, "H")
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros((1, 2, 2, 2)))
     # an empty matrix is rejected before it reaches LAPACK
@@ -446,16 +458,24 @@ def test_trace_hurwitz_takes_a_range_of_degrees():
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int-past-double"),
+     pytest.param("x", id="string")],
+)
 def test_matrix_pairs_reject_non_finite_entries(bad):
-    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    # nested lists, as np.array itself overflows on 10**400
+    M = [[bad, 0.0], [0.0, 1.0]]
     I = np.eye(2)
     cert = bundled_certificate("p7r3.json")
-    for A, B in ((M, I), (I, M)):
-        with pytest.raises(ValueError, match="non-finite"):
-            trace_hurwitz_numeric(A, B, 3, 1)
-        with pytest.raises(ValueError, match="non-finite"):
-            eval_certificate_numeric(cert, A, B)
+    for A, B, name in ((M, I, "A"), (I, M, "B")):
+        for call in (
+            lambda: trace_hurwitz_numeric(A, B, 3, 1),
+            lambda: bmv_coefficients(A, B, 3),
+            lambda: eval_certificate_numeric(cert, A, B),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                call()
 
 
 def test_bmv_coefficients():
@@ -563,7 +583,9 @@ def test_eval_certificate_rejects_indefinite_gram():
     bad = Certificate(7, 1, ((block, GramMatrix.from_rows([[-1]])),))
     A = random_psd(2, seed=70)
     B = random_psd(2, seed=71)
-    raises_every_time(NotPsdError, "^block 0: Gram matrix is numerically indefinite", bad, A, B)
+    raises_every_time(
+        NotPsdError, r"^block 0: Gram matrix has negative eigenvalue -1\.000000e\+00$", bad, A, B
+    )
 
 
 def test_eval_certificate_rejects_huge_indefinite_gram():
@@ -571,8 +593,10 @@ def test_eval_certificate_rejects_huge_indefinite_gram():
     block = SandwichBlock(prefix=None, suffix=None, basis=("AB", "BA"))
     gram = GramMatrix.from_rows([[10**200, 0], [0, -10**195]])
     bad = Certificate(4, 2, ((block, gram),))
-    raises_every_time(NotPsdError, "^block 0: Gram matrix is numerically indefinite",
-                      bad, np.eye(2), np.eye(2))
+    raises_every_time(
+        NotPsdError, r"^block 0: Gram matrix has negative eigenvalue -1\.000000e\+195$",
+        bad, np.eye(2), np.eye(2),
+    )
 
 
 def test_eval_certificate_names_the_block_of_a_gram_beyond_double_range():

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +33,6 @@ from hurwitz_sos.search import (
     _round_iterate,
     build_constraint_map,
     feasibility_search,
-    outcome_to_json,
 )
 from hurwitz_sos.words import CyclicClass, hurwitz_expand
 
@@ -241,8 +239,6 @@ def test_missing_classes_of_every_sub_basis(basis):
         and outcome.rungs_skipped == outcome.rungs_float_rejected == outcome.rungs_exact == 0
     )
     assert bare_infeasible == bool(expected)
-    doc = outcome_to_json(outcome)
-    assert doc.get("missing") == ([str(c) for c in expected] or None)
 
 
 # ------------------------------------------------------------------ search internals
@@ -705,8 +701,8 @@ def test_moving_runs_round_on_the_clock_only(monkeypatch, p, r, blocks):
     """Runs whose steps stay long never settle, so nothing changes."""
     for seed in range(5):
         opts = SearchOptions(seed=seed, max_iters=100)
-        assert outcome_to_json(feasibility_search(p, r, blocks, opts)) == outcome_to_json(
-            clock_only(monkeypatch, p, r, blocks, opts)
+        assert feasibility_search(p, r, blocks, opts) == clock_only(
+            monkeypatch, p, r, blocks, opts
         )
 
 
@@ -968,47 +964,10 @@ def test_full_ansatz_search_unknown(p, r):
 
 
 def test_search_deterministic():
-    """Two runs in one process give the same document, rung tallies
+    """Two runs in one process give the same outcome, rung tallies
     included, on one block and on three blocks of sizes 6, 3 and 3."""
     for p, r, blocks, seed in ((7, 3, (BLOCK_73,), 5), (8, 4, full_ansatz(8, 4), 0)):
         opts = SearchOptions(seed=seed, max_iters=5000)
-        a = outcome_to_json(feasibility_search(p, r, blocks, opts))
-        b = outcome_to_json(feasibility_search(p, r, blocks, opts))
-        assert json.dumps(a) == json.dumps(b)
-        assert sum(a["rounding"].values()) > 0
-
-
-# ------------------------------------------------------------------ json
-
-def test_outcome_json_certificate():
-    outcome = feasibility_search(7, 0, (SandwichBlock(None, "a", ("AAA",)),))
-    doc = outcome_to_json(outcome)
-    assert doc["status"] == "certificate"
-    assert doc["iterations"] == 0
-    assert doc["certificate"]["p"] == 7
-    json.dumps(doc)
-
-
-def test_outcome_json_infeasible():
-    doc = outcome_to_json(feasibility_search(6, 3, (P6_BLOCK,)))
-    assert doc["status"] == "infeasible"
-    assert doc["witness"] == {
-        "block": 0,
-        "vector": [[1, 1, 0, 1], [-1, 1, 0, 1]],
-        "form": [-4, 1, 0, 1],
-    }
-    assert doc["certificate"] is None
-    json.dumps(doc)
-
-
-def test_outcome_json_unknown():
-    blocks = (
-        P6_BLOCK,
-        SandwichBlock(prefix="b", suffix="a", basis=("AB", "BA")),
-    )
-    doc = outcome_to_json(feasibility_search(6, 3, blocks, SearchOptions(max_iters=3)))
-    assert doc["status"] == "unknown"
-    assert doc["certificate"] is None and doc["witness"] is None
-    assert set(doc["rounding"]) == {"skipped", "float_rejected", "exact"}
-    assert sum(doc["rounding"].values()) == len(LADDER)
-    json.dumps(doc)
+        a = feasibility_search(p, r, blocks, opts)
+        assert a == feasibility_search(p, r, blocks, opts)
+        assert a.rungs_skipped + a.rungs_float_rejected + a.rungs_exact > 0

@@ -132,7 +132,7 @@ def test_stacked_hermitian_eig_equals_slices(n, m):
 @pytest.mark.parametrize("name", CERTS)
 def test_a_singular_unused_slice_keeps_every_solo_value(name):
     # the unused letter of the stack fails Cholesky as a whole and goes to
-    # psd_sqrt, whose root is dropped: no slice's value moves
+    # psd_sqrt's eigenvalue test, which builds no root: no slice's value moves
     cert = bundled_certificate(name)
     (letter,) = {x for block, _ in cert.blocks for x in (block.prefix, block.suffix) if x}
     A, B = psd_stack(3, 7, 5), psd_stack(3, 7, 6)
