@@ -120,7 +120,6 @@ def _verify_lines(path: str, cert: Certificate, report: VerifyReport) -> Iterato
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
     report = verify_certificate(cert)
-    witness = report.witness
     doc = {
         "path": args.cert,
         "p": cert.p,
@@ -130,7 +129,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "ok": report.ok,
         "residual": {str(cls): rational_quad(v) for cls, v in report.residual.items()},
         "witness_block": report.witness_block,
-        "witness": None if witness is None else [rational_quad(x) for x in witness],
+        "witness": None if report.witness is None
+        else [rational_quad(x) for x in report.witness],
         "min_pivots": [None if x is None else [x.numerator, x.denominator]
                        for x in report.min_pivots],
     }
