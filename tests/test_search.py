@@ -971,3 +971,32 @@ def test_search_deterministic():
         a = feasibility_search(p, r, blocks, opts)
         assert a == feasibility_search(p, r, blocks, opts)
         assert a.rungs_skipped + a.rungs_float_rejected + a.rungs_exact > 0
+
+
+# ------------------------------------------------------------------ json
+
+def test_outcome_json_infeasible(tmp_path, capsys):
+    """The JSON document that `search --format json` prints for the
+    infeasible (6, 3) block names the witness and carries no certificate."""
+    import json
+
+    from hurwitz_sos.cli import EXIT_INFEASIBLE, main
+
+    ansatz = {
+        "p": 6,
+        "r": 3,
+        "blocks": [
+            {"prefix": P6_BLOCK.prefix, "suffix": P6_BLOCK.suffix, "basis": list(P6_BLOCK.basis)}
+        ],
+    }
+    path = tmp_path / "ansatz.json"
+    path.write_text(json.dumps(ansatz))
+    assert main(["search", "--ansatz", str(path), "--format", "json"]) == EXIT_INFEASIBLE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "infeasible"
+    assert doc["witness"] == {
+        "block": 0,
+        "vector": [[1, 1, 0, 1], [-1, 1, 0, 1]],
+        "form": [-4, 1, 0, 1],
+    }
+    assert doc["certificate"] is None
