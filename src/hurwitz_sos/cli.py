@@ -8,16 +8,18 @@ stdout was closed (with nothing on stderr), 2 usage or malformed input,
 Every run is deterministic given its flags: the seed comes from
 ``--seed`` alone, defaults to 0 and must lie in [0, 2**64).
 
-Each handler builds the JSON document it prints beside its text lines,
-from the same result; the library writes no command's output, and
-the exact layer's only JSON is the certificate file format.
+Every handler, the trial commands included, builds the JSON document it
+prints beside its text lines, from the same result; the library writes
+no command's output, and the exact layer's only JSON is the certificate
+file format.
 
 The module imports only the exact layer and ``options``, none of which
 imports numpy, so expand and verify never load it.  The handlers of
 search, validate and bmv-check import ``search`` or ``validation``, and
-with it numpy, when they run.  A ``ConvergenceError`` is an
-``ArithmeticError``, so one clause maps every numeric failure to exit
-code 1 without naming the numeric module.
+with it numpy, only after their checks, so a rejected flag or a
+certificate that fails exact verification exits before numpy loads.  A
+``ConvergenceError`` is an ``ArithmeticError``, so one clause maps every
+numeric failure to exit code 1 without naming the numeric module.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .certificate import (
 )
 from .options import SearchOptions, TrialConfig, _check_dimension, _check_seed
 from .rational import rational_quad
-from .words import check_positive_int, hurwitz_expand
+from .words import check_degrees, check_positive_int, hurwitz_expand
 
 if TYPE_CHECKING:
     from .validation import CoefficientRow, TrialReport
@@ -52,23 +54,19 @@ EXIT_INFEASIBLE = 3
 EXIT_UNKNOWN = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_dims(text: str) -> tuple:
     """The --dims entries: each, with its spaces stripped, an optional minus
     sign and ASCII digits, then a positive int whose matrix numpy can index."""
     parts = [part.strip() for part in text.split(",")]
     if not any(parts):
-        raise _UsageError(f"--dims must name at least one dimension, got {text!r}")
+        raise ValueError(f"--dims must name at least one dimension, got {text!r}")
     malformed = f"--dims must be comma-separated integers, got {text!r}"
     if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-        raise _UsageError(malformed)
+        raise ValueError(malformed)
     try:
         dims = tuple(map(int, parts))
     except ValueError:  # an entry past int()'s digit limit
-        raise _UsageError(malformed) from None
+        raise ValueError(malformed) from None
     for dim in dims:
         _check_dimension(dim, "--dims entry")
     return dims
@@ -141,24 +139,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _check_cert_path(path: str) -> None:
     """Reject a --cert path that cannot be written, before any search runs."""
     if not path:
-        raise _UsageError("--cert must be a nonempty path")
+        raise ValueError("--cert must be a nonempty path")
     if os.path.exists(path) and not os.path.isfile(path):
-        raise _UsageError(f"--cert {path} is not a regular file")
+        raise ValueError(f"--cert {path} is not a regular file")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise _UsageError(f"--cert {path}: directory {parent} does not exist")
+        raise ValueError(f"--cert {path}: directory {parent} does not exist")
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchStatus, feasibility_search
-
     hint_p, hint_r, blocks = load_ansatz(args.ansatz)
     p = args.p if args.p is not None else hint_p
     r = args.r if args.r is not None else hint_r
     if p is None or r is None:
-        raise _UsageError("search needs -p and -r (flags or ansatz file keys)")
+        raise ValueError("search needs -p and -r (flags or ansatz file keys)")
     if (hint_p is not None and hint_p != p) or (hint_r is not None and hint_r != r):
-        raise _UsageError(
+        raise ValueError(
             f"ansatz file says (p={hint_p}, r={hint_r}), flags say (p={p}, r={r})"
         )
     _check_seed(args.seed, "--seed")
@@ -166,6 +162,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     options = SearchOptions(seed=args.seed, max_iters=args.max_iter)
     if args.cert is not None:
         _check_cert_path(args.cert)
+    # the degrees here, the blocks' shapes after the import, in build_constraint_map
+    check_degrees(p, r)
+    from .search import SearchStatus, feasibility_search
+
     outcome = feasibility_search(p, r, blocks, options)
     doc = {
         "status": outcome.status.value,
@@ -213,7 +213,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         try:
             save_certificate(outcome.certificate, args.cert)
         except OSError as exc:
-            raise _UsageError(f"--cert {args.cert}: {exc}") from exc
+            raise ValueError(f"--cert {args.cert}: {exc}") from exc
         if args.format == "text":
             print(f"certificate written to {args.cert}")
     return {
@@ -234,24 +234,21 @@ def _trial_config(args: argparse.Namespace, per_dimension: bool) -> TrialConfig:
     return config
 
 
-def _run_trials(
-    args: argparse.Namespace, head: dict, tail: str, report: TrialReport, explain: Callable
-) -> int:
-    """Print ``report``; ``tail`` ends its summary line."""
-    summary = report.summary
-    doc = {**head, "summary": summary, "rows": [row.to_json() for row in report.rows]}
-    lines = [row.format_line() for row in report.rows]
-    lines.append(("{passed}/{trials} trials passed, " + tail).format(**summary))
-    _emit(doc, lines, args.format)
+def _run_trials(report: TrialReport, explain: Callable) -> int:
+    """Print each failed row's ``explain`` line to stderr; the exit code."""
     for row in report.failures:
         print(explain(row), file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    from .validation import validate_certificate_trials
+def _trial_counts(rows: Sequence) -> dict:
+    passed = sum(row.passed for row in rows)
+    return {"trials": len(rows), "passed": passed, "failed": len(rows) - passed}
 
-    # a bad flag, or a seed too close to 2**64, exits 2 before the exact check
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    # a bad flag, or a seed too close to 2**64, exits 2 before the exact
+    # check, and a certificate that fails it exits 1: neither loads numpy
     config = _trial_config(args, per_dimension=True)
     cert = load_certificate(args.cert)
     if not verify_certificate(cert).ok:
@@ -260,11 +257,40 @@ def cmd_validate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
+    from .validation import validate_certificate_trials
+
+    report = validate_certificate_trials(cert, config)
+    summary = {
+        **_trial_counts(report.rows),
+        "max_abs_diff": max(row.abs_diff for row in report.rows),
+        "tol_rel": config.tol_rel,
+    }
+    rows = [
+        {
+            "p": row.p,
+            "r": row.r,
+            "n": row.n,
+            "trial": row.label,
+            "oracle": row.oracle,
+            "sos": row.value,
+            "abs_diff": row.abs_diff,
+            "passed": row.passed,
+        }
+        for row in report.rows
+    ]
+    lines = [
+        f"p={row.p} r={row.r} n={row.n} trial={row.label} "
+        f"oracle={row.oracle:.12e} sos={row.value:.12e} "
+        f"diff={row.abs_diff:.3e} {'PASS' if row.passed else 'FAIL'}"
+        for row in report.rows
+    ]
+    lines.append(
+        f"{summary['passed']}/{summary['trials']} trials passed, "
+        f"max diff {summary['max_abs_diff']:.3e}"
+    )
+    _emit({"path": args.cert, "summary": summary, "rows": rows}, lines, args.format)
     return _run_trials(
-        args,
-        head={"path": args.cert},
-        tail="max diff {max_abs_diff:.3e}",
-        report=validate_certificate_trials(cert, config),
+        report,
         explain=lambda row: f"FAILED trial: n={row.n} trial={row.label} "
         "(rerun with --seed as recorded)",
     )
@@ -286,16 +312,40 @@ def _candidate_line(row: CoefficientRow) -> str:
 
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
-    from .validation import bmv_check_trials
-
     config = _trial_config(args, per_dimension=False)
-    return _run_trials(
-        args,
-        head={"p": args.p},
-        tail="min coefficient {min_coefficient:.6e}",
-        report=bmv_check_trials(args.p, config),
-        explain=_candidate_line,
+    check_degrees(args.p, 0)
+    from .validation import _COEFFICIENT_TOL, bmv_check_trials
+
+    report = bmv_check_trials(args.p, config)
+    summary = {
+        **_trial_counts(report.rows),
+        "min_coefficient": min(row.min_coefficient for row in report.rows),
+        "tol": _COEFFICIENT_TOL,
+    }
+    rows = [
+        {
+            "p": row.p,
+            "n": row.n,
+            "seed": row.trial_seed,
+            "coefficients": list(row.coefficients),
+            "min": row.min_coefficient,
+            "threshold": row.threshold,
+            "passed": row.passed,
+        }
+        for row in report.rows
+    ]
+    lines = [
+        f"p={row.p} n={row.n} seed={row.trial_seed} "
+        f"min={row.min_coefficient:.6e} threshold={-row.threshold:.3e} "
+        f"{'PASS' if row.passed else 'FAIL'}"
+        for row in report.rows
+    ]
+    lines.append(
+        f"{summary['passed']}/{summary['trials']} trials passed, "
+        f"min coefficient {summary['min_coefficient']:.6e}"
     )
+    _emit({"p": args.p, "summary": summary, "rows": rows}, lines, args.format)
+    return _run_trials(report, explain=_candidate_line)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -422,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: the run ran out of memory{detail}", file=sys.stderr)
         return EXIT_FAIL
     # the certificate and ansatz errors are ValueErrors
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,8 +4,9 @@ Two runners.  The certificate runner draws random PSD pairs, evaluates a
 verified certificate as an explicit sum of squares, and compares against
 the word-sum trace ``numeric.trace_hurwitz_numeric``.  The coefficient
 runner samples PSD pairs and checks that every word-sum trace for
-r = 0..p is nonnegative up to roundoff.  Both emit one record per trial so failures are
-reproducible from the recorded seed alone.
+r = 0..p is nonnegative up to roundoff.  Both return a ``TrialReport`` of
+one row per trial, so a failure is reproducible from its recorded seed
+alone; the command line builds what it prints from those rows.
 
 Each runner draws all random pairs of one dimension in one pass, then
 evaluates all trials of that dimension as one stack of shape (m, n, n):
@@ -44,7 +45,7 @@ __all__ = [
     "validate_certificate_trials",
 ]
 
-# the coefficient runner's relative roundoff allowance, reported as ``tol``
+# the coefficient runner's relative roundoff allowance; bmv-check prints it as ``tol``
 _COEFFICIENT_TOL = 1e-9
 
 
@@ -69,41 +70,12 @@ class TrialRow:
     abs_diff: float
     passed: bool
 
-    def format_line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        return (
-            f"p={self.p} r={self.r} n={self.n} trial={self.label} "
-            f"oracle={self.oracle:.12e} sos={self.value:.12e} "
-            f"diff={self.abs_diff:.3e} {flag}"
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "n": self.n,
-            "trial": self.label,
-            "oracle": self.oracle,
-            "sos": self.value,
-            "abs_diff": self.abs_diff,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class TrialReport:
-    """The rows of one trial run, each carrying a ``passed`` flag, and their summary.
-
-    ``summary`` is the dict the command line prints.  Both runners give it
-    ``trials``, ``passed`` and ``failed``, the counts of the rows;
-    ``validate_certificate_trials`` adds ``max_abs_diff``, the largest
-    row ``abs_diff``, and ``tol_rel``, the config's; ``bmv_check_trials``
-    adds ``min_coefficient``, the smallest row ``min_coefficient``, and
-    ``tol``, its fixed 1e-9.
-    """
+    """The rows of one trial run, in trial order, each carrying a ``passed`` flag."""
 
     rows: Tuple[Union[TrialRow, CoefficientRow], ...]
-    summary: Dict[str, object]
 
     @property
     def all_passed(self) -> bool:
@@ -112,13 +84,6 @@ class TrialReport:
     @property
     def failures(self) -> Tuple[Union[TrialRow, CoefficientRow], ...]:
         return tuple(row for row in self.rows if not row.passed)
-
-
-def _report(rows: Sequence, **extra: object) -> TrialReport:
-    """The report of ``rows``: their counts, then the runner's ``extra`` summary keys."""
-    passed = sum(row.passed for row in rows)
-    counts = {"trials": len(rows), "passed": passed, "failed": len(rows) - passed}
-    return TrialReport(tuple(rows), {**counts, **extra})
 
 
 def trial_pair(n: int, trial_seeds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -171,8 +136,7 @@ def validate_certificate_trials(
             diff = abs(value - oracle)
             passed = diff <= config.tol_rel * (1.0 + abs(oracle))
             rows[i] = TrialRow(cert.p, cert.r, n, label, oracle, value, diff, passed)
-    max_abs_diff = max(row.abs_diff for row in rows)
-    return _report(rows, max_abs_diff=max_abs_diff, tol_rel=config.tol_rel)
+    return TrialReport(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -187,23 +151,6 @@ class CoefficientRow:
     threshold: float
     passed: bool
 
-    def format_line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        return (
-            f"p={self.p} n={self.n} seed={self.trial_seed} "
-            f"min={self.min_coefficient:.6e} threshold={-self.threshold:.3e} {flag}"
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "seed": self.trial_seed,
-            "coefficients": list(self.coefficients),
-            "min": self.min_coefficient,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def bmv_check_trials(p: int, config: TrialConfig) -> TrialReport:
@@ -227,5 +174,4 @@ def bmv_check_trials(p: int, config: TrialConfig) -> TrialReport:
             smallest = min(coeffs)
             passed = smallest >= -threshold
             rows[t] = CoefficientRow(p, n, seed, tuple(coeffs), smallest, threshold, passed)
-    min_coefficient = min(row.min_coefficient for row in rows)
-    return _report(rows, min_coefficient=min_coefficient, tol=_COEFFICIENT_TOL)
+    return TrialReport(tuple(rows))

@@ -721,15 +721,44 @@ def test_validate_prints_the_failing_trial(monkeypatch, capsys):
         abs_diff=1.0,
         passed=False,
     )
-    report = validation._report((row,), max_abs_diff=1.0, tol_rel=1e-8)
+    report = validation.TrialReport((row,))
     monkeypatch.setattr(validation, "validate_certificate_trials", lambda cert, config: report)
     args = ["validate", "--cert", bundled_path("p7r3.json"), "--trials", "1"]
     assert main(args) == EXIT_FAIL
     captured = capsys.readouterr()
-    assert "0/1 trials passed" in captured.out
+    assert captured.out.splitlines() == [
+        "p=7 r=3 n=2 trial=12345 oracle=1.000000000000e+00 sos=2.000000000000e+00 "
+        "diff=1.000e+00 FAIL",
+        "0/1 trials passed, max diff 1.000e+00",
+    ]
     assert captured.err.splitlines() == [
         "FAILED trial: n=2 trial=12345 (rerun with --seed as recorded)"
     ]
+    assert main(args + ["--format", "json"]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [{"p": 7, "r": 3, "n": 2, "trial": "12345", "oracle": 1.0,
+                            "sos": 2.0, "abs_diff": 1.0, "passed": False}]
+    assert doc["summary"] == {"trials": 1, "passed": 0, "failed": 1,
+                              "max_abs_diff": 1.0, "tol_rel": 1e-8}
+
+
+def test_validate_rows_in_text_and_json(capsys):
+    """Each text line spells its JSON row: the same trial, values and flag."""
+    args = ["validate", "--cert", bundled_path("p7r0.json"), "--dims", "2", "--trials", "2"]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert main(args + ["--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["path"] == bundled_path("p7r0.json")
+    assert [row["trial"] for row in doc["rows"]] == ["scalar(2,3)", "identity", "0", "1"]
+    assert len(lines) == len(doc["rows"]) + 1
+    for line, row in zip(lines, doc["rows"]):
+        assert (row["p"], row["r"], row["passed"]) == (7, 0, True)
+        assert line == (
+            f"p=7 r=0 n={row['n']} trial={row['trial']} oracle={row['oracle']:.12e} "
+            f"sos={row['sos']:.12e} diff={row['abs_diff']:.3e} PASS"
+        )
+    assert lines[-1] == f"4/4 trials passed, max diff {doc['summary']['max_abs_diff']:.3e}"
 
 
 @pytest.mark.parametrize(
@@ -908,10 +937,15 @@ def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
         threshold=1e-9,
         passed=False,
     )
-    report = validation._report((row,), min_coefficient=-0.5, tol=1e-9)
+    report = validation.TrialReport((row,))
     monkeypatch.setattr(validation, "bmv_check_trials", lambda p, config: report)
     assert main(["bmv-check", "-p", "7", "--trials", "1"]) == EXIT_FAIL
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"p=7 n={n} seed={seed} min=-5.000000e-01 threshold=-1.000e-09 FAIL",
+        "0/1 trials passed, min coefficient -5.000000e-01",
+    ]
+    err = captured.err
     prefix = "counterexample candidate: "
     (line,) = [x for x in err.splitlines() if x.startswith(prefix)]
     candidate = json.loads(line[len(prefix):])
@@ -921,6 +955,28 @@ def test_bmv_check_prints_the_failing_pair(monkeypatch, capsys):
         want = random_psd(n, derive_seed(seed, index))
         got = np.array(candidate[key])
         assert np.array_equal(got[..., 0] + 1j * got[..., 1], want)
+
+
+def test_bmv_check_rows_in_text_and_json(capsys):
+    """Each text line spells its JSON row: the same seed, minimum, threshold and flag."""
+    args = ["bmv-check", "-p", "4", "--trials", "3", "--dims", "2,3", "--seed", "5"]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert main(args + ["--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["p"] == 4
+    assert [(row["n"], row["seed"]) for row in doc["rows"]] == [(2, 5), (3, 6), (2, 7)]
+    assert len(lines) == len(doc["rows"]) + 1
+    for line, row in zip(lines, doc["rows"]):
+        assert (row["p"], row["passed"], len(row["coefficients"])) == (4, True, 5)
+        assert row["min"] == min(row["coefficients"])
+        assert line == (
+            f"p=4 n={row['n']} seed={row['seed']} min={row['min']:.6e} "
+            f"threshold={-row['threshold']:.3e} PASS"
+        )
+    assert lines[-1] == (
+        f"3/3 trials passed, min coefficient {doc['summary']['min_coefficient']:.6e}"
+    )
 
 
 def test_bmv_check_bad_p(capsys):
@@ -1069,6 +1125,48 @@ def test_module_entry_point():
     assert run("expand", "-p", "5", "-r", "2", "--format", "json") == {"AABAB": 5, "AAABB": 5}
     doc = run("verify", "--cert", bundled_path("p7r3.json"), "--format", "json")
     assert (doc["matched"], doc["psd"]) == (True, True)
+
+
+def test_rejected_input_loads_no_numpy(tmp_path):
+    """A rejected flag or input file exits 2, and a certificate that fails
+    exact verification exits 1, with one line on stderr and before numpy
+    loads (-X importtime lists every import)."""
+    no_degrees = _ansatz_file(tmp_path, {"blocks": THREE_WORD_ANSATZ["blocks"]})
+    doc = certificate_to_json(bundled_certificate("p7r3.json"))
+    doc["blocks"][0]["gram"][0][0]["re"] = [13, 2]
+    failing = tmp_path / "p7r3_13_2.json"
+    failing.write_text(json.dumps(doc))
+    p7r3 = bundled_path("p7r3.json")
+    ansatz = bundled_path("p6r3_restricted_ansatz.json")
+    cases = [
+        (["validate", "--cert", p7r3, "--seed", "-1"], "error: --seed must be"),
+        (["validate", "--cert", p7r3, "--dims", "2,,3"], "error: --dims must be"),
+        (["bmv-check", "-p", "0"], "error: p must be"),
+        (["bmv-check", "-p", "0", "--seed", "-1"], "error: --seed must be"),
+        (["search", "--ansatz", ansatz, "--seed", "-1"], "error: --seed must be"),
+        (["search", "--ansatz", no_degrees, "-p", "7", "-r", "-1"], "error: r must lie"),
+        (["search", "--ansatz", no_degrees, "-p", "7", "-r", "3", "--max-iter", "0"],
+         "error: --max-iter must be"),
+        (["search", "--ansatz", no_degrees, "-p", "7", "-r", "3",
+          "--cert", str(tmp_path / "missing" / "c.json")], "error: --cert "),
+        (["search", "--ansatz", str(tmp_path / "missing.json")], "error: "),
+        (["validate", "--cert", str(failing)], f"certificate {failing} failed exact"),
+    ]
+    for argv, start in cases:
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hurwitz_sos.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == (EXIT_FAIL if argv[-1] == str(failing) else EXIT_USAGE)
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        imported = [line.rsplit("|", 1)[1].strip()
+                    for line in lines if line.startswith("import time:")]
+        (message,) = [line for line in lines if not line.startswith("import time:")]
+        assert message.startswith(start), (argv, message)
+        assert "hurwitz_sos.certificate" in imported
+        assert [name for name in imported if name.split(".")[0] == "numpy"] == [], argv
 
 
 def test_closed_stdout_exits_fail_quietly():

@@ -100,7 +100,8 @@ PUBLIC_API = (
 # from tests/oracles.py, a determined ansatz goes through
 # feasibility_search, an unreachable target is an INFEASIBLE outcome, and
 # callers read what a retired pass-through wrapper handed on; one
-# TrialReport, its summary a dict, serves both trial runners.
+# TrialReport of rows serves both trial runners, and the command line
+# builds each trial summary, line and JSON row from those rows.
 REMOVED = (
     (certificate, ("reduce_pair", "gram_from_vectors", "_gram_integers",
                    "_HALF_SQUARED", "_HALF_SWAP", "block_to_json", "entry_to_json",
@@ -113,8 +114,12 @@ REMOVED = (
     (rational.GaussianRational, ("as_tuple",)),
     (search, ("determined_gram", "prove_infeasible_determined", "UnderdeterminedAnsatzError",
               "UnreachableTargetError", "_check_reachable")),
-    (validation, ("_trial_row", "_coefficient_row", "_Report", "CoefficientReport")),
-    (validation.TrialReport, ("max_abs_diff", "tol_rel")),
+    (validation, ("_trial_row", "_coefficient_row", "_Report", "CoefficientReport",
+                  "_report")),
+    (validation.TrialReport, ("max_abs_diff", "tol_rel", "summary")),
+    (validation.TrialRow, ("format_line", "to_json")),
+    (validation.CoefficientRow, ("format_line", "to_json")),
+    (cli, ("_UsageError",)),
     (words, ("swap_letters", "least_rotation", "canonical_rotation", "ClassLike",
              "CoefficientLike", "reverse_word", "_class_of", "_necklace_words")),
     (words.TracePolynomial, ("scaled",)),
