@@ -242,6 +242,7 @@ def _run_trials(report: TrialReport, explain: Callable) -> int:
 
 
 def _trial_counts(rows: Sequence) -> dict:
+    """The summary keys both trial commands print."""
     passed = sum(row.passed for row in rows)
     return {"trials": len(rows), "passed": passed, "failed": len(rows) - passed}
 
@@ -313,7 +314,7 @@ def _candidate_line(row: CoefficientRow) -> str:
 
 def cmd_bmv_check(args: argparse.Namespace) -> int:
     config = _trial_config(args, per_dimension=False)
-    check_degrees(args.p, 0)
+    check_degrees(args.p, 0)  # after the trial flags, as the runner checks it
     from .validation import _COEFFICIENT_TOL, bmv_check_trials
 
     report = bmv_check_trials(args.p, config)
@@ -471,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the run ran out of memory{detail}", file=sys.stderr)
         return EXIT_FAIL
-    # the certificate and ansatz errors are ValueErrors
+    # the usage, certificate and ansatz errors are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
